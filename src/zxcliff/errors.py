@@ -52,7 +52,13 @@ class TargetKindError(ZXError):
 
 
 class NotACircuit(ZXError):
-    """No path cover satisfying the causal-flow conditions exists."""
+    """No path cover satisfying the causal-flow conditions exists.
+
+    ``stranded`` holds, in id order, the vertices the flow sweep of
+    ``find_path_cover`` never reached (interior vertices and inputs).  It is
+    non-empty whenever the sweep ran, and empty when the diagram was rejected
+    before it for having unequal input and output counts.
+    """
 
     def __init__(self, message: str, stranded=None):
         self.stranded = tuple(stranded) if stranded else ()

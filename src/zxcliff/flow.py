@@ -7,6 +7,14 @@ successor function together with an order satisfying
 
 certifies that the diagram has circuit structure.  Cross edges (edges not on
 any path) then correspond to CNOT gates between the paths.
+
+Covers are found with the backward sweep of Mhalla & Perdrix, "Finding
+optimal flows efficiently" (arXiv:0709.2670), in time polynomial in the
+diagram.  With as many inputs as outputs a causal flow is unique when it
+exists (de Beaudrap, "Finding flows in the one-way measurement model",
+arXiv:quant-ph/0611284), so the sweep fails exactly when no cover exists.
+Parallel edges and self-loops do not change adjacency, so both results carry
+over to these multigraphs.
 """
 
 from __future__ import annotations
@@ -19,9 +27,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from .diagram import H, X, Z, Diagram, VertexId
 from .errors import CrossEdgeColourError, NotACircuit
 from .passes import is_simple
-
-# backtracking budget: expansions per vertex before giving up
-_NODE_BUDGET_FACTOR = 10
 
 
 @dataclass(frozen=True)
@@ -52,148 +57,141 @@ class PathCover:
                 pos[v] = (q, p)
         return pos
 
-    def qubit_of(self) -> Dict[VertexId, int]:
-        return {v: q for q, path in enumerate(self.paths) for v in path}
+
+def _neighbour_sets(d: Diagram) -> Dict[VertexId, Set[VertexId]]:
+    """Distinct neighbours of every vertex in id order, self-loops dropped."""
+    nbrs: Dict[VertexId, Set[VertexId]] = {v: set() for v in d.vertices()}
+    for e in d.edges():
+        u, v = d.edge_ends(e)
+        if u != v:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+    return nbrs
 
 
-def _flow_of_paths(d: Diagram, paths: Sequence[Sequence[VertexId]]) -> Optional[CausalFlow]:
-    """Build (f, rank) from paths and check F1-F3; None if the order is cyclic."""
+def _flow_of_paths(paths: Sequence[Sequence[VertexId]],
+                   nbrs: Dict[VertexId, Set[VertexId]]) -> Optional[CausalFlow]:
+    """Build (f, rank) from paths and check F1-F3; None if they fail.
+
+    The order constraints are v -> f(v) and v -> u for every u ~ f(v),
+    u != v; the rank is their least topological order in vertex-id order."""
     succ: Dict[VertexId, VertexId] = {}
     for path in paths:
         for a, b in zip(path, path[1:]):
             succ[a] = b
-    # order constraints: v -> f(v) and v -> u for every u ~ f(v), u != v
-    arcs: Dict[VertexId, Set[VertexId]] = {v: set() for v in d.vertices()}
+    indeg: Dict[VertexId, int] = dict.fromkeys(nbrs, 0)
     for v, fv in succ.items():
-        arcs[v].add(fv)
-        for u in d.neighbours(fv):
+        if v not in nbrs[fv]:
+            return None  # F1
+        indeg[fv] += 1
+        for u in nbrs[fv]:
             if u != v:
-                arcs[v].add(u)
-    indeg: Dict[VertexId, int] = {v: 0 for v in arcs}
-    for v, outs in arcs.items():
-        for u in outs:
-            indeg[u] += 1
-    ready = [v for v in sorted(arcs) if indeg[v] == 0]
+                indeg[u] += 1
+    ready = [v for v, n in indeg.items() if n == 0]
     heapq.heapify(ready)
     rank: Dict[VertexId, int] = {}
-    k = 0
     while ready:
         v = heapq.heappop(ready)
-        rank[v] = k
-        k += 1
-        for u in sorted(arcs[v]):
-            indeg[u] -= 1
-            if indeg[u] == 0:
-                heapq.heappush(ready, u)
-    if len(rank) != len(arcs):
-        return None  # cyclic: no order satisfies F3
+        rank[v] = len(rank)
+        fv = succ.get(v)
+        if fv is None:
+            continue
+        for u in (fv, *nbrs[fv]):
+            if u != v:
+                indeg[u] -= 1
+                if indeg[u] == 0:
+                    heapq.heappush(ready, u)
+    if len(rank) != len(nbrs):
+        return None  # cyclic: no order satisfies F2-F3
     return CausalFlow(tuple(sorted(succ.items())), tuple(sorted(rank.items())))
 
 
-def _cover_search(d: Diagram, budget: int) -> Tuple[Optional[PathCover], List[VertexId]]:
-    """Deterministic propagation-plus-backtracking search for a valid cover.
+def _sweep(d: Diagram, nbrs: Dict[VertexId, Set[VertexId]]
+           ) -> Tuple[Dict[VertexId, VertexId], List[VertexId]]:
+    """Mhalla-Perdrix backward sweep from the outputs.
 
-    Returns (cover, stranded) where stranded reports the best failure seen,
-    for diagnostics.
-    """
-    inputs = list(d.inputs)
+    The outputs start processed.  A processed non-input vertex v that is not
+    yet anyone's successor and has exactly one unprocessed neighbour u forces
+    f(u) = v, which processes u.  Vertices are handled from a worklist rather
+    than in rounds: every claim is forced, so the order changes neither f nor
+    the set of vertices reached.  Returns (f, unreached), where unreached
+    lists in id order the vertices never processed; it is empty exactly when
+    f is a causal flow of the whole diagram."""
+    inputs = set(d.inputs)
     outputs = set(d.outputs)
-    interior = set(d.interior())
-
-    best_stranded: List[VertexId] = sorted(interior)
-    expansions = [0]
-
-    def candidates(head: VertexId, claimed: Set[VertexId], free_outputs: Set[VertexId]) -> List[VertexId]:
-        out = []
-        for w in d.neighbours(head):
-            if w in claimed:
-                continue
-            if w in interior or w in free_outputs:
-                out.append(w)
-        return out
-
-    def search(paths: List[List[VertexId]], open_idx: List[int],
-               claimed: Set[VertexId], free_outputs: Set[VertexId]) -> Optional[PathCover]:
-        nonlocal best_stranded
-        if not open_idx:
-            uncovered = sorted(interior - claimed)
-            if uncovered:
-                if len(uncovered) < len(best_stranded):
-                    best_stranded = uncovered
-                return None
-            flow = _flow_of_paths(d, paths)
-            if flow is None:
-                return None
-            return PathCover(tuple(tuple(p) for p in paths), flow)
-        if expansions[0] > budget:
-            return None
-        # most-constrained open path first
-        scored = []
-        for i in open_idx:
-            cs = candidates(paths[i][-1], claimed, free_outputs)
-            scored.append((len(cs), i, cs))
-        scored.sort(key=lambda t: (t[0], t[1]))
-        n, i, cs = scored[0]
-        if n == 0:
-            leftover = sorted(interior - claimed)
-            if len(leftover) < len(best_stranded):
-                best_stranded = leftover if leftover else [paths[i][-1]]
-            return None
-        for w in cs:
-            expansions[0] += 1
-            if expansions[0] > budget:
-                return None
-            paths[i].append(w)
-            if w in free_outputs:
-                free_outputs.discard(w)
-                new_open = [j for j in open_idx if j != i]
-            else:
-                claimed.add(w)
-                new_open = open_idx
-            res = search(paths, new_open, claimed, free_outputs)
-            if res is not None:
-                return res
-            paths[i].pop()
-            if w in outputs:
-                free_outputs.add(w)
-            else:
-                claimed.discard(w)
-        return None
-
-    paths = [[i] for i in inputs]
-    cover = search(paths, list(range(len(inputs))), set(inputs), set(outputs))
-    return cover, best_stranded
+    # count and id sum of each vertex's unprocessed neighbours: when the
+    # count is 1 the sum is that neighbour
+    open_count = {v: len(ns) for v, ns in nbrs.items()}
+    open_sum = {v: sum(ns) for v, ns in nbrs.items()}
+    for v in outputs:
+        for w in nbrs[v]:
+            open_count[w] -= 1
+            open_sum[w] -= v
+    # free: processed non-inputs that are no one's successor yet
+    free = set(outputs)
+    ready = [v for v in d.outputs if open_count[v] == 1]
+    succ: Dict[VertexId, VertexId] = {}
+    while ready:
+        v = ready.pop()
+        if open_count[v] != 1:
+            continue  # its last unprocessed neighbour went to another vertex
+        u = open_sum[v]
+        succ[u] = v
+        free.discard(v)
+        if u not in inputs:
+            free.add(u)
+            if open_count[u] == 1:
+                ready.append(u)
+        for w in nbrs[u]:
+            open_count[w] -= 1
+            open_sum[w] -= u
+            if open_count[w] == 1 and w in free:
+                ready.append(w)
+    return succ, [v for v in nbrs if v not in succ and v not in outputs]
 
 
 # diagrams are immutable, so covers are cached per object; entries vanish
 # with the diagram, which is the invalidation callers need after rewriting
-_COVER_CACHE: "weakref.WeakKeyDictionary[Diagram, PathCover]" = None  # type: ignore[assignment]
+_COVER_CACHE: "weakref.WeakKeyDictionary[Diagram, PathCover]" = weakref.WeakKeyDictionary()
 
 
 def find_path_cover(d: Diagram) -> PathCover:
-    """A path cover satisfying F1-F3, or NotACircuit.
+    """The path cover satisfying F1-F3, or NotACircuit.
 
-    Forced extensions are taken first; genuine choices are explored by
-    backtracking with a node budget of 10 * |V|, and covers whose order
-    constraints are cyclic are rejected.  Successful covers are memoised per
-    diagram object.
+    The cover comes from the Mhalla-Perdrix backward sweep (arXiv:0709.2670):
+    starting from the outputs, a processed vertex with exactly one unprocessed
+    neighbour u becomes the successor of u.  With as many inputs as outputs
+    the causal flow is unique (de Beaudrap, arXiv:quant-ph/0611284), so the
+    result does not depend on the order of the sweep and a failed sweep means
+    no cover exists.  The paths follow the successor from each input in input
+    order, and F1-F3 are rechecked on them.  Successful covers are memoised
+    per diagram object.
+
+    On failure, ``NotACircuit.stranded`` lists the vertices the sweep never
+    reached; it is empty only when the input and output counts differ.
     """
-    global _COVER_CACHE
-    if _COVER_CACHE is None:
-        _COVER_CACHE = weakref.WeakKeyDictionary()
     cached = _COVER_CACHE.get(d)
     if cached is not None:
         return cached
     if d.num_inputs != d.num_outputs:
         raise NotACircuit(
             f"{d.num_inputs} inputs vs {d.num_outputs} outputs")
-    budget = max(_NODE_BUDGET_FACTOR * len(d.vertices()), 100)
-    cover, stranded = _cover_search(d, budget)
-    if cover is None:
+    nbrs = _neighbour_sets(d)
+    succ, stranded = _sweep(d, nbrs)
+    if stranded:
         raise NotACircuit(
-            "no causal-flow path cover exists"
-            + (f"; stranded vertices {stranded}" if stranded else ""),
+            f"no causal-flow path cover exists; stranded vertices {stranded}",
             stranded=stranded)
+    paths = []
+    for v in d.inputs:
+        path = [v]
+        while path[-1] in succ:
+            path.append(succ[path[-1]])
+        paths.append(tuple(path))
+    flow = _flow_of_paths(paths, nbrs)
+    if flow is None:
+        raise AssertionError("the flow sweep produced paths that fail F1-F3")
+    cover = PathCover(tuple(paths), flow)
     _COVER_CACHE[d] = cover
     return cover
 
@@ -213,40 +211,6 @@ def is_circuit_like(d: Diagram) -> bool:
     if not is_simple(d):
         return False
     return has_path_cover(d)
-
-
-def greedy_path_cover(d: Diagram) -> Tuple[List[List[VertexId]], List[VertexId]]:
-    """Propagation-only cover used by metrics: forced moves first, then the
-    first candidate in id order, never backtracking.  Returns (paths,
-    uncovered); paths that fail to reach an output are truncated as-is."""
-    if d.num_inputs != d.num_outputs:
-        return [[i] for i in d.inputs], sorted(d.interior())
-    interior = set(d.interior())
-    free_outputs = set(d.outputs)
-    claimed = set(d.inputs)
-    paths = [[i] for i in d.inputs]
-    open_idx = list(range(len(paths)))
-    while open_idx:
-        scored = []
-        for i in open_idx:
-            head = paths[i][-1]
-            cs = [w for w in d.neighbours(head)
-                  if w not in claimed and (w in interior or w in free_outputs)]
-            scored.append((len(cs), i, cs))
-        scored.sort(key=lambda t: (t[0], t[1]))
-        n, i, cs = scored[0]
-        if n == 0:
-            open_idx.remove(i)  # stuck path: leave truncated
-            continue
-        w = cs[0]
-        paths[i].append(w)
-        if w in free_outputs:
-            free_outputs.discard(w)
-            open_idx.remove(i)
-        else:
-            claimed.add(w)
-    covered = {v for p in paths for v in p}
-    return paths, sorted(interior - covered)
 
 
 _PHASE_GATES = {(Z, 1): ("S",), (Z, 2): ("Z",), (Z, 3): ("Z", "S"),

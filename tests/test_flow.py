@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zxcliff.circuit import (circuit, gate, gate_matrix_product,
-                             random_clifford_circuit, translate)
+from flow_reference import reference_cover
+from zxcliff.circuit import (GATE_ARITY, Circuit, Gate, circuit, gate,
+                             gate_matrix_product, random_clifford_circuit,
+                             translate)
 from zxcliff.diagram import B, DiagramBuilder, X, Z
 from zxcliff.errors import CrossEdgeColourError, NotACircuit
 from zxcliff.flow import (extract_circuit, find_path_cover, has_path_cover,
-                          greedy_path_cover, is_circuit_like)
+                          is_circuit_like)
 from zxcliff.passes import simple_form
+from zxcliff.rewrite import apply_match, find_matches
 from zxcliff.semantics import interpret, scalar_free_equal
 
 
@@ -133,9 +138,54 @@ def test_cc2_members_circuit_like(cc2):
         assert has_path_cover(cc2.members[idx])
 
 
-def test_greedy_cover_reports_leftovers():
-    paths, uncovered = greedy_path_cover(t(gate("CNOT", 0, 1)))
-    assert not uncovered and len(paths) == 2
+@st.composite
+def small_circuits(draw):
+    width = draw(st.integers(1, 4))
+    # CNOTs and Paulis weighted up: the commutation rules match on them, and
+    # their rewrites are where covers get lost
+    pool = ["CNOT"] * 6 + ["X", "Z"] * 3 + sorted(GATE_ARITY)
+    names = [n for n in pool if GATE_ARITY[n] <= width]
+    gates = []
+    for name in draw(st.lists(st.sampled_from(names), min_size=4, max_size=24)):
+        wires = draw(st.permutations(range(width)))[:GATE_ARITY[name]]
+        gates.append(Gate(name, tuple(wires)))
+    return Circuit(width, tuple(gates))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(c=small_circuits())
+def test_cover_agrees_with_exhaustive_reference(ruleset, c):
+    # the circuit itself plus every commutation rewrite of it; many of the
+    # rewrites leave the circuit class
+    d = simple_form(translate(c))
+    diagrams = [d] + [apply_match(d, rule, m)
+                      for rule in ruleset.cnot_commute + ruleset.c2
+                      for m in find_matches(rule, d)]
+    for g in diagrams:
+        expected = reference_cover(g)
+        try:
+            pc = find_path_cover(g)
+        except NotACircuit as exc:
+            assert expected is None
+            assert exc.stranded
+            continue
+        assert pc.paths == expected
+        check_flow_conditions(g, pc)
+
+
+def test_inputs_only_stranded():
+    # the sweep processes the shared spider but can never choose which input
+    # precedes it
+    b = DiagramBuilder()
+    i0, i1 = b.add_vertex(B), b.add_vertex(B)
+    z = b.add_vertex(Z, 0)
+    o0, o1 = b.add_vertex(B), b.add_vertex(B)
+    for v in (i0, i1, o0, o1):
+        b.add_edge(v, z)
+    b.set_boundaries([i0, i1], [o0, o1])
+    with pytest.raises(NotACircuit) as err:
+        find_path_cover(b.build())
+    assert err.value.stranded == (i0, i1)
 
 
 # -- extraction ---------------------------------------------------------------------

@@ -185,6 +185,20 @@ def test_metric_never_selects_non_circuit(ruleset):
     assert out2 is None or has_path_cover(out2)
 
 
+def test_uncovered_candidates_score_above_base(ruleset):
+    # the stranded count only scales the penalty; whatever it is, a candidate
+    # without a cover never beats the covered diagram it came from
+    d = _bad_config_diagram()
+    candidates = [apply_match(d, rule, m)
+                  for rule in ruleset.cnot_commute + ruleset.c2
+                  for m in find_matches(rule, d)]
+    uncovered = [out for out in candidates if not has_path_cover(out)]
+    assert uncovered
+    for metric in (PauliMetric(), CommutationMetric()):
+        base = metric.value(d)
+        assert all(metric.value(out) > base for out in uncovered)
+
+
 # -- canonicalise_blocks ----------------------------------------------------------------
 
 def test_canonicalise_replaces_h_run(cc1):
