@@ -95,7 +95,7 @@ def _cmd_bench(args) -> int:
     if args.csv:
         from .bench import CSV_HEADER
         _write(args.csv, "\n".join([CSV_HEADER] + [r.csv() for r in rows]) + "\n")
-    if any(not r.verified for r in rows):
+    if any(r.verified is False for r in rows):
         print("verification failures present", file=sys.stderr)
         return 1
     return 0

@@ -7,7 +7,17 @@ never leaves dangling edges.  Together with kind/phase preservation this
 forces matched vertices to have exactly the degree of their rule vertex,
 which the matcher uses for pruning.
 
-Matches are enumerated in a canonical order (lexicographic over the sorted
+Each rule's LHS is compiled once into a search plan: a BFS order over its
+interior, each vertex's (kind, phase, degree, self-loop) signature, its edge
+multiplicities to earlier vertices, and its boundary edges.  Each target
+diagram is indexed once: interior vertices by signature, their neighbours, and
+edges by vertex pair.  The root of an LHS component draws candidates from the
+signature pool and every later vertex from the neighbours of its parent's
+image.  An anchored search pins one LHS vertex to one target vertex and roots
+the plan there.  Plans and indexes are cached weakly, per rule and per
+diagram.
+
+Matches are returned in a canonical order (lexicographic over the sorted
 image vertex ids, then edge and boundary assignments), so every operation in
 this module is deterministic and proof traces are byte-stable.
 """
@@ -16,8 +26,10 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from weakref import WeakKeyDictionary
 
 from .diagram import Diagram, EdgeId, VertexId
 from .errors import ReplayDivergence, RuleFormatError, StaleMatchError
@@ -107,134 +119,188 @@ class Match:
         )
 
 
-def _search_order(lhs: Diagram) -> List[VertexId]:
-    """Interior vertices in a BFS order so each new vertex (within a connected
-    component) touches an already-placed one."""
+class _Plan(NamedTuple):
+    """A rule's LHS compiled for search.  Position i is the i-th interior
+    vertex in BFS order; each vertex after a component's root touches an
+    earlier one, its parent."""
+
+    order: Tuple[VertexId, ...]
+    sigs: Tuple[Tuple, ...]  # (kind, phase, degree, self-loops) per position
+    parents: Tuple[Optional[int], ...]
+    # (earlier position, edge multiplicity) for every earlier interior neighbour
+    links: Tuple[Tuple[Tuple[int, int], ...], ...]
+    # (position, position, sorted LHS edges) for every interior pair with edges
+    pairs: Tuple[Tuple[int, int, Tuple[EdgeId, ...]], ...]
+    # sorted (edge, boundary vertex) per position
+    bedges: Tuple[Tuple[Tuple[EdgeId, VertexId], ...], ...]
+
+
+def _compile(lhs: Diagram, root: Optional[VertexId]) -> _Plan:
     interior = lhs.interior()
+    roots = interior if root is None else [root] + interior
     order: List[VertexId] = []
-    seen = set()
-    for root in interior:
-        if root in seen:
+    parent: Dict[VertexId, Optional[VertexId]] = {}
+    for r in roots:
+        if r in parent:
             continue
-        queue = [root]
-        seen.add(root)
+        parent[r] = None
+        queue = deque([r])
         while queue:
-            v = queue.pop(0)
+            v = queue.popleft()
             order.append(v)
             for w in lhs.neighbours(v):
-                if w in seen or lhs.is_boundary(w):
-                    continue
-                seen.add(w)
-                queue.append(w)
-    return order
+                if w not in parent and not lhs.is_boundary(w):
+                    parent[w] = v
+                    queue.append(w)
+    pos = {v: i for i, v in enumerate(order)}
 
-
-def find_matches(rule: Rule, target: Diagram) -> List[Match]:
-    """All embeddings of rule.lhs into target, in canonical order."""
-    lhs = rule.lhs
-    order = _search_order(lhs)
-    interior_set = set(order)
-
-    lhs_loops = {v: len(lhs.edges_between(v, v)) for v in order}
-    lhs_bedges: Dict[VertexId, List[Tuple[EdgeId, VertexId]]] = {v: [] for v in order}
+    between: Dict[Tuple[VertexId, VertexId], List[EdgeId]] = {}
+    bedges: List[List[Tuple[EdgeId, VertexId]]] = [[] for _ in order]
     for e in lhs.edges():
         u, v = lhs.edge_ends(e)
-        if lhs.is_boundary(u) and not lhs.is_boundary(v):
-            lhs_bedges[v].append((e, u))
-        elif lhs.is_boundary(v) and not lhs.is_boundary(u):
-            lhs_bedges[u].append((e, v))
+        if u in pos and v in pos:
+            between.setdefault((pos[u], pos[v]) if pos[u] <= pos[v] else (pos[v], pos[u]),
+                               []).append(e)
+        elif v in pos:
+            bedges[pos[v]].append((e, u))
+        else:
+            bedges[pos[u]].append((e, v))
+    return _Plan(
+        order=tuple(order),
+        sigs=tuple((lhs.kind(v), lhs.phase(v), lhs.degree(v), len(between.get((i, i), ())))
+                   for i, v in enumerate(order)),
+        parents=tuple(None if parent[v] is None else pos[parent[v]] for v in order),
+        links=tuple(tuple((j, len(between[(j, i)])) for j in range(i) if (j, i) in between)
+                    for i in range(len(order))),
+        pairs=tuple((i, j, tuple(es)) for (i, j), es in between.items()),
+        bedges=tuple(tuple(b) for b in bedges),
+    )
 
-    cand_pool: Dict[VertexId, List[VertexId]] = {}
-    for v in order:
-        sig = (lhs.kind(v), lhs.phase(v), lhs.degree(v))
-        cand_pool[v] = [t for t in target.interior()
-                        if (target.kind(t), target.phase(t), target.degree(t)) == sig
-                        and len(target.edges_between(t, t)) == lhs_loops[v]]
 
-    matches: List[Match] = []
-    vmap: Dict[VertexId, VertexId] = {}
+# compiled plans per rule, keyed by the anchored LHS vertex (None: unanchored)
+_PLAN_CACHE: "WeakKeyDictionary[Rule, Dict[Optional[VertexId], _Plan]]" = WeakKeyDictionary()
+
+
+def _plan(rule: Rule, root: Optional[VertexId]) -> _Plan:
+    plans = _PLAN_CACHE.setdefault(rule, {})
+    if root not in plans:
+        if root is not None and root not in rule.lhs.interior():
+            raise RuleFormatError(f"anchor {root} is not interior to {rule.name}")
+        plans[root] = _compile(rule.lhs, root)
+    return plans[root]
+
+
+class _Index(NamedTuple):
+    """A target diagram's interior indexed for matching."""
+
+    pool: Dict[Tuple, List[VertexId]]  # signature -> sorted interior vertices
+    sig: Dict[VertexId, Tuple]  # interior vertex -> (kind, phase, degree, self-loops)
+    nbrs: Dict[VertexId, List[VertexId]]  # sorted distinct neighbours
+    inc: Dict[VertexId, List[Tuple[EdgeId, VertexId]]]  # (edge, far end), loops left out
+    between: Dict[Tuple[VertexId, VertexId], List[EdgeId]]  # (min, max) -> sorted edges
+
+
+_INDEX_CACHE: "WeakKeyDictionary[Diagram, _Index]" = WeakKeyDictionary()
+
+
+def _index(d: Diagram) -> _Index:
+    idx = _INDEX_CACHE.get(d)
+    if idx is not None:
+        return idx
+    interior = d.interior()
+    inc: Dict[VertexId, List[Tuple[EdgeId, VertexId]]] = {v: [] for v in interior}
+    between: Dict[Tuple[VertexId, VertexId], List[EdgeId]] = {}
+    for e in d.edges():
+        ends = u, v = d.edge_ends(e)
+        between.setdefault(ends, []).append(e)
+        if u != v:
+            if u in inc:
+                inc[u].append((e, v))
+            if v in inc:
+                inc[v].append((e, u))
+    pool: Dict[Tuple, List[VertexId]] = {}
+    sig: Dict[VertexId, Tuple] = {}
+    for v in interior:
+        loops = len(between.get((v, v), ()))
+        sig[v] = s = (d.kind(v), d.phase(v), len(inc[v]) + 2 * loops, loops)
+        pool.setdefault(s, []).append(v)
+    nbrs = {v: sorted({w for _, w in inc[v]}) for v in interior}
+    idx = _INDEX_CACHE[d] = _Index(pool, sig, nbrs, inc, between)
+    return idx
+
+
+def find_matches(rule: Rule, target: Diagram,
+                 anchor: Optional[Tuple[VertexId, VertexId]] = None) -> List[Match]:
+    """All embeddings of rule.lhs into target, in canonical order.
+
+    With ``anchor=(lhs_vertex, target_vertex)`` only the embeddings sending
+    that interior LHS vertex to that target vertex are returned."""
+    plan = _plan(rule, None if anchor is None else anchor[0])
+    idx = _index(target)
+    n = len(plan.order)
+    img: List[VertexId] = [0] * n
     used = set()
+    matches: List[Match] = []
 
-    def edges_ok(a: VertexId, t: VertexId) -> bool:
-        for u in lhs.neighbours(a):
-            if u in vmap:
-                if len(lhs.edges_between(a, u)) != len(target.edges_between(t, vmap[u])):
-                    return False
-        return True
+    def pair(a: VertexId, b: VertexId) -> List[EdgeId]:
+        return idx.between.get((a, b) if a <= b else (b, a), [])
 
     def complete() -> None:
-        image = set(vmap.values())
+        # interior edges: canonical sorted pairing; the multiplicities already
+        # agree, because every LHS adjacency was checked as it was placed
         emap: Dict[EdgeId, EdgeId] = {}
-        # interior-interior edges: canonical sorted pairing, multiplicities must
-        # agree exactly (anything extra would violate the gluing condition)
-        pairs = set()
-        for v in order:
-            pairs.add((v, v))
-            for u in lhs.neighbours(v):
-                if u in interior_set:
-                    pairs.add((min(u, v), max(u, v)))
-        for u, v in sorted(pairs):
-            les = sorted(lhs.edges_between(u, v))
-            tes = sorted(target.edges_between(vmap[u], vmap[v]))
-            if len(les) != len(tes):
-                return
-            for le, te in zip(les, tes):
-                emap[le] = te
-        # boundary edges: assign remaining target half-edges at each image
-        per_vertex: List[Tuple[VertexId, List[Tuple[EdgeId, VertexId]], List[EdgeId]]] = []
-        for v in order:
-            bedges = sorted(lhs_bedges[v])
-            remaining = [e for e in target.incident_edges(vmap[v]) if e not in emap.values()]
-            remaining = sorted(remaining)
-            if len(bedges) != len(remaining):
-                return
-            for e in remaining:
-                x, y = target.edge_ends(e)
-                far = y if x == vmap[v] else x
+        for i, j, les in plan.pairs:
+            emap.update(zip(les, pair(img[i], img[j])))
+        mapped = set(emap.values())
+        image = set(img)
+        # boundary edges: assign remaining target half-edges at each image;
+        # equal degrees leave as many as the LHS vertex has boundary edges
+        slots = []
+        for bedges, t in zip(plan.bedges, img):
+            remaining = []
+            for e, far in idx.inc[t]:
+                if e in mapped:
+                    continue
                 if far in image:
                     return  # would leave an unmatched edge at a matched vertex
+                remaining.append((e, 1 if t < far else 0))
             if bedges:
-                per_vertex.append((v, bedges, remaining))
-
-        def assignments(i: int, attach: Dict[VertexId, Tuple[EdgeId, int]],
-                        extra: Dict[EdgeId, EdgeId]) -> None:
-            if i == len(per_vertex):
-                full = dict(emap)
-                full.update(extra)
-                matches.append(Match(
-                    rule_name=rule.name,
-                    vertex_map=tuple(sorted(vmap.items())),
-                    edge_map=tuple(sorted(full.items())),
-                    boundary_attach=tuple(sorted(attach.items())),
-                ))
-                return
-            v, bedges, remaining = per_vertex[i]
-            for perm in itertools.permutations(remaining):
-                a2 = dict(attach)
-                x2 = dict(extra)
-                for (le, bvert), te in zip(bedges, perm):
-                    ends = target.edge_ends(te)
-                    side = 1 if ends[0] == vmap[v] else 0
-                    a2[bvert] = (te, side)
-                    x2[le] = te
-                assignments(i + 1, a2, x2)
-
-        assignments(0, {}, {})
+                slots.append((bedges, remaining))
+        vertex_map = tuple(sorted(zip(plan.order, img)))
+        for perms in itertools.product(*(itertools.permutations(r) for _, r in slots)):
+            full = dict(emap)
+            attach = {}
+            for (bedges, _), perm in zip(slots, perms):
+                for (le, bvert), half in zip(bedges, perm):
+                    full[le] = half[0]
+                    attach[bvert] = half
+            matches.append(Match(
+                rule_name=rule.name,
+                vertex_map=vertex_map,
+                edge_map=tuple(sorted(full.items())),
+                boundary_attach=tuple(sorted(attach.items())),
+            ))
 
     def backtrack(i: int) -> None:
-        if i == len(order):
+        if i == n:
             complete()
             return
-        a = order[i]
-        for t in cand_pool[a]:
+        sig = plan.sigs[i]
+        p = plan.parents[i]
+        if p is not None:
+            cands = [t for t in idx.nbrs[img[p]] if idx.sig.get(t) == sig]
+        elif i == 0 and anchor is not None:
+            cands = [anchor[1]] if idx.sig.get(anchor[1]) == sig else []
+        else:
+            cands = idx.pool.get(sig, [])
+        for t in cands:
             if t in used:
                 continue
-            if not edges_ok(a, t):
+            if any(len(pair(t, img[j])) != m for j, m in plan.links[i]):
                 continue
-            vmap[a] = t
+            img[i] = t
             used.add(t)
             backtrack(i + 1)
-            del vmap[a]
             used.discard(t)
 
     backtrack(0)
@@ -467,14 +533,13 @@ def rewrite_targeted(rule: Rule, anchor: VertexId, d: Diagram,
     t = target_fn(d)
     if t is None:
         return None
-    for m in find_matches(rule, d):
-        if m.vmap()[anchor] == t:
-            out = apply_match(d, rule, m)
-            if accept is not None and not accept(out):
-                continue
-            if trace is not None:
-                trace.record_rewrite(rule, m, out)
-            return out
+    for m in find_matches(rule, d, anchor=(anchor, t)):
+        out = apply_match(d, rule, m)
+        if accept is not None and not accept(out):
+            continue
+        if trace is not None:
+            trace.record_rewrite(rule, m, out)
+        return out
     return None
 
 

@@ -182,10 +182,6 @@ def scalar_free_equal(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) ->
     return bool(np.max(np.abs(b - z * a)) <= bound)
 
 
-def interpret_equal(d1: Diagram, d2: Diagram, tol: float = DEFAULT_TOL) -> bool:
-    return scalar_free_equal(interpret(d1), interpret(d2), tol)
-
-
 def check_translation_soundness(c, tol: float = DEFAULT_TOL,
                                 qubit_bound: int = DEFAULT_QUBIT_BOUND) -> bool:
     """Gate-matrix semantics and diagram semantics of a circuit agree."""

@@ -2,7 +2,8 @@ import json
 import subprocess
 import sys
 
-from zxcliff.bench import CSV_HEADER, bench, render_report
+from zxcliff import bench as bench_module
+from zxcliff.bench import CSV_HEADER, VERIFY_WIDTH_BOUND, bench, render_report
 from zxcliff.cli import main
 from zxcliff.circuit import parse_circuit, gate_matrix_product
 from zxcliff.semantics import scalar_free_equal
@@ -32,6 +33,21 @@ def test_bench_csv_schema():
     row = bench(1, 5, 3, seed=0)
     assert CSV_HEADER.count(",") == row.csv().count(",")
     assert render_report([row]).splitlines()[1].strip().endswith("yes")
+
+
+def test_bench_verification_is_tri_state(monkeypatch, capsys):
+    assert bench(5, 6, 2, seed=0).verified is True
+    row = bench(VERIFY_WIDTH_BOUND + 1, 4, 1, seed=0)
+    assert row.verified is None
+    assert row.csv().endswith(",")
+    assert row.to_json_obj()["verified"] is None
+    assert render_report([row]).splitlines()[1].endswith("n/a")
+    args = ["bench", "--width", str(VERIFY_WIDTH_BOUND + 1), "--depth", "4", "--count", "1"]
+    assert main(args) == 0
+    monkeypatch.setattr(bench_module, "scalar_free_equal", lambda a, b: False)
+    row = bench(1, 4, 1, seed=0)
+    assert row.verified is False and row.csv().endswith(",0")
+    assert main(["bench", "--width", "1", "--depth", "4", "--count", "1"]) == 1
 
 
 def test_bench_jobs_parallel_matches_serial():

@@ -1,0 +1,38 @@
+"""Golden behaviour fingerprints: the optimiser's output and proof trace must
+stay byte-identical across changes that claim to keep behaviour.
+
+Each hash is the sha256 of ``str(result.circuit)``, a newline, and
+``result.trace.to_json()`` for ``random_clifford_circuit(width, depth, seed)``
+optimised with the default configuration.  The hashes were recorded with the
+matcher that scanned the whole interior for every LHS vertex, before the
+compiled-plan matcher replaced it.  A change that alters a hash alters which
+rewrites the optimiser takes or how they are recorded; update the table only
+when that is the intent, and say so in the changelog.
+"""
+
+import hashlib
+
+import pytest
+
+from zxcliff.circuit import random_clifford_circuit
+
+GOLDEN = {
+    (1, 20, 0): "330f1b06f5cba988537b11b18e331330b3192167818350c1a7b112cbaef0310e",
+    (1, 20, 1): "d5fa26fab07ee8a8fecf4b6ed1ded2a8ac2af5dc423e78983c6e565b4b8e7dd6",
+    (1, 20, 2): "293f5c0c21169eaed1f4bdd641c53bc66a044de0ff18112bc640b1778f49cb48",
+    (2, 20, 0): "c4e5824a20284b5f950355b7e386f8f438a1d7e0f830960f089c3575d32e0787",
+    (2, 20, 1): "cc3b2a35cd0b701afaf770c5b9f850a50dfd3c692e7db7c1115597a2be9fc242",
+    (2, 20, 2): "803a60480d2a3d0946d529e42142069f125563625ee761b3a293e0cc778fb5c0",
+    (3, 20, 0): "267338d0df866c1790c9bbf68f965e5bbb5283aa976322e9f5a475e36abcd339",
+    (3, 20, 1): "f56612ffc626cf5720e3a1517ed929b62043ea955755e2b81d93241ae697fb7d",
+    (3, 20, 2): "68cf976c577feb5ada7eb6dd6d67b825cf41e069bddf58f0be2974c1285b3bfd",
+    (4, 40, 0): "11612c808f9f9c26e900947fd4f8e7acccad6c7623c21794125e77108362821b",
+    (4, 40, 1): "2957353584d77ca82a9217aac0c65ef891d508001d7bdb39faceb4ae0317c0b8",
+}
+
+
+@pytest.mark.parametrize("width,depth,seed", sorted(GOLDEN))
+def test_behaviour_fingerprint(optimiser, width, depth, seed):
+    res = optimiser.run(random_clifford_circuit(width, depth, seed))
+    text = str(res.circuit) + "\n" + res.trace.to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[(width, depth, seed)]

@@ -3,11 +3,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from match_reference import reference_matches
 from zxcliff.circuit import circuit, gate, random_clifford_circuit, translate
-from zxcliff.diagram import Diagram, X, Z
+from zxcliff.diagram import B, Diagram, X, Z
 from zxcliff.errors import (ReplayDivergence, RuleFormatError, StaleMatchError)
 from zxcliff.normal_forms import line_diagram
+from zxcliff.optimiser import Optimiser
+from zxcliff.passes import fuse_spiders, h_euler_expand, simple_form
 from zxcliff.rewrite import (ProofTrace, Rule, apply_match,
                              find_matches, reduce, replay, rewrite_first,
                              rewrite_metric, rewrite_targeted)
@@ -78,6 +83,64 @@ def test_match_determinism():
     ms1 = find_matches(GREEN_PI, target)
     ms2 = find_matches(GREEN_PI, target)
     assert [m.key() for m in ms1] == [m.key() for m in ms2]
+
+
+def test_anchor_must_be_interior():
+    with pytest.raises(RuleFormatError):
+        find_matches(GREEN_PI, t(gate("Z", 0)), anchor=(GREEN_PI.lhs.inputs[0], 0))
+
+
+def _shape_rule(name, kinds, edges, wires):
+    """A rule whose LHS has a shape the shipped library lacks; its RHS is
+    bare wires, since matching never looks at the RHS."""
+    verts = {v: (B, 0) for v in range(2 * wires)}
+    verts.update(kinds)
+    lhs = Diagram(verts, dict(enumerate(edges)), range(wires), range(wires, 2 * wires))
+    return Rule(name, lhs, Diagram.wires(wires))
+
+
+# a CNOT pair fused but not Hopf-reduced: two spiders joined by two edges
+HOPF_PAIR = _shape_rule("hopf-pair", {4: (Z, 0), 5: (X, 0)},
+                        [(0, 4), (4, 2), (1, 5), (5, 3), (4, 5), (4, 5)], 2)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(width=st.integers(1, 4), depth=st.integers(4, 20), seed=st.integers(0, 10**6),
+       picks=st.lists(st.integers(0, 10**6), max_size=4))
+def test_matches_agree_with_reference(ruleset, width, depth, seed, picks):
+    # targets: a random circuit fused but not yet Hopf-reduced (parallel
+    # edges), its simple form, that form with cross legs and leg phases split
+    # (degree-3 legs), the split form with a self-loop added at a phase leg,
+    # then a chain of random rewrites
+    rules = ruleset.all_rules() + [HOPF_PAIR]
+    opt = Optimiser(rules=ruleset)
+    raw = translate(random_clifford_circuit(width, depth, seed))
+    d = simple_form(raw)
+    split = opt._split_leg_phases(opt._split_cross_legs(d))
+    targets = [fuse_spiders(h_euler_expand(raw)), d, split]
+    legs = [v for v in split.interior() if split.is_spider(v) and split.degree(v) == 2]
+    if legs:
+        v = legs[seed % len(legs)]
+        b = split.builder()
+        b.add_edge(v, v)
+        targets.append(b.build())
+        rules.append(_shape_rule("looped", {2: (split.kind(v), split.phase(v))},
+                                 [(0, 2), (2, 2), (2, 1)], 1))
+    for pick in picks:
+        g = targets[-1]
+        options = [(r, m) for r in rules for m in find_matches(r, g)]
+        if options:
+            r, m = options[pick % len(options)]
+            targets.append(apply_match(g, r, m))
+    for g in targets:
+        ids = g.vertices() + [g.max_vertex_id() + 1]
+        for rule in rules:
+            expected = reference_matches(rule, g)
+            assert find_matches(rule, g) == expected, rule.name
+            for a in rule.lhs.interior():
+                for v in ids:
+                    assert find_matches(rule, g, anchor=(a, v)) == \
+                        [m for m in expected if m.vmap()[a] == v], (rule.name, a, v)
 
 
 # -- application ---------------------------------------------------------------------
