@@ -8,12 +8,21 @@ families; its size 24*24*(1+1+9+9) = 11520 equals the order of the reduced
 2-qubit Clifford group, so distinctness of all member keys makes the family
 a complete set of representatives.
 
+Every CC2 member is a core (one shape with its post-CNOT parameters, 20 in
+all) after a CC1 block on each wire, so its matrix is core @ kron(c1, c2).
+The member keys come from composing the 24 CC1 matrices with the 20 core
+matrices; no member diagram is contracted to build the family, and each
+member diagram is built on first use.  That the keys of the member diagrams
+themselves are the composed ones is checked densely in the test suite, and
+every lookup re-checks the member it returns against the queried matrix.
+
 Tables are built lazily once per process and shared read-only.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections.abc import Sequence as SequenceABC
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,18 +39,24 @@ def canonical_key(m: np.ndarray, decimals: int = KEY_DECIMALS) -> Tuple:
     (first within a relative tolerance, so float noise cannot change which
     entry is picked) and round.  Clifford matrices live on a discrete grid,
     so the rounded form is stable."""
-    m = np.asarray(m, dtype=complex)
-    flat = m.ravel()
+    return canonical_keys(np.asarray(m, dtype=complex)[None], decimals)[0]
+
+
+def canonical_keys(ms: np.ndarray, decimals: int = KEY_DECIMALS) -> List[Tuple]:
+    """`canonical_key` of each matrix in a stack of shape (n, rows, cols)."""
+    ms = np.asarray(ms, dtype=complex)
+    shape = ms.shape[1:]
+    flat = ms.reshape(len(ms), -1)
     mags = np.abs(flat)
-    top = float(mags.max())
-    if top < 1e-14:
-        return ("zero", m.shape)
-    idx = int(np.argmax(mags >= top * (1.0 - 1e-9)))
-    pivot = flat[idx]
-    norm = m / pivot
+    top = mags.max(axis=1)
+    idx = np.argmax(mags >= top[:, None] * (1.0 - 1e-9), axis=1)
+    pivot = flat[np.arange(len(flat)), idx]
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero matrices
+        norm = flat / pivot[:, None]
     re = np.round(norm.real, decimals) + 0.0
     im = np.round(norm.imag, decimals) + 0.0
-    return (m.shape, tuple(re.ravel()), tuple(im.ravel()))
+    return [("zero", shape) if t < 1e-14 else (shape, tuple(r), tuple(i))
+            for t, r, i in zip(top, re, im)]
 
 
 def line_diagram(seq: Sequence[Tuple[str, int]]) -> Diagram:
@@ -187,44 +202,75 @@ def _build_cc2_member(shape: str, c1_seq, c2_seq, a_seq, b_seq) -> Diagram:
     return remove_identities(fuse_spiders(bld.build()))
 
 
+class _Memo(SequenceABC):
+    """A read-only sequence whose item i is made by ``make(i)`` on first
+    access and kept, so every later access returns the same object."""
+
+    def __init__(self, n: int, make: Callable[[int], Diagram]):
+        self._items: List[Optional[Diagram]] = [None] * n
+        self._make = make
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]  # bounds, negative and non-integer indices
+        item = self._items[i]
+        if item is None:
+            item = self._items[i] = self._make(i)
+        return item
+
+
 class CC2Family:
     """All 11520 two-qubit minimal forms, indexed by oracle key."""
 
     def __init__(self, cc1: CC1Table):
-        cc1_seqs: List[List[Tuple[str, int]]] = []
+        self._cc1_seqs: List[List[Tuple[str, int]]] = []
         for m in cc1.members:
             seq = [(m.kind(v), m.phase(v)) for v in m.interior()]
             # interior ids are in wire order by construction of line_diagram
-            cc1_seqs.append(seq)
-        self.members: List[Diagram] = []
+            self._cc1_seqs.append(seq)
+        c = np.stack([interpret(m) for m in cc1.members])
+        n = len(c)
+        # dressing i1 * n + i2 is kron(c[i1], c[i2]): wire 0 is the high bit
+        dressings = np.einsum("aij,bkl->abikjl", c, c).reshape(n * n, 4, 4)
         self.shapes: List[Tuple] = []
         self.keys: Dict[Tuple, int] = {}
         for shape in CC2_SHAPES:
-            a_opts = _A_PARAMS if shape in ("cnot", "tonc") else [[]]
-            b_opts = _B_PARAMS if shape in ("cnot", "tonc") else [[]]
-            for ai, a_seq in enumerate(a_opts):
-                for bi, b_seq in enumerate(b_opts):
-                    for i1, c1 in enumerate(cc1_seqs):
-                        for i2, c2 in enumerate(cc1_seqs):
-                            d = _build_cc2_member(shape, c1, c2, a_seq, b_seq)
-                            k = canonical_key(interpret(d))
-                            if k in self.keys:
-                                raise AssertionError(
-                                    f"CC2 key collision: {shape},{ai},{bi},{i1},{i2}")
-                            self.keys[k] = len(self.members)
-                            self.members.append(d)
-                            self.shapes.append((shape, ai, bi, i1, i2))
+            with_params = shape in ("cnot", "tonc")
+            for ai in range(len(_A_PARAMS) if with_params else 1):
+                for bi in range(len(_B_PARAMS) if with_params else 1):
+                    core = interpret(_build_cc2_member(
+                        shape, [], [], _A_PARAMS[ai], _B_PARAMS[bi]))
+                    for j, k in enumerate(canonical_keys(core @ dressings)):
+                        i1, i2 = divmod(j, n)
+                        if k in self.keys:
+                            raise AssertionError(
+                                f"CC2 key collision: {shape},{ai},{bi},{i1},{i2}")
+                        self.keys[k] = len(self.shapes)
+                        self.shapes.append((shape, ai, bi, i1, i2))
+        self.members: Sequence[Diagram] = _Memo(len(self.shapes), self._member)
         if len(self.members) != 11520:
             raise AssertionError(f"expected 11520 members, found {len(self.members)}")
 
-    def lookup(self, matrix: np.ndarray, tol: float = DEFAULT_TOL) -> Diagram:
+    def _member(self, i: int) -> Diagram:
+        shape, ai, bi, i1, i2 = self.shapes[i]
+        return _build_cc2_member(shape, self._cc1_seqs[i1], self._cc1_seqs[i2],
+                                 _A_PARAMS[ai], _B_PARAMS[bi])
+
+    def index(self, matrix: np.ndarray) -> int:
+        """The position in `members` of the member whose key is the matrix's."""
         if np.asarray(matrix).shape != (4, 4):
             raise NotAClifford("CC2 lookup needs a 4x4 matrix")
-        k = canonical_key(matrix)
-        idx = self.keys.get(k)
+        idx = self.keys.get(canonical_key(matrix))
         if idx is None:
             raise NotAClifford("matrix is not a 2-qubit Clifford (no key match)")
-        member = self.members[idx]
+        return idx
+
+    def lookup(self, matrix: np.ndarray, tol: float = DEFAULT_TOL) -> Diagram:
+        member = self.members[self.index(matrix)]
         if not scalar_free_equal(interpret(member), matrix, tol):
             raise NotAClifford("key collision outside tolerance")
         return member

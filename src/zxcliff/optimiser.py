@@ -373,10 +373,11 @@ class Optimiser:
 
     def _cc2_fallback(self, d: Diagram) -> Diagram:
         fam = cc2_family()
-        member = fam.lookup(interpret(d))
+        matrix = interpret(d)
+        member = fam.lookup(matrix)
         if d.iso_equal(member):
             return d
-        idx = fam.members.index(member)
+        idx = fam.index(matrix)
         out = _replace_whole(d, member)
         if self._trace is not None:
             self._trace.record_semantic({"op": "cc2", "member": idx}, out)

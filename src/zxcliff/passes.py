@@ -3,7 +3,9 @@
 The generic matcher only handles fixed-arity rules, so spider fusion,
 identity/anti-loop/hopf reduction, H expansion, colour change and
 Pauli-copying are implemented here as parameterised passes.  Each pass is
-deterministic and preserves the interpretation up to a non-zero scalar.
+deterministic and preserves the interpretation up to a non-zero scalar.  The
+normalising passes return their input itself when they change nothing, so
+caches keyed on the diagram object stay valid.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ def fuse_spiders(d: Diagram) -> Diagram:
     merged vertex; they are left for the anti-loop pass.
     """
     b = d.builder()
+    fused = False
     while True:
         target = None
         for e in sorted(b.edges):
@@ -34,6 +37,7 @@ def fuse_spiders(d: Diagram) -> Diagram:
                 break
         if target is None:
             break
+        fused = True
         e, keep, gone = target
         b.set_phase(keep, phase_add(b.vertices[keep][1], b.vertices[gone][1]))
         b.remove_edge(e)
@@ -45,22 +49,24 @@ def fuse_spiders(d: Diagram) -> Diagram:
                 c = keep
             b.edges[e2] = (min(a, c), max(a, c))
         del b.vertices[gone]
-    return b.build()
+    return b.build() if fused else d
 
 
 def remove_self_loops(d: Diagram) -> Diagram:
     """Delete plain self-loops on spiders (the anti-loop axiom)."""
+    loops = [e for e, (u, v) in sorted(d._edges.items()) if u == v and d.is_spider(u)]
+    if not loops:
+        return d
     b = d.builder()
-    for e in sorted(b.edges):
-        u, v = b.edges[e]
-        if u == v and b.vertices[u][0] in (Z, X):
-            b.remove_edge(e)
+    for e in loops:
+        b.remove_edge(e)
     return b.build()
 
 
 def remove_identities(d: Diagram) -> Diagram:
     """Delete zero-phase degree-2 spiders, joining their two edges."""
     b = d.builder()
+    removed = False
     changed = True
     while changed:
         changed = False
@@ -80,22 +86,23 @@ def remove_identities(d: Diagram) -> Diagram:
             b.remove_edge(e2)
             del b.vertices[v]
             b.add_edge(a, c)
-            changed = True
+            changed = removed = True
             break
-    return b.build()
+    return b.build() if removed else d
 
 
 def hopf_reduce(d: Diagram) -> Diagram:
     """Cancel parallel edges between opposite-colour spiders two at a time."""
-    b = d.builder()
     pairs: Dict[Tuple[VertexId, VertexId], List[EdgeId]] = {}
-    for e in sorted(b.edges):
-        u, v = b.edges[e]
+    for e in d.edges():
+        u, v = d.edge_ends(e)
         if u == v:
             continue
-        ku, kv = b.vertices[u][0], b.vertices[v][0]
-        if (ku, kv) in ((Z, X), (X, Z)):
+        if (d.kind(u), d.kind(v)) in ((Z, X), (X, Z)):
             pairs.setdefault((u, v), []).append(e)
+    if all(len(es) < 2 for es in pairs.values()):
+        return d
+    b = d.builder()
     for es in pairs.values():
         while len(es) >= 2:
             b.remove_edge(es.pop())
@@ -105,8 +112,11 @@ def hopf_reduce(d: Diagram) -> Diagram:
 
 def h_euler_expand(d: Diagram) -> Diagram:
     """Replace every H box by the Z(1)-X(1)-Z(1) chain (scalar dropped)."""
+    boxes = sorted(v for v, (k, _) in d._vertices.items() if k == H)
+    if not boxes:
+        return d
     b = d.builder()
-    for hv in sorted(v for v, (k, _) in d._vertices.items() if k == H):
+    for hv in boxes:
         inc = b.incident(hv)
         z1 = b.add_vertex(Z, 1)
         x1 = b.add_vertex(X, 1)

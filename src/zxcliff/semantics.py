@@ -11,6 +11,7 @@ two-wire diagram acts on basis |q0 q1>.
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -28,18 +29,26 @@ H_MAT = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _MAX_TENSOR_LEGS = 4
 
 
+# Spider tensors are cached per (degree, phase) and shared by every caller,
+# so they are made read-only.  Degrees stay at most _MAX_TENSOR_LEGS, which
+# keeps each cache small.
+
+@functools.lru_cache(maxsize=None)
 def _z_tensor(degree: int, phase: int) -> np.ndarray:
     t = np.zeros((2,) * degree, dtype=complex)
     t[(0,) * degree] += 1.0
     t[(1,) * degree] += 1j ** phase
+    t.setflags(write=False)
     return t
 
 
+@functools.lru_cache(maxsize=None)
 def _x_tensor(degree: int, phase: int) -> np.ndarray:
     t = _z_tensor(degree, phase)
     for axis in range(degree):
         t = np.tensordot(t, H_MAT, axes=([axis], [0]))
         t = np.moveaxis(t, -1, axis)
+    t.setflags(write=False)
     return t
 
 
@@ -160,7 +169,9 @@ def interpret(d: Diagram, qubit_bound: int = DEFAULT_QUBIT_BOUND) -> np.ndarray:
         raise AssertionError("free index bookkeeping failed")
     perm = [labels.index(lab) for lab in order]
     result = np.transpose(result, perm) if perm else result
-    return result.reshape(2 ** d.num_outputs, 2 ** d.num_inputs)
+    result = result.reshape(2 ** d.num_outputs, 2 ** d.num_inputs)
+    # a lone spider's matrix is a view of its cached, read-only tensor
+    return result if result.flags.writeable else result.copy()
 
 
 def scalar_free_equal(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> bool:

@@ -5,7 +5,8 @@ from zxcliff.circuit import (CNOT_MAT, GATE_MATRICES, SWAP_MAT, circuit, gate,
                              gate_matrix_product, random_clifford_circuit,
                              translate)
 from zxcliff.errors import NotAClifford
-from zxcliff.normal_forms import canonical_key, cc2_contains
+from zxcliff import normal_forms
+from zxcliff.normal_forms import CC2Family, canonical_key, cc2_contains
 from zxcliff.semantics import interpret, scalar_free_equal
 
 
@@ -78,6 +79,52 @@ def test_cc2_lookup_swap_dot_cnot(cc2):
     assert scalar_free_equal(interpret(m), SWAP_MAT @ CNOT_MAT)
     idx = cc2.keys[canonical_key(SWAP_MAT @ CNOT_MAT)]
     assert cc2.shapes[idx][0] == "tonc"
+
+
+def test_cc2_index_is_the_lookup_position(cc2):
+    u = SWAP_MAT @ CNOT_MAT
+    assert cc2.members[cc2.index(u)] is cc2.lookup(u)
+    assert cc2.index(u) == cc2.keys[canonical_key(u)]
+    with pytest.raises(NotAClifford):
+        cc2.index(np.diag([1, 1, 1, np.exp(1j * np.pi / 4)]))
+    with pytest.raises(NotAClifford):
+        cc2.index(np.eye(2))
+
+
+def test_cc2_keys_match_dense_members(cc2):
+    """The keys are composed from CC1 and core matrices; each member diagram,
+    contracted densely, must carry exactly its own key."""
+    for i in range(len(cc2.members)):
+        assert cc2.keys[canonical_key(interpret(cc2.members[i]))] == i
+
+
+def test_cc2_builds_members_on_first_use(cc1, monkeypatch):
+    built, contracted = [], []
+    build, contract = normal_forms._build_cc2_member, normal_forms.interpret
+
+    def counting_build(*args):
+        built.append(args)
+        return build(*args)
+
+    def counting_interpret(d, *args):
+        contracted.append(d)
+        return contract(d, *args)
+
+    monkeypatch.setattr(normal_forms, "_build_cc2_member", counting_build)
+    monkeypatch.setattr(normal_forms, "interpret", counting_interpret)
+    fam = CC2Family(cc1)
+    # only the 24 CC1 members and the 20 cores are contracted
+    assert len(built) == 20
+    assert len(contracted) == 24 + 20
+    assert all(c1 == c2 == [] for _, c1, c2, *_ in built)
+    m = fam.members[4321]
+    assert fam.members[4321] is m
+    assert len(built) == 21
+    assert fam.members[-1] is fam.members[11519]
+    assert [x is fam.members[i] for i, x in enumerate(fam.members[:3])] == [True] * 3
+    assert len(built) == 25
+    with pytest.raises(IndexError):
+        fam.members[11520]
 
 
 def test_cc2_lookup_rejects_non_clifford(cc2):

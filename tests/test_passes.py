@@ -297,3 +297,10 @@ def test_pass_soundness_random(p):
         w = 1 + seed % 3
         d = translate(random_clifford_circuit(w, 15, seed))
         assert scalar_free_equal(interpret(p(d)), interpret(d))
+
+
+def test_normalising_passes_return_unchanged_input():
+    d = simple_form(translate(random_clifford_circuit(3, 20, 0)))
+    for p in (fuse_spiders, remove_self_loops, remove_identities, hopf_reduce,
+              h_euler_expand, drop_scalar_components):
+        assert p(d) is d, p.__name__

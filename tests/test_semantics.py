@@ -8,7 +8,9 @@ from zxcliff.circuit import (CNOT_MAT, GATE_MATRICES, S_MAT, SWAP_MAT, V_MAT,
                              random_clifford_circuit, translate)
 from zxcliff.diagram import B, Diagram, DiagramBuilder, Z
 from zxcliff.errors import SemanticsSizeError, ShapeError
-from zxcliff.semantics import (H_MAT, check_translation_soundness, interpret,
+from zxcliff.normal_forms import line_diagram
+from zxcliff.semantics import (H_MAT, _x_tensor, _z_tensor,
+                               check_translation_soundness, interpret,
                                scalar_free_equal)
 
 
@@ -152,3 +154,16 @@ def test_translation_soundness_random():
 def test_swap_as_three_cnots():
     c = circuit(2, gate("CNOT", 0, 1), gate("CNOT", 1, 0), gate("CNOT", 0, 1))
     assert scalar_free_equal(gate_matrix_product(c), SWAP_MAT)
+
+
+def test_spider_tensors_are_cached_read_only():
+    for build in (_z_tensor, _x_tensor):
+        tensor = build(3, 1)
+        assert build(3, 1) is tensor
+        with pytest.raises(ValueError):
+            tensor[0, 0, 0] = 5
+    # a lone spider's matrix is its cached tensor reshaped; callers get a copy
+    lone = line_diagram([(Z, 1)])
+    m = interpret(lone)
+    m[0, 0] = 7
+    assert interpret(lone)[0, 0] == 1
