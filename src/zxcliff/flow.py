@@ -22,11 +22,14 @@ from __future__ import annotations
 import heapq
 import weakref
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from .diagram import H, X, Z, Diagram, VertexId
 from .errors import CrossEdgeColourError, NotACircuit
 from .passes import is_simple
+
+if TYPE_CHECKING:
+    from .rewrite import MatchDelta, Rule
 
 
 @dataclass(frozen=True)
@@ -194,6 +197,178 @@ def find_path_cover(d: Diagram) -> PathCover:
     cover = PathCover(tuple(paths), flow)
     _COVER_CACHE[d] = cover
     return cover
+
+
+class CoverSummary:
+    """A covered diagram's cover in the forms a splice reads: positions, flow
+    rank, successor and predecessor maps, distinct neighbours, and the cross
+    edges (ends on two paths) as vertex pairs in edge-id order."""
+
+    def __init__(self, d: Diagram, pc: PathCover):
+        self.diagram = d
+        self.paths = pc.paths
+        self.pos = pos = pc.position()
+        self.rank = pc.flow.rank_map()
+        self.succ = pc.flow.successor_map()
+        self.pred = {b: a for a, b in self.succ.items()}
+        self.nbrs = _neighbour_sets(d)
+        self.crosses = [(u, v) for u, v in map(d.edge_ends, d.edges())
+                        if pos[u][0] != pos[v][0]]
+
+
+class Splice:
+    """A candidate's cover: its parent's, with one segment of each touched
+    path replaced.  ``segments`` maps a path index to (first, last, new): the
+    parent positions first..last give way to the vertices ``new``."""
+
+    __slots__ = ("parent", "segments", "_new_pos")
+
+    def __init__(self, parent: CoverSummary,
+                 segments: Dict[int, Tuple[int, int, Tuple[VertexId, ...]]]):
+        self.parent = parent
+        self.segments = segments
+        self._new_pos = {w: (q, first + i) for q, (first, _, new) in segments.items()
+                         for i, w in enumerate(new)}
+
+    def position(self, v: VertexId) -> Tuple[int, int]:
+        """(path, position) of a vertex of the candidate."""
+        qp = self._new_pos.get(v)
+        if qp is not None:
+            return qp
+        q, p = self.parent.pos[v]
+        seg = self.segments.get(q)
+        if seg is not None and p > seg[1]:
+            first, last, new = seg
+            return q, p + len(new) - (last - first + 1)
+        return q, p
+
+    def paths(self) -> Tuple[Tuple[VertexId, ...], ...]:
+        paths = list(self.parent.paths)
+        for q, (first, last, new) in self.segments.items():
+            paths[q] = paths[q][:first] + new + paths[q][last + 1:]
+        return tuple(paths)
+
+
+# per rule: each LHS cover path as (start boundary, interior, end boundary,
+# interior of the RHS cover path between the same boundary positions), or
+# None when a side has no cover or the two covers pair the boundary apart
+_SPLICE_PLANS: "weakref.WeakKeyDictionary[Rule, Optional[Tuple]]" = weakref.WeakKeyDictionary()
+
+
+def _splice_plan(rule: "Rule") -> Optional[Tuple]:
+    if rule in _SPLICE_PLANS:
+        return _SPLICE_PLANS[rule]
+    plan: Optional[Tuple] = None
+    try:
+        lhs_paths = find_path_cover(rule.lhs).paths
+        rhs_paths = find_path_cover(rule.rhs).paths
+    except NotACircuit:
+        pass
+    else:
+        lhs_b = rule.lhs.inputs + rule.lhs.outputs
+        rhs_b = rule.rhs.inputs + rule.rhs.outputs
+        rhs_between = {(rhs_b.index(p[0]), rhs_b.index(p[-1])): p[1:-1] for p in rhs_paths}
+        ends = [(lhs_b.index(p[0]), lhs_b.index(p[-1])) for p in lhs_paths]
+        if all(e in rhs_between for e in ends):
+            plan = tuple((p[0], p[1:-1], p[-1], rhs_between[e])
+                         for p, e in zip(lhs_paths, ends))
+    _SPLICE_PLANS[rule] = plan
+    return plan
+
+
+def splice_cover(parent: CoverSummary, rule: "Rule", delta: "MatchDelta") -> Optional[Splice]:
+    """The cover of the rewritten diagram, spliced from its parent's in
+    O(|rule|) work, or None when this cannot be shown locally.
+
+    Each LHS cover path must map onto a contiguous segment of a distinct
+    parent path, forwards or reversed; the RHS cover path between the same
+    boundary positions replaces it in that orientation.  Then only the
+    sources whose order constraints changed are checked: the fresh vertices,
+    the attachments whose successor changed, and the predecessors of the
+    attachments and fresh vertices.  Each fresh vertex must fit, in the
+    parent's rank, between the old vertices that must precede and follow it.
+    A constraint between two old vertices needs no check: it is one of the
+    parent's, or it runs from a segment's upstream attachment or that
+    vertex's predecessor to the downstream attachment or one of its
+    neighbours, which the parent already orders through the replaced
+    segment.  Passing shows the spliced successor is a causal flow, so by
+    uniqueness it is the one `find_path_cover` finds."""
+    plan = _splice_plan(rule)
+    if plan is None:
+        return None
+    pos = parent.pos
+    segments: Dict[int, Tuple[int, int, Tuple[VertexId, ...]]] = {}
+    succ: Dict[VertexId, VertexId] = {}  # successors that change
+    for start, interior, end, replacement in plan:
+        seq = [delta.attach[start], *(delta.vmap[v] for v in interior), delta.attach[end]]
+        q, p0 = pos[seq[0]]
+        step = pos[seq[1]][1] - p0
+        if q in segments or step not in (1, -1) \
+                or any(pos[v] != (q, p0 + step * i) for i, v in enumerate(seq)):
+            return None
+        new = tuple(delta.fresh[v] for v in replacement)
+        first = p0 + 1 if step == 1 else p0 - len(interior)
+        if step == -1:
+            new = new[::-1]
+        last = first + len(interior) - 1
+        segments[q] = (first, last, new)
+        path = parent.paths[q]
+        chain = (path[first - 1], *new, path[last + 1])
+        succ.update(zip(chain, chain[1:]))
+
+    fresh = set(delta.fresh.values())
+    pred = {b: a for a, b in succ.items()}
+    sources = set(succ)
+    for a in delta.attach.values():
+        v = pred.get(a, parent.pred.get(a))
+        if v is not None:
+            sources.add(v)
+    nbrs = delta.neighbours(parent.nbrs)
+    rank = parent.rank
+    lo = dict.fromkeys(fresh, -1)  # highest rank that must come before
+    hi = dict.fromkeys(fresh, len(rank))  # lowest rank that must come after
+    later: Dict[VertexId, List[VertexId]] = {w: [] for w in fresh}
+    indeg = dict.fromkeys(fresh, 0)
+    for v in sources:
+        fv = succ[v] if v in succ else parent.succ[v]
+        for u in (fv, *(nbrs[fv] if fv in nbrs else parent.nbrs[fv])):
+            if u == v:
+                continue
+            if v in fresh:
+                if u in fresh:
+                    later[v].append(u)
+                    indeg[u] += 1
+                else:
+                    hi[v] = min(hi[v], rank[u])
+            elif u in fresh:
+                lo[u] = max(lo[u], rank[v])
+    # place the fresh vertices in topological order, each just after the
+    # latest old vertex that must precede it
+    ready = [w for w in fresh if indeg[w] == 0]
+    placed = 0
+    while ready:
+        w = ready.pop()
+        placed += 1
+        if lo[w] >= hi[w]:
+            return None
+        for u in later[w]:
+            lo[u] = max(lo[u], lo[w])
+            indeg[u] -= 1
+            if indeg[u] == 0:
+                ready.append(u)
+    if placed != len(fresh):
+        return None
+    return Splice(parent, segments)
+
+
+def stranded_after(parent: CoverSummary, delta: "MatchDelta") -> List[VertexId]:
+    """The vertices the flow sweep strands in the rewritten diagram, found on
+    the parent's neighbour sets patched by the delta."""
+    nbrs = dict(parent.nbrs)
+    for r in delta.removed:
+        del nbrs[r]
+    nbrs.update(delta.neighbours(parent.nbrs))
+    return _sweep(parent.diagram, nbrs)[1]
 
 
 def has_path_cover(d: Diagram) -> bool:

@@ -11,7 +11,11 @@ Phases:
    result still has a causal-flow cover), targeted Pauli commutation toward
    the inputs, metric-driven CNOT commutation (Pauli positions plus a
    same-pair CNOT separation term; results without a cover are penalised
-   beyond reach).
+   beyond reach).  The commutation metric scores each candidate from the
+   current diagram's cover without building it: the rule's RHS cover is
+   spliced in and checked locally, or a flow sweep on patched neighbour sets
+   shows the cover is lost; only candidates neither settles, and the one
+   accepted, are built.
 3. Final tidy: every single-qubit run is replaced by its CC1 representative
    (2x2 oracle lookup); on two-qubit diagrams with the semantic fallback
    enabled the whole diagram is replaced by its CC2 member.  These steps are
@@ -22,21 +26,23 @@ Phases:
 from __future__ import annotations
 
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from .circuit import Circuit, circuit_size, translate
 from .diagram import B, H, X, Z, Diagram, DiagramBuilder, EdgeId, VertexId
 from .errors import NotACircuit, NotALineGraph
-from .flow import PathCover, extract_circuit, find_path_cover, has_path_cover
+from .flow import (CoverSummary, PathCover, extract_circuit, find_path_cover, has_path_cover,
+                   splice_cover, stranded_after)
 from .normal_forms import cc1_table, cc2_family
 from .passes import (fuse_spiders, h_euler_expand, hopf_reduce, pi_copy,
                      remove_identities, remove_self_loops, simple_form,
                      split_cross_leg, split_phase)
-from .rewrite import (ProofTrace, Rule, reduce, rewrite_first, rewrite_metric,
-                      rewrite_targeted, SEMANTIC_REPLAYERS)
+from .rewrite import (Match, ProofTrace, Rule, Scored, match_delta, reduce, rewrite_first,
+                      rewrite_metric, rewrite_targeted, SEMANTIC_REPLAYERS)
 from .ruleset import RuleSet, load_ruleset
 from .semantics import H_MAT, interpret, scalar_free_equal
 
@@ -70,13 +76,13 @@ class OptimiseResult:
     stats: Dict
 
 
+def _is_pauli_kind(kind_phase: Tuple[str, int]) -> bool:
+    return kind_phase[0] in (Z, X) and kind_phase[1] == 2
+
+
 def _pauli_positions(d: Diagram, pc_paths) -> int:
-    total = 0
-    for path in pc_paths:
-        for p, v in enumerate(path):
-            if not d.is_boundary(v) and d.is_spider(v) and d.phase(v) == 2:
-                total += p
-    return total
+    return sum(p for path in pc_paths for p, v in enumerate(path)
+               if _is_pauli_kind(d._vertices[v]))
 
 
 class PauliMetric:
@@ -92,36 +98,26 @@ class PauliMetric:
         return _pauli_positions(d, pc.paths)
 
 
-def _cnot_separation(d: Diagram, pc: PathCover) -> int:
+def _cnot_separation(crosses: Iterable[Tuple[Tuple[int, int], Tuple[int, int]]]) -> int:
     """Total number of interior vertices sitting between consecutive cross
-    edges that act on the same pair of qubits."""
-    pos = pc.position()
-    on_path = set()
-    for path in pc.paths:
-        for a, b in zip(path, path[1:]):
-            on_path.add(d.edges_between(a, b)[0])
-    groups: Dict[Tuple[int, int], List[Dict[int, int]]] = {}
-    for e in d.edges():
-        if e in on_path:
+    edges that act on the same pair of qubits.
+
+    Each edge comes as the (path, position) of its two ends, in edge-id
+    order, which breaks ties; edges with both ends on one path are skipped.
+    Boundaries only end paths, so between positions lo < hi of one path lie
+    hi - lo - 1 interior vertices."""
+    groups: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+    for (qa, pa), (qb, pb) in crosses:
+        if qa == qb:
             continue
-        u, v = d.edge_ends(e)
-        if d.is_boundary(u) or d.is_boundary(v):
-            continue
-        (qu, pu), (qv, pv) = pos[u], pos[v]
-        if qu == qv:
-            continue
-        ends = {qu: pu, qv: pv}
-        groups.setdefault((min(qu, qv), max(qu, qv)), []).append(ends)
-    interiors: Dict[int, List[int]] = {}
-    for q, path in enumerate(pc.paths):
-        interiors[q] = [p for p, v in enumerate(path) if not d.is_boundary(v)]
+        if qa > qb:
+            qa, pa, qb, pb = qb, pb, qa, pa
+        groups.setdefault((qa, qb), []).append((pa, pb))
     total = 0
-    for (qa, qb), crosses in groups.items():
-        crosses.sort(key=lambda ends: (max(ends.values()), min(ends.values())))
-        for c1, c2 in zip(crosses, crosses[1:]):
-            for q in (qa, qb):
-                lo, hi = sorted((c1[q], c2[q]))
-                total += sum(1 for p in interiors[q] if lo < p < hi)
+    for group in groups.values():
+        group.sort(key=lambda ends: (max(ends), min(ends)))
+        for (a1, b1), (a2, b2) in zip(group, group[1:]):
+            total += max(0, abs(a1 - a2) - 1) + max(0, abs(b1 - b2) - 1)
     return total
 
 
@@ -136,14 +132,65 @@ class CommutationMetric:
 
     separation_weight = 16
 
+    def __call__(self, d: Diagram) -> int:
+        return self.value(d)
+
+    def _penalty(self, num_vertices: int, num_stranded: int) -> int:
+        big = (self.separation_weight + 1) * (num_vertices + 1) ** 2 + 1
+        return big * (num_stranded + 1)
+
     def value(self, d: Diagram) -> int:
-        big = (self.separation_weight + 1) * (len(d.vertices()) + 1) ** 2 + 1
         try:
             pc = find_path_cover(d)
         except NotACircuit as exc:
-            return big * (len(exc.stranded) + 1)
-        return (_pauli_positions(d, pc.paths)
-                + self.separation_weight * _cnot_separation(d, pc))
+            return self._penalty(len(d.vertices()), len(exc.stranded))
+        pos = pc.position()
+        return (_pauli_positions(d, pc.paths) + self.separation_weight * _cnot_separation(
+            (pos[u], pos[v]) for u, v in map(d.edge_ends, d.edges())))
+
+    def scorer(self, d: Diagram) -> Callable[[Rule, Match], Optional[Scored]]:
+        """Value the rewrites of d from d's cover, without building them.
+
+        A candidate whose cover splices (`flow.splice_cover`) is scored from
+        the parent's Pauli sum plus a local delta and from the separation of
+        the spliced crosses; one that the flow sweep on patched neighbour
+        sets strands gets the off-path penalty; any other is left open.  A
+        d without a cover leaves every candidate open."""
+        try:
+            parent = CoverSummary(d, find_path_cover(d))
+        except NotACircuit:
+            return lambda rule, m: None
+        paulis = [[p for p, v in enumerate(path) if _is_pauli_kind(d._vertices[v])]
+                  for path in parent.paths]
+        pauli_sum = sum(map(sum, paulis))
+        num_vertices = len(d.vertices())
+
+        def score(rule: Rule, m: Match) -> Optional[Scored]:
+            delta = match_delta(d, rule, m)
+            splice = splice_cover(parent, rule, delta)
+            if splice is None:
+                stranded = stranded_after(parent, delta)
+                if not stranded:
+                    return None
+                size = num_vertices - len(delta.removed) + len(delta.fresh)
+                return Scored(self._penalty(size, len(stranded)), None)
+            fresh_kind = {v: rule.rhs._vertices[rv] for rv, v in delta.fresh.items()}
+            total = pauli_sum
+            for q, (first, last, new) in splice.segments.items():
+                # the Paulis replaced go, those after the segment shift with
+                # its length, and the new ones count at their positions
+                row = paulis[q]
+                lo, hi = bisect_left(row, first), bisect_right(row, last)
+                total += ((len(new) - (last - first + 1)) * (len(row) - hi) - sum(row[lo:hi])
+                          + sum(first + i for i, w in enumerate(new)
+                                if _is_pauli_kind(fresh_kind[w])))
+            at = splice.position
+            crosses = [(at(u), at(v)) for u, v in parent.crosses
+                       if u not in delta.removed and v not in delta.removed]
+            crosses.extend((at(u), at(v)) for u, v in delta.new_edges)
+            return Scored(total + self.separation_weight * _cnot_separation(crosses), splice)
+
+        return score
 
 
 def _record_pass(trace: Optional[ProofTrace], name: str, args: dict,
@@ -348,7 +395,7 @@ class Optimiser:
         rules = self._metric_rules
 
         def step(g: Diagram, tr) -> Optional[Diagram]:
-            return rewrite_metric(rules, g, self._metric.value, tr)
+            return rewrite_metric(rules, g, self._metric, tr)
 
         res = reduce(step, d, self._trace, self.cfg.step_budget)
         self._budget_ok = self._budget_ok and res.fixpoint
@@ -427,8 +474,9 @@ class Optimiser:
         # phase splitting can strand quarter-turns on wires where nothing
         # re-fuses them; if that left the diagram larger than the simplified
         # input, discard the loop's work and just tidy the simple form
-        if not (d.num_inputs == 2 and self.cfg.semantic_fallback) \
-                and circuit_size(d) > simplified_size:
+        rolled_back = not (d.num_inputs == 2 and self.cfg.semantic_fallback) \
+            and circuit_size(d) > simplified_size
+        if rolled_back:
             self._trace.steps = self._trace.steps[:snapshot_steps]
             self._trace.final = snapshot
             d = self._canonicalise(snapshot)
@@ -446,6 +494,7 @@ class Optimiser:
             "global_iters": iters,
             "reached_fixpoint": reached_fixpoint,
             "budget_exhausted": not self._budget_ok,
+            "rolled_back": rolled_back,
             "wall_ms": wall_ms,
         }
         return OptimiseResult(out_circuit, d, self._trace, stats)

@@ -20,36 +20,42 @@ from .semantics import interpret
 def fuse_spiders(d: Diagram) -> Diagram:
     """Merge adjacent same-colour spiders, summing phases, until none remain.
 
-    Any extra parallel edges between a fused pair turn into self-loops on the
-    merged vertex; they are left for the anti-loop pass.
+    Fusing the lowest-id same-colour edge again and again removes the
+    spanning forest that Kruskal's algorithm picks from those edges in id
+    order, so one union-find pass over the sorted edges does the same work.
+    Each component keeps its lowest vertex id and the sum of its phases, and
+    every other edge is re-pointed to the survivors: any extra parallel edges
+    between a fused pair turn into self-loops on the merged vertex, left for
+    the anti-loop pass.
     """
-    b = d.builder()
-    fused = False
-    while True:
-        target = None
-        for e in sorted(b.edges):
-            u, v = b.edges[e]
-            if u == v:
-                continue
-            ku = b.vertices[u][0]
-            if ku in (Z, X) and b.vertices[v][0] == ku:
-                target = (e, min(u, v), max(u, v))
-                break
-        if target is None:
-            break
-        fused = True
-        e, keep, gone = target
-        b.set_phase(keep, phase_add(b.vertices[keep][1], b.vertices[gone][1]))
-        b.remove_edge(e)
-        for e2 in list(b.edges):
-            a, c = b.edges[e2]
-            if a == gone:
-                a = keep
-            if c == gone:
-                c = keep
-            b.edges[e2] = (min(a, c), max(a, c))
-        del b.vertices[gone]
-    return b.build() if fused else d
+    kinds = d._vertices
+    root: Dict[VertexId, VertexId] = {}
+
+    def find(v: VertexId) -> VertexId:
+        while v in root:
+            v = root[v]
+        return v
+
+    forest = set()
+    for e in sorted(d._edges):
+        u, v = d._edges[e]
+        k = kinds[u][0]
+        if u == v or k not in (Z, X) or kinds[v][0] != k:
+            continue
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            root[max(ru, rv)] = min(ru, rv)
+            forest.add(e)
+    if not forest:
+        return d
+    survivor = {v: find(v) for v in root}
+    vertices = {v: kp for v, kp in kinds.items() if v not in survivor}
+    for v, r in survivor.items():
+        k, p = vertices[r]
+        vertices[r] = (k, phase_add(p, kinds[v][1]))
+    edges = {e: (survivor.get(u, u), survivor.get(v, v))
+             for e, (u, v) in d._edges.items() if e not in forest}
+    return Diagram(vertices, edges, d.inputs, d.outputs)
 
 
 def remove_self_loops(d: Diagram) -> Diagram:

@@ -28,11 +28,13 @@ import itertools
 import json
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set,
+                    Tuple)
 from weakref import WeakKeyDictionary
 
 from .diagram import Diagram, EdgeId, VertexId
 from .errors import ReplayDivergence, RuleFormatError, StaleMatchError
+from .flow import Splice, find_path_cover
 
 Metric = Callable[[Diagram], int]
 
@@ -348,39 +350,67 @@ def _revalidate(target: Diagram, rule: Rule, m: Match) -> None:
         raise StaleMatchError(f"match refers to a missing id: {exc}")
 
 
+class MatchDelta(NamedTuple):
+    """What applying a match changes, worked out without building the result.
+
+    Fresh vertices take ids after the target's largest vertex id, in
+    ``rhs.interior()`` order; new edges take ids after its largest edge id,
+    in ``rhs.edges()`` order.  `apply_match` builds its output from this."""
+
+    vmap: Dict[VertexId, VertexId]  # LHS interior vertex -> matched target vertex
+    removed: FrozenSet[VertexId]  # the matched vertices
+    removed_edges: Tuple[EdgeId, ...]  # the matched edges, sorted
+    attach: Dict[VertexId, VertexId]  # LHS boundary vertex -> target vertex it stands for
+    fresh: Dict[VertexId, VertexId]  # RHS interior vertex -> its new id
+    new_edges: Tuple[Tuple[VertexId, VertexId], ...]  # target ends of each RHS edge
+
+    def neighbours(self, nbrs: Dict[VertexId, Set[VertexId]]) -> Dict[VertexId, Set[VertexId]]:
+        """Distinct neighbours after the rewrite of every attachment and fresh
+        vertex, given the target's (self-loops dropped).  No other vertex's
+        neighbours change: an edge into the match is matched, so its far end
+        is an attachment."""
+        out = {a: nbrs[a] - self.removed for a in self.attach.values()}
+        out.update((w, set()) for w in self.fresh.values())
+        for u, v in self.new_edges:
+            if u != v:
+                out[u].add(v)
+                out[v].add(u)
+        return out
+
+
+def match_delta(target: Diagram, rule: Rule, m: Match) -> MatchDelta:
+    """The change `apply_match(target, rule, m)` makes; m is not revalidated."""
+    vmap = m.vmap()
+    attach = {b: target.edge_ends(te)[side] for b, (te, side) in m.boundary_attach}
+    rhs = rule.rhs
+    base = target.max_vertex_id() + 1
+    fresh = {rv: base + i for i, rv in enumerate(rhs.interior())}
+    ends = dict(fresh)
+    ends.update(zip(rhs.inputs + rhs.outputs,
+                    (attach[b] for b in rule.lhs.inputs + rule.lhs.outputs)))
+    return MatchDelta(
+        vmap=vmap,
+        removed=frozenset(vmap.values()),
+        removed_edges=tuple(sorted(te for _, te in m.edge_map)),
+        attach=attach,
+        fresh=fresh,
+        new_edges=tuple((ends[u], ends[v]) for u, v in map(rhs.edge_ends, rhs.edges())),
+    )
+
+
 def apply_match(target: Diagram, rule: Rule, m: Match) -> Diagram:
     """Replace the matched subgraph by the rule's RHS."""
     _revalidate(target, rule, m)
-    vmap = m.vmap()
-    attach = m.attach()
+    delta = match_delta(target, rule, m)
     b = target.builder()
-
-    # record attachment vertices before deleting anything
-    attach_vertex: Dict[VertexId, VertexId] = {}
-    for bvert, (te, side) in attach.items():
-        attach_vertex[bvert] = target.edge_ends(te)[side]
-
-    for te in sorted(m.emap().values()):
+    for te in delta.removed_edges:
         b.remove_edge(te)
-    for tv in sorted(vmap.values()):
+    for tv in sorted(delta.removed):
         del b.vertices[tv]
-
-    rhs = rule.rhs
-    fresh: Dict[VertexId, VertexId] = {}
-    for rv in rhs.interior():
-        fresh[rv] = b.add_vertex(rhs.kind(rv), rhs.phase(rv))
-
-    lhs_b = list(rule.lhs.inputs) + list(rule.lhs.outputs)
-    rhs_b = list(rhs.inputs) + list(rhs.outputs)
-    rb_to_attach = {rb: attach_vertex[lb] for rb, lb in zip(rhs_b, lhs_b)}
-
-    def endpoint(v: VertexId) -> VertexId:
-        return fresh[v] if v in fresh else rb_to_attach[v]
-
-    for e in rhs.edges():
-        u, v = rhs.edge_ends(e)
-        b.add_edge(endpoint(u), endpoint(v))
-
+    for rv, v in delta.fresh.items():
+        b.add_vertex_with_id(v, rule.rhs.kind(rv), rule.rhs.phase(rv))
+    for u, v in delta.new_edges:
+        b.add_edge(u, v)
     return b.build()
 
 
@@ -509,14 +539,49 @@ def rewrite_first(rules: Sequence[Rule], d: Diagram,
     return None
 
 
+class Scored(NamedTuple):
+    """A candidate's metric value, found without building the candidate."""
+
+    value: int
+    splice: Optional[Splice]  # its spliced cover; None when it has no cover
+
+
+def _unscored(rule: Rule, m: Match) -> Optional[Scored]:
+    return None
+
+
 def rewrite_metric(rules: Sequence[Rule], d: Diagram, metric: Metric,
                    trace: Optional[ProofTrace] = None) -> Optional[Diagram]:
-    """Apply the first match (rules in list order) that strictly reduces the metric."""
+    """Apply the first match (rules in list order) that strictly reduces the metric.
+
+    A metric may offer ``scorer(d)``: a function that values a candidate
+    ``(rule, match)`` of d without building it, as a `Scored`, or returns
+    None when it cannot tell.  It is asked for on the first match.  The
+    candidates it leaves open, and every candidate of a plain callable, are
+    built and measured, so the choice is the one building every candidate
+    would make.  Only the accepted candidate is built otherwise; when its
+    cover was spliced, the cover search on it, which the next step's base
+    needs anyway, must return the same paths."""
     base = metric(d)
+    score = None
     for rule in rules:
         for m in find_matches(rule, d):
-            out = apply_match(d, rule, m)
-            if metric(out) < base:
+            if score is None:
+                scorer = getattr(metric, "scorer", None)
+                score = _unscored if scorer is None else scorer(d)
+            scored = score(rule, m)
+            out = None
+            if scored is None:
+                out = apply_match(d, rule, m)
+                value = metric(out)
+            else:
+                value = scored.value
+            if value < base:
+                if out is None:
+                    out = apply_match(d, rule, m)
+                    if scored.splice is not None \
+                            and find_path_cover(out).paths != scored.splice.paths():
+                        raise AssertionError("a spliced cover differs from the searched one")
                 if trace is not None:
                     trace.record_rewrite(rule, m, out)
                 return out

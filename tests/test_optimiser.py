@@ -1,10 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from apply_reference import reference_apply_match
 from zxcliff.circuit import (circuit, circuit_size, gate, gate_matrix_product,
                              random_clifford_circuit, translate)
 from zxcliff.diagram import X, Z
 from zxcliff.errors import NotALineGraph
-from zxcliff.flow import has_path_cover, is_circuit_like
+from zxcliff.flow import find_path_cover, has_path_cover, is_circuit_like
 from zxcliff.normal_forms import cc2_contains, line_diagram
 from zxcliff.optimiser import (CommutationMetric, Optimiser, OptimiserConfig,
                                PauliMetric, canonicalise_blocks,
@@ -114,6 +117,13 @@ def test_stats_fields(optimiser):
         assert key in res.stats
 
 
+@pytest.mark.parametrize("seed,rolled_back", [(0, False), (10, True)])
+def test_rollback_is_reported(optimiser, seed, rolled_back):
+    # seed 10 leaves the loop's result larger than the simplified input
+    res = optimiser.run(random_clifford_circuit(3, 20, seed))
+    assert res.stats["rolled_back"] is rolled_back
+
+
 # -- metrics -----------------------------------------------------------------------
 
 def test_pauli_metric_counts_positions():
@@ -197,6 +207,54 @@ def test_uncovered_candidates_score_above_base(ruleset):
     for metric in (PauliMetric(), CommutationMetric()):
         base = metric.value(d)
         assert all(metric.value(out) > base for out in uncovered)
+
+
+def test_scorer_agrees_with_building(ruleset):
+    # every value the scorer returns must equal the metric of the built
+    # candidate, and a spliced cover the searched one; the examples must reach
+    # all three outcomes: spliced, stranded by the patched sweep, left open
+    opt = Optimiser(rules=ruleset)
+    rules = opt._metric_rules
+    metric = CommutationMetric()
+    seen = set()
+
+    def check(d):
+        score = metric.scorer(d)
+        for rule in rules:
+            for m in find_matches(rule, d):
+                scored = score(rule, m)
+                out = apply_match(d, rule, m)
+                expected = reference_apply_match(d, rule, m)
+                assert list(out._vertices.items()) == list(expected._vertices.items())
+                assert list(out._edges.items()) == list(expected._edges.items())
+                if scored is None:
+                    seen.add("built")
+                    continue
+                assert scored.value == metric.value(out), rule.name
+                if scored.splice is None:
+                    seen.add("stranded")
+                else:
+                    seen.add("spliced")
+                    assert scored.splice.paths() == find_path_cover(out).paths
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(width=st.integers(2, 5), depth=st.integers(4, 24), seed=st.integers(0, 10**6),
+           picks=st.lists(st.integers(0, 10**6), max_size=4))
+    def split_form_and_rewrites(width, depth, seed, picks):
+        d = simple_form(translate(random_clifford_circuit(width, depth, seed)))
+        d = opt._split_leg_phases(opt._split_cross_legs(d))
+        check(d)
+        for pick in picks:
+            options = [(r, m) for r in rules for m in find_matches(r, d)]
+            if not options:
+                break
+            r, m = options[pick % len(options)]
+            d = apply_match(d, r, m)
+            check(d)
+
+    split_form_and_rewrites()
+    check(_bad_config_diagram())
+    assert seen == {"spliced", "stranded", "built"}
 
 
 # -- canonicalise_blocks ----------------------------------------------------------------

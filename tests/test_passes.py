@@ -2,7 +2,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from passes_reference import reference_fuse_spiders
 from zxcliff.circuit import circuit, gate, random_clifford_circuit, translate
 from zxcliff.diagram import B, Diagram, DiagramBuilder, H, X, Z
 from zxcliff.errors import TargetKindError
@@ -26,6 +29,27 @@ def test_fuse_adjacent_same_colour():
     d = fuse_spiders(t(gate("S", 0), gate("S", 0)))
     (v,) = d.interior()
     assert d.kind(v) == Z and d.phase(v) == 2
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(width=st.integers(1, 5), depth=st.integers(1, 30), seed=st.integers(0, 10**6),
+       extra=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), max_size=6))
+def test_fuse_agrees_with_reference(width, depth, seed, extra):
+    # an H-expanded translation, so same-colour chains and CNOT legs meet,
+    # with random extra edges between spiders: parallel edges, self-loops and
+    # cycles through several components
+    d = h_euler_expand(translate(random_clifford_circuit(width, depth, seed)))
+    spiders = [v for v in d.interior() if d.is_spider(v)]
+    if spiders and extra:
+        b = d.builder()
+        for i, j in extra:
+            b.add_edge(spiders[i % len(spiders)], spiders[j % len(spiders)])
+        d = b.build()
+    out, expected = fuse_spiders(d), reference_fuse_spiders(d)
+    assert list(out._vertices.items()) == list(expected._vertices.items())
+    assert list(out._edges.items()) == list(expected._edges.items())
+    assert (out.inputs, out.outputs) == (expected.inputs, expected.outputs)
+    assert (out is d) == (expected is d)
 
 
 def test_fuse_leaves_opposite_colours():
