@@ -15,6 +15,15 @@ exists (de Beaudrap, "Finding flows in the one-way measurement model",
 arXiv:quant-ph/0611284), so the sweep fails exactly when no cover exists.
 Parallel edges and self-loops do not change adjacency, so both results carry
 over to these multigraphs.
+
+The metric phase values rewrites of a covered diagram without building them.
+`CoverSummary` keeps what a candidate reuses of its parent: the cover, the
+cross edges grouped by pair of paths with each group's separation, and a
+record of the parent's sweep.  A candidate's cover is spliced from the
+parent's (`splice_cover`), and its separation carried over from the
+parent's groups (`spliced_separation`).  When the splice fails,
+`stranded_after` resumes the parent's sweep at the first step that claims a
+matched vertex: the sweep is confluent, so the claims before it stand.
 """
 
 from __future__ import annotations
@@ -109,48 +118,46 @@ def _flow_of_paths(paths: Sequence[Sequence[VertexId]],
     return CausalFlow(tuple(sorted(succ.items())), tuple(sorted(rank.items())))
 
 
-def _sweep(d: Diagram, nbrs: Dict[VertexId, Set[VertexId]]
-           ) -> Tuple[Dict[VertexId, VertexId], List[VertexId]]:
-    """Mhalla-Perdrix backward sweep from the outputs.
+def _sweep_from(ready: List[VertexId], unreached: Set[VertexId], inputs: Set[VertexId],
+                nbrs: Dict[VertexId, Set[VertexId]],
+                patched: Dict[VertexId, Set[VertexId]]) -> Dict[VertexId, VertexId]:
+    """Continue the Mhalla-Perdrix backward sweep from a state of it.
 
-    The outputs start processed.  A processed non-input vertex v that is not
-    yet anyone's successor and has exactly one unprocessed neighbour u forces
-    f(u) = v, which processes u.  Vertices are handled from a worklist rather
-    than in rounds: every claim is forced, so the order changes neither f nor
-    the set of vertices reached.  Returns (f, unreached), where unreached
-    lists in id order the vertices never processed; it is empty exactly when
-    f is a causal flow of the whole diagram."""
-    inputs = set(d.inputs)
-    outputs = set(d.outputs)
-    # count and id sum of each vertex's unprocessed neighbours: when the
-    # count is 1 the sum is that neighbour
-    open_count = {v: len(ns) for v, ns in nbrs.items()}
-    open_sum = {v: sum(ns) for v, ns in nbrs.items()}
-    for v in outputs:
-        for w in nbrs[v]:
-            open_count[w] -= 1
-            open_sum[w] -= v
-    # free: processed non-inputs that are no one's successor yet
-    free = set(outputs)
-    ready = [v for v in d.outputs if open_count[v] == 1]
+    ``unreached`` holds the unprocessed vertices and shrinks in place;
+    ``ready`` holds processed vertices that may claim.  A processed non-input
+    vertex v with exactly one unprocessed neighbour u forces f(u) = v, which
+    processes u; then u and its processed neighbours may claim.  A vertex
+    that has claimed has no unprocessed neighbour left.  Neighbours are read
+    from ``patched`` where it has the vertex, else from ``nbrs``.  Returns f
+    on the vertices claimed."""
     succ: Dict[VertexId, VertexId] = {}
     while ready:
         v = ready.pop()
-        if open_count[v] != 1:
-            continue  # its last unprocessed neighbour went to another vertex
-        u = open_sum[v]
-        succ[u] = v
-        free.discard(v)
-        if u not in inputs:
-            free.add(u)
-            if open_count[u] == 1:
-                ready.append(u)
-        for w in nbrs[u]:
-            open_count[w] -= 1
-            open_sum[w] -= u
-            if open_count[w] == 1 and w in free:
-                ready.append(w)
-    return succ, [v for v in nbrs if v not in succ and v not in outputs]
+        if v in inputs:
+            continue
+        open_nbrs = (patched[v] if v in patched else nbrs[v]) & unreached
+        if len(open_nbrs) == 1:
+            u = open_nbrs.pop()
+            succ[u] = v
+            unreached.remove(u)
+            ready.append(u)
+            ready.extend((patched[u] if u in patched else nbrs[u]) - unreached)
+    return succ
+
+
+def _sweep(d: Diagram, nbrs: Dict[VertexId, Set[VertexId]]
+           ) -> Tuple[Dict[VertexId, VertexId], List[VertexId]]:
+    """The sweep from the outputs, which start processed.  Vertices are
+    handled from a worklist rather than in rounds: every claim is forced,
+    and a vertex whose one unprocessed neighbour is taken by another can
+    never claim, so the order changes neither the set of vertices reached
+    nor, when that is all of them, f.  Returns (f, unreached), where
+    unreached lists in id order the vertices never processed; it is empty
+    exactly when f is a causal flow of the whole diagram."""
+    outputs = set(d.outputs)
+    unreached = {v for v in nbrs if v not in outputs}
+    succ = _sweep_from(list(d.outputs), unreached, set(d.inputs), nbrs, {})
+    return succ, sorted(unreached)
 
 
 # diagrams are immutable, so covers are cached per object; entries vanish
@@ -199,21 +206,54 @@ def find_path_cover(d: Diagram) -> PathCover:
     return cover
 
 
+def pair_separation(ends: Sequence[Tuple[int, int]]) -> int:
+    """Interior vertices between consecutive cross edges of one pair of paths.
+
+    ``ends`` holds each edge's positions on the lower and the higher path, in
+    edge-id order; the stable sort on (max, min) breaks ties in that order.
+    Boundaries only end paths, so between positions lo < hi of one path lie
+    hi - lo - 1 interior vertices."""
+    ordered = sorted(ends, key=lambda e: (max(e), min(e)))
+    return sum(max(0, abs(a1 - a2) - 1) + max(0, abs(b1 - b2) - 1)
+               for (a1, b1), (a2, b2) in zip(ordered, ordered[1:]))
+
+
 class CoverSummary:
-    """A covered diagram's cover in the forms a splice reads: positions, flow
-    rank, successor and predecessor maps, distinct neighbours, and the cross
-    edges (ends on two paths) as vertex pairs in edge-id order."""
+    """A covered diagram's cover in the forms a candidate reuses.
+
+    For a splice: positions, flow rank, successor and predecessor maps and
+    distinct neighbours.  For the separation term: ``groups`` maps each pair
+    of paths qa < qb to the positions (on qa, on qb) of its cross edges' ends
+    in edge-id order, ``separation`` maps it to the group's
+    `pair_separation`, and ``total_separation`` is their sum.
+
+    For resuming the sweep, a record of the parent's: ``claim_order`` lists
+    the non-output vertices in decreasing flow rank, and step i claims the
+    i-th of them for its successor; ``claim_step`` maps each to its step.
+    This is a valid order for the sweep, because F2 and F3 rank f(u) and
+    every other neighbour of f(u) above u, so all of them are processed when
+    u is claimed.  The flow is unique, so it is the sweep's flow."""
 
     def __init__(self, d: Diagram, pc: PathCover):
         self.diagram = d
         self.paths = pc.paths
         self.pos = pos = pc.position()
-        self.rank = pc.flow.rank_map()
+        self.rank = rank = pc.flow.rank_map()
         self.succ = pc.flow.successor_map()
         self.pred = {b: a for a, b in self.succ.items()}
         self.nbrs = _neighbour_sets(d)
-        self.crosses = [(u, v) for u, v in map(d.edge_ends, d.edges())
-                        if pos[u][0] != pos[v][0]]
+        self.inputs = set(d.inputs)
+        self.groups: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+        for u, v in map(d.edge_ends, d.edges()):
+            (qu, pu), (qv, pv) = pos[u], pos[v]
+            if qu < qv:
+                self.groups.setdefault((qu, qv), []).append((pu, pv))
+            elif qv < qu:
+                self.groups.setdefault((qv, qu), []).append((pv, pu))
+        self.separation = {key: pair_separation(group) for key, group in self.groups.items()}
+        self.total_separation = sum(self.separation.values())
+        self.claim_order = sorted(self.succ, key=rank.__getitem__, reverse=True)
+        self.claim_step = {u: i for i, u in enumerate(self.claim_order)}
 
 
 class Splice:
@@ -276,9 +316,11 @@ def _splice_plan(rule: "Rule") -> Optional[Tuple]:
     return plan
 
 
-def splice_cover(parent: CoverSummary, rule: "Rule", delta: "MatchDelta") -> Optional[Splice]:
+def splice_cover(parent: CoverSummary, rule: "Rule", delta: "MatchDelta",
+                 nbrs: Dict[VertexId, Set[VertexId]]) -> Optional[Splice]:
     """The cover of the rewritten diagram, spliced from its parent's in
-    O(|rule|) work, or None when this cannot be shown locally.
+    O(|rule|) work, or None when this cannot be shown locally; ``nbrs`` holds
+    the rewritten neighbours of the attachments and fresh vertices.
 
     Each LHS cover path must map onto a contiguous segment of a distinct
     parent path, forwards or reversed; the RHS cover path between the same
@@ -323,7 +365,6 @@ def splice_cover(parent: CoverSummary, rule: "Rule", delta: "MatchDelta") -> Opt
         v = pred.get(a, parent.pred.get(a))
         if v is not None:
             sources.add(v)
-    nbrs = delta.neighbours(parent.nbrs)
     rank = parent.rank
     lo = dict.fromkeys(fresh, -1)  # highest rank that must come before
     hi = dict.fromkeys(fresh, len(rank))  # lowest rank that must come after
@@ -361,14 +402,81 @@ def splice_cover(parent: CoverSummary, rule: "Rule", delta: "MatchDelta") -> Opt
     return Splice(parent, segments)
 
 
-def stranded_after(parent: CoverSummary, delta: "MatchDelta") -> List[VertexId]:
-    """The vertices the flow sweep strands in the rewritten diagram, found on
-    the parent's neighbour sets patched by the delta."""
-    nbrs = dict(parent.nbrs)
+def spliced_separation(parent: CoverSummary, splice: Splice, delta: "MatchDelta") -> int:
+    """The separation of a spliced candidate's cross edges, carried per pair
+    of paths.  A group's total changes only if it loses a cross edge (one
+    with a matched end), gains one (a new edge across two paths), or has an
+    end on a path whose replaced segment changes length; every other edge
+    keeps its positions.  Those groups are recomputed from the parent's
+    positions: an edge with an end in a replaced segment is dropped, an end
+    after one shifts with the segment's length, and the new edges come after
+    all old ones, which is their edge-id order in the built candidate.  Every
+    other group keeps the parent's total."""
+    at = splice.position
+    gained: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+    for u, v in delta.new_edges:
+        (qu, pu), (qv, pv) = at(u), at(v)
+        if qu < qv:
+            gained.setdefault((qu, qv), []).append((pu, pv))
+        elif qv < qu:
+            gained.setdefault((qv, qu), []).append((pv, pu))
+    changed = set(gained)
+    pos = parent.pos
     for r in delta.removed:
-        del nbrs[r]
-    nbrs.update(delta.neighbours(parent.nbrs))
-    return _sweep(parent.diagram, nbrs)[1]
+        qr = pos[r][0]
+        for w in parent.nbrs[r]:
+            qw = pos[w][0]
+            if qw != qr:
+                changed.add((qr, qw) if qr < qw else (qw, qr))
+    # per path: the replaced positions first..last and the shift after them;
+    # an untouched path's range lies past its end
+    shifts = [(len(path), len(path), 0) for path in parent.paths]
+    for q, (first, last, new) in splice.segments.items():
+        shifts[q] = (first, last, len(new) - (last - first + 1))
+        if shifts[q][2]:
+            changed.update(key for key in parent.groups if q in key)
+    total = parent.total_separation
+    for key in changed:
+        (fa, la, da), (fb, lb, db) = shifts[key[0]], shifts[key[1]]
+        ends = [(pa + da if pa > la else pa, pb + db if pb > lb else pb)
+                for pa, pb in parent.groups.get(key, ()) if not (fa <= pa <= la or fb <= pb <= lb)]
+        ends.extend(gained.get(key, ()))
+        total += pair_separation(ends) - parent.separation.get(key, 0)
+    return total
+
+
+def stranded_after(parent: CoverSummary, delta: "MatchDelta",
+                   nbrs: Dict[VertexId, Set[VertexId]]) -> Set[VertexId]:
+    """The vertices the flow sweep strands in the rewritten diagram, found by
+    resuming the parent's sweep; ``nbrs`` holds the rewritten neighbours of
+    the attachments and fresh vertices (`MatchDelta.neighbours`).
+
+    Let T be the first step of the parent's recorded sweep that claims a
+    matched vertex.  The T claims before it are valid claims of the rewritten
+    diagram, in the same order.  Their claimants are not attachments: an
+    attachment has a matched neighbour, unprocessed before T, so it can only
+    claim that neighbour, at T or later.  So each claimant keeps its
+    neighbours and has none among the matched or fresh vertices, and the
+    vertices it claims are the same.  Every claim is forced, and a vertex
+    whose one open neighbour is taken by another can never claim, so the set
+    the sweep reaches does not depend on the order of claims: continuing from
+    the state after T claims reaches the same set as a sweep from scratch
+    (`_sweep`).  In that state the unprocessed vertices are those the parent
+    claims from step T on, and the fresh ones.  A processed vertex that may
+    still claim has a changed neighbour set or the same open neighbours as
+    in the parent; either way it claims in the parent at step T or later, so
+    it is a claimant of one of those steps.  `_sweep_from` continues from
+    there on the parent's neighbour sets with the patched ones laid over
+    them, so the work is proportional to the steps from T on, not to the
+    diagram."""
+    t = min(map(parent.claim_step.__getitem__, delta.removed))
+    rest = parent.claim_order[t:]
+    unreached = set(rest)
+    ready = list(set(map(parent.succ.__getitem__, rest)) - unreached)
+    unreached -= delta.removed
+    unreached.update(delta.fresh.values())
+    _sweep_from(ready, unreached, parent.inputs, parent.nbrs, nbrs)
+    return unreached
 
 
 def has_path_cover(d: Diagram) -> bool:

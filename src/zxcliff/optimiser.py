@@ -13,9 +13,9 @@ Phases:
    same-pair CNOT separation term; results without a cover are penalised
    beyond reach).  The commutation metric scores each candidate from the
    current diagram's cover without building it: the rule's RHS cover is
-   spliced in and checked locally, or a flow sweep on patched neighbour sets
-   shows the cover is lost; only candidates neither settles, and the one
-   accepted, are built.
+   spliced in and checked locally, or the current diagram's flow sweep,
+   resumed where the rewrite first touches it, shows the cover is lost; only
+   candidates neither settles, and the one accepted, are built.
 3. Final tidy: every single-qubit run is replaced by its CC1 representative
    (2x2 oracle lookup); on two-qubit diagrams with the semantic fallback
    enabled the whole diagram is replaced by its CC2 member.  These steps are
@@ -36,7 +36,7 @@ from .circuit import Circuit, circuit_size, translate
 from .diagram import B, H, X, Z, Diagram, DiagramBuilder, EdgeId, VertexId
 from .errors import NotACircuit, NotALineGraph
 from .flow import (CoverSummary, PathCover, extract_circuit, find_path_cover, has_path_cover,
-                   splice_cover, stranded_after)
+                   pair_separation, splice_cover, spliced_separation, stranded_after)
 from .normal_forms import cc1_table, cc2_family
 from .passes import (fuse_spiders, h_euler_expand, hopf_reduce, pi_copy,
                      remove_identities, remove_self_loops, simple_form,
@@ -100,12 +100,10 @@ class PauliMetric:
 
 def _cnot_separation(crosses: Iterable[Tuple[Tuple[int, int], Tuple[int, int]]]) -> int:
     """Total number of interior vertices sitting between consecutive cross
-    edges that act on the same pair of qubits.
+    edges that act on the same pair of qubits (`flow.pair_separation`).
 
     Each edge comes as the (path, position) of its two ends, in edge-id
-    order, which breaks ties; edges with both ends on one path are skipped.
-    Boundaries only end paths, so between positions lo < hi of one path lie
-    hi - lo - 1 interior vertices."""
+    order, which breaks ties; edges with both ends on one path are skipped."""
     groups: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
     for (qa, pa), (qb, pb) in crosses:
         if qa == qb:
@@ -113,12 +111,7 @@ def _cnot_separation(crosses: Iterable[Tuple[Tuple[int, int], Tuple[int, int]]])
         if qa > qb:
             qa, pa, qb, pb = qb, pb, qa, pa
         groups.setdefault((qa, qb), []).append((pa, pb))
-    total = 0
-    for group in groups.values():
-        group.sort(key=lambda ends: (max(ends), min(ends)))
-        for (a1, b1), (a2, b2) in zip(group, group[1:]):
-            total += max(0, abs(a1 - a2) - 1) + max(0, abs(b1 - b2) - 1)
-    return total
+    return sum(map(pair_separation, groups.values()))
 
 
 class CommutationMetric:
@@ -151,11 +144,15 @@ class CommutationMetric:
     def scorer(self, d: Diagram) -> Callable[[Rule, Match], Optional[Scored]]:
         """Value the rewrites of d from d's cover, without building them.
 
-        A candidate whose cover splices (`flow.splice_cover`) is scored from
-        the parent's Pauli sum plus a local delta and from the separation of
-        the spliced crosses; one that the flow sweep on patched neighbour
-        sets strands gets the off-path penalty; any other is left open.  A
-        d without a cover leaves every candidate open."""
+        Each candidate carries over what it can of d's: its match delta and
+        rewritten neighbour sets are worked out once.  A candidate whose
+        cover splices (`flow.splice_cover`) is scored from d's Pauli sum plus
+        a local delta and from d's separation, with only the qubit-pair
+        groups the splice changes recomputed (`flow.spliced_separation`).
+        Otherwise d's flow sweep is resumed at the first step that claims a
+        matched vertex (`flow.stranded_after`): a candidate it strands gets
+        the off-path penalty, any other is left open.  A d without a cover
+        leaves every candidate open."""
         try:
             parent = CoverSummary(d, find_path_cover(d))
         except NotACircuit:
@@ -167,9 +164,10 @@ class CommutationMetric:
 
         def score(rule: Rule, m: Match) -> Optional[Scored]:
             delta = match_delta(d, rule, m)
-            splice = splice_cover(parent, rule, delta)
+            nbrs = delta.neighbours(parent.nbrs)
+            splice = splice_cover(parent, rule, delta, nbrs)
             if splice is None:
-                stranded = stranded_after(parent, delta)
+                stranded = stranded_after(parent, delta, nbrs)
                 if not stranded:
                     return None
                 size = num_vertices - len(delta.removed) + len(delta.fresh)
@@ -184,11 +182,8 @@ class CommutationMetric:
                 total += ((len(new) - (last - first + 1)) * (len(row) - hi) - sum(row[lo:hi])
                           + sum(first + i for i, w in enumerate(new)
                                 if _is_pauli_kind(fresh_kind[w])))
-            at = splice.position
-            crosses = [(at(u), at(v)) for u, v in parent.crosses
-                       if u not in delta.removed and v not in delta.removed]
-            crosses.extend((at(u), at(v)) for u, v in delta.new_edges)
-            return Scored(total + self.separation_weight * _cnot_separation(crosses), splice)
+            separation = spliced_separation(parent, splice, delta)
+            return Scored(total + self.separation_weight * separation, splice)
 
         return score
 
@@ -310,28 +305,22 @@ class Optimiser:
             self._after_step(d)
 
     def _split_leg_phases(self, d: Diagram) -> Diagram:
-        while True:
-            pc = find_path_cover(d)
-            target = None
-            for path in pc.paths:
-                for p, v in enumerate(path):
-                    if d.is_boundary(v) or not d.is_spider(v):
-                        continue
-                    if d.degree(v) >= 3 and d.phase(v) != 0:
-                        prev = path[p - 1]
-                        edge = d.edges_between(prev, v)[0]
-                        target = (v, edge)
-                        break
-                if target:
-                    break
-            if target is None:
-                return d
-            v, edge = target
+        """Pull the phase off every spider with degree at least 3 onto a fresh
+        vertex before it on its path, in path order.  Each split only inserts
+        a degree-2 vertex on a path edge, so the targets and predecessors read
+        off the first cover stay valid through all of them."""
+        pc = find_path_cover(d)
+        targets = [(path[p - 1], v) for path in pc.paths for p, v in enumerate(path)
+                   if not d.is_boundary(v) and d.is_spider(v)
+                   and d.degree(v) >= 3 and d.phase(v) != 0]
+        for prev, v in targets:
+            edge = d.edges_between(prev, v)[0]
             out = split_phase(d, v, edge)
             if self._trace is not None:
                 self._trace.record_pass("split_phase", {"v": v, "edge": edge}, d, out)
             d = out
             self._after_step(d)
+        return d
 
     def _reduce_rules(self, rules: Sequence[Rule], d: Diagram) -> Diagram:
         def step(g: Diagram, tr) -> Optional[Diagram]:

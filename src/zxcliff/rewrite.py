@@ -355,11 +355,11 @@ class MatchDelta(NamedTuple):
 
     Fresh vertices take ids after the target's largest vertex id, in
     ``rhs.interior()`` order; new edges take ids after its largest edge id,
-    in ``rhs.edges()`` order.  `apply_match` builds its output from this."""
+    in ``rhs.edges()`` order.  `apply_match` builds its output from this,
+    removing the match's edges."""
 
     vmap: Dict[VertexId, VertexId]  # LHS interior vertex -> matched target vertex
     removed: FrozenSet[VertexId]  # the matched vertices
-    removed_edges: Tuple[EdgeId, ...]  # the matched edges, sorted
     attach: Dict[VertexId, VertexId]  # LHS boundary vertex -> target vertex it stands for
     fresh: Dict[VertexId, VertexId]  # RHS interior vertex -> its new id
     new_edges: Tuple[Tuple[VertexId, VertexId], ...]  # target ends of each RHS edge
@@ -391,7 +391,6 @@ def match_delta(target: Diagram, rule: Rule, m: Match) -> MatchDelta:
     return MatchDelta(
         vmap=vmap,
         removed=frozenset(vmap.values()),
-        removed_edges=tuple(sorted(te for _, te in m.edge_map)),
         attach=attach,
         fresh=fresh,
         new_edges=tuple((ends[u], ends[v]) for u, v in map(rhs.edge_ends, rhs.edges())),
@@ -403,7 +402,7 @@ def apply_match(target: Diagram, rule: Rule, m: Match) -> Diagram:
     _revalidate(target, rule, m)
     delta = match_delta(target, rule, m)
     b = target.builder()
-    for te in delta.removed_edges:
+    for te in sorted(te for _, te in m.edge_map):
         b.remove_edge(te)
     for tv in sorted(delta.removed):
         del b.vertices[tv]

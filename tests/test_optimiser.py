@@ -5,15 +5,16 @@ from hypothesis import strategies as st
 from apply_reference import reference_apply_match
 from zxcliff.circuit import (circuit, circuit_size, gate, gate_matrix_product,
                              random_clifford_circuit, translate)
-from zxcliff.diagram import X, Z
+from zxcliff.diagram import B, DiagramBuilder, X, Z
 from zxcliff.errors import NotALineGraph
-from zxcliff.flow import find_path_cover, has_path_cover, is_circuit_like
+from zxcliff.flow import (CoverSummary, _sweep, find_path_cover, has_path_cover,
+                          is_circuit_like, splice_cover, spliced_separation, stranded_after)
 from zxcliff.normal_forms import cc2_contains, line_diagram
 from zxcliff.optimiser import (CommutationMetric, Optimiser, OptimiserConfig,
-                               PauliMetric, canonicalise_blocks,
+                               PauliMetric, _cnot_separation, canonicalise_blocks,
                                line_to_pauli_standard, optimise)
 from zxcliff.passes import simple_form
-from zxcliff.rewrite import apply_match, find_matches, replay, rewrite_metric
+from zxcliff.rewrite import Rule, apply_match, find_matches, match_delta, replay, rewrite_metric
 from zxcliff.semantics import interpret, scalar_free_equal
 
 
@@ -255,6 +256,119 @@ def test_scorer_agrees_with_building(ruleset):
     split_form_and_rewrites()
     check(_bad_config_diagram())
     assert seen == {"spliced", "stranded", "built"}
+
+
+def _metric_phase_diagrams(opt, check):
+    # the split form of a random circuit and up to 4 random metric-rule
+    # rewrites of it, as the metric phase meets them; covered ones are checked
+    rules = opt._metric_rules
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(width=st.integers(2, 5), depth=st.integers(4, 24), seed=st.integers(0, 10**6),
+           picks=st.lists(st.integers(0, 10**6), max_size=4))
+    def run(width, depth, seed, picks):
+        d = simple_form(translate(random_clifford_circuit(width, depth, seed)))
+        d = opt._split_leg_phases(opt._split_cross_legs(d))
+        for pick in [None, *picks]:
+            if pick is not None:
+                options = [(r, m) for r in rules for m in find_matches(r, d)]
+                if not options:
+                    break
+                r, m = options[pick % len(options)]
+                d = apply_match(d, r, m)
+            if has_path_cover(d):
+                parent = CoverSummary(d, find_path_cover(d))
+                for rule in rules:
+                    for m in find_matches(rule, d):
+                        check(parent, rule, m)
+
+    run()
+    d = _bad_config_diagram()
+    parent = CoverSummary(d, find_path_cover(d))
+    for rule in rules:
+        for m in find_matches(rule, d):
+            check(parent, rule, m)
+
+
+def test_resumed_sweep_agrees_with_sweep(ruleset):
+    # resuming the parent's sweep at the first step that claims a matched
+    # vertex must strand exactly what a sweep from scratch on the patched
+    # neighbour sets strands, for every candidate; the examples must resume
+    # both at the first step and later, and must strand and cover
+    starts, outcomes = set(), set()
+
+    def check(parent, rule, m):
+        d = parent.diagram
+        delta = match_delta(d, rule, m)
+        patched = delta.neighbours(parent.nbrs)
+        nbrs = {v: ns for v, ns in parent.nbrs.items() if v not in delta.removed}
+        nbrs.update(patched)
+        stranded = stranded_after(parent, delta, patched)
+        assert sorted(stranded) == sorted(_sweep(d, nbrs)[1]), rule.name
+        starts.add(min(parent.claim_step[v] for v in delta.removed) > 0)
+        outcomes.add(bool(stranded))
+
+    _metric_phase_diagrams(Optimiser(rules=ruleset), check)
+    assert starts == {False, True}
+    assert outcomes == {False, True}
+
+
+def _hopf_rule_and_target():
+    # two wires of Z and X vertices joined rung by rung, with a given number
+    # of parallel edges per rung; the hopf law as a rule removes a double
+    # edge, so it loses cross edges without gaining one or resizing a path
+    def ladder(rungs):
+        b = DiagramBuilder()
+        ins = [b.add_vertex(B), b.add_vertex(B)]
+        rows = [[b.add_vertex(kind, 0) for _ in rungs] for kind in (Z, X)]
+        outs = [b.add_vertex(B), b.add_vertex(B)]
+        for wire in range(2):
+            chain = [ins[wire], *rows[wire], outs[wire]]
+            for u, v in zip(chain, chain[1:]):
+                b.add_edge(u, v)
+        for z, x, n in zip(*rows, rungs):
+            for _ in range(n):
+                b.add_edge(z, x)
+        b.set_boundaries(ins, outs)
+        return b.build()
+
+    return Rule("hopf", ladder([2]), ladder([0])), ladder([1, 2, 1])
+
+
+def test_carried_separation_agrees_with_full_pass(ruleset):
+    # the separation carried per qubit pair from the parent must equal one
+    # pass of _cnot_separation over every edge of the built candidate at its
+    # searched cover's positions; the examples must resize a segment, gain
+    # cross edges, and lose them both with and without either of those
+    seen = set()
+
+    def check(parent, rule, m):
+        d = parent.diagram
+        delta = match_delta(d, rule, m)
+        splice = splice_cover(parent, rule, delta, delta.neighbours(parent.nbrs))
+        if splice is None:
+            return
+        out = apply_match(d, rule, m)
+        pos = find_path_cover(out).position()
+        full = _cnot_separation((pos[u], pos[v]) for u, v in map(out.edge_ends, out.edges()))
+        assert spliced_separation(parent, splice, delta) == full, rule.name
+        resized = {q for q, (first, last, new) in splice.segments.items()
+                   if len(new) != last - first + 1}
+        lost = {frozenset((parent.pos[r][0], parent.pos[w][0])) for r in delta.removed
+                for w in parent.nbrs[r] if parent.pos[r][0] != parent.pos[w][0]}
+        gained = {frozenset((pos[u][0], pos[v][0])) for u, v in delta.new_edges
+                  if pos[u][0] != pos[v][0]}
+        seen.update(name for name, hit in (("resized", resized), ("lost", lost),
+                                           ("gained", gained)) if hit)
+        if any(not pair & resized for pair in lost - gained):
+            seen.add("lost alone")
+
+    _metric_phase_diagrams(Optimiser(rules=ruleset), check)
+    rule, d = _hopf_rule_and_target()
+    parent = CoverSummary(d, find_path_cover(d))
+    for m in find_matches(rule, d):
+        check(parent, rule, m)
+    assert seen == {"resized", "lost", "gained", "lost alone"}
 
 
 # -- canonicalise_blocks ----------------------------------------------------------------
