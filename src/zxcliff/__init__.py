@@ -26,7 +26,7 @@ from .passes import (colour_change_vertex, fuse_spiders, h_euler_expand,
                      remove_self_loops, simple_form)
 from .rewrite import (Match, ProofStep, ProofTrace, Rule, apply_match,
                       find_matches, reduce, replay, rewrite_first,
-                      rewrite_metric, rewrite_targeted)
+                      rewrite_metric)
 from .ruleset import RuleSet, load_ruleset, shipped_ruleset_dir
 from .semantics import (check_translation_soundness, interpret,
                         scalar_free_equal)

@@ -9,13 +9,17 @@ Phases:
    only carries pi/2 and pi phases on degree-2 vertices and phase-free legs.
 2. Loop until nothing changes: strictly-reducing rules (first match whose
    result still has a causal-flow cover), targeted Pauli commutation toward
-   the inputs, metric-driven CNOT commutation (Pauli positions plus a
-   same-pair CNOT separation term; results without a cover are penalised
-   beyond reach).  The commutation metric scores each candidate from the
-   current diagram's cover without building it: the rule's RHS cover is
-   spliced in and checked locally, or the current diagram's flow sweep,
-   resumed where the rewrite first touches it, shows the cover is lost; only
-   candidates neither settles, and the one accepted, are built.
+   the inputs (rules anchored on each movable Pauli in turn, first match
+   that lowers the Pauli-position sum), metric-driven CNOT commutation
+   (Pauli positions plus a same-pair CNOT separation term; results without
+   a cover are penalised beyond reach).  All three select through one loop,
+   `rewrite.rewrite_first`, and repeat through one helper that owns the step
+   budget and checks every step.  The commutation metric scores each
+   candidate from the current diagram's cover without building it: the
+   rule's RHS cover is spliced in and checked locally, or the current
+   diagram's flow sweep, resumed where the rewrite first touches it, shows
+   the cover is lost; only candidates neither settles, and the one
+   accepted, are built.
 3. Final tidy: every single-qubit run is replaced by its CC1 representative
    (2x2 oracle lookup); on two-qubit diagrams with the semantic fallback
    enabled the whole diagram is replaced by its CC2 member.  These steps are
@@ -28,7 +32,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,7 +46,7 @@ from .passes import (fuse_spiders, h_euler_expand, hopf_reduce, pi_copy,
                      remove_identities, remove_self_loops, simple_form,
                      split_cross_leg, split_phase)
 from .rewrite import (Match, ProofTrace, Rule, Scored, match_delta, reduce, rewrite_first,
-                      rewrite_metric, rewrite_targeted, SEMANTIC_REPLAYERS)
+                      rewrite_metric, SEMANTIC_REPLAYERS)
 from .ruleset import RuleSet, load_ruleset
 from .semantics import H_MAT, interpret, scalar_free_equal
 
@@ -87,7 +91,18 @@ def _pauli_positions(d: Diagram, pc_paths) -> int:
 
 class PauliMetric:
     """Sum of Pauli positions; diagrams with vertices on no path are pushed
-    beyond any on-path arrangement by a (|V|+1)^2 penalty per failure."""
+    beyond any on-path arrangement by a (|V|+1)^2 penalty per failure.
+
+    The targeted Pauli phase accepts a move when this strictly falls, and
+    that keeps it to covered results.  A covered diagram d on n vertices has
+    a Pauli sum below n^2/2: on a path of length L the positions add up to at
+    most (L-1)(L-2)/2, and the lengths add up to n.  A Pauli-commute rewrite
+    removes at most two vertices (three LHS interior vertices, one on the
+    RHS), so a result without a cover scores at least (n-1)^2, which is at
+    least n^2/2 once n >= 4; every diagram such a rule matches has five."""
+
+    def __call__(self, d: Diagram) -> int:
+        return self.value(d)
 
     def value(self, d: Diagram) -> int:
         big = (len(d.vertices()) + 1) ** 2
@@ -190,12 +205,8 @@ class CommutationMetric:
 
 def _record_pass(trace: Optional[ProofTrace], name: str, args: dict,
                  before: Diagram, after: Diagram) -> Diagram:
-    changed = not (set(before.vertices()) == set(after.vertices())
-                   and all(before._vertices[v] == after._vertices[v]
-                           for v in after.vertices())
-                   and sorted(before.edge_ends(e) for e in before.edges())
-                   == sorted(after.edge_ends(e) for e in after.edges()))
-    if changed and trace is not None:
+    """Record a normalising pass; it returns its input when it changes nothing."""
+    if after is not before and trace is not None:
         trace.record_pass(name, args, before, after)
     return after
 
@@ -204,26 +215,23 @@ def _is_pauli(d: Diagram, v: VertexId) -> bool:
     return d.is_spider(v) and d.phase(v) == 2 and d.degree(v) == 2
 
 
-def _first_movable_pauli(d: Diagram, skipped: Set[VertexId]) -> Optional[VertexId]:
-    """Input-major, then path position: the first Pauli at position >= 1 whose
-    predecessor is a non-Pauli spider or a CNOT leg."""
+def _movable_paulis(d: Diagram) -> Iterator[VertexId]:
+    """Input-major, then path position: every Pauli at position >= 1 whose
+    predecessor is a non-Pauli spider or a CNOT leg; none without a cover."""
     try:
         pc = find_path_cover(d)
     except NotACircuit:
-        return None
+        return
     for path in pc.paths:
         for p, v in enumerate(path):
-            if v in skipped or p == 0 or d.is_boundary(v):
-                continue
-            if not _is_pauli(d, v):
+            if p == 0 or d.is_boundary(v) or not _is_pauli(d, v):
                 continue
             prev = path[p - 1]
             if d.is_boundary(prev) or _is_pauli(d, prev):
                 continue
             if d.kind(prev) == H:
                 continue  # no rule commutes through a bare H box
-            return v
-    return None
+            yield v
 
 
 def _rule_anchor(rule: Rule) -> Optional[VertexId]:
@@ -253,14 +261,13 @@ class Optimiser:
         self._loop_rules = [r for r in self.rules.always
                             if r.name.split(":")[0] not in ("Euler", "H")]
         self._metric = CommutationMetric()
-        self._rewrites = 0
+        self._pauli_metric = PauliMetric()
         self._trace: Optional[ProofTrace] = None
         self._verify_ref: Optional[np.ndarray] = None
 
     # -- step bookkeeping ------------------------------------------------------
 
     def _after_step(self, d: Diagram) -> None:
-        self._rewrites = len(self._trace.steps) if self._trace else 0
         if not self.cfg.verify_each_step:
             return
         if max(d.num_inputs, d.num_outputs) <= 5 and self._verify_ref is not None:
@@ -322,14 +329,37 @@ class Optimiser:
             self._after_step(d)
         return d
 
-    def _reduce_rules(self, rules: Sequence[Rule], d: Diagram) -> Diagram:
-        def step(g: Diagram, tr) -> Optional[Diagram]:
-            return rewrite_first(rules, g, tr, accept=has_path_cover)
+    def _reduce(self, step: Callable[[Diagram, Optional[ProofTrace]], Optional[Diagram]],
+                d: Diagram) -> Diagram:
+        """Repeat a rewrite step until it finds nothing or the step budget
+        runs out, checking every diagram it produces."""
+        def checked(g: Diagram, trace: Optional[ProofTrace]) -> Optional[Diagram]:
+            out = step(g, trace)
+            if out is not None:
+                self._after_step(out)
+            return out
 
-        res = reduce(step, d, self._trace, self.cfg.step_budget)
+        res = reduce(checked, d, self._trace, self.cfg.step_budget)
         self._budget_ok = self._budget_ok and res.fixpoint
-        self._after_step(res.diagram)
         return res.diagram
+
+    def _reduce_rules(self, rules: Sequence[Rule], d: Diagram) -> Diagram:
+        return self._reduce(
+            lambda g, trace: rewrite_first(rules, g, trace, accept=has_path_cover), d)
+
+    def _move_pauli(self, d: Diagram, trace: Optional[ProofTrace]) -> Optional[Diagram]:
+        """One targeted commutation: the first movable Pauli that some rule,
+        anchored on it, moves to a covered result with a strictly lower Pauli
+        sum (`PauliMetric`).  The sum is what makes the phase terminate: the
+        matcher also returns orientation-flipped matches, which would move
+        the target the wrong way."""
+        rules = self._targeted_rules
+        for t in _movable_paulis(d):
+            out = rewrite_first(rules, d, trace, metric=self._pauli_metric,
+                                anchors=[(self._anchors[r.name], t) for r in rules])
+            if out is not None:
+                return out
+        return None
 
     def _cleanup_passes(self, d: Diagram) -> Diagram:
         for name, fn in (("remove_self_loops", remove_self_loops),
@@ -339,57 +369,6 @@ class Optimiser:
             d = _record_pass(self._trace, name, {}, d, out)
         self._after_step(d)
         return d
-
-    def _pauli_sum(self, d: Diagram) -> int:
-        try:
-            return _pauli_positions(d, find_path_cover(d).paths)
-        except NotACircuit:
-            return -1
-
-    def _pauli_phase(self, d: Diagram) -> Diagram:
-        """Targeted commutation; a move is accepted only if it keeps the
-        diagram covered and strictly lowers the Pauli-position sum, which is
-        what makes the phase terminate (the matcher also returns
-        orientation-flipped matches, which would move the target the wrong
-        way)."""
-        steps = 0
-        while steps < self.cfg.step_budget:
-            base = self._pauli_sum(d)
-
-            def better(g: Diagram) -> bool:
-                s = self._pauli_sum(g)
-                return s >= 0 and s < base
-
-            applied = None
-            skipped: Set[VertexId] = set()
-            while applied is None:
-                t = _first_movable_pauli(d, skipped)
-                if t is None:
-                    return d
-                for rule in self._targeted_rules:
-                    out = rewrite_targeted(rule, self._anchors[rule.name], d,
-                                           lambda g: t, self._trace, accept=better)
-                    if out is not None:
-                        applied = out
-                        break
-                if applied is None:
-                    skipped.add(t)
-            d = applied
-            steps += 1
-            self._after_step(d)
-        self._budget_ok = False
-        return d
-
-    def _cnot_phase(self, d: Diagram) -> Diagram:
-        rules = self._metric_rules
-
-        def step(g: Diagram, tr) -> Optional[Diagram]:
-            return rewrite_metric(rules, g, self._metric, tr)
-
-        res = reduce(step, d, self._trace, self.cfg.step_budget)
-        self._budget_ok = self._budget_ok and res.fixpoint
-        self._after_step(res.diagram)
-        return res.diagram
 
     # -- final tidy --------------------------------------------------------------
 
@@ -447,8 +426,9 @@ class Optimiser:
             d = self._reduce_rules(self.rules.init, d)
             d = self._reduce_rules(self._loop_rules, d)
             d = self._cleanup_passes(d)
-            d = self._pauli_phase(d)
-            d = self._cnot_phase(d)
+            d = self._reduce(self._move_pauli, d)
+            d = self._reduce(lambda g, trace: rewrite_metric(
+                self._metric_rules, g, self._metric, trace), d)
             d = self._reduce_rules(self._loop_rules, d)
             # refuse: adjacent same-colour structure merges and freed CNOT
             # pairs cancel through the hopf rule
@@ -651,12 +631,8 @@ def line_to_pauli_standard(d: Diagram, trace: Optional[ProofTrace] = None) -> Di
     """
     _line_sequence(d)  # validates the precondition
     d = _record_pass(trace, "h_euler_expand", {}, d, h_euler_expand(d))
-
-    def state(g: Diagram):
-        return (g._vertices, sorted(g.edge_ends(e) for e in g.edges()))
-
     while True:
-        before = state(d)
+        before = d
         d = _record_pass(trace, "fuse_spiders", {}, d, fuse_spiders(d))
         d = _record_pass(trace, "remove_identities", {}, d, remove_identities(d))
         seq = _line_sequence(d)
@@ -675,7 +651,7 @@ def line_to_pauli_standard(d: Diagram, trace: Optional[ProofTrace] = None) -> Di
             d = out
             moved = True
             break
-        if not moved and state(d) == before:
+        if not moved and d is before:
             break
     seq = _line_sequence(d)
     assert all(d.kind(a) != d.kind(b) for a, b in zip(seq, seq[1:]))

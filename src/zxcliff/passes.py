@@ -5,7 +5,8 @@ identity/anti-loop/hopf reduction, H expansion, colour change and
 Pauli-copying are implemented here as parameterised passes.  Each pass is
 deterministic and preserves the interpretation up to a non-zero scalar.  The
 normalising passes return their input itself when they change nothing, so
-caches keyed on the diagram object stay valid.
+caches keyed on the diagram object stay valid and ``out is d`` tells whether
+a pass changed anything.
 """
 
 from __future__ import annotations
@@ -202,15 +203,11 @@ def simple_form(d: Diagram) -> Diagram:
     """Fixpoint of H expansion, fusion, anti-loop, hopf and identity removal."""
     passes = (h_euler_expand, fuse_spiders, remove_self_loops, hopf_reduce,
               remove_identities, drop_scalar_components)
-
-    def state(g: Diagram):
-        return (g._vertices, sorted(g.edge_ends(e) for e in g.edges()))
-
     while True:
-        before = state(d)
+        before = d
         for p in passes:
             d = p(d)
-        if state(d) == before:
+        if d is before:
             break
     assert is_simple(d)
     return d

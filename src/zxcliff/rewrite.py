@@ -520,24 +520,6 @@ def replay(trace: ProofTrace, rules_by_name: Dict[str, Rule]) -> Diagram:
 # -- strategy combinators ------------------------------------------------------------
 
 
-def rewrite_first(rules: Sequence[Rule], d: Diagram,
-                  trace: Optional[ProofTrace] = None,
-                  accept: Optional[Callable[[Diagram], bool]] = None) -> Optional[Diagram]:
-    """Apply the first match of the first rule that matches at all.
-
-    With `accept`, results failing the predicate are skipped (the optimiser
-    uses this to stay within diagrams that admit a causal flow)."""
-    for rule in rules:
-        for m in find_matches(rule, d):
-            out = apply_match(d, rule, m)
-            if accept is not None and not accept(out):
-                continue
-            if trace is not None:
-                trace.record_rewrite(rule, m, out)
-            return out
-    return None
-
-
 class Scored(NamedTuple):
     """A candidate's metric value, found without building the candidate."""
 
@@ -549,62 +531,57 @@ def _unscored(rule: Rule, m: Match) -> Optional[Scored]:
     return None
 
 
-def rewrite_metric(rules: Sequence[Rule], d: Diagram, metric: Metric,
-                   trace: Optional[ProofTrace] = None) -> Optional[Diagram]:
-    """Apply the first match (rules in list order) that strictly reduces the metric.
+def rewrite_first(rules: Sequence[Rule], d: Diagram,
+                  trace: Optional[ProofTrace] = None,
+                  accept: Optional[Callable[[Diagram], bool]] = None,
+                  metric: Optional[Metric] = None,
+                  anchors: Optional[Sequence[Optional[Tuple[VertexId, VertexId]]]] = None
+                  ) -> Optional[Diagram]:
+    """Apply the first candidate, rules in list order and matches in
+    canonical order, whose result passes every given test: ``accept`` on the
+    built result (the optimiser uses `has_path_cover` to stay within
+    diagrams that admit a causal flow), and a ``metric`` value strictly below
+    d's.  ``anchors`` gives one `find_matches` anchor per rule (None:
+    unanchored).
 
     A metric may offer ``scorer(d)``: a function that values a candidate
     ``(rule, match)`` of d without building it, as a `Scored`, or returns
     None when it cannot tell.  It is asked for on the first match.  The
     candidates it leaves open, and every candidate of a plain callable, are
     built and measured, so the choice is the one building every candidate
-    would make.  Only the accepted candidate is built otherwise; when its
-    cover was spliced, the cover search on it, which the next step's base
-    needs anyway, must return the same paths."""
-    base = metric(d)
+    would make.  A scored candidate is built only once its value passes;
+    when its cover was spliced, the cover search on it, which the next
+    step's base needs anyway, must return the same paths."""
+    base = None if metric is None else metric(d)
     score = None
-    for rule in rules:
-        for m in find_matches(rule, d):
-            if score is None:
-                scorer = getattr(metric, "scorer", None)
-                score = _unscored if scorer is None else scorer(d)
-            scored = score(rule, m)
-            out = None
-            if scored is None:
-                out = apply_match(d, rule, m)
-                value = metric(out)
-            else:
-                value = scored.value
-            if value < base:
-                if out is None:
-                    out = apply_match(d, rule, m)
-                    if scored.splice is not None \
-                            and find_path_cover(out).paths != scored.splice.paths():
-                        raise AssertionError("a spliced cover differs from the searched one")
-                if trace is not None:
-                    trace.record_rewrite(rule, m, out)
-                return out
+    for rule, anchor in zip(rules, itertools.repeat(None) if anchors is None else anchors):
+        for m in find_matches(rule, d, anchor=anchor):
+            scored = None
+            if metric is not None:
+                if score is None:
+                    scorer = getattr(metric, "scorer", None)
+                    score = _unscored if scorer is None else scorer(d)
+                scored = score(rule, m)
+                if scored is not None and scored.value >= base:
+                    continue
+            out = apply_match(d, rule, m)
+            if scored is not None and scored.splice is not None \
+                    and find_path_cover(out).paths != scored.splice.paths():
+                raise AssertionError("a spliced cover differs from the searched one")
+            if accept is not None and not accept(out):
+                continue
+            if metric is not None and scored is None and metric(out) >= base:
+                continue
+            if trace is not None:
+                trace.record_rewrite(rule, m, out)
+            return out
     return None
 
 
-def rewrite_targeted(rule: Rule, anchor: VertexId, d: Diagram,
-                     target_fn: Callable[[Diagram], Optional[VertexId]],
-                     trace: Optional[ProofTrace] = None,
-                     accept: Optional[Callable[[Diagram], bool]] = None) -> Optional[Diagram]:
-    """Apply the first match that sends the rule's anchor vertex to target_fn(d)."""
-    if anchor not in rule.lhs.interior():
-        raise RuleFormatError(f"anchor {anchor} is not interior to {rule.name}")
-    t = target_fn(d)
-    if t is None:
-        return None
-    for m in find_matches(rule, d, anchor=(anchor, t)):
-        out = apply_match(d, rule, m)
-        if accept is not None and not accept(out):
-            continue
-        if trace is not None:
-            trace.record_rewrite(rule, m, out)
-        return out
-    return None
+def rewrite_metric(rules: Sequence[Rule], d: Diagram, metric: Metric,
+                   trace: Optional[ProofTrace] = None) -> Optional[Diagram]:
+    """Apply the first match (rules in list order) that strictly reduces the metric."""
+    return rewrite_first(rules, d, trace, metric=metric)
 
 
 @dataclass

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import select_reference
 from apply_reference import reference_apply_match
 from zxcliff.circuit import (circuit, circuit_size, gate, gate_matrix_product,
                              random_clifford_circuit, translate)
@@ -14,7 +15,9 @@ from zxcliff.optimiser import (CommutationMetric, Optimiser, OptimiserConfig,
                                PauliMetric, _cnot_separation, canonicalise_blocks,
                                line_to_pauli_standard, optimise)
 from zxcliff.passes import simple_form
-from zxcliff.rewrite import Rule, apply_match, find_matches, match_delta, replay, rewrite_metric
+from zxcliff.rewrite import (ProofTrace, Rule, apply_match, find_matches, match_delta, replay,
+                             rewrite_first, rewrite_metric)
+from zxcliff.ruleset import RuleSet
 from zxcliff.semantics import interpret, scalar_free_equal
 
 
@@ -84,6 +87,19 @@ def test_verify_each_step_mode():
     c = random_clifford_circuit(2, 12, 3)
     res = Optimiser(OptimiserConfig(verify_each_step=True)).run(c)
     assert preserved(res, c)
+
+
+def test_verify_each_step_checks_steps_inside_a_phase():
+    # an unsound rewrite and its inverse: with two steps each, every rule
+    # phase ends on the diagram it started from, so only a check of the step
+    # in between finds the unsound one
+    sv, vs = line_diagram([(Z, 1), (X, 1)]), line_diagram([(X, 1), (Z, 1)])
+    rules = RuleSet(always=[Rule("Swap", sv, vs), Rule("Unswap", vs, sv)])
+    c = circuit(1, gate("S", 0), gate("V", 0))
+    res = Optimiser(OptimiserConfig(step_budget=2), rules=rules).run(c)
+    assert res.stats["rewrite_steps"] == 4 and preserved(res, c)
+    with pytest.raises(AssertionError, match="interpretation"):
+        Optimiser(OptimiserConfig(step_budget=2, verify_each_step=True), rules=rules).run(c)
 
 
 def test_trace_replays_to_final(optimiser, rules_by_name):
@@ -201,7 +217,7 @@ def test_uncovered_candidates_score_above_base(ruleset):
     # without a cover never beats the covered diagram it came from
     d = _bad_config_diagram()
     candidates = [apply_match(d, rule, m)
-                  for rule in ruleset.cnot_commute + ruleset.c2
+                  for rule in ruleset.pauli_commute + ruleset.cnot_commute + ruleset.c2
                   for m in find_matches(rule, d)]
     uncovered = [out for out in candidates if not has_path_cover(out)]
     assert uncovered
@@ -256,6 +272,54 @@ def test_scorer_agrees_with_building(ruleset):
     split_form_and_rewrites()
     check(_bad_config_diagram())
     assert seen == {"spliced", "stranded", "built"}
+
+
+def test_one_loop_agrees_with_reference_selectors(ruleset):
+    # rule reduction, the targeted Pauli step and the metric step must choose
+    # the rewrite the selectors in select_reference chose and record the same
+    # trace step; each must be seen both moving and stopping
+    opt = Optimiser(rules=ruleset)
+    metric = CommutationMetric()
+    ref = select_reference
+    phases = {
+        "init": (lambda d, tr: rewrite_first(ruleset.init, d, tr, accept=has_path_cover),
+                 lambda d, tr: ref.rewrite_first(ruleset.init, d, tr, accept=has_path_cover)),
+        "rules": (lambda d, tr: rewrite_first(opt._loop_rules, d, tr, accept=has_path_cover),
+                  lambda d, tr: ref.rewrite_first(opt._loop_rules, d, tr, accept=has_path_cover)),
+        "pauli": (opt._move_pauli,
+                  lambda d, tr: ref.move_pauli(opt._targeted_rules, opt._anchors, d, tr)),
+        "metric": (lambda d, tr: rewrite_metric(opt._metric_rules, d, metric, tr),
+                   lambda d, tr: ref.rewrite_metric(opt._metric_rules, d, metric, tr)),
+    }
+    rules = ruleset.init + opt._loop_rules + opt._targeted_rules + opt._metric_rules
+    seen = set()
+
+    def check(d):
+        for name, (new, old) in phases.items():
+            t_new, t_old = ProofTrace(d), ProofTrace(d)
+            out, expected = new(d, t_new), old(d, t_old)
+            assert (out is None) == (expected is None), name
+            assert t_new.to_json() == t_old.to_json(), name
+            seen.add((name, expected is not None))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(width=st.integers(1, 5), depth=st.integers(4, 24), seed=st.integers(0, 10**6),
+           picks=st.lists(st.integers(0, 10**6), max_size=3))
+    def split_form_and_rewrites(width, depth, seed, picks):
+        d = simple_form(translate(random_clifford_circuit(width, depth, seed)))
+        d = opt._split_leg_phases(opt._split_cross_legs(d))
+        check(d)
+        for pick in picks:
+            options = [(r, m) for r in rules for m in find_matches(r, d)]
+            if not options:
+                break
+            r, m = options[pick % len(options)]
+            d = apply_match(d, r, m)
+            check(d)
+
+    split_form_and_rewrites()
+    check(_bad_config_diagram())
+    assert seen == {(name, moved) for name in phases for moved in (False, True)}
 
 
 def _metric_phase_diagrams(opt, check):

@@ -324,7 +324,31 @@ def test_pass_soundness_random(p):
 
 
 def test_normalising_passes_return_unchanged_input():
-    d = simple_form(translate(random_clifford_circuit(3, 20, 0)))
-    for p in (fuse_spiders, remove_self_loops, remove_identities, hopf_reduce,
-              h_euler_expand, drop_scalar_components):
-        assert p(d) is d, p.__name__
+    # a pass returns its input itself exactly when it changes nothing, which
+    # is what callers test to see whether a pass did anything; the inputs are
+    # raw translations, one with a looped scalar component, and every stage of
+    # simple form's first round
+    def state(g):
+        return g._vertices, sorted(g.edge_ends(e) for e in g.edges())
+
+    passes = (h_euler_expand, fuse_spiders, remove_self_loops, hopf_reduce,
+              remove_identities, drop_scalar_components, simple_form)
+    changed = set()
+    for seed in range(12):
+        raw = translate(random_clifford_circuit(1 + seed % 4, 20, seed))
+        b = raw.builder()
+        z = b.add_vertex(Z, 1)
+        b.add_edge(z, b.add_vertex(X, 0))
+        b.add_edge(z, z)
+        stages = [raw, b.build()]
+        for p in passes[:-1]:
+            stages.append(p(stages[-1]))
+        for d in stages:
+            for p in passes:
+                out = p(d)
+                assert (out is d) == (state(out) == state(d)), p.__name__
+                if out is not d:
+                    changed.add(p.__name__)
+        d = simple_form(raw)
+        assert all(p(d) is d for p in passes)
+    assert changed == {p.__name__ for p in passes}

@@ -15,7 +15,7 @@ from zxcliff.optimiser import Optimiser
 from zxcliff.passes import fuse_spiders, h_euler_expand, simple_form
 from zxcliff.rewrite import (ProofTrace, Rule, apply_match,
                              find_matches, reduce, replay, rewrite_first,
-                             rewrite_metric, rewrite_targeted)
+                             rewrite_metric)
 from zxcliff.semantics import interpret, scalar_free_equal
 
 
@@ -236,17 +236,17 @@ def test_rewrite_targeted():
     anchor = rule.lhs.interior()[0]
     target = t(gate("Z", 0), gate("Z", 0))
     second = target.interior()[1]
-    out = rewrite_targeted(rule, anchor, target, lambda d: second)
+    out = rewrite_first([rule], target, anchors=[(anchor, second)])
     assert out is not None
     assert out.kind(target.interior()[0]) == Z
     assert any(out.kind(v) == X for v in out.interior())
 
 
-def test_rewrite_targeted_no_target():
-    rule = wire_rule("zpi-to-xpi", [(Z, 2)], [(X, 2)])
-    anchor = rule.lhs.interior()[0]
-    out = rewrite_targeted(rule, anchor, t(gate("Z", 0)), lambda d: None)
-    assert out is None
+def test_rewrite_targeted_no_target(ruleset):
+    # the targeted phase anchors on movable Paulis; a Pauli right after the
+    # input has nothing before it to move through, so the phase stops
+    d = t(gate("Z", 0))
+    assert Optimiser(rules=ruleset)._move_pauli(d, None) is None
 
 
 def test_rewrite_targeted_absent_anchor_match():
@@ -254,7 +254,7 @@ def test_rewrite_targeted_absent_anchor_match():
     anchor = rule.lhs.interior()[0]
     target = t(gate("S", 0))
     tr = ProofTrace(target)
-    out = rewrite_targeted(rule, anchor, target, lambda d: target.interior()[0], tr)
+    out = rewrite_first([rule], target, tr, anchors=[(anchor, target.interior()[0])])
     assert out is None and not tr.steps
 
 
