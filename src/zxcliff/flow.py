@@ -31,7 +31,7 @@ from __future__ import annotations
 import heapq
 import weakref
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .diagram import H, X, Z, Diagram, VertexId
 from .errors import CrossEdgeColourError, NotACircuit
@@ -206,6 +206,22 @@ def find_path_cover(d: Diagram) -> PathCover:
     return cover
 
 
+def group_crosses(ends: Iterable[Tuple[Tuple[int, int], Tuple[int, int]]]
+                  ) -> Dict[Tuple[int, int], List[Tuple[int, int]]]:
+    """Cross edges grouped by pair of paths.
+
+    Each edge comes as the (path, position) of its two ends, in edge-id
+    order; edges with both ends on one path are skipped.  Each pair qa < qb
+    maps to its edges' positions (on qa, on qb), in the order they came."""
+    groups: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+    for (qu, pu), (qv, pv) in ends:
+        if qu < qv:
+            groups.setdefault((qu, qv), []).append((pu, pv))
+        elif qv < qu:
+            groups.setdefault((qv, qu), []).append((pv, pu))
+    return groups
+
+
 def pair_separation(ends: Sequence[Tuple[int, int]]) -> int:
     """Interior vertices between consecutive cross edges of one pair of paths.
 
@@ -222,10 +238,10 @@ class CoverSummary:
     """A covered diagram's cover in the forms a candidate reuses.
 
     For a splice: positions, flow rank, successor and predecessor maps and
-    distinct neighbours.  For the separation term: ``groups`` maps each pair
-    of paths qa < qb to the positions (on qa, on qb) of its cross edges' ends
-    in edge-id order, ``separation`` maps it to the group's
-    `pair_separation`, and ``total_separation`` is their sum.
+    distinct neighbours.  For the separation term: ``groups`` holds the cross
+    edges by pair of paths (`group_crosses`, in edge-id order),
+    ``separation`` maps each pair to its group's `pair_separation`, and
+    ``total_separation`` is their sum.
 
     For resuming the sweep, a record of the parent's: ``claim_order`` lists
     the non-output vertices in decreasing flow rank, and step i claims the
@@ -243,13 +259,7 @@ class CoverSummary:
         self.pred = {b: a for a, b in self.succ.items()}
         self.nbrs = _neighbour_sets(d)
         self.inputs = set(d.inputs)
-        self.groups: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-        for u, v in map(d.edge_ends, d.edges()):
-            (qu, pu), (qv, pv) = pos[u], pos[v]
-            if qu < qv:
-                self.groups.setdefault((qu, qv), []).append((pu, pv))
-            elif qv < qu:
-                self.groups.setdefault((qv, qu), []).append((pv, pu))
+        self.groups = group_crosses([(pos[u], pos[v]) for u, v in map(d.edge_ends, d.edges())])
         self.separation = {key: pair_separation(group) for key, group in self.groups.items()}
         self.total_separation = sum(self.separation.values())
         self.claim_order = sorted(self.succ, key=rank.__getitem__, reverse=True)
@@ -413,13 +423,7 @@ def spliced_separation(parent: CoverSummary, splice: Splice, delta: "MatchDelta"
     all old ones, which is their edge-id order in the built candidate.  Every
     other group keeps the parent's total."""
     at = splice.position
-    gained: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-    for u, v in delta.new_edges:
-        (qu, pu), (qv, pv) = at(u), at(v)
-        if qu < qv:
-            gained.setdefault((qu, qv), []).append((pu, pv))
-        elif qv < qu:
-            gained.setdefault((qv, qu), []).append((pv, pu))
+    gained = group_crosses([(at(u), at(v)) for u, v in delta.new_edges])
     changed = set(gained)
     pos = parent.pos
     for r in delta.removed:

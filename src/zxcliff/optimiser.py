@@ -9,17 +9,17 @@ Phases:
    only carries pi/2 and pi phases on degree-2 vertices and phase-free legs.
 2. Loop until nothing changes: strictly-reducing rules (first match whose
    result still has a causal-flow cover), targeted Pauli commutation toward
-   the inputs (rules anchored on each movable Pauli in turn, first match
-   that lowers the Pauli-position sum), metric-driven CNOT commutation
-   (Pauli positions plus a same-pair CNOT separation term; results without
-   a cover are penalised beyond reach).  All three select through one loop,
-   `rewrite.rewrite_first`, and repeat through one helper that owns the step
-   budget and checks every step.  The commutation metric scores each
-   candidate from the current diagram's cover without building it: the
-   rule's RHS cover is spliced in and checked locally, or the current
-   diagram's flow sweep, resumed where the rewrite first touches it, shows
-   the cover is lost; only candidates neither settles, and the one
-   accepted, are built.
+   the inputs (size-reducing rules anchored on each movable Pauli in turn,
+   first match whose result still has a cover), metric-driven CNOT
+   commutation (Pauli positions plus a same-pair CNOT separation term;
+   results without a cover are penalised beyond reach).  All three select
+   through one loop, `rewrite.rewrite_first`, and repeat through one helper
+   that owns the step budget and checks every step.  The commutation metric
+   scores each candidate from the current diagram's cover without building
+   it: the rule's RHS cover is spliced in and checked locally, or the
+   current diagram's flow sweep, resumed where the rewrite first touches
+   it, shows the cover is lost; only candidates neither settles, and the
+   one accepted, are built.
 3. Final tidy: every single-qubit run is replaced by its CC1 representative
    (2x2 oracle lookup); on two-qubit diagrams with the semantic fallback
    enabled the whole diagram is replaced by its CC2 member.  These steps are
@@ -39,8 +39,9 @@ import numpy as np
 from .circuit import Circuit, circuit_size, translate
 from .diagram import B, H, X, Z, Diagram, DiagramBuilder, EdgeId, VertexId
 from .errors import NotACircuit, NotALineGraph
-from .flow import (CoverSummary, PathCover, extract_circuit, find_path_cover, has_path_cover,
-                   pair_separation, splice_cover, spliced_separation, stranded_after)
+from .flow import (CoverSummary, PathCover, extract_circuit, find_path_cover, group_crosses,
+                   has_path_cover, pair_separation, splice_cover, spliced_separation,
+                   stranded_after)
 from .normal_forms import cc1_table, cc2_family
 from .passes import (fuse_spiders, h_euler_expand, hopf_reduce, pi_copy,
                      remove_identities, remove_self_loops, simple_form,
@@ -89,44 +90,11 @@ def _pauli_positions(d: Diagram, pc_paths) -> int:
                if _is_pauli_kind(d._vertices[v]))
 
 
-class PauliMetric:
-    """Sum of Pauli positions; diagrams with vertices on no path are pushed
-    beyond any on-path arrangement by a (|V|+1)^2 penalty per failure.
-
-    The targeted Pauli phase accepts a move when this strictly falls, and
-    that keeps it to covered results.  A covered diagram d on n vertices has
-    a Pauli sum below n^2/2: on a path of length L the positions add up to at
-    most (L-1)(L-2)/2, and the lengths add up to n.  A Pauli-commute rewrite
-    removes at most two vertices (three LHS interior vertices, one on the
-    RHS), so a result without a cover scores at least (n-1)^2, which is at
-    least n^2/2 once n >= 4; every diagram such a rule matches has five."""
-
-    def __call__(self, d: Diagram) -> int:
-        return self.value(d)
-
-    def value(self, d: Diagram) -> int:
-        big = (len(d.vertices()) + 1) ** 2
-        try:
-            pc = find_path_cover(d)
-        except NotACircuit as exc:
-            return big * (len(exc.stranded) + 1)
-        return _pauli_positions(d, pc.paths)
-
-
 def _cnot_separation(crosses: Iterable[Tuple[Tuple[int, int], Tuple[int, int]]]) -> int:
     """Total number of interior vertices sitting between consecutive cross
-    edges that act on the same pair of qubits (`flow.pair_separation`).
-
-    Each edge comes as the (path, position) of its two ends, in edge-id
-    order, which breaks ties; edges with both ends on one path are skipped."""
-    groups: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-    for (qa, pa), (qb, pb) in crosses:
-        if qa == qb:
-            continue
-        if qa > qb:
-            qa, pa, qb, pb = qb, pb, qa, pa
-        groups.setdefault((qa, qb), []).append((pa, pb))
-    return sum(map(pair_separation, groups.values()))
+    edges that act on the same pair of qubits (`flow.group_crosses`,
+    `flow.pair_separation`)."""
+    return sum(map(pair_separation, group_crosses(crosses).values()))
 
 
 class CommutationMetric:
@@ -203,6 +171,13 @@ class CommutationMetric:
         return score
 
 
+class PauliMetric(CommutationMetric):
+    """The sum of Pauli positions alone: the commutation metric without its
+    separation term, penalising diagrams without a cover the same way."""
+
+    separation_weight = 0
+
+
 def _record_pass(trace: Optional[ProofTrace], name: str, args: dict,
                  before: Diagram, after: Diagram) -> Diagram:
     """Record a normalising pass; it returns its input when it changes nothing."""
@@ -236,11 +211,7 @@ def _movable_paulis(d: Diagram) -> Iterator[VertexId]:
 
 def _rule_anchor(rule: Rule) -> Optional[VertexId]:
     """The Pauli vertex a commutation rule is anchored on, if it has one."""
-    for v in rule.lhs.interior():
-        if rule.lhs.is_spider(v) and rule.lhs.phase(v) == 2 \
-                and rule.lhs.degree(v) == 2:
-            return v
-    return None
+    return next((v for v in rule.lhs.interior() if _is_pauli(rule.lhs, v)), None)
 
 
 class Optimiser:
@@ -248,20 +219,21 @@ class Optimiser:
                  rules: Optional[RuleSet] = None):
         self.cfg = cfg or OptimiserConfig()
         self.rules = rules or default_ruleset()
-        self._anchors = {r.name: _rule_anchor(r)
-                         for r in self.rules.pauli_commute + self.rules.cnot_commute}
-        # targeted phase drives the Pauli-anchored movers; everything else
-        # that commutes structure around (plus-sliders, Pauli-through-CNOT,
+        self._anchors = {r.name: _rule_anchor(r) for r in self.rules.pauli_commute}
+        # the targeted phase drives the Pauli-anchored movers that shrink the
+        # diagram, so it ends by size; everything else that commutes structure
+        # around (plus-sliders, size-preserving Pauli movers, Pauli-through-CNOT,
         # CNOT-past-CNOT) runs under the commutation metric
-        self._targeted_rules = [r for r in self.rules.pauli_commute
-                                if self._anchors[r.name] is not None]
-        self._metric_rules = ([r for r in self.rules.pauli_commute
-                               if self._anchors[r.name] is None]
-                              + self.rules.cnot_commute + self.rules.c2)
+        self._targeted_rules: List[Rule] = []
+        movers: List[Rule] = []
+        for r in self.rules.pauli_commute:
+            shrinks = circuit_size(r.lhs) > circuit_size(r.rhs)
+            targeted = shrinks and self._anchors[r.name] is not None
+            (self._targeted_rules if targeted else movers).append(r)
+        self._metric_rules = movers + self.rules.cnot_commute + self.rules.c2
         self._loop_rules = [r for r in self.rules.always
                             if r.name.split(":")[0] not in ("Euler", "H")]
         self._metric = CommutationMetric()
-        self._pauli_metric = PauliMetric()
         self._trace: Optional[ProofTrace] = None
         self._verify_ref: Optional[np.ndarray] = None
 
@@ -349,13 +321,14 @@ class Optimiser:
 
     def _move_pauli(self, d: Diagram, trace: Optional[ProofTrace]) -> Optional[Diagram]:
         """One targeted commutation: the first movable Pauli that some rule,
-        anchored on it, moves to a covered result with a strictly lower Pauli
-        sum (`PauliMetric`).  The sum is what makes the phase terminate: the
-        matcher also returns orientation-flipped matches, which would move
-        the target the wrong way."""
+        anchored on it, moves to a covered result.  Every targeted rule
+        strictly lowers `circuit_size`, so the phase terminates by size.  The
+        shipped ones contract three degree-2 vertices of one path into one,
+        so a move also lowers the Pauli sum, whichever way the match is
+        oriented."""
         rules = self._targeted_rules
         for t in _movable_paulis(d):
-            out = rewrite_first(rules, d, trace, metric=self._pauli_metric,
+            out = rewrite_first(rules, d, trace, accept=has_path_cover,
                                 anchors=[(self._anchors[r.name], t) for r in rules])
             if out is not None:
                 return out
@@ -555,28 +528,19 @@ def canonicalise_blocks(d: Diagram, pc: PathCover,
 
 
 def _replace_whole(d: Diagram, member: Diagram) -> Diagram:
+    """d's boundary around a copy of member's interior, numbered after d's
+    largest vertex id."""
     b = DiagramBuilder()
-    mapping: Dict[VertexId, VertexId] = {}
-    for old in list(d.inputs) + list(d.outputs):
-        mapping[old] = old
-    base = d.max_vertex_id() + 1
-    bnd = {}
-    for mb, db in zip(list(member.inputs) + list(member.outputs),
-                      list(d.inputs) + list(d.outputs)):
-        bnd[mb] = db
-    for old in list(d.inputs) + list(d.outputs):
+    boundary = list(d.inputs) + list(d.outputs)
+    for old in boundary:
         b.add_vertex_with_id(old, B)
-    fresh: Dict[VertexId, VertexId] = {}
-    nxt = base
-    for v in member.interior():
-        fresh[v] = nxt
-        b.add_vertex_with_id(nxt, member.kind(v), member.phase(v))
-        nxt += 1
+    ends = dict(zip(list(member.inputs) + list(member.outputs), boundary))
+    for nv, v in enumerate(member.interior(), d.max_vertex_id() + 1):
+        ends[v] = nv
+        b.add_vertex_with_id(nv, member.kind(v), member.phase(v))
     for e in member.edges():
         u, v = member.edge_ends(e)
-        uu = fresh[u] if u in fresh else bnd[u]
-        vv = fresh[v] if v in fresh else bnd[v]
-        b.add_edge(uu, vv)
+        b.add_edge(ends[u], ends[v])
     b.set_boundaries(d.inputs, d.outputs)
     return b.build()
 

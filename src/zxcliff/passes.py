@@ -71,30 +71,31 @@ def remove_self_loops(d: Diagram) -> Diagram:
 
 
 def remove_identities(d: Diagram) -> Diagram:
-    """Delete zero-phase degree-2 spiders, joining their two edges."""
+    """Delete zero-phase degree-2 spiders, joining their two edges.
+
+    One scan in id order finds every removal that rescanning after each one
+    would: a removal never makes an earlier vertex removable.  Its far ends
+    a and c keep their edge counts when they differ, and when a = c its two
+    edges become one self-loop, which the scan skips."""
     b = d.builder()
     removed = False
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(b.vertices):
-            kind, phase = b.vertices[v]
-            if kind not in (Z, X) or phase != 0:
-                continue
-            inc = b.incident(v)
-            if len(inc) != 2:
-                continue  # degree-2 via a self-loop is left to anti-loop
-            e1, e2 = inc
-            a = b._other(e1, v)
-            c = b._other(e2, v)
-            if a == v or c == v:
-                continue
-            b.remove_edge(e1)
-            b.remove_edge(e2)
-            del b.vertices[v]
-            b.add_edge(a, c)
-            changed = removed = True
-            break
+    for v in sorted(b.vertices):
+        kind, phase = b.vertices[v]
+        if kind not in (Z, X) or phase != 0:
+            continue
+        inc = b.incident(v)
+        if len(inc) != 2:
+            continue  # degree-2 via a self-loop is left to anti-loop
+        e1, e2 = inc
+        a = b._other(e1, v)
+        c = b._other(e2, v)
+        if a == v or c == v:
+            continue
+        b.remove_edge(e1)
+        b.remove_edge(e2)
+        del b.vertices[v]
+        b.add_edge(a, c)
+        removed = True
     return b.build() if removed else d
 
 

@@ -145,13 +145,16 @@ class RuleSet:
         return {r.name: r for r in self.all_rules()}
 
 
-def _audit_rule(rule: Rule, tol: float) -> None:
-    if not scalar_free_equal(interpret(rule.lhs), interpret(rule.rhs), tol):
+def _is_sound(rule: Rule) -> bool:
+    return scalar_free_equal(interpret(rule.lhs), interpret(rule.rhs), DEFAULT_TOL)
+
+
+def _audit_rule(rule: Rule) -> None:
+    if not _is_sound(rule):
         raise UnsoundRuleError(f"rule {rule.name} changes the interpretation")
 
 
-def load_ruleset(directory: Optional[str] = None, tol: float = DEFAULT_TOL,
-                 colour_swaps: bool = True, audit: bool = True) -> RuleSet:
+def load_ruleset(directory: Optional[str] = None) -> RuleSet:
     """Load, audit and close the rule library under colour swapping.
 
     Every rule (including generated variants) must satisfy
@@ -171,38 +174,25 @@ def load_ruleset(directory: Optional[str] = None, tol: float = DEFAULT_TOL,
                 obj = json.load(f)
             rule = Rule(obj["name"], Diagram.from_json_obj(obj["lhs"]),
                         Diagram.from_json_obj(obj["rhs"]))
-            if audit:
-                _audit_rule(rule, tol)
-                if group == "always" and \
-                        circuit_size(rule.lhs) <= circuit_size(rule.rhs):
-                    raise UnsoundRuleError(
-                        f"always rule {rule.name} is not strictly reducing")
+            _audit_rule(rule)
+            if group == "always" and circuit_size(rule.lhs) <= circuit_size(rule.rhs):
+                raise UnsoundRuleError(f"always rule {rule.name} is not strictly reducing")
             rs.group(group).append(rule)
-    if colour_swaps:
-        for group in GROUPS:
-            extended: List[Rule] = []
-            existing = rs.group(group)
-            for rule in existing:
-                extended.append(rule)
-                variant = rule.colour_swapped(rule.name + ":cc")
-                dup = any(
-                    variant.lhs.iso_equal(other.lhs) and variant.rhs.iso_equal(other.rhs)
-                    for other in existing)
-                if not dup:
-                    if audit:
-                        _audit_rule(variant, tol)
-                    extended.append(variant)
-            rs.group(group).clear()
-            rs.group(group).extend(extended)
+    for group in GROUPS:
+        extended: List[Rule] = []
+        existing = rs.group(group)
+        for rule in existing:
+            extended.append(rule)
+            variant = rule.colour_swapped(rule.name + ":cc")
+            if not any(variant.lhs.iso_equal(other.lhs) and variant.rhs.iso_equal(other.rhs)
+                       for other in existing):
+                _audit_rule(variant)
+                extended.append(variant)
+        existing[:] = extended
     return rs
 
 
-def audit_report(rs: RuleSet, tol: float = DEFAULT_TOL) -> List[Tuple[str, str, bool, int, int]]:
+def audit_report(rs: RuleSet) -> List[Tuple[str, str, bool, int, int]]:
     """(group, name, sound, lhs_size, rhs_size) for every rule."""
-    rows = []
-    for group in GROUPS:
-        for rule in rs.group(group):
-            sound = scalar_free_equal(interpret(rule.lhs), interpret(rule.rhs), tol)
-            rows.append((group, rule.name, sound,
-                         circuit_size(rule.lhs), circuit_size(rule.rhs)))
-    return rows
+    return [(group, rule.name, _is_sound(rule), circuit_size(rule.lhs), circuit_size(rule.rhs))
+            for group in GROUPS for rule in rs.group(group)]

@@ -1,8 +1,12 @@
-"""The spider fusion `zxcliff.passes.fuse_spiders` used before union-find.
+"""The structural passes of `zxcliff.passes` as they were before their
+one-pass forms.
 
-It fuses the lowest-id same-colour edge, re-points every edge at the removed
+`reference_fuse_spiders` is the spider fusion used before union-find.  It
+fuses the lowest-id same-colour edge, re-points every edge at the removed
 vertex, and rescans all edges from the start after each fusion, so it is
-quadratic in the edge count.  Tests compare the one-pass fusion against it.
+quadratic in the edge count.  `reference_remove_identities` restarts its
+sorted scan over the vertices after every removal.  Tests compare the
+one-pass forms against them.
 """
 
 from __future__ import annotations
@@ -43,3 +47,31 @@ def reference_fuse_spiders(d: Diagram) -> Diagram:
             b.edges[e2] = (min(a, c), max(a, c))
         del b.vertices[gone]
     return b.build() if fused else d
+
+
+def reference_remove_identities(d: Diagram) -> Diagram:
+    """Delete zero-phase degree-2 spiders, joining their two edges."""
+    b = d.builder()
+    removed = False
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(b.vertices):
+            kind, phase = b.vertices[v]
+            if kind not in (Z, X) or phase != 0:
+                continue
+            inc = b.incident(v)
+            if len(inc) != 2:
+                continue  # degree-2 via a self-loop is left to anti-loop
+            e1, e2 = inc
+            a = b._other(e1, v)
+            c = b._other(e2, v)
+            if a == v or c == v:
+                continue
+            b.remove_edge(e1)
+            b.remove_edge(e2)
+            del b.vertices[v]
+            b.add_edge(a, c)
+            changed = removed = True
+            break
+    return b.build() if removed else d

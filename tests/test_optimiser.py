@@ -174,6 +174,23 @@ def test_metric_no_change_when_everything_increases(ruleset):
     assert rewrite_metric(ruleset.cnot_commute, d, PauliMetric().value) is None
 
 
+def test_targeted_phase_takes_only_shrinking_pauli_movers(ruleset):
+    # the targeted phase ends by size, so it takes the Pauli-anchored movers
+    # that shrink the diagram; an anchored mover that keeps the size, such as
+    # Z2.X2 -> X2.Z2, runs under the commutation metric with the unanchored ones
+    opt = Optimiser(rules=ruleset)
+    assert [r.name for r in opt._targeted_rules] == ["GreenPiCommute", "RedPiCommute"]
+    swap = Rule("PauliSwap", line_diagram([(Z, 2), (X, 2)]), line_diagram([(X, 2), (Z, 2)]))
+    assert scalar_free_equal(interpret(swap.lhs), interpret(swap.rhs))
+    opt = Optimiser(rules=RuleSet(pauli_commute=ruleset.pauli_commute + [swap],
+                                  cnot_commute=ruleset.cnot_commute, c2=ruleset.c2))
+    assert opt._anchors["PauliSwap"] is not None
+    assert [r.name for r in opt._targeted_rules] == ["GreenPiCommute", "RedPiCommute"]
+    assert [r.name for r in opt._metric_rules] == (
+        [r.name for r in ruleset.pauli_commute if "PiCommute" not in r.name] + ["PauliSwap"]
+        + [r.name for r in ruleset.cnot_commute + ruleset.c2])
+
+
 # -- the negative control (two-ways example) ------------------------------------------
 
 BAD_CONFIG = [("X", (1,)), ("CNOT", (2, 1)), ("CNOT", (1, 0)), ("Z", (1,))]

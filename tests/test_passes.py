@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from passes_reference import reference_fuse_spiders
+from passes_reference import reference_fuse_spiders, reference_remove_identities
 from zxcliff.circuit import circuit, gate, random_clifford_circuit, translate
 from zxcliff.diagram import B, Diagram, DiagramBuilder, H, X, Z
 from zxcliff.errors import TargetKindError
@@ -323,17 +323,14 @@ def test_pass_soundness_random(p):
         assert scalar_free_equal(interpret(p(d)), interpret(d))
 
 
-def test_normalising_passes_return_unchanged_input():
-    # a pass returns its input itself exactly when it changes nothing, which
-    # is what callers test to see whether a pass did anything; the inputs are
-    # raw translations, one with a looped scalar component, and every stage of
-    # simple form's first round
-    def state(g):
-        return g._vertices, sorted(g.edge_ends(e) for e in g.edges())
+_NORMALISING = (h_euler_expand, fuse_spiders, remove_self_loops, hopf_reduce,
+                remove_identities, drop_scalar_components, simple_form)
 
-    passes = (h_euler_expand, fuse_spiders, remove_self_loops, hopf_reduce,
-              remove_identities, drop_scalar_components, simple_form)
-    changed = set()
+
+def _normalising_stages():
+    # per seed, a raw translation and the pass inputs built from it: the raw
+    # translation, one with a looped scalar component, and every stage of
+    # simple form's first round
     for seed in range(12):
         raw = translate(random_clifford_circuit(1 + seed % 4, 20, seed))
         b = raw.builder()
@@ -341,14 +338,39 @@ def test_normalising_passes_return_unchanged_input():
         b.add_edge(z, b.add_vertex(X, 0))
         b.add_edge(z, z)
         stages = [raw, b.build()]
-        for p in passes[:-1]:
+        for p in _NORMALISING[:-1]:
             stages.append(p(stages[-1]))
+        yield raw, stages
+
+
+def test_normalising_passes_return_unchanged_input():
+    # a pass returns its input itself exactly when it changes nothing, which
+    # is what callers test to see whether a pass did anything
+    def state(g):
+        return g._vertices, sorted(g.edge_ends(e) for e in g.edges())
+
+    changed = set()
+    for raw, stages in _normalising_stages():
         for d in stages:
-            for p in passes:
+            for p in _NORMALISING:
                 out = p(d)
                 assert (out is d) == (state(out) == state(d)), p.__name__
                 if out is not d:
                     changed.add(p.__name__)
         d = simple_form(raw)
-        assert all(p(d) is d for p in passes)
-    assert changed == {p.__name__ for p in passes}
+        assert all(p(d) is d for p in _NORMALISING)
+    assert changed == {p.__name__ for p in _NORMALISING}
+
+
+def test_remove_identities_agrees_with_reference():
+    # one scan in id order makes the removals that rescanning after each one
+    # made, in the same order, so vertices and new edge ids agree exactly
+    changed = 0
+    for _, stages in _normalising_stages():
+        for d in stages:
+            out, expected = remove_identities(d), reference_remove_identities(d)
+            assert list(out._vertices.items()) == list(expected._vertices.items())
+            assert list(out._edges.items()) == list(expected._edges.items())
+            assert (out is d) == (expected is d)
+            changed += out is not d
+    assert changed
