@@ -53,7 +53,7 @@ class Diagram:
     u <= v.  ``inputs``/``outputs`` are the ordered boundary ids.
     """
 
-    __slots__ = ("_vertices", "_edges", "_inputs", "_outputs", "_adj",
+    __slots__ = ("_vertices", "_edges", "_inputs", "_outputs", "_adj", "_max_vertex",
                  "__weakref__")
 
     def __init__(
@@ -74,6 +74,7 @@ class Diagram:
             if v != u:
                 adj[v].append(e)
         self._adj = adj
+        self._max_vertex: Optional[VertexId] = None  # found on first use
         self._validate()
 
     # -- construction helpers -------------------------------------------------
@@ -202,7 +203,9 @@ class Diagram:
         raise ValueError(f"vertex {v} not an end of edge {e}")
 
     def max_vertex_id(self) -> int:
-        return max(self._vertices, default=-1)
+        if self._max_vertex is None:
+            self._max_vertex = max(self._vertices, default=-1)
+        return self._max_vertex
 
     def builder(self) -> "DiagramBuilder":
         return DiagramBuilder(self)

@@ -11,11 +11,15 @@ Each rule's LHS is compiled once into a search plan: a BFS order over its
 interior, each vertex's (kind, phase, degree, self-loop) signature, its edge
 multiplicities to earlier vertices, and its boundary edges.  Each target
 diagram is indexed once: interior vertices by signature, their neighbours, and
-edges by vertex pair.  The root of an LHS component draws candidates from the
-signature pool and every later vertex from the neighbours of its parent's
-image.  An anchored search pins one LHS vertex to one target vertex and roots
-the plan there.  Plans and indexes are cached weakly, per rule and per
-diagram.
+edges by vertex pair.  A search whose target pools hold fewer vertices of some
+LHS signature than the LHS has returns no match at once.  Otherwise the root
+of an LHS component draws candidates from the signature pool and every later
+vertex from the neighbours of its parent's image.  An anchored search pins
+one LHS vertex to one target vertex and roots the plan there.  Plans and
+indexes are cached weakly, per rule and per diagram.  A rewrite of an
+indexed diagram derives its result's index from the parent's: only the
+matched vertices, the attachments and the fresh vertices change, and the
+derived index equals a full build.
 
 Matches are returned in a canonical order (lexicographic over the sorted
 image vertex ids, then edge and boundary assignments), so every operation in
@@ -26,10 +30,11 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections import deque
+from bisect import insort
+from collections import Counter, deque
 from dataclasses import dataclass
-from typing import (Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set,
-                    Tuple)
+from typing import (Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence,
+                    Set, Tuple)
 from weakref import WeakKeyDictionary
 
 from .diagram import Diagram, EdgeId, VertexId
@@ -135,6 +140,8 @@ class _Plan(NamedTuple):
     pairs: Tuple[Tuple[int, int, Tuple[EdgeId, ...]], ...]
     # sorted (edge, boundary vertex) per position
     bedges: Tuple[Tuple[Tuple[EdgeId, VertexId], ...], ...]
+    # (signature, number of positions with it): a target needs that many in its pool
+    need: Tuple[Tuple[Tuple, int], ...]
 
 
 def _compile(lhs: Diagram, root: Optional[VertexId]) -> _Plan:
@@ -167,15 +174,17 @@ def _compile(lhs: Diagram, root: Optional[VertexId]) -> _Plan:
             bedges[pos[v]].append((e, u))
         else:
             bedges[pos[u]].append((e, v))
+    sigs = tuple((lhs.kind(v), lhs.phase(v), lhs.degree(v), len(between.get((i, i), ())))
+                 for i, v in enumerate(order))
     return _Plan(
         order=tuple(order),
-        sigs=tuple((lhs.kind(v), lhs.phase(v), lhs.degree(v), len(between.get((i, i), ())))
-                   for i, v in enumerate(order)),
+        sigs=sigs,
         parents=tuple(None if parent[v] is None else pos[parent[v]] for v in order),
         links=tuple(tuple((j, len(between[(j, i)])) for j in range(i) if (j, i) in between)
                     for i in range(len(order))),
         pairs=tuple((i, j, tuple(es)) for (i, j), es in between.items()),
         bedges=tuple(tuple(b) for b in bedges),
+        need=tuple(Counter(sigs).items()),
     )
 
 
@@ -207,28 +216,85 @@ _INDEX_CACHE: "WeakKeyDictionary[Diagram, _Index]" = WeakKeyDictionary()
 
 def _index(d: Diagram) -> _Index:
     idx = _INDEX_CACHE.get(d)
-    if idx is not None:
-        return idx
-    interior = d.interior()
-    inc: Dict[VertexId, List[Tuple[EdgeId, VertexId]]] = {v: [] for v in interior}
-    between: Dict[Tuple[VertexId, VertexId], List[EdgeId]] = {}
-    for e in d.edges():
-        ends = u, v = d.edge_ends(e)
-        between.setdefault(ends, []).append(e)
-        if u != v:
-            if u in inc:
-                inc[u].append((e, v))
-            if v in inc:
-                inc[v].append((e, u))
+    if idx is None:
+        idx = _INDEX_CACHE[d] = _build_index(d)
+    return idx
+
+
+def _vertex_entry(d: Diagram, v: VertexId) -> Tuple[Tuple, List[VertexId],
+                                                    List[Tuple[EdgeId, VertexId]]]:
+    """An interior vertex's signature, sorted distinct neighbours and
+    non-loop incidences, from d's adjacency."""
+    inc = []
+    loops = 0
+    for e in d._adj[v]:
+        u, w = d._edges[e]
+        if u == w:
+            loops += 1
+        else:
+            inc.append((e, w if u == v else u))
+    sig = (d.kind(v), d.phase(v), len(inc) + 2 * loops, loops)
+    return sig, sorted({w for _, w in inc}), inc
+
+
+def _build_index(d: Diagram) -> _Index:
     pool: Dict[Tuple, List[VertexId]] = {}
     sig: Dict[VertexId, Tuple] = {}
-    for v in interior:
-        loops = len(between.get((v, v), ()))
-        sig[v] = s = (d.kind(v), d.phase(v), len(inc[v]) + 2 * loops, loops)
-        pool.setdefault(s, []).append(v)
-    nbrs = {v: sorted({w for _, w in inc[v]}) for v in interior}
-    idx = _INDEX_CACHE[d] = _Index(pool, sig, nbrs, inc, between)
-    return idx
+    nbrs: Dict[VertexId, List[VertexId]] = {}
+    inc: Dict[VertexId, List[Tuple[EdgeId, VertexId]]] = {}
+    for v in d.interior():
+        sig[v], nbrs[v], inc[v] = _vertex_entry(d, v)
+        pool.setdefault(sig[v], []).append(v)
+    between: Dict[Tuple[VertexId, VertexId], List[EdgeId]] = {}
+    for e in d.edges():
+        between.setdefault(d.edge_ends(e), []).append(e)
+    return _Index(pool, sig, nbrs, inc, between)
+
+
+def _derive_index(parent: _Index, target: Diagram, out: Diagram, delta: MatchDelta,
+                  dropped: Iterable[EdgeId], added: Iterable[EdgeId]) -> _Index:
+    """The index of ``out``, equal to `_build_index(out)`, from ``parent``,
+    the index of ``target``.  ``out`` is ``target`` rewritten by ``delta``
+    with the ``dropped`` edges removed and the ``added`` ones made, in
+    increasing order above every target edge.  Only the matched, attached
+    and fresh vertices change; every other entry carries over."""
+    pool = dict(parent.pool)
+    sig = dict(parent.sig)
+    nbrs = dict(parent.nbrs)
+    inc = dict(parent.inc)
+    between = dict(parent.between)
+    copied: Set[Tuple] = set()  # signatures whose pool list is out's own
+
+    def own_pool(s: Tuple) -> List[VertexId]:
+        if s not in copied:
+            copied.add(s)
+            pool[s] = list(pool.get(s, ()))
+        return pool[s]
+
+    for v in delta.removed:
+        own_pool(sig.pop(v)).remove(v)
+        del nbrs[v], inc[v]
+    for v in {*delta.attach.values(), *delta.fresh.values()}:
+        if out.is_boundary(v):
+            continue
+        old = sig.get(v)
+        sig[v], nbrs[v], inc[v] = _vertex_entry(out, v)
+        if sig[v] != old:
+            if old is not None:
+                own_pool(old).remove(v)
+            insort(own_pool(sig[v]), v)
+    for s in copied:
+        if not pool[s]:
+            del pool[s]
+    for e in dropped:
+        ends = target.edge_ends(e)
+        between[ends] = es = [f for f in between[ends] if f != e]
+        if not es:
+            del between[ends]
+    for e in added:
+        ends = out.edge_ends(e)
+        between[ends] = between.get(ends, []) + [e]
+    return _Index(pool, sig, nbrs, inc, between)
 
 
 def find_matches(rule: Rule, target: Diagram,
@@ -239,6 +305,10 @@ def find_matches(rule: Rule, target: Diagram,
     that interior LHS vertex to that target vertex are returned."""
     plan = _plan(rule, None if anchor is None else anchor[0])
     idx = _index(target)
+    # an embedding is injective and keeps signatures, so a pool short of
+    # some LHS signature rules out every match
+    if any(len(idx.pool.get(s, ())) < k for s, k in plan.need):
+        return []
     n = len(plan.order)
     img: List[VertexId] = [0] * n
     used = set()
@@ -378,39 +448,66 @@ class MatchDelta(NamedTuple):
         return out
 
 
+class _RhsPlan(NamedTuple):
+    """What `match_delta` needs of a rule, whatever the match."""
+
+    interior: Tuple[VertexId, ...]  # RHS interior, in the order fresh ids are given
+    edges: Tuple[Tuple[VertexId, VertexId], ...]  # RHS edge ends, in edge-id order
+    boundary: Tuple[Tuple[VertexId, VertexId], ...]  # (RHS, LHS) boundary vertex pairs
+
+
+_RHS_CACHE: "WeakKeyDictionary[Rule, _RhsPlan]" = WeakKeyDictionary()
+
+
+def _rhs_plan(rule: Rule) -> _RhsPlan:
+    plan = _RHS_CACHE.get(rule)
+    if plan is None:
+        rhs, lhs = rule.rhs, rule.lhs
+        plan = _RHS_CACHE[rule] = _RhsPlan(
+            interior=tuple(rhs.interior()),
+            edges=tuple(map(rhs.edge_ends, rhs.edges())),
+            boundary=tuple(zip(rhs.inputs + rhs.outputs, lhs.inputs + lhs.outputs)))
+    return plan
+
+
 def match_delta(target: Diagram, rule: Rule, m: Match) -> MatchDelta:
     """The change `apply_match(target, rule, m)` makes; m is not revalidated."""
     vmap = m.vmap()
     attach = {b: target.edge_ends(te)[side] for b, (te, side) in m.boundary_attach}
-    rhs = rule.rhs
-    base = target.max_vertex_id() + 1
-    fresh = {rv: base + i for i, rv in enumerate(rhs.interior())}
+    plan = _rhs_plan(rule)
+    fresh = {rv: v for v, rv in enumerate(plan.interior, target.max_vertex_id() + 1)}
     ends = dict(fresh)
-    ends.update(zip(rhs.inputs + rhs.outputs,
-                    (attach[b] for b in rule.lhs.inputs + rule.lhs.outputs)))
+    ends.update((rb, attach[lb]) for rb, lb in plan.boundary)
     return MatchDelta(
         vmap=vmap,
         removed=frozenset(vmap.values()),
         attach=attach,
         fresh=fresh,
-        new_edges=tuple((ends[u], ends[v]) for u, v in map(rhs.edge_ends, rhs.edges())),
+        new_edges=tuple((ends[u], ends[v]) for u, v in plan.edges),
     )
 
 
 def apply_match(target: Diagram, rule: Rule, m: Match) -> Diagram:
-    """Replace the matched subgraph by the rule's RHS."""
+    """Replace the matched subgraph by the rule's RHS.
+
+    When the target is indexed for matching, the result's index is derived
+    from the target's (`_derive_index`) rather than built again."""
     _revalidate(target, rule, m)
     delta = match_delta(target, rule, m)
     b = target.builder()
-    for te in sorted(te for _, te in m.edge_map):
+    dropped = sorted(te for _, te in m.edge_map)
+    for te in dropped:
         b.remove_edge(te)
     for tv in sorted(delta.removed):
         del b.vertices[tv]
     for rv, v in delta.fresh.items():
         b.add_vertex_with_id(v, rule.rhs.kind(rv), rule.rhs.phase(rv))
-    for u, v in delta.new_edges:
-        b.add_edge(u, v)
-    return b.build()
+    added = [b.add_edge(u, v) for u, v in delta.new_edges]
+    out = b.build()
+    parent = _INDEX_CACHE.get(target)
+    if parent is not None:
+        _INDEX_CACHE[out] = _derive_index(parent, target, out, delta, dropped, added)
+    return out
 
 
 # -- proof traces -----------------------------------------------------------------

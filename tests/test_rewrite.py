@@ -3,18 +3,18 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from match_reference import reference_matches
 from zxcliff.circuit import circuit, gate, random_clifford_circuit, translate
-from zxcliff.diagram import B, Diagram, X, Z
+from zxcliff.diagram import B, Diagram, X, Z, opposite_colour
 from zxcliff.errors import (ReplayDivergence, RuleFormatError, StaleMatchError)
 from zxcliff.normal_forms import line_diagram
 from zxcliff.optimiser import Optimiser
 from zxcliff.passes import fuse_spiders, h_euler_expand, simple_form
-from zxcliff.rewrite import (ProofTrace, Rule, apply_match,
-                             find_matches, reduce, replay, rewrite_first,
+from zxcliff.rewrite import (_INDEX_CACHE, ProofTrace, Rule, _build_index, _Index, _index, _plan,
+                             apply_match, find_matches, reduce, replay, rewrite_first,
                              rewrite_metric)
 from zxcliff.semantics import interpret, scalar_free_equal
 
@@ -141,6 +141,133 @@ def test_matches_agree_with_reference(ruleset, width, depth, seed, picks):
                 for v in ids:
                     assert find_matches(rule, g, anchor=(a, v)) == \
                         [m for m in expected if m.vmap()[a] == v], (rule.name, a, v)
+
+
+def test_signature_count_rejection_is_exact():
+    # a target whose pools hold exactly the LHS signature counts must still
+    # match; one vertex short of one signature must match nothing
+    zx = wire_rule("zx", [(Z, 2), (X, 2)], [])
+    cases = [(GREEN_PI, t(gate("Z", 0), gate("Z", 0)), t(gate("Z", 0), gate("X", 0))),
+             (zx, t(gate("Z", 0), gate("X", 0)), t(gate("Z", 0), gate("Z", 0))),
+             (HOPF_PAIR, fuse_spiders(h_euler_expand(t(gate("CNOT", 0, 1), gate("CNOT", 0, 1)))),
+              t(gate("CNOT", 0, 1)))]
+    for rule, fit, short in cases:
+        need = _plan(rule, None).need
+        assert all(len(_index(fit).pool.get(s, ())) == k for s, k in need), rule.name
+        assert any(len(_index(short).pool.get(s, ())) == k - 1 for s, k in need), rule.name
+        for target in (fit, short):
+            expected = reference_matches(rule, target)
+            assert bool(expected) == (target is fit), rule.name
+            assert find_matches(rule, target) == expected, rule.name
+            for a in rule.lhs.interior():
+                for v in target.interior():
+                    assert find_matches(rule, target, anchor=(a, v)) == \
+                        [m for m in expected if m.vmap()[a] == v], (rule.name, a, v)
+
+
+def _rhs_shape_rules(kind, phase):
+    """Rules from one spider of degree 2 to RHSs the shipped library lacks:
+    a self-loop, a parallel pair and a bare wire.  They need not be sound;
+    only the index of their results is checked."""
+    lhs = line_diagram([(kind, phase)])
+    ends = {0: (B, 0), 1: (B, 0), 2: (kind, phase), 3: (opposite_colour(kind), 0)}
+    loop = Diagram({v: ends[v] for v in range(3)}, {0: (0, 2), 1: (2, 2), 2: (2, 1)}, [0], [1])
+    pair = Diagram(ends, {0: (0, 2), 1: (2, 3), 2: (2, 3), 3: (3, 1)}, [0], [1])
+    return [Rule("rhs-loop", lhs, loop), Rule("rhs-pair", lhs, pair),
+            Rule("rhs-wire", lhs, Diagram.wires(1))]
+
+
+def _derived_index_chain(ruleset, width, depth, seed, picks):
+    """Apply a chain of rewrites to a random circuit and check, after every
+    step, that the result's derived index equals its full build.  Returns
+    the shapes of rewrite seen, or None when the circuit simplifies to no
+    spider of degree 2."""
+    opt = Optimiser(rules=ruleset)
+    raw = translate(random_clifford_circuit(width, depth, seed))
+    d = simple_form(raw)
+    split = opt._split_leg_phases(opt._split_cross_legs(d))
+    legs = [v for v in split.interior() if split.is_spider(v) and split.degree(v) == 2]
+    if not legs:
+        return None
+    v = legs[seed % len(legs)]
+    shapes = _rhs_shape_rules(split.kind(v), split.phase(v))
+    # a pendant copy of v hung from its neighbour by two edges: the bare
+    # wire closes it into a self-loop at that neighbour, which changes pools
+    b = split.builder()
+    pendant = b.add_vertex(split.kind(v), split.phase(v))
+    a = next((w for w in split.neighbours(v) if not split.is_boundary(w)), v)
+    b.add_edge(a, pendant)
+    b.add_edge(a, pendant)
+    starts = [fuse_spiders(h_euler_expand(raw)), d, split, b.build()]
+    rules = ruleset.all_rules() + [HOPF_PAIR] + shapes
+    seen = set()
+
+    def step(g, rule, m):
+        parent = _index(g)
+        out = apply_match(g, rule, m)
+        derived = _INDEX_CACHE[out]
+        full = _build_index(out)
+        for field in _Index._fields:
+            assert getattr(derived, field) == getattr(full, field), (rule.name, field)
+        attach = {g.edge_ends(te)[side] for _, (te, side) in m.boundary_attach}
+        if any(g.is_boundary(w) for w in attach):
+            seen.add("boundary attachment")
+        if any(full.sig[w] != parent.sig[w] for w in attach if w in full.sig):
+            seen.add("attachment re-pooled")
+        if rule in shapes:
+            seen.add(rule.name)
+        return out
+
+    for g in starts:
+        for rule in shapes:
+            ms = find_matches(rule, g)
+            for m in dict.fromkeys(ms[:2] + ms[-2:]):  # the last ones take the pendant
+                step(g, rule, m)
+    g = starts[-1]
+    for pick in picks:
+        options = [(r, m) for r in rules for m in find_matches(r, g)]
+        if not options:
+            break
+        g = step(g, *options[pick % len(options)])
+    return seen
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(width=st.integers(1, 4), depth=st.integers(4, 20), seed=st.integers(0, 10**6),
+       picks=st.lists(st.integers(0, 10**6), max_size=12))
+def test_derived_index_agrees_with_full_build(ruleset, width, depth, seed, picks):
+    assume(_derived_index_chain(ruleset, width, depth, seed, picks) is not None)
+
+
+def test_derived_index_chains_cover_every_shape(ruleset):
+    # the chains above must make self-loops, parallel edges and bare wires,
+    # attach at boundary vertices, and move an attachment between pools
+    seen = set()
+    for seed in range(4):
+        seen |= _derived_index_chain(ruleset, 1 + seed % 2, 12, seed, [seed, 7 * seed]) or set()
+    assert seen == {"rhs-loop", "rhs-pair", "rhs-wire", "boundary attachment",
+                    "attachment re-pooled"}
+
+
+def test_derived_index_agrees_on_fingerprint_corpus(optimiser, monkeypatch):
+    # every rewrite the optimiser makes on the pinned fingerprint circuits
+    # has an indexed parent, so every result's index is derived
+    from test_fingerprint import GOLDEN
+
+    import zxcliff.rewrite as rewrite
+
+    derived = []
+
+    def checked(g, rule, m):
+        out = apply_match(g, rule, m)
+        full = _build_index(out)
+        derived.append(_INDEX_CACHE[out] == full)
+        return out
+
+    monkeypatch.setattr(rewrite, "apply_match", checked)
+    for width, depth, seed in sorted(GOLDEN):
+        optimiser.run(random_clifford_circuit(width, depth, seed))
+    assert derived and all(derived)
 
 
 # -- application ---------------------------------------------------------------------
