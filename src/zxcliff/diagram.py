@@ -14,7 +14,7 @@ here is deterministic.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import CompositionArityError, DiagramInvariantError
 
@@ -53,7 +53,7 @@ class Diagram:
     u <= v.  ``inputs``/``outputs`` are the ordered boundary ids.
     """
 
-    __slots__ = ("_vertices", "_edges", "_inputs", "_outputs", "_adj", "_max_vertex",
+    __slots__ = ("_vertices", "_edges", "_inputs", "_outputs", "_adj", "_nbrs", "_max_vertex",
                  "__weakref__")
 
     def __init__(
@@ -74,6 +74,8 @@ class Diagram:
             if v != u:
                 adj[v].append(e)
         self._adj = adj
+        # built on first use, or carried from a rewritten parent (`neighbour_sets`)
+        self._nbrs: Optional[Dict[VertexId, Set[VertexId]]] = None
         self._max_vertex: Optional[VertexId] = None  # found on first use
         self._validate()
 
@@ -181,14 +183,24 @@ class Diagram:
             d += 2 if u == w else 1
         return d
 
+    def neighbour_sets(self) -> Dict[VertexId, Set[VertexId]]:
+        """The distinct neighbours of every vertex, self-loops dropped.
+
+        Built from the adjacency on first use, unless `rewrite.apply_match`
+        gave this diagram one carried from its parent's.  A carried map
+        shares the sets of every vertex the rewrite left alone with the
+        parent's, so callers must never mutate them."""
+        if self._nbrs is None:
+            self._nbrs = {v: set() for v in self._vertices}
+            for u, v in self._edges.values():
+                if u != v:
+                    self._nbrs[u].add(v)
+                    self._nbrs[v].add(u)
+        return self._nbrs
+
     def neighbours(self, v: VertexId) -> List[VertexId]:
         """Sorted distinct neighbours of v (excluding v itself for self-loops)."""
-        out = set()
-        for e in self._adj[v]:
-            u, w = self._edges[e]
-            out.add(u if u != v else w)
-        out.discard(v)
-        return sorted(out)
+        return sorted(self.neighbour_sets()[v])
 
     def edges_between(self, u: VertexId, v: VertexId) -> List[EdgeId]:
         pair = (min(u, v), max(u, v))

@@ -14,7 +14,8 @@ diagram.  With as many inputs as outputs a causal flow is unique when it
 exists (de Beaudrap, "Finding flows in the one-way measurement model",
 arXiv:quant-ph/0611284), so the sweep fails exactly when no cover exists.
 Parallel edges and self-loops do not change adjacency, so both results carry
-over to these multigraphs.
+over to these multigraphs, and the sweep reads only the diagram's neighbour
+sets (`Diagram.neighbour_sets`), which a rewrite carries to its result.
 
 The metric phase values rewrites of a covered diagram without building them.
 `CoverSummary` keeps what a candidate reuses of its parent: the cover, the
@@ -68,17 +69,6 @@ class PathCover:
             for p, v in enumerate(path):
                 pos[v] = (q, p)
         return pos
-
-
-def _neighbour_sets(d: Diagram) -> Dict[VertexId, Set[VertexId]]:
-    """Distinct neighbours of every vertex in id order, self-loops dropped."""
-    nbrs: Dict[VertexId, Set[VertexId]] = {v: set() for v in d.vertices()}
-    for e in d.edges():
-        u, v = d.edge_ends(e)
-        if u != v:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-    return nbrs
 
 
 def _flow_of_paths(paths: Sequence[Sequence[VertexId]],
@@ -186,7 +176,7 @@ def find_path_cover(d: Diagram) -> PathCover:
     if d.num_inputs != d.num_outputs:
         raise NotACircuit(
             f"{d.num_inputs} inputs vs {d.num_outputs} outputs")
-    nbrs = _neighbour_sets(d)
+    nbrs = d.neighbour_sets()
     succ, stranded = _sweep(d, nbrs)
     if stranded:
         raise NotACircuit(
@@ -257,7 +247,7 @@ class CoverSummary:
         self.rank = rank = pc.flow.rank_map()
         self.succ = pc.flow.successor_map()
         self.pred = {b: a for a, b in self.succ.items()}
-        self.nbrs = _neighbour_sets(d)
+        self.nbrs = d.neighbour_sets()
         self.inputs = set(d.inputs)
         self.groups = group_crosses([(pos[u], pos[v]) for u, v in map(d.edge_ends, d.edges())])
         self.separation = {key: pair_separation(group) for key, group in self.groups.items()}

@@ -29,20 +29,20 @@ import numpy as np
 from .diagram import B, X, Z, Diagram, DiagramBuilder
 from .errors import NotAClifford
 from .passes import fuse_spiders, remove_identities
-from .semantics import DEFAULT_TOL, interpret, scalar_free_equal
+from .semantics import interpret, scalar_free_equal
 
 KEY_DECIMALS = 12
 
 
-def canonical_key(m: np.ndarray, decimals: int = KEY_DECIMALS) -> Tuple:
+def canonical_key(m: np.ndarray) -> Tuple:
     """Scalar-free fingerprint: normalise by the first max-magnitude entry
     (first within a relative tolerance, so float noise cannot change which
     entry is picked) and round.  Clifford matrices live on a discrete grid,
     so the rounded form is stable."""
-    return canonical_keys(np.asarray(m, dtype=complex)[None], decimals)[0]
+    return canonical_keys(np.asarray(m, dtype=complex)[None])[0]
 
 
-def canonical_keys(ms: np.ndarray, decimals: int = KEY_DECIMALS) -> List[Tuple]:
+def canonical_keys(ms: np.ndarray) -> List[Tuple]:
     """`canonical_key` of each matrix in a stack of shape (n, rows, cols)."""
     ms = np.asarray(ms, dtype=complex)
     shape = ms.shape[1:]
@@ -53,8 +53,8 @@ def canonical_keys(ms: np.ndarray, decimals: int = KEY_DECIMALS) -> List[Tuple]:
     pivot = flat[np.arange(len(flat)), idx]
     with np.errstate(divide="ignore", invalid="ignore"):  # zero matrices
         norm = flat / pivot[:, None]
-    re = np.round(norm.real, decimals) + 0.0
-    im = np.round(norm.imag, decimals) + 0.0
+    re = np.round(norm.real, KEY_DECIMALS) + 0.0
+    im = np.round(norm.imag, KEY_DECIMALS) + 0.0
     return [("zero", shape) if t < 1e-14 else (shape, tuple(r), tuple(i))
             for t, r, i in zip(top, re, im)]
 
@@ -134,14 +134,14 @@ class CC1Table:
         for i, m in enumerate(self.members):
             self.keys[canonical_key(interpret(m))] = i
 
-    def lookup(self, matrix: np.ndarray, tol: float = DEFAULT_TOL) -> Tuple[int, Diagram]:
+    def lookup(self, matrix: np.ndarray) -> Tuple[int, Diagram]:
         k = canonical_key(matrix)
         if k in self.keys:
             idx = self.keys[k]
-            if scalar_free_equal(interpret(self.members[idx]), matrix, tol):
+            if scalar_free_equal(interpret(self.members[idx]), matrix):
                 return idx, self.members[idx]
         for idx, m in enumerate(self.members):  # rounding fallback, rarely taken
-            if scalar_free_equal(interpret(m), matrix, tol):
+            if scalar_free_equal(interpret(m), matrix):
                 return idx, m
         raise NotAClifford("matrix is not a 1-qubit Clifford")
 
@@ -269,9 +269,9 @@ class CC2Family:
             raise NotAClifford("matrix is not a 2-qubit Clifford (no key match)")
         return idx
 
-    def lookup(self, matrix: np.ndarray, tol: float = DEFAULT_TOL) -> Diagram:
+    def lookup(self, matrix: np.ndarray) -> Diagram:
         member = self.members[self.index(matrix)]
-        if not scalar_free_equal(interpret(member), matrix, tol):
+        if not scalar_free_equal(interpret(member), matrix):
             raise NotAClifford("key collision outside tolerance")
         return member
 
@@ -304,8 +304,8 @@ def cc2_family() -> CC2Family:
     return _CC2
 
 
-def cc2_lookup(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> Diagram:
-    return cc2_family().lookup(matrix, tol)
+def cc2_lookup(matrix: np.ndarray) -> Diagram:
+    return cc2_family().lookup(matrix)
 
 
 def cc2_contains(d: Diagram) -> bool:

@@ -274,13 +274,9 @@ class Optimiser:
             if target is None:
                 return d
             v, e_prev, e_next, crosses = target
-            out = split_cross_leg(d, v, e_prev, e_next, crosses)
-            if self._trace is not None:
-                self._trace.record_pass(
-                    "split_cross_leg",
-                    {"v": v, "prev_edge": e_prev, "next_edge": e_next,
-                     "order": crosses}, d, out)
-            d = out
+            d = _record_pass(self._trace, "split_cross_leg",
+                             {"v": v, "prev_edge": e_prev, "next_edge": e_next,
+                              "order": crosses}, d, split_cross_leg(d, v, e_prev, e_next, crosses))
             self._after_step(d)
 
     def _split_leg_phases(self, d: Diagram) -> Diagram:
@@ -294,10 +290,8 @@ class Optimiser:
                    and d.degree(v) >= 3 and d.phase(v) != 0]
         for prev, v in targets:
             edge = d.edges_between(prev, v)[0]
-            out = split_phase(d, v, edge)
-            if self._trace is not None:
-                self._trace.record_pass("split_phase", {"v": v, "edge": edge}, d, out)
-            d = out
+            d = _record_pass(self._trace, "split_phase", {"v": v, "edge": edge}, d,
+                             split_phase(d, v, edge))
             self._after_step(d)
         return d
 
@@ -471,19 +465,16 @@ def _single_qubit_runs(d: Diagram, pc: PathCover) -> List[Tuple[List[VertexId], 
     segment to its (path) predecessor and successor."""
     runs = []
     for path in pc.paths:
-        current: List[VertexId] = []
+        start = None  # position of the open run's first vertex
         for p, v in enumerate(path):
-            interior_deg2 = (not d.is_boundary(v)) and d.degree(v) == 2
-            if interior_deg2:
-                current.append(v)
-            if (not interior_deg2 or p == len(path) - 1) and current:
-                first, last = current[0], current[-1]
-                prev = path[path.index(first) - 1]
-                nxt = path[path.index(last) + 1]
-                e_prev = d.edges_between(prev, first)[0]
-                e_next = d.edges_between(last, nxt)[0]
-                runs.append((list(current), e_prev, e_next))
-                current = []
+            if not d.is_boundary(v) and d.degree(v) == 2:
+                if start is None:
+                    start = p
+            elif start is not None:
+                # every path ends at an output, so each run closes here
+                runs.append((list(path[start:p]), d.edges_between(path[start - 1], path[start])[0],
+                             d.edges_between(path[p - 1], v)[0]))
+                start = None
     return runs
 
 

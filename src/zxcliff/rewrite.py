@@ -8,18 +8,21 @@ forces matched vertices to have exactly the degree of their rule vertex,
 which the matcher uses for pruning.
 
 Each rule's LHS is compiled once into a search plan: a BFS order over its
-interior, each vertex's (kind, phase, degree, self-loop) signature, its edge
-multiplicities to earlier vertices, and its boundary edges.  Each target
-diagram is indexed once: interior vertices by signature, their neighbours, and
-edges by vertex pair.  A search whose target pools hold fewer vertices of some
-LHS signature than the LHS has returns no match at once.  Otherwise the root
-of an LHS component draws candidates from the signature pool and every later
-vertex from the neighbours of its parent's image.  An anchored search pins
-one LHS vertex to one target vertex and roots the plan there.  Plans and
-indexes are cached weakly, per rule and per diagram.  A rewrite of an
-indexed diagram derives its result's index from the parent's: only the
-matched vertices, the attachments and the fresh vertices change, and the
-derived index equals a full build.
+interior, each vertex's (kind, phase, degree, self-loop) signature, its
+earlier neighbours, the edges of each interior pair, and its boundary edges.
+A search checks adjacency as it places each vertex and the number of edges
+of each pair once all are placed.  Each target diagram's interior is indexed
+once, by signature; everything else the search reads, the diagram holds
+itself (`Diagram.neighbour_sets`, `edges_between` and its adjacency).  A
+search whose target pools hold fewer vertices of some LHS signature than the
+LHS has returns no match at once.  Otherwise the root of an LHS component
+draws candidates from the signature pool and every later vertex from the
+neighbours of its parent's image.  An anchored search pins one LHS vertex to
+one target vertex and roots the plan there.  Plans and indexes are cached
+weakly, per rule and per diagram.  A rewrite carries the target's index and
+neighbour map to its result: only the matched vertices, the attachments and
+the fresh vertices change, and each carried value equals one built from
+scratch.
 
 Matches are returned in a canonical order (lexicographic over the sorted
 image vertex ids, then edge and boundary assignments), so every operation in
@@ -33,8 +36,7 @@ import json
 from bisect import insort
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import (Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence,
-                    Set, Tuple)
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 from weakref import WeakKeyDictionary
 
 from .diagram import Diagram, EdgeId, VertexId
@@ -134,8 +136,8 @@ class _Plan(NamedTuple):
     order: Tuple[VertexId, ...]
     sigs: Tuple[Tuple, ...]  # (kind, phase, degree, self-loops) per position
     parents: Tuple[Optional[int], ...]
-    # (earlier position, edge multiplicity) for every earlier interior neighbour
-    links: Tuple[Tuple[Tuple[int, int], ...], ...]
+    # the earlier interior neighbours besides the parent
+    links: Tuple[Tuple[int, ...], ...]
     # (position, position, sorted LHS edges) for every interior pair with edges
     pairs: Tuple[Tuple[int, int, Tuple[EdgeId, ...]], ...]
     # sorted (edge, boundary vertex) per position
@@ -180,8 +182,8 @@ def _compile(lhs: Diagram, root: Optional[VertexId]) -> _Plan:
         order=tuple(order),
         sigs=sigs,
         parents=tuple(None if parent[v] is None else pos[parent[v]] for v in order),
-        links=tuple(tuple((j, len(between[(j, i)])) for j in range(i) if (j, i) in between)
-                    for i in range(len(order))),
+        links=tuple(tuple(j for j in range(i) if (j, i) in between and order[j] != parent[v])
+                    for i, v in enumerate(order)),
         pairs=tuple((i, j, tuple(es)) for (i, j), es in between.items()),
         bedges=tuple(tuple(b) for b in bedges),
         need=tuple(Counter(sigs).items()),
@@ -202,13 +204,10 @@ def _plan(rule: Rule, root: Optional[VertexId]) -> _Plan:
 
 
 class _Index(NamedTuple):
-    """A target diagram's interior indexed for matching."""
+    """A target diagram's interior pooled by signature for matching."""
 
     pool: Dict[Tuple, List[VertexId]]  # signature -> sorted interior vertices
     sig: Dict[VertexId, Tuple]  # interior vertex -> (kind, phase, degree, self-loops)
-    nbrs: Dict[VertexId, List[VertexId]]  # sorted distinct neighbours
-    inc: Dict[VertexId, List[Tuple[EdgeId, VertexId]]]  # (edge, far end), loops left out
-    between: Dict[Tuple[VertexId, VertexId], List[EdgeId]]  # (min, max) -> sorted edges
 
 
 _INDEX_CACHE: "WeakKeyDictionary[Diagram, _Index]" = WeakKeyDictionary()
@@ -221,48 +220,26 @@ def _index(d: Diagram) -> _Index:
     return idx
 
 
-def _vertex_entry(d: Diagram, v: VertexId) -> Tuple[Tuple, List[VertexId],
-                                                    List[Tuple[EdgeId, VertexId]]]:
-    """An interior vertex's signature, sorted distinct neighbours and
-    non-loop incidences, from d's adjacency."""
-    inc = []
-    loops = 0
-    for e in d._adj[v]:
-        u, w = d._edges[e]
-        if u == w:
-            loops += 1
-        else:
-            inc.append((e, w if u == v else u))
-    sig = (d.kind(v), d.phase(v), len(inc) + 2 * loops, loops)
-    return sig, sorted({w for _, w in inc}), inc
+def _signature(d: Diagram, v: VertexId) -> Tuple:
+    return d.kind(v), d.phase(v), d.degree(v), len(d.edges_between(v, v))
 
 
 def _build_index(d: Diagram) -> _Index:
     pool: Dict[Tuple, List[VertexId]] = {}
     sig: Dict[VertexId, Tuple] = {}
-    nbrs: Dict[VertexId, List[VertexId]] = {}
-    inc: Dict[VertexId, List[Tuple[EdgeId, VertexId]]] = {}
     for v in d.interior():
-        sig[v], nbrs[v], inc[v] = _vertex_entry(d, v)
+        sig[v] = _signature(d, v)
         pool.setdefault(sig[v], []).append(v)
-    between: Dict[Tuple[VertexId, VertexId], List[EdgeId]] = {}
-    for e in d.edges():
-        between.setdefault(d.edge_ends(e), []).append(e)
-    return _Index(pool, sig, nbrs, inc, between)
+    return _Index(pool, sig)
 
 
-def _derive_index(parent: _Index, target: Diagram, out: Diagram, delta: MatchDelta,
-                  dropped: Iterable[EdgeId], added: Iterable[EdgeId]) -> _Index:
+def _derive_index(parent: _Index, out: Diagram, delta: MatchDelta) -> _Index:
     """The index of ``out``, equal to `_build_index(out)`, from ``parent``,
-    the index of ``target``.  ``out`` is ``target`` rewritten by ``delta``
-    with the ``dropped`` edges removed and the ``added`` ones made, in
-    increasing order above every target edge.  Only the matched, attached
-    and fresh vertices change; every other entry carries over."""
+    the index of the diagram that ``delta`` rewrites into ``out``.  Only the
+    matched, attached and fresh vertices change; every other entry carries
+    over."""
     pool = dict(parent.pool)
     sig = dict(parent.sig)
-    nbrs = dict(parent.nbrs)
-    inc = dict(parent.inc)
-    between = dict(parent.between)
     copied: Set[Tuple] = set()  # signatures whose pool list is out's own
 
     def own_pool(s: Tuple) -> List[VertexId]:
@@ -273,12 +250,11 @@ def _derive_index(parent: _Index, target: Diagram, out: Diagram, delta: MatchDel
 
     for v in delta.removed:
         own_pool(sig.pop(v)).remove(v)
-        del nbrs[v], inc[v]
     for v in {*delta.attach.values(), *delta.fresh.values()}:
         if out.is_boundary(v):
             continue
         old = sig.get(v)
-        sig[v], nbrs[v], inc[v] = _vertex_entry(out, v)
+        sig[v] = _signature(out, v)
         if sig[v] != old:
             if old is not None:
                 own_pool(old).remove(v)
@@ -286,15 +262,7 @@ def _derive_index(parent: _Index, target: Diagram, out: Diagram, delta: MatchDel
     for s in copied:
         if not pool[s]:
             del pool[s]
-    for e in dropped:
-        ends = target.edge_ends(e)
-        between[ends] = es = [f for f in between[ends] if f != e]
-        if not es:
-            del between[ends]
-    for e in added:
-        ends = out.edge_ends(e)
-        between[ends] = between.get(ends, []) + [e]
-    return _Index(pool, sig, nbrs, inc, between)
+    return _Index(pool, sig)
 
 
 def find_matches(rule: Rule, target: Diagram,
@@ -309,33 +277,37 @@ def find_matches(rule: Rule, target: Diagram,
     # some LHS signature rules out every match
     if any(len(idx.pool.get(s, ())) < k for s, k in plan.need):
         return []
+    nbrs = target.neighbour_sets()
     n = len(plan.order)
     img: List[VertexId] = [0] * n
     used = set()
     matches: List[Match] = []
 
-    def pair(a: VertexId, b: VertexId) -> List[EdgeId]:
-        return idx.between.get((a, b) if a <= b else (b, a), [])
-
     def complete() -> None:
-        # interior edges: canonical sorted pairing; the multiplicities already
-        # agree, because every LHS adjacency was checked as it was placed
+        # interior edges: canonical sorted pairing, once the multiplicities
+        # agree; every LHS adjacency was checked as it was placed
         emap: Dict[EdgeId, EdgeId] = {}
         for i, j, les in plan.pairs:
-            emap.update(zip(les, pair(img[i], img[j])))
+            tes = target.edges_between(img[i], img[j])
+            if len(tes) != len(les):
+                return
+            emap.update(zip(les, tes))
         mapped = set(emap.values())
         image = set(img)
         # boundary edges: assign remaining target half-edges at each image;
         # equal degrees leave as many as the LHS vertex has boundary edges
+        # (self-loops are interior edges, so all of them are mapped)
         slots = []
         for bedges, t in zip(plan.bedges, img):
             remaining = []
-            for e, far in idx.inc[t]:
+            for e in target._adj[t]:
                 if e in mapped:
                     continue
+                u, w = target.edge_ends(e)
+                far, side = (w, 1) if u == t else (u, 0)
                 if far in image:
                     return  # would leave an unmatched edge at a matched vertex
-                remaining.append((e, 1 if t < far else 0))
+                remaining.append((e, side))
             if bedges:
                 slots.append((bedges, remaining))
         vertex_map = tuple(sorted(zip(plan.order, img)))
@@ -360,15 +332,17 @@ def find_matches(rule: Rule, target: Diagram,
         sig = plan.sigs[i]
         p = plan.parents[i]
         if p is not None:
-            cands = [t for t in idx.nbrs[img[p]] if idx.sig.get(t) == sig]
+            # in id order, so matches with equal keys keep one order
+            # however the neighbour map was made
+            cands = [t for t in nbrs[img[p]] if idx.sig.get(t) == sig]
+            cands.sort()
         elif i == 0 and anchor is not None:
             cands = [anchor[1]] if idx.sig.get(anchor[1]) == sig else []
         else:
             cands = idx.pool.get(sig, [])
+        links = plan.links[i]
         for t in cands:
-            if t in used:
-                continue
-            if any(len(pair(t, img[j])) != m for j, m in plan.links[i]):
+            if t in used or links and any(img[j] not in nbrs[t] for j in links):
                 continue
             img[i] = t
             used.add(t)
@@ -490,23 +464,28 @@ def match_delta(target: Diagram, rule: Rule, m: Match) -> MatchDelta:
 def apply_match(target: Diagram, rule: Rule, m: Match) -> Diagram:
     """Replace the matched subgraph by the rule's RHS.
 
-    When the target is indexed for matching, the result's index is derived
-    from the target's (`_derive_index`) rather than built again."""
+    What the target already has is carried to the result rather than built
+    again: its neighbour map, patched by `MatchDelta.neighbours`, and its
+    matcher index (`_derive_index`)."""
     _revalidate(target, rule, m)
     delta = match_delta(target, rule, m)
     b = target.builder()
-    dropped = sorted(te for _, te in m.edge_map)
-    for te in dropped:
+    for te in sorted(te for _, te in m.edge_map):
         b.remove_edge(te)
     for tv in sorted(delta.removed):
         del b.vertices[tv]
     for rv, v in delta.fresh.items():
         b.add_vertex_with_id(v, rule.rhs.kind(rv), rule.rhs.phase(rv))
-    added = [b.add_edge(u, v) for u, v in delta.new_edges]
+    for u, v in delta.new_edges:
+        b.add_edge(u, v)
     out = b.build()
+    nbrs = target._nbrs
+    if nbrs is not None:
+        out._nbrs = {v: ns for v, ns in nbrs.items() if v not in delta.removed}
+        out._nbrs.update(delta.neighbours(nbrs))
     parent = _INDEX_CACHE.get(target)
     if parent is not None:
-        _INDEX_CACHE[out] = _derive_index(parent, target, out, delta, dropped, added)
+        _INDEX_CACHE[out] = _derive_index(parent, out, delta)
     return out
 
 

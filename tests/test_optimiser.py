@@ -371,6 +371,40 @@ def _metric_phase_diagrams(opt, check):
             check(parent, rule, m)
 
 
+def test_carried_neighbour_sets_are_never_mutated(ruleset):
+    # a rewrite's result shares its parent's neighbour set of every vertex
+    # the rewrite left alone, so the cover search, the metric's scorer and
+    # further rewrites must only read the map: a mutation would leak into
+    # other diagrams.  The scorer must splice, strand and leave open here.
+    opt = Optimiser(rules=ruleset)
+    rules = opt._metric_rules
+    outcomes = set()
+
+    def frozen(g):
+        return {v: frozenset(ns) for v, ns in g.neighbour_sets().items()}
+
+    for width, depth, seed in [(2, 20, 0), (3, 20, 1), (4, 40, 0), (4, 40, 5)]:
+        parent = opt._split_leg_phases(opt._split_cross_legs(
+            simple_form(translate(random_clifford_circuit(width, depth, seed)))))
+        for rule, m in [(r, m) for r in rules for m in find_matches(r, parent)]:
+            d = apply_match(parent, rule, m)
+            assert any(ns is parent.neighbour_sets()[v] for v, ns in d.neighbour_sets().items())
+            snapshot = [(g, frozen(g)) for g in (parent, d)]
+            covered = has_path_cover(d)
+            if covered:
+                score = CommutationMetric().scorer(d)
+                for r2 in rules:
+                    for m2 in find_matches(r2, d):
+                        scored = score(r2, m2)
+                        outcomes.add(None if scored is None else scored.splice is not None)
+                        apply_match(d, r2, m2)
+            for g, before in snapshot:
+                assert frozen(g) == before, rule.name
+            if covered:
+                break
+    assert outcomes == {None, False, True}
+
+
 def test_resumed_sweep_agrees_with_sweep(ruleset):
     # resuming the parent's sweep at the first step that claims a matched
     # vertex must strand exactly what a sweep from scratch on the patched

@@ -177,11 +177,31 @@ def _rhs_shape_rules(kind, phase):
             Rule("rhs-wire", lhs, Diagram.wires(1))]
 
 
+def _scratch_neighbours(d):
+    """Every vertex's distinct neighbours, self-loops dropped, built from
+    d's edge list alone."""
+    nbrs = {v: set() for v in d.vertices()}
+    for e in d.edges():
+        u, v = d.edge_ends(e)
+        if u != v:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+    return nbrs
+
+
+def _assert_carried_neighbours(g, out):
+    # g had its neighbour map, so out's must be carried, not built, and
+    # equal one built from scratch
+    assert g._nbrs is not None and out._nbrs is not None
+    assert out.neighbour_sets() == _scratch_neighbours(out)
+
+
 def _derived_index_chain(ruleset, width, depth, seed, picks):
     """Apply a chain of rewrites to a random circuit and check, after every
-    step, that the result's derived index equals its full build.  Returns
-    the shapes of rewrite seen, or None when the circuit simplifies to no
-    spider of degree 2."""
+    step, that the result's derived index equals its full build and its
+    carried neighbour map equals one built from its edges.  Returns the
+    shapes of rewrite seen, or None when the circuit simplifies to no spider
+    of degree 2."""
     opt = Optimiser(rules=ruleset)
     raw = translate(random_clifford_circuit(width, depth, seed))
     d = simple_form(raw)
@@ -209,6 +229,7 @@ def _derived_index_chain(ruleset, width, depth, seed, picks):
         full = _build_index(out)
         for field in _Index._fields:
             assert getattr(derived, field) == getattr(full, field), (rule.name, field)
+        _assert_carried_neighbours(g, out)
         attach = {g.edge_ends(te)[side] for _, (te, side) in m.boundary_attach}
         if any(g.is_boundary(w) for w in attach):
             seen.add("boundary attachment")
@@ -251,7 +272,8 @@ def test_derived_index_chains_cover_every_shape(ruleset):
 
 def test_derived_index_agrees_on_fingerprint_corpus(optimiser, monkeypatch):
     # every rewrite the optimiser makes on the pinned fingerprint circuits
-    # has an indexed parent, so every result's index is derived
+    # has an indexed parent with its neighbour map, so every result's index
+    # is derived and its neighbour map carried
     from test_fingerprint import GOLDEN
 
     import zxcliff.rewrite as rewrite
@@ -262,6 +284,7 @@ def test_derived_index_agrees_on_fingerprint_corpus(optimiser, monkeypatch):
         out = apply_match(g, rule, m)
         full = _build_index(out)
         derived.append(_INDEX_CACHE[out] == full)
+        _assert_carried_neighbours(g, out)
         return out
 
     monkeypatch.setattr(rewrite, "apply_match", checked)
