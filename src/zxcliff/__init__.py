@@ -14,10 +14,9 @@ from .errors import (CompositionArityError, CrossEdgeColourError, NotACircuit,
                      NotAClifford, NotALineGraph, ReplayDivergence,
                      SemanticsSizeError, ShapeError, StaleMatchError,
                      TargetKindError, UnsoundRuleError, ZXError)
-from .flow import (CausalFlow, PathCover, extract_circuit, find_path_cover,
-                   has_path_cover, is_circuit_like)
-from .normal_forms import (canonical_key, cc1_table, cc2_contains, cc2_family,
-                           cc2_lookup)
+from .flow import (PathCover, extract_circuit, find_path_cover, has_path_cover,
+                   is_circuit_like)
+from .normal_forms import canonical_key, cc1_table, cc2_contains, cc2_family
 from .optimiser import (CommutationMetric, OptimiserConfig, OptimiseResult,
                         Optimiser, PauliMetric, canonicalise_blocks,
                         line_to_pauli_standard, optimise)

@@ -17,14 +17,14 @@ Parallel edges and self-loops do not change adjacency, so both results carry
 over to these multigraphs, and the sweep reads only the diagram's neighbour
 sets (`Diagram.neighbour_sets`), which a rewrite carries to its result.
 
-The metric phase values rewrites of a covered diagram without building them.
-`CoverSummary` keeps what a candidate reuses of its parent: the cover, the
-cross edges grouped by pair of paths with each group's separation, and a
-record of the parent's sweep.  A candidate's cover is spliced from the
-parent's (`splice_cover`), and its separation carried over from the
-parent's groups (`spliced_separation`).  When the splice fails,
-`stranded_after` resumes the parent's sweep at the first step that claims a
-matched vertex: the sweep is confluent, so the claims before it stand.
+`find_path_cover` builds one `PathCover` per diagram, which holds everything
+later steps read of the cover: the paths, the flow and its rank, and, worked
+out on first use, positions, predecessors and a record of the sweep.  The
+metric phase values rewrites of a covered diagram without building them: a
+candidate's cover is spliced from its parent's (`splice_cover`), and when
+the splice fails, `stranded_after` resumes the parent's sweep at the first
+step that claims a matched vertex: the sweep is confluent, so the claims
+before it stand.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from __future__ import annotations
 import heapq
 import weakref
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from functools import cached_property
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .diagram import H, X, Z, Diagram, VertexId
 from .errors import CrossEdgeColourError, NotACircuit
@@ -42,37 +43,49 @@ if TYPE_CHECKING:
     from .rewrite import MatchDelta, Rule
 
 
-@dataclass(frozen=True)
-class CausalFlow:
-    """Successor function and a topological rank witnessing F1-F3."""
-
-    successor: Tuple[Tuple[VertexId, VertexId], ...]
-    rank: Tuple[Tuple[VertexId, int], ...]
-
-    def successor_map(self) -> Dict[VertexId, VertexId]:
-        return dict(self.successor)
-
-    def rank_map(self) -> Dict[VertexId, int]:
-        return dict(self.rank)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathCover:
-    """Vertex-disjoint input-to-output paths covering every vertex."""
+    """Vertex-disjoint input-to-output paths covering every vertex, with the
+    flow they witness.
+
+    ``succ`` is the successor function f and ``rank`` the least topological
+    order of F2-F3 in vertex-id order; ``nbrs`` and ``inputs`` are the
+    diagram's neighbour sets and inputs, which a splice and a resumed sweep
+    read.  The rest is worked out on first use: ``pos`` maps each vertex to
+    its (path, position), ``pred`` inverts f, and ``claim_order`` and
+    ``claim_step`` record the sweep.  A cover holds no reference to its
+    diagram, which keys it in the cover cache."""
 
     paths: Tuple[Tuple[VertexId, ...], ...]
-    flow: CausalFlow
+    succ: Dict[VertexId, VertexId]
+    rank: Dict[VertexId, int]
+    nbrs: Dict[VertexId, Set[VertexId]]
+    inputs: FrozenSet[VertexId]
 
-    def position(self) -> Dict[VertexId, Tuple[int, int]]:
-        pos: Dict[VertexId, Tuple[int, int]] = {}
-        for q, path in enumerate(self.paths):
-            for p, v in enumerate(path):
-                pos[v] = (q, p)
-        return pos
+    @cached_property
+    def pos(self) -> Dict[VertexId, Tuple[int, int]]:
+        return {v: (q, p) for q, path in enumerate(self.paths) for p, v in enumerate(path)}
+
+    @cached_property
+    def pred(self) -> Dict[VertexId, VertexId]:
+        return {b: a for a, b in self.succ.items()}
+
+    @cached_property
+    def claim_order(self) -> List[VertexId]:
+        """The non-output vertices in decreasing rank: step i of the sweep
+        claims the i-th of them for its successor.  This is a valid order for
+        the sweep, because F2 and F3 rank f(u) and every other neighbour of
+        f(u) above u, so all of them are processed when u is claimed.  The
+        flow is unique, so it is the sweep's flow."""
+        return sorted(self.succ, key=self.rank.__getitem__, reverse=True)
+
+    @cached_property
+    def claim_step(self) -> Dict[VertexId, int]:
+        return {u: i for i, u in enumerate(self.claim_order)}
 
 
-def _flow_of_paths(paths: Sequence[Sequence[VertexId]],
-                   nbrs: Dict[VertexId, Set[VertexId]]) -> Optional[CausalFlow]:
+def _flow_of_paths(paths: Sequence[Sequence[VertexId]], nbrs: Dict[VertexId, Set[VertexId]]
+                   ) -> Optional[Tuple[Dict[VertexId, VertexId], Dict[VertexId, int]]]:
     """Build (f, rank) from paths and check F1-F3; None if they fail.
 
     The order constraints are v -> f(v) and v -> u for every u ~ f(v),
@@ -105,7 +118,7 @@ def _flow_of_paths(paths: Sequence[Sequence[VertexId]],
                     heapq.heappush(ready, u)
     if len(rank) != len(nbrs):
         return None  # cyclic: no order satisfies F2-F3
-    return CausalFlow(tuple(sorted(succ.items())), tuple(sorted(rank.items())))
+    return succ, rank
 
 
 def _sweep_from(ready: List[VertexId], unreached: Set[VertexId], inputs: Set[VertexId],
@@ -191,69 +204,9 @@ def find_path_cover(d: Diagram) -> PathCover:
     flow = _flow_of_paths(paths, nbrs)
     if flow is None:
         raise AssertionError("the flow sweep produced paths that fail F1-F3")
-    cover = PathCover(tuple(paths), flow)
+    cover = PathCover(tuple(paths), *flow, nbrs, frozenset(d.inputs))
     _COVER_CACHE[d] = cover
     return cover
-
-
-def group_crosses(ends: Iterable[Tuple[Tuple[int, int], Tuple[int, int]]]
-                  ) -> Dict[Tuple[int, int], List[Tuple[int, int]]]:
-    """Cross edges grouped by pair of paths.
-
-    Each edge comes as the (path, position) of its two ends, in edge-id
-    order; edges with both ends on one path are skipped.  Each pair qa < qb
-    maps to its edges' positions (on qa, on qb), in the order they came."""
-    groups: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-    for (qu, pu), (qv, pv) in ends:
-        if qu < qv:
-            groups.setdefault((qu, qv), []).append((pu, pv))
-        elif qv < qu:
-            groups.setdefault((qv, qu), []).append((pv, pu))
-    return groups
-
-
-def pair_separation(ends: Sequence[Tuple[int, int]]) -> int:
-    """Interior vertices between consecutive cross edges of one pair of paths.
-
-    ``ends`` holds each edge's positions on the lower and the higher path, in
-    edge-id order; the stable sort on (max, min) breaks ties in that order.
-    Boundaries only end paths, so between positions lo < hi of one path lie
-    hi - lo - 1 interior vertices."""
-    ordered = sorted(ends, key=lambda e: (max(e), min(e)))
-    return sum(max(0, abs(a1 - a2) - 1) + max(0, abs(b1 - b2) - 1)
-               for (a1, b1), (a2, b2) in zip(ordered, ordered[1:]))
-
-
-class CoverSummary:
-    """A covered diagram's cover in the forms a candidate reuses.
-
-    For a splice: positions, flow rank, successor and predecessor maps and
-    distinct neighbours.  For the separation term: ``groups`` holds the cross
-    edges by pair of paths (`group_crosses`, in edge-id order),
-    ``separation`` maps each pair to its group's `pair_separation`, and
-    ``total_separation`` is their sum.
-
-    For resuming the sweep, a record of the parent's: ``claim_order`` lists
-    the non-output vertices in decreasing flow rank, and step i claims the
-    i-th of them for its successor; ``claim_step`` maps each to its step.
-    This is a valid order for the sweep, because F2 and F3 rank f(u) and
-    every other neighbour of f(u) above u, so all of them are processed when
-    u is claimed.  The flow is unique, so it is the sweep's flow."""
-
-    def __init__(self, d: Diagram, pc: PathCover):
-        self.diagram = d
-        self.paths = pc.paths
-        self.pos = pos = pc.position()
-        self.rank = rank = pc.flow.rank_map()
-        self.succ = pc.flow.successor_map()
-        self.pred = {b: a for a, b in self.succ.items()}
-        self.nbrs = d.neighbour_sets()
-        self.inputs = set(d.inputs)
-        self.groups = group_crosses([(pos[u], pos[v]) for u, v in map(d.edge_ends, d.edges())])
-        self.separation = {key: pair_separation(group) for key, group in self.groups.items()}
-        self.total_separation = sum(self.separation.values())
-        self.claim_order = sorted(self.succ, key=rank.__getitem__, reverse=True)
-        self.claim_step = {u: i for i, u in enumerate(self.claim_order)}
 
 
 class Splice:
@@ -263,7 +216,7 @@ class Splice:
 
     __slots__ = ("parent", "segments", "_new_pos")
 
-    def __init__(self, parent: CoverSummary,
+    def __init__(self, parent: PathCover,
                  segments: Dict[int, Tuple[int, int, Tuple[VertexId, ...]]]):
         self.parent = parent
         self.segments = segments
@@ -316,7 +269,7 @@ def _splice_plan(rule: "Rule") -> Optional[Tuple]:
     return plan
 
 
-def splice_cover(parent: CoverSummary, rule: "Rule", delta: "MatchDelta",
+def splice_cover(parent: PathCover, rule: "Rule", delta: "MatchDelta",
                  nbrs: Dict[VertexId, Set[VertexId]]) -> Optional[Splice]:
     """The cover of the rewritten diagram, spliced from its parent's in
     O(|rule|) work, or None when this cannot be shown locally; ``nbrs`` holds
@@ -402,44 +355,7 @@ def splice_cover(parent: CoverSummary, rule: "Rule", delta: "MatchDelta",
     return Splice(parent, segments)
 
 
-def spliced_separation(parent: CoverSummary, splice: Splice, delta: "MatchDelta") -> int:
-    """The separation of a spliced candidate's cross edges, carried per pair
-    of paths.  A group's total changes only if it loses a cross edge (one
-    with a matched end), gains one (a new edge across two paths), or has an
-    end on a path whose replaced segment changes length; every other edge
-    keeps its positions.  Those groups are recomputed from the parent's
-    positions: an edge with an end in a replaced segment is dropped, an end
-    after one shifts with the segment's length, and the new edges come after
-    all old ones, which is their edge-id order in the built candidate.  Every
-    other group keeps the parent's total."""
-    at = splice.position
-    gained = group_crosses([(at(u), at(v)) for u, v in delta.new_edges])
-    changed = set(gained)
-    pos = parent.pos
-    for r in delta.removed:
-        qr = pos[r][0]
-        for w in parent.nbrs[r]:
-            qw = pos[w][0]
-            if qw != qr:
-                changed.add((qr, qw) if qr < qw else (qw, qr))
-    # per path: the replaced positions first..last and the shift after them;
-    # an untouched path's range lies past its end
-    shifts = [(len(path), len(path), 0) for path in parent.paths]
-    for q, (first, last, new) in splice.segments.items():
-        shifts[q] = (first, last, len(new) - (last - first + 1))
-        if shifts[q][2]:
-            changed.update(key for key in parent.groups if q in key)
-    total = parent.total_separation
-    for key in changed:
-        (fa, la, da), (fb, lb, db) = shifts[key[0]], shifts[key[1]]
-        ends = [(pa + da if pa > la else pa, pb + db if pb > lb else pb)
-                for pa, pb in parent.groups.get(key, ()) if not (fa <= pa <= la or fb <= pb <= lb)]
-        ends.extend(gained.get(key, ()))
-        total += pair_separation(ends) - parent.separation.get(key, 0)
-    return total
-
-
-def stranded_after(parent: CoverSummary, delta: "MatchDelta",
+def stranded_after(parent: PathCover, delta: "MatchDelta",
                    nbrs: Dict[VertexId, Set[VertexId]]) -> Set[VertexId]:
     """The vertices the flow sweep strands in the rewritten diagram, found by
     resuming the parent's sweep; ``nbrs`` holds the rewritten neighbours of
@@ -507,7 +423,7 @@ def extract_circuit(d: Diagram, pc: PathCover) -> "Circuit":
     """
     from .circuit import Circuit, Gate
 
-    pos = pc.position()
+    pos = pc.pos
     width = len(pc.paths)
     on_path_edges = set()
     for path in pc.paths:

@@ -304,9 +304,5 @@ def cc2_family() -> CC2Family:
     return _CC2
 
 
-def cc2_lookup(matrix: np.ndarray) -> Diagram:
-    return cc2_family().lookup(matrix)
-
-
 def cc2_contains(d: Diagram) -> bool:
     return cc2_family().contains(d)

@@ -15,15 +15,20 @@ Phases:
    results without a cover are penalised beyond reach).  All three select
    through one loop, `rewrite.rewrite_first`, and repeat through one helper
    that owns the step budget and checks every step.  The commutation metric
-   scores each candidate from the current diagram's cover without building
-   it: the rule's RHS cover is spliced in and checked locally, or the
-   current diagram's flow sweep, resumed where the rewrite first touches
-   it, shows the cover is lost; only candidates neither settles, and the
-   one accepted, are built.
+   and its terms live here: `metric_terms` works out a covered diagram's
+   Pauli positions and cross-edge groups for both `CommutationMetric.value`
+   and its scorer.  The scorer values each candidate from the current
+   diagram's cover and terms without building it: the rule's RHS cover is
+   spliced in and checked locally (`flow.splice_cover`) and the separation
+   carried per pair of paths (`spliced_separation`), or the current
+   diagram's flow sweep, resumed where the rewrite first touches it
+   (`flow.stranded_after`), shows the cover is lost; only candidates neither
+   settles, and the one accepted, are built.
 3. Final tidy: every single-qubit run is replaced by its CC1 representative
-   (2x2 oracle lookup); on two-qubit diagrams with the semantic fallback
-   enabled the whole diagram is replaced by its CC2 member.  These steps are
-   recorded as semantic normalisations, distinct from axiomatic rewrites.
+   (2x2 oracle lookup, each vertex's matrix taken from `interpret`); on
+   two-qubit diagrams with the semantic fallback enabled the whole diagram
+   is replaced by its CC2 member.  These steps are recorded as semantic
+   normalisations, distinct from axiomatic rewrites.
 4. Extraction back to a gate list via the path cover.
 """
 
@@ -32,24 +37,23 @@ from __future__ import annotations
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .circuit import Circuit, circuit_size, translate
 from .diagram import B, H, X, Z, Diagram, DiagramBuilder, EdgeId, VertexId
 from .errors import NotACircuit, NotALineGraph
-from .flow import (CoverSummary, PathCover, extract_circuit, find_path_cover, group_crosses,
-                   has_path_cover, pair_separation, splice_cover, spliced_separation,
-                   stranded_after)
-from .normal_forms import cc1_table, cc2_family
+from .flow import (PathCover, Splice, extract_circuit, find_path_cover, has_path_cover,
+                   splice_cover, stranded_after)
+from .normal_forms import cc1_table, cc2_family, line_diagram
 from .passes import (fuse_spiders, h_euler_expand, hopf_reduce, pi_copy,
                      remove_identities, remove_self_loops, simple_form,
                      split_cross_leg, split_phase)
-from .rewrite import (Match, ProofTrace, Rule, Scored, match_delta, reduce, rewrite_first,
-                      rewrite_metric, SEMANTIC_REPLAYERS)
-from .ruleset import RuleSet, load_ruleset
-from .semantics import H_MAT, interpret, scalar_free_equal
+from .rewrite import (Match, MatchDelta, ProofTrace, Rule, Scored, match_delta, reduce,
+                      rewrite_first, rewrite_metric, SEMANTIC_REPLAYERS)
+from .ruleset import RuleSet, audit_ruleset, load_ruleset
+from .semantics import interpret, scalar_free_equal
 
 _RULESET: Optional[RuleSet] = None
 
@@ -85,16 +89,92 @@ def _is_pauli_kind(kind_phase: Tuple[str, int]) -> bool:
     return kind_phase[0] in (Z, X) and kind_phase[1] == 2
 
 
-def _pauli_positions(d: Diagram, pc_paths) -> int:
-    return sum(p for path in pc_paths for p, v in enumerate(path)
-               if _is_pauli_kind(d._vertices[v]))
+def group_crosses(ends: Iterable[Tuple[Tuple[int, int], Tuple[int, int]]]
+                  ) -> Dict[Tuple[int, int], List[Tuple[int, int]]]:
+    """Cross edges grouped by pair of paths.
+
+    Each edge comes as the (path, position) of its two ends, in edge-id
+    order; edges with both ends on one path are skipped.  Each pair qa < qb
+    maps to its edges' positions (on qa, on qb), in the order they came."""
+    groups: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+    for (qu, pu), (qv, pv) in ends:
+        if qu < qv:
+            groups.setdefault((qu, qv), []).append((pu, pv))
+        elif qv < qu:
+            groups.setdefault((qv, qu), []).append((pv, pu))
+    return groups
 
 
-def _cnot_separation(crosses: Iterable[Tuple[Tuple[int, int], Tuple[int, int]]]) -> int:
-    """Total number of interior vertices sitting between consecutive cross
-    edges that act on the same pair of qubits (`flow.group_crosses`,
-    `flow.pair_separation`)."""
-    return sum(map(pair_separation, group_crosses(crosses).values()))
+def pair_separation(ends: Sequence[Tuple[int, int]]) -> int:
+    """Interior vertices between consecutive cross edges of one pair of paths.
+
+    ``ends`` holds each edge's positions on the lower and the higher path, in
+    edge-id order; the stable sort on (max, min) breaks ties in that order.
+    Boundaries only end paths, so between positions lo < hi of one path lie
+    hi - lo - 1 interior vertices."""
+    ordered = sorted(ends, key=lambda e: (max(e), min(e)))
+    return sum(max(0, abs(a1 - a2) - 1) + max(0, abs(b1 - b2) - 1)
+               for (a1, b1), (a2, b2) in zip(ordered, ordered[1:]))
+
+
+class MetricTerms(NamedTuple):
+    """The commutation metric's terms on a covered diagram (`metric_terms`)."""
+
+    paulis: List[List[int]]  # per path, the positions of its Paulis in order
+    pauli_sum: int
+    groups: Dict[Tuple[int, int], List[Tuple[int, int]]]  # `group_crosses` of every edge
+    separation: Dict[Tuple[int, int], int]  # each group's `pair_separation`
+    total_separation: int
+
+
+def metric_terms(d: Diagram, pc: PathCover) -> MetricTerms:
+    """The Pauli positions along each path of d's cover, and the cross edges
+    grouped by pair of paths, in edge-id order, with their separations."""
+    paulis = [[p for p, v in enumerate(path) if _is_pauli_kind(d._vertices[v])]
+              for path in pc.paths]
+    pos = pc.pos
+    groups = group_crosses([(pos[u], pos[v]) for u, v in map(d.edge_ends, d.edges())])
+    separation = {key: pair_separation(group) for key, group in groups.items()}
+    return MetricTerms(paulis, sum(map(sum, paulis)), groups, separation,
+                       sum(separation.values()))
+
+
+def spliced_separation(parent: PathCover, terms: MetricTerms, splice: Splice,
+                       delta: MatchDelta) -> int:
+    """The separation of a spliced candidate's cross edges, carried per pair
+    of paths.  A group's total changes only if it loses a cross edge (one
+    with a matched end), gains one (a new edge across two paths), or has an
+    end on a path whose replaced segment changes length; every other edge
+    keeps its positions.  Those groups are recomputed from the parent's
+    positions: an edge with an end in a replaced segment is dropped, an end
+    after one shifts with the segment's length, and the new edges come after
+    all old ones, which is their edge-id order in the built candidate.  Every
+    other group keeps the parent's total."""
+    at = splice.position
+    gained = group_crosses([(at(u), at(v)) for u, v in delta.new_edges])
+    changed = set(gained)
+    pos = parent.pos
+    for r in delta.removed:
+        qr = pos[r][0]
+        for w in parent.nbrs[r]:
+            qw = pos[w][0]
+            if qw != qr:
+                changed.add((qr, qw) if qr < qw else (qw, qr))
+    # per path: the replaced positions first..last and the shift after them;
+    # an untouched path's range lies past its end
+    shifts = [(len(path), len(path), 0) for path in parent.paths]
+    for q, (first, last, new) in splice.segments.items():
+        shifts[q] = (first, last, len(new) - (last - first + 1))
+        if shifts[q][2]:
+            changed.update(key for key in terms.groups if q in key)
+    total = terms.total_separation
+    for key in changed:
+        (fa, la, da), (fb, lb, db) = shifts[key[0]], shifts[key[1]]
+        ends = [(pa + da if pa > la else pa, pb + db if pb > lb else pb)
+                for pa, pb in terms.groups.get(key, ()) if not (fa <= pa <= la or fb <= pb <= lb)]
+        ends.extend(gained.get(key, ()))
+        total += pair_separation(ends) - terms.separation.get(key, 0)
+    return total
 
 
 class CommutationMetric:
@@ -120,29 +200,27 @@ class CommutationMetric:
             pc = find_path_cover(d)
         except NotACircuit as exc:
             return self._penalty(len(d.vertices()), len(exc.stranded))
-        pos = pc.position()
-        return (_pauli_positions(d, pc.paths) + self.separation_weight * _cnot_separation(
-            (pos[u], pos[v]) for u, v in map(d.edge_ends, d.edges())))
+        terms = metric_terms(d, pc)
+        return terms.pauli_sum + self.separation_weight * terms.total_separation
 
     def scorer(self, d: Diagram) -> Callable[[Rule, Match], Optional[Scored]]:
-        """Value the rewrites of d from d's cover, without building them.
+        """Value the rewrites of d without building them, from d's cover and
+        its terms (`metric_terms`, as `value` computes them).
 
-        Each candidate carries over what it can of d's: its match delta and
-        rewritten neighbour sets are worked out once.  A candidate whose
-        cover splices (`flow.splice_cover`) is scored from d's Pauli sum plus
-        a local delta and from d's separation, with only the qubit-pair
-        groups the splice changes recomputed (`flow.spliced_separation`).
-        Otherwise d's flow sweep is resumed at the first step that claims a
-        matched vertex (`flow.stranded_after`): a candidate it strands gets
-        the off-path penalty, any other is left open.  A d without a cover
-        leaves every candidate open."""
+        Each candidate's match delta and rewritten neighbour sets are worked
+        out once.  A candidate whose cover splices (`flow.splice_cover`) is
+        scored from d's Pauli sum plus a local delta and from d's
+        separation, with only the qubit-pair groups the splice changes
+        recomputed (`spliced_separation`).  Otherwise d's flow sweep is
+        resumed at the first step that claims a matched vertex
+        (`flow.stranded_after`): a candidate it strands gets the off-path
+        penalty, any other is left open.  A d without a cover leaves every
+        candidate open."""
         try:
-            parent = CoverSummary(d, find_path_cover(d))
+            parent = find_path_cover(d)
         except NotACircuit:
             return lambda rule, m: None
-        paulis = [[p for p, v in enumerate(path) if _is_pauli_kind(d._vertices[v])]
-                  for path in parent.paths]
-        pauli_sum = sum(map(sum, paulis))
+        terms = metric_terms(d, parent)
         num_vertices = len(d.vertices())
 
         def score(rule: Rule, m: Match) -> Optional[Scored]:
@@ -156,16 +234,16 @@ class CommutationMetric:
                 size = num_vertices - len(delta.removed) + len(delta.fresh)
                 return Scored(self._penalty(size, len(stranded)), None)
             fresh_kind = {v: rule.rhs._vertices[rv] for rv, v in delta.fresh.items()}
-            total = pauli_sum
+            total = terms.pauli_sum
             for q, (first, last, new) in splice.segments.items():
                 # the Paulis replaced go, those after the segment shift with
                 # its length, and the new ones count at their positions
-                row = paulis[q]
+                row = terms.paulis[q]
                 lo, hi = bisect_left(row, first), bisect_right(row, last)
                 total += ((len(new) - (last - first + 1)) * (len(row) - hi) - sum(row[lo:hi])
                           + sum(first + i for i, w in enumerate(new)
                                 if _is_pauli_kind(fresh_kind[w])))
-            separation = spliced_separation(parent, splice, delta)
+            separation = spliced_separation(parent, terms, splice, delta)
             return Scored(total + self.separation_weight * separation, splice)
 
         return score
@@ -218,7 +296,12 @@ class Optimiser:
     def __init__(self, cfg: Optional[OptimiserConfig] = None,
                  rules: Optional[RuleSet] = None):
         self.cfg = cfg or OptimiserConfig()
-        self.rules = rules or default_ruleset()
+        # the default rule set was audited as it loaded; any other is audited here
+        if rules is None:
+            rules = default_ruleset()
+        else:
+            audit_ruleset(rules)
+        self.rules = rules
         self._anchors = {r.name: _rule_anchor(r) for r in self.rules.pauli_commute}
         # the targeted phase drives the Pauli-anchored movers that shrink the
         # diagram, so it ends by size; everything else that commutes structure
@@ -256,7 +339,7 @@ class Optimiser:
         the result keeps its causal flow."""
         while True:
             pc = find_path_cover(d)
-            rank = pc.flow.rank_map()
+            rank = pc.rank
             target = None
             for path in pc.paths:
                 for p, v in enumerate(path):
@@ -442,15 +525,9 @@ def optimise(c: Circuit, cfg: Optional[OptimiserConfig] = None) -> OptimiseResul
 
 # -- canonicalise_blocks and its replay helpers ------------------------------------
 
-_GATE_2X2 = {
-    (Z, 0): np.eye(2, dtype=complex),
-    (Z, 1): np.diag([1, 1j]).astype(complex),
-    (Z, 2): np.diag([1, -1]).astype(complex),
-    (Z, 3): np.diag([1, -1j]).astype(complex),
-}
-for _p in range(4):
-    _GATE_2X2[(X, _p)] = H_MAT @ _GATE_2X2[(Z, _p)] @ H_MAT
-_GATE_2X2[(H, 0)] = H_MAT
+# the oracle's matrix of each vertex a single-qubit run can hold
+_GATE_2X2 = {kp: interpret(line_diagram([kp]))
+             for kp in [(Z, p) for p in range(4)] + [(X, p) for p in range(4)] + [(H, 0)]}
 
 
 def _run_matrix(d: Diagram, run: Sequence[VertexId]) -> np.ndarray:

@@ -149,18 +149,21 @@ def _is_sound(rule: Rule) -> bool:
     return scalar_free_equal(interpret(rule.lhs), interpret(rule.rhs), DEFAULT_TOL)
 
 
-def _audit_rule(rule: Rule) -> None:
-    if not _is_sound(rule):
-        raise UnsoundRuleError(f"rule {rule.name} changes the interpretation")
+def audit_ruleset(rs: RuleSet) -> None:
+    """Every rule must satisfy interpret(lhs) = interpret(rhs) up to scalar,
+    and every rule of the always group must strictly lower circuit_size.
+    Violations raise UnsoundRuleError."""
+    for group in GROUPS:
+        for rule in rs.group(group):
+            if not _is_sound(rule):
+                raise UnsoundRuleError(f"rule {rule.name} changes the interpretation")
+            if group == "always" and circuit_size(rule.lhs) <= circuit_size(rule.rhs):
+                raise UnsoundRuleError(f"always rule {rule.name} is not strictly reducing")
 
 
 def load_ruleset(directory: Optional[str] = None) -> RuleSet:
-    """Load, audit and close the rule library under colour swapping.
-
-    Every rule (including generated variants) must satisfy
-    interpret(lhs) = interpret(rhs) up to scalar; the always group must be
-    strictly circuit_size-reducing.  Violations raise UnsoundRuleError.
-    """
+    """Load the rule library, close it under colour swapping and audit it
+    with `audit_ruleset`, generated variants included."""
     directory = directory or shipped_ruleset_dir()
     rs = RuleSet()
     for group in GROUPS:
@@ -172,12 +175,8 @@ def load_ruleset(directory: Optional[str] = None) -> RuleSet:
                 continue
             with open(os.path.join(gdir, fname)) as f:
                 obj = json.load(f)
-            rule = Rule(obj["name"], Diagram.from_json_obj(obj["lhs"]),
-                        Diagram.from_json_obj(obj["rhs"]))
-            _audit_rule(rule)
-            if group == "always" and circuit_size(rule.lhs) <= circuit_size(rule.rhs):
-                raise UnsoundRuleError(f"always rule {rule.name} is not strictly reducing")
-            rs.group(group).append(rule)
+            rs.group(group).append(Rule(obj["name"], Diagram.from_json_obj(obj["lhs"]),
+                                        Diagram.from_json_obj(obj["rhs"])))
     for group in GROUPS:
         extended: List[Rule] = []
         existing = rs.group(group)
@@ -186,9 +185,9 @@ def load_ruleset(directory: Optional[str] = None) -> RuleSet:
             variant = rule.colour_swapped(rule.name + ":cc")
             if not any(variant.lhs.iso_equal(other.lhs) and variant.rhs.iso_equal(other.rhs)
                        for other in existing):
-                _audit_rule(variant)
                 extended.append(variant)
         existing[:] = extended
+    audit_ruleset(rs)
     return rs
 
 

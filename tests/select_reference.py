@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Sequence, Set
 
-from zxcliff.diagram import H, Diagram, VertexId
+from zxcliff.diagram import H, X, Z, Diagram, VertexId
 from zxcliff.errors import NotACircuit, RuleFormatError
 from zxcliff.flow import find_path_cover
-from zxcliff.optimiser import _is_pauli, _pauli_positions
+from zxcliff.optimiser import _is_pauli
 from zxcliff.rewrite import (Match, Metric, ProofTrace, Rule, Scored, apply_match,
                              find_matches)
 
@@ -102,9 +102,11 @@ def rewrite_targeted(rule: Rule, anchor: VertexId, d: Diagram,
 
 def pauli_sum(d: Diagram) -> int:
     try:
-        return _pauli_positions(d, find_path_cover(d).paths)
+        paths = find_path_cover(d).paths
     except NotACircuit:
         return -1
+    return sum(p for path in paths for p, v in enumerate(path)
+               if d._vertices[v] in ((Z, 2), (X, 2)))
 
 
 def first_movable_pauli(d: Diagram, skipped: Set[VertexId]) -> Optional[VertexId]:

@@ -155,8 +155,8 @@ def test_criterion_7_extraction_round_trip():
         c = random_clifford_circuit(w, depth, 1000 + i)
         d = simple_form(translate(c))
         pc = find_path_cover(d)
-        f = pc.flow.successor_map()
-        rank = pc.flow.rank_map()
+        f = pc.succ
+        rank = pc.rank
         ok = True
         for v, fv in f.items():
             ok = ok and fv in d.neighbours(v) and rank[v] < rank[fv]

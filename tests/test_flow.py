@@ -22,8 +22,8 @@ def t(*gates):
 
 
 def check_flow_conditions(d, pc):
-    f = pc.flow.successor_map()
-    rank = pc.flow.rank_map()
+    f = pc.succ
+    rank = pc.rank
     for v, fv in f.items():
         assert fv in d.neighbours(v)            # F1
         assert rank[v] < rank[fv]               # F2

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,13 +10,13 @@ from apply_reference import reference_apply_match
 from zxcliff.circuit import (circuit, circuit_size, gate, gate_matrix_product,
                              random_clifford_circuit, translate)
 from zxcliff.diagram import B, DiagramBuilder, X, Z
-from zxcliff.errors import NotALineGraph
-from zxcliff.flow import (CoverSummary, _sweep, find_path_cover, has_path_cover,
-                          is_circuit_like, splice_cover, spliced_separation, stranded_after)
+from zxcliff.errors import NotALineGraph, UnsoundRuleError
+from zxcliff.flow import (_sweep, find_path_cover, has_path_cover, is_circuit_like, splice_cover,
+                          stranded_after)
 from zxcliff.normal_forms import cc2_contains, line_diagram
-from zxcliff.optimiser import (CommutationMetric, Optimiser, OptimiserConfig,
-                               PauliMetric, _cnot_separation, canonicalise_blocks,
-                               line_to_pauli_standard, optimise)
+from zxcliff.optimiser import (CommutationMetric, Optimiser, OptimiserConfig, PauliMetric,
+                               canonicalise_blocks, group_crosses, line_to_pauli_standard,
+                               metric_terms, optimise, pair_separation, spliced_separation)
 from zxcliff.passes import simple_form
 from zxcliff.rewrite import (ProofTrace, Rule, apply_match, find_matches, match_delta, replay,
                              rewrite_first, rewrite_metric)
@@ -94,12 +97,32 @@ def test_verify_each_step_checks_steps_inside_a_phase():
     # phase ends on the diagram it started from, so only a check of the step
     # in between finds the unsound one
     sv, vs = line_diagram([(Z, 1), (X, 1)]), line_diagram([(X, 1), (Z, 1)])
-    rules = RuleSet(always=[Rule("Swap", sv, vs), Rule("Unswap", vs, sv)])
     c = circuit(1, gate("S", 0), gate("V", 0))
-    res = Optimiser(OptimiserConfig(step_budget=2), rules=rules).run(c)
+
+    def run(cfg):
+        # the audit rejects the pair, so it is set after construction
+        opt = Optimiser(cfg, rules=RuleSet())
+        opt._loop_rules = [Rule("Swap", sv, vs), Rule("Unswap", vs, sv)]
+        return opt.run(c)
+
+    res = run(OptimiserConfig(step_budget=2))
     assert res.stats["rewrite_steps"] == 4 and preserved(res, c)
     with pytest.raises(AssertionError, match="interpretation"):
-        Optimiser(OptimiserConfig(step_budget=2, verify_each_step=True), rules=rules).run(c)
+        run(OptimiserConfig(step_budget=2, verify_each_step=True))
+
+
+def test_optimiser_audits_the_rules_it_is_given():
+    # unaudited, the unsound swap runs as an axiomatic step until the step
+    # budget is spent; every group is checked for soundness, and the always
+    # group must also shrink, so the sound Pauli swap is refused there only
+    swap = Rule("Swap", line_diagram([(Z, 1), (X, 1)]), line_diagram([(X, 1), (Z, 1)]))
+    pauli_swap = Rule("PauliSwap", line_diagram([(Z, 2), (X, 2)]),
+                      line_diagram([(X, 2), (Z, 2)]))
+    with pytest.raises(UnsoundRuleError, match="Swap changes the interpretation"):
+        Optimiser(rules=RuleSet(pauli_commute=[swap]))
+    with pytest.raises(UnsoundRuleError, match="PauliSwap is not strictly reducing"):
+        Optimiser(rules=RuleSet(always=[pauli_swap]))
+    Optimiser(rules=RuleSet(pauli_commute=[pauli_swap]))
 
 
 def test_trace_replays_to_final(optimiser, rules_by_name):
@@ -358,17 +381,17 @@ def _metric_phase_diagrams(opt, check):
                 r, m = options[pick % len(options)]
                 d = apply_match(d, r, m)
             if has_path_cover(d):
-                parent = CoverSummary(d, find_path_cover(d))
+                parent = find_path_cover(d)
                 for rule in rules:
                     for m in find_matches(rule, d):
-                        check(parent, rule, m)
+                        check(d, parent, rule, m)
 
     run()
     d = _bad_config_diagram()
-    parent = CoverSummary(d, find_path_cover(d))
+    parent = find_path_cover(d)
     for rule in rules:
         for m in find_matches(rule, d):
-            check(parent, rule, m)
+            check(d, parent, rule, m)
 
 
 def test_carried_neighbour_sets_are_never_mutated(ruleset):
@@ -405,6 +428,22 @@ def test_carried_neighbour_sets_are_never_mutated(ruleset):
     assert outcomes == {None, False, True}
 
 
+def test_cover_and_scorer_leave_the_diagram_collectable(ruleset):
+    # the cover cache is keyed weakly by diagram, so a cover, or anything the
+    # scorer leaves behind, that held its diagram would keep it alive for good
+    opt = Optimiser(rules=ruleset)
+    d = opt._split_leg_phases(opt._split_cross_legs(
+        simple_form(translate(random_clifford_circuit(4, 40, 0)))))
+    find_path_cover(d)
+    score = CommutationMetric().scorer(d)
+    scored = [score(rule, m) for rule in opt._metric_rules for m in find_matches(rule, d)]
+    assert any(s is not None and s.splice is not None for s in scored)
+    ref = weakref.ref(d)
+    del d, score
+    gc.collect()
+    assert ref() is None
+
+
 def test_resumed_sweep_agrees_with_sweep(ruleset):
     # resuming the parent's sweep at the first step that claims a matched
     # vertex must strand exactly what a sweep from scratch on the patched
@@ -412,8 +451,7 @@ def test_resumed_sweep_agrees_with_sweep(ruleset):
     # both at the first step and later, and must strand and cover
     starts, outcomes = set(), set()
 
-    def check(parent, rule, m):
-        d = parent.diagram
+    def check(d, parent, rule, m):
         delta = match_delta(d, rule, m)
         patched = delta.neighbours(parent.nbrs)
         nbrs = {v: ns for v, ns in parent.nbrs.items() if v not in delta.removed}
@@ -452,21 +490,22 @@ def _hopf_rule_and_target():
 
 def test_carried_separation_agrees_with_full_pass(ruleset):
     # the separation carried per qubit pair from the parent must equal one
-    # pass of _cnot_separation over every edge of the built candidate at its
+    # pass of `pair_separation` over every edge of the built candidate at its
     # searched cover's positions; the examples must resize a segment, gain
     # cross edges, and lose them both with and without either of those
     seen = set()
 
-    def check(parent, rule, m):
-        d = parent.diagram
+    def check(d, parent, rule, m):
         delta = match_delta(d, rule, m)
         splice = splice_cover(parent, rule, delta, delta.neighbours(parent.nbrs))
         if splice is None:
             return
         out = apply_match(d, rule, m)
-        pos = find_path_cover(out).position()
-        full = _cnot_separation((pos[u], pos[v]) for u, v in map(out.edge_ends, out.edges()))
-        assert spliced_separation(parent, splice, delta) == full, rule.name
+        pos = find_path_cover(out).pos
+        full = sum(map(pair_separation, group_crosses(
+            (pos[u], pos[v]) for u, v in map(out.edge_ends, out.edges())).values()))
+        assert spliced_separation(parent, metric_terms(d, parent), splice, delta) == full, \
+            rule.name
         resized = {q for q, (first, last, new) in splice.segments.items()
                    if len(new) != last - first + 1}
         lost = {frozenset((parent.pos[r][0], parent.pos[w][0])) for r in delta.removed
@@ -480,9 +519,9 @@ def test_carried_separation_agrees_with_full_pass(ruleset):
 
     _metric_phase_diagrams(Optimiser(rules=ruleset), check)
     rule, d = _hopf_rule_and_target()
-    parent = CoverSummary(d, find_path_cover(d))
+    parent = find_path_cover(d)
     for m in find_matches(rule, d):
-        check(parent, rule, m)
+        check(d, parent, rule, m)
     assert seen == {"resized", "lost", "gained", "lost alone"}
 
 
