@@ -1,12 +1,14 @@
 """Micro-benchmark of the metric phase: one `rewrite_metric` step with the
-commutation metric, the scoring of every one of its candidates, and the
-cover search under it.
+commutation metric, the closing step that finds nothing, the scoring of
+every one of a step's candidates, and the cover search under them.
 
 They run on fixed diagrams: the simple forms of the seeded width-4,
 depth-40 and width-6, depth-60 circuits, with their cross legs and leg
-phases split as the optimiser does before its main loop.  The metric phase
-takes most of an optimiser run from width 4 on, and nearly all of it at
-width 6; the cover search runs on the width-4 diagram.  Each round takes a
+phases split as the optimiser does before its main loop.  The closing step
+runs on the metric phase's fixpoint of each; it rejects every candidate, so
+it is where skipping repeats of a rejected result saves most.  The metric
+phase takes most of an optimiser run from width 4 on, and nearly all of it
+at width 6; the cover search runs on the width-4 diagram.  Each round takes a
 fresh copy of the diagram, because covers and match indexes are cached per
 diagram object and an optimiser step meets each diagram once.
 
@@ -19,7 +21,7 @@ from zxcliff.circuit import random_clifford_circuit, translate
 from zxcliff.flow import find_path_cover
 from zxcliff.optimiser import CommutationMetric, Optimiser
 from zxcliff.passes import simple_form
-from zxcliff.rewrite import find_matches, rewrite_metric
+from zxcliff.rewrite import find_matches, match_delta, reduce, rewrite_metric
 
 OPT = Optimiser()
 DIAGRAMS = {f"w{width}": OPT._split_leg_phases(OPT._split_cross_legs(
@@ -31,12 +33,15 @@ CANDIDATES = {key: [(rule, m) for rule in OPT._metric_rules for m in find_matche
               for key, d in DIAGRAMS.items()}
 
 
-def _fresh(key="w4"):
-    return (DIAGRAMS[key].builder().build(),), {}
+def _fresh(key="w4", diagrams=DIAGRAMS):
+    return (diagrams[key].builder().build(),), {}
 
 
-def _metric_step(d):
-    return rewrite_metric(OPT._metric_rules, d, CommutationMetric())
+def _metric_step(d, trace=None):
+    return rewrite_metric(OPT._metric_rules, d, CommutationMetric(), trace)
+
+
+FIXPOINTS = {key: reduce(_metric_step, d).diagram for key, d in DIAGRAMS.items()}
 
 
 @pytest.mark.parametrize("key", DIAGRAMS)
@@ -45,9 +50,15 @@ def test_rewrite_metric_step(benchmark, key):
     assert out.to_json() == _metric_step(DIAGRAMS[key]).to_json()
 
 
+@pytest.mark.parametrize("key", FIXPOINTS)
+def test_rewrite_metric_closing_step(benchmark, key):
+    out = benchmark.pedantic(_metric_step, setup=lambda: _fresh(key, FIXPOINTS), rounds=30)
+    assert out is None
+
+
 def _score_every_candidate(d, key):
     score = CommutationMetric().scorer(d)
-    return [score(rule, m) for rule, m in CANDIDATES[key]]
+    return [score(rule, m, match_delta(d, rule, m)) for rule, m in CANDIDATES[key]]
 
 
 @pytest.mark.parametrize("key", DIAGRAMS)

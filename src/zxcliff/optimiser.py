@@ -23,7 +23,10 @@ Phases:
    carried per pair of paths (`spliced_separation`), or the current
    diagram's flow sweep, resumed where the rewrite first touches it
    (`flow.stranded_after`), shows the cover is lost; only candidates neither
-   settles, and the one accepted, are built.
+   settles, and the one accepted, are built.  Neither the metric nor the
+   cover test reads edge ids or orientation, so the loop skips, unscored,
+   any candidate whose result equals one it has already rejected up to
+   those (automorphisms of a rule's LHS give such repeats).
 3. Final tidy: every single-qubit run is replaced by its CC1 representative
    (2x2 oracle lookup, each vertex's matrix taken from `interpret`); on
    two-qubit diagrams with the semantic fallback enabled the whole diagram
@@ -38,6 +41,7 @@ import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -50,8 +54,8 @@ from .normal_forms import cc1_table, cc2_family, line_diagram
 from .passes import (fuse_spiders, h_euler_expand, hopf_reduce, pi_copy,
                      remove_identities, remove_self_loops, simple_form,
                      split_cross_leg, split_phase)
-from .rewrite import (Match, MatchDelta, ProofTrace, Rule, Scored, match_delta, reduce,
-                      rewrite_first, rewrite_metric, SEMANTIC_REPLAYERS)
+from .rewrite import (Match, MatchDelta, ProofTrace, Rule, Scored, reduce, rewrite_first,
+                      rewrite_metric, SEMANTIC_REPLAYERS)
 from .ruleset import RuleSet, audit_ruleset, load_ruleset
 from .semantics import interpret, scalar_free_equal
 
@@ -109,10 +113,15 @@ def pair_separation(ends: Sequence[Tuple[int, int]]) -> int:
     """Interior vertices between consecutive cross edges of one pair of paths.
 
     ``ends`` holds each edge's positions on the lower and the higher path, in
-    edge-id order; the stable sort on (max, min) breaks ties in that order.
-    Boundaries only end paths, so between positions lo < hi of one path lie
-    hi - lo - 1 interior vertices."""
-    ordered = sorted(ends, key=lambda e: (max(e), min(e)))
+    any order: they are sorted on (max, min, position on the lower path), so
+    only equal ends tie.  On a covered diagram that last key decides nothing.
+    Two edges at (a, b) and (b, a) with a < b, between lower path L and
+    higher path H, would force a cycle in the flow order: L_a <= L_{b-1} by
+    F2, L_{b-1} < H_a by F3 since H_a ~ L_b = f(L_{b-1}), H_a <= H_{b-1} by
+    F2, and H_{b-1} < L_a by F3 since L_a ~ H_b = f(H_{b-1}).  Boundaries
+    only end paths, so between positions lo < hi of one path lie hi - lo - 1
+    interior vertices."""
+    ordered = sorted(ends, key=lambda e: (max(e), min(e), e[0]))
     return sum(max(0, abs(a1 - a2) - 1) + max(0, abs(b1 - b2) - 1)
                for (a1, b1), (a2, b2) in zip(ordered, ordered[1:]))
 
@@ -129,7 +138,8 @@ class MetricTerms(NamedTuple):
 
 def metric_terms(d: Diagram, pc: PathCover) -> MetricTerms:
     """The Pauli positions along each path of d's cover, and the cross edges
-    grouped by pair of paths, in edge-id order, with their separations."""
+    grouped by pair of paths, in edge-id order, with their separations.  No
+    term depends on edge ids or orientation."""
     paulis = [[p for p, v in enumerate(path) if _is_pauli_kind(d._vertices[v])]
               for path in pc.paths]
     pos = pc.pos
@@ -137,6 +147,21 @@ def metric_terms(d: Diagram, pc: PathCover) -> MetricTerms:
     separation = {key: pair_separation(group) for key, group in groups.items()}
     return MetricTerms(paulis, sum(map(sum, paulis)), groups, separation,
                        sum(separation.values()))
+
+
+# diagrams are immutable, so a metric step's base value and its scorer share
+# one set of terms; entries vanish with the diagram, as covers do
+_TERMS_CACHE: "WeakKeyDictionary[Diagram, MetricTerms]" = WeakKeyDictionary()
+
+
+def _cover_terms(d: Diagram) -> Tuple[PathCover, MetricTerms]:
+    """d's cover and its `metric_terms`, each worked out once per diagram;
+    NotACircuit when d has no cover."""
+    pc = find_path_cover(d)
+    terms = _TERMS_CACHE.get(d)
+    if terms is None:
+        terms = _TERMS_CACHE[d] = metric_terms(d, pc)
+    return pc, terms
 
 
 def spliced_separation(parent: PathCover, terms: MetricTerms, splice: Splice,
@@ -197,34 +222,31 @@ class CommutationMetric:
 
     def value(self, d: Diagram) -> int:
         try:
-            pc = find_path_cover(d)
+            terms = _cover_terms(d)[1]
         except NotACircuit as exc:
             return self._penalty(len(d.vertices()), len(exc.stranded))
-        terms = metric_terms(d, pc)
         return terms.pauli_sum + self.separation_weight * terms.total_separation
 
-    def scorer(self, d: Diagram) -> Callable[[Rule, Match], Optional[Scored]]:
+    def scorer(self, d: Diagram) -> Callable[[Rule, Match, MatchDelta], Optional[Scored]]:
         """Value the rewrites of d without building them, from d's cover and
-        its terms (`metric_terms`, as `value` computes them).
+        its terms (`metric_terms`, the very ones `value` uses on d).
 
-        Each candidate's match delta and rewritten neighbour sets are worked
-        out once.  A candidate whose cover splices (`flow.splice_cover`) is
-        scored from d's Pauli sum plus a local delta and from d's
-        separation, with only the qubit-pair groups the splice changes
-        recomputed (`spliced_separation`).  Otherwise d's flow sweep is
-        resumed at the first step that claims a matched vertex
+        Each candidate comes with its match delta, and its rewritten
+        neighbour sets are worked out once.  A candidate whose cover splices
+        (`flow.splice_cover`) is scored from d's Pauli sum plus a local delta
+        and from d's separation, with only the qubit-pair groups the splice
+        changes recomputed (`spliced_separation`).  Otherwise d's flow sweep
+        is resumed at the first step that claims a matched vertex
         (`flow.stranded_after`): a candidate it strands gets the off-path
         penalty, any other is left open.  A d without a cover leaves every
         candidate open."""
         try:
-            parent = find_path_cover(d)
+            parent, terms = _cover_terms(d)
         except NotACircuit:
-            return lambda rule, m: None
-        terms = metric_terms(d, parent)
+            return lambda rule, m, delta: None
         num_vertices = len(d.vertices())
 
-        def score(rule: Rule, m: Match) -> Optional[Scored]:
-            delta = match_delta(d, rule, m)
+        def score(rule: Rule, m: Match, delta: MatchDelta) -> Optional[Scored]:
             nbrs = delta.neighbours(parent.nbrs)
             splice = splice_cover(parent, rule, delta, nbrs)
             if splice is None:

@@ -603,8 +603,19 @@ class Scored(NamedTuple):
     splice: Optional[Splice]  # its spliced cover; None when it has no cover
 
 
-def _unscored(rule: Rule, m: Match) -> Optional[Scored]:
+def _unscored(rule: Rule, m: Match, delta: MatchDelta) -> Optional[Scored]:
     return None
+
+
+def _result_key(delta: MatchDelta) -> Tuple:
+    """What a rewrite's result is made of, beyond its rule: the matched
+    vertices and the multiset of new edges, each as an unordered pair of
+    ends.  The gluing condition makes the removed edges exactly those at the
+    matched vertices, and fresh ids depend only on the target, so two
+    matches of one rule with equal keys build the same diagram up to the ids
+    and orientation of the new edges."""
+    return delta.removed, tuple(sorted((u, v) if u <= v else (v, u)
+                                       for u, v in delta.new_edges))
 
 
 def rewrite_first(rules: Sequence[Rule], d: Diagram,
@@ -620,33 +631,46 @@ def rewrite_first(rules: Sequence[Rule], d: Diagram,
     d's.  ``anchors`` gives one `find_matches` anchor per rule (None:
     unanchored).
 
+    Neither ``accept`` nor ``metric`` may read edge ids or edge orientation.
+    Then a candidate whose result equals, up to those, one already rejected
+    in this call (`_result_key`; automorphisms of a rule's LHS give such
+    repeats) would be rejected too, and it is skipped unscored and unbuilt.
+    Keys are worked out only once a rule has had a candidate rejected.
+
     A metric may offer ``scorer(d)``: a function that values a candidate
-    ``(rule, match)`` of d without building it, as a `Scored`, or returns
-    None when it cannot tell.  It is asked for on the first match.  The
-    candidates it leaves open, and every candidate of a plain callable, are
-    built and measured, so the choice is the one building every candidate
-    would make.  A scored candidate is built only once its value passes;
-    when its cover was spliced, the cover search on it, which the next
-    step's base needs anyway, must return the same paths."""
+    ``(rule, match, delta)`` of d, with ``delta`` its `match_delta`, without
+    building it, as a `Scored`, or returns None when it cannot tell.  It is
+    asked for on the first match.  The candidates it leaves open, and every
+    candidate of a plain callable, are built and measured, so the choice is
+    the one building every candidate would make.  A scored candidate is
+    built only once its value passes; when its cover was spliced, the cover
+    search on it, which the next step's base needs anyway, must return the
+    same paths."""
     base = None if metric is None else metric(d)
     score = None
     for rule, anchor in zip(rules, itertools.repeat(None) if anchors is None else anchors):
+        rejected: Set[Tuple] = set()  # keys of this rule's rejected results
         for m in find_matches(rule, d, anchor=anchor):
-            scored = None
+            delta = match_delta(d, rule, m) if metric is not None or rejected else None
+            key = _result_key(delta) if rejected else None
+            if key in rejected:
+                continue
+            out = scored = None
             if metric is not None:
                 if score is None:
                     scorer = getattr(metric, "scorer", None)
                     score = _unscored if scorer is None else scorer(d)
-                scored = score(rule, m)
-                if scored is not None and scored.value >= base:
-                    continue
-            out = apply_match(d, rule, m)
-            if scored is not None and scored.splice is not None \
-                    and find_path_cover(out).paths != scored.splice.paths():
-                raise AssertionError("a spliced cover differs from the searched one")
-            if accept is not None and not accept(out):
-                continue
-            if metric is not None and scored is None and metric(out) >= base:
+                scored = score(rule, m, delta)
+            if scored is None or scored.value < base:
+                out = apply_match(d, rule, m)
+                if scored is not None and scored.splice is not None \
+                        and find_path_cover(out).paths != scored.splice.paths():
+                    raise AssertionError("a spliced cover differs from the searched one")
+                if (accept is not None and not accept(out)) \
+                        or (metric is not None and scored is None and metric(out) >= base):
+                    out = None
+            if out is None:
+                rejected.add(_result_key(delta or match_delta(d, rule, m)) if key is None else key)
                 continue
             if trace is not None:
                 trace.record_rewrite(rule, m, out)

@@ -2,9 +2,11 @@
 one loop, and the targeted Pauli step `zxcliff.optimiser` built from them.
 
 `rewrite_first`, `rewrite_metric` and `rewrite_targeted` are kept as they
-were.  `pauli_sum`, `first_movable_pauli` and `move_pauli` are the
-optimiser's `_pauli_sum`, `_first_movable_pauli` and the body of one step of
-its `_pauli_phase`, with `self` made explicit.  Tests check that the one loop
+were, except that `rewrite_metric` hands the scorer each candidate's
+`match_delta`, which the scorer now takes; none of them skips a candidate.
+`pauli_sum`, `first_movable_pauli` and `move_pauli` are the optimiser's
+`_pauli_sum`, `_first_movable_pauli` and the body of one step of its
+`_pauli_phase`, with `self` made explicit.  Tests check that the one loop
 chooses the same rewrite and records the same trace step as these.
 """
 
@@ -16,8 +18,8 @@ from zxcliff.diagram import H, X, Z, Diagram, VertexId
 from zxcliff.errors import NotACircuit, RuleFormatError
 from zxcliff.flow import find_path_cover
 from zxcliff.optimiser import _is_pauli
-from zxcliff.rewrite import (Match, Metric, ProofTrace, Rule, Scored, apply_match,
-                             find_matches)
+from zxcliff.rewrite import (Match, MatchDelta, Metric, ProofTrace, Rule, Scored, apply_match,
+                             find_matches, match_delta)
 
 
 def rewrite_first(rules: Sequence[Rule], d: Diagram,
@@ -38,7 +40,7 @@ def rewrite_first(rules: Sequence[Rule], d: Diagram,
     return None
 
 
-def _unscored(rule: Rule, m: Match) -> Optional[Scored]:
+def _unscored(rule: Rule, m: Match, delta: MatchDelta) -> Optional[Scored]:
     return None
 
 
@@ -47,7 +49,7 @@ def rewrite_metric(rules: Sequence[Rule], d: Diagram, metric: Metric,
     """Apply the first match (rules in list order) that strictly reduces the metric.
 
     A metric may offer ``scorer(d)``: a function that values a candidate
-    ``(rule, match)`` of d without building it, as a `Scored`, or returns
+    ``(rule, match, delta)`` of d without building it, as a `Scored`, or returns
     None when it cannot tell.  It is asked for on the first match.  The
     candidates it leaves open, and every candidate of a plain callable, are
     built and measured, so the choice is the one building every candidate
@@ -61,7 +63,7 @@ def rewrite_metric(rules: Sequence[Rule], d: Diagram, metric: Metric,
             if score is None:
                 scorer = getattr(metric, "scorer", None)
                 score = _unscored if scorer is None else scorer(d)
-            scored = score(rule, m)
+            scored = score(rule, m, match_delta(d, rule, m))
             out = None
             if scored is None:
                 out = apply_match(d, rule, m)

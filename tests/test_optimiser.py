@@ -1,4 +1,5 @@
 import gc
+import random
 import weakref
 
 import pytest
@@ -9,7 +10,7 @@ import select_reference
 from apply_reference import reference_apply_match
 from zxcliff.circuit import (circuit, circuit_size, gate, gate_matrix_product,
                              random_clifford_circuit, translate)
-from zxcliff.diagram import B, DiagramBuilder, X, Z
+from zxcliff.diagram import B, Diagram, DiagramBuilder, X, Z
 from zxcliff.errors import NotALineGraph, UnsoundRuleError
 from zxcliff.flow import (_sweep, find_path_cover, has_path_cover, is_circuit_like, splice_cover,
                           stranded_after)
@@ -18,8 +19,8 @@ from zxcliff.optimiser import (CommutationMetric, Optimiser, OptimiserConfig, Pa
                                canonicalise_blocks, group_crosses, line_to_pauli_standard,
                                metric_terms, optimise, pair_separation, spliced_separation)
 from zxcliff.passes import simple_form
-from zxcliff.rewrite import (ProofTrace, Rule, apply_match, find_matches, match_delta, replay,
-                             rewrite_first, rewrite_metric)
+from zxcliff.rewrite import (ProofTrace, Rule, _result_key, apply_match, find_matches,
+                             match_delta, reduce, replay, rewrite_first, rewrite_metric)
 from zxcliff.ruleset import RuleSet
 from zxcliff.semantics import interpret, scalar_free_equal
 
@@ -279,7 +280,7 @@ def test_scorer_agrees_with_building(ruleset):
         score = metric.scorer(d)
         for rule in rules:
             for m in find_matches(rule, d):
-                scored = score(rule, m)
+                scored = score(rule, m, match_delta(d, rule, m))
                 out = apply_match(d, rule, m)
                 expected = reference_apply_match(d, rule, m)
                 assert list(out._vertices.items()) == list(expected._vertices.items())
@@ -343,7 +344,7 @@ def test_one_loop_agrees_with_reference_selectors(ruleset):
             seen.add((name, expected is not None))
 
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(width=st.integers(1, 5), depth=st.integers(4, 24), seed=st.integers(0, 10**6),
+    @given(width=st.integers(1, 6), depth=st.integers(4, 24), seed=st.integers(0, 10**6),
            picks=st.lists(st.integers(0, 10**6), max_size=3))
     def split_form_and_rewrites(width, depth, seed, picks):
         d = simple_form(translate(random_clifford_circuit(width, depth, seed)))
@@ -360,6 +361,52 @@ def test_one_loop_agrees_with_reference_selectors(ruleset):
     split_form_and_rewrites()
     check(_bad_config_diagram())
     assert seen == {(name, moved) for name in phases for moved in (False, True)}
+
+
+def _split_form(opt, width, depth, seed):
+    return opt._split_leg_phases(opt._split_cross_legs(
+        simple_form(translate(random_clifford_circuit(width, depth, seed)))))
+
+
+@pytest.mark.parametrize("width, depth", [(4, 40), (6, 60)])
+def test_skipped_candidates_match_their_representative(ruleset, width, depth):
+    # the metric step skips a candidate whose result key equals that of an
+    # earlier rejected candidate of its rule.  Built, every such repeat must
+    # have its representative's metric value and cover verdict, on the split
+    # form and on the metric phase's fixpoint, where the closing step rejects
+    # everything; that step must score exactly one candidate per key
+    opt = Optimiser(rules=ruleset)
+    metric = CommutationMetric()
+    d = _split_form(opt, width, depth, 0)
+    fixpoint = reduce(lambda g, tr: rewrite_metric(opt._metric_rules, g, metric, tr), d).diagram
+    for g in (d, fixpoint):
+        keys, repeats = [], 0
+        for rule in opt._metric_rules:
+            first = {}
+            for m in find_matches(rule, g):
+                key = _result_key(match_delta(g, rule, m))
+                out = apply_match(g, rule, m)
+                verdict = (metric.value(out), has_path_cover(out))
+                if key in first:
+                    repeats += 1
+                    assert verdict == first[key], rule.name
+                else:
+                    first[key] = verdict
+                    keys.append((rule.name, key))
+        assert repeats
+    scored = []
+
+    class Counted(CommutationMetric):
+        def scorer(self, g):
+            score = super().scorer(g)
+
+            def counted(rule, m, delta):
+                scored.append((rule.name, _result_key(delta)))
+                return score(rule, m, delta)
+            return counted
+
+    assert rewrite_metric(opt._metric_rules, fixpoint, Counted()) is None
+    assert scored == keys
 
 
 def _metric_phase_diagrams(opt, check):
@@ -418,7 +465,7 @@ def test_carried_neighbour_sets_are_never_mutated(ruleset):
                 score = CommutationMetric().scorer(d)
                 for r2 in rules:
                     for m2 in find_matches(r2, d):
-                        scored = score(r2, m2)
+                        scored = score(r2, m2, match_delta(d, r2, m2))
                         outcomes.add(None if scored is None else scored.splice is not None)
                         apply_match(d, r2, m2)
             for g, before in snapshot:
@@ -436,7 +483,8 @@ def test_cover_and_scorer_leave_the_diagram_collectable(ruleset):
         simple_form(translate(random_clifford_circuit(4, 40, 0)))))
     find_path_cover(d)
     score = CommutationMetric().scorer(d)
-    scored = [score(rule, m) for rule in opt._metric_rules for m in find_matches(rule, d)]
+    scored = [score(rule, m, match_delta(d, rule, m))
+              for rule in opt._metric_rules for m in find_matches(rule, d)]
     assert any(s is not None and s.splice is not None for s in scored)
     ref = weakref.ref(d)
     del d, score
@@ -523,6 +571,65 @@ def test_carried_separation_agrees_with_full_pass(ruleset):
     for m in find_matches(rule, d):
         check(d, parent, rule, m)
     assert seen == {"resized", "lost", "gained", "lost alone"}
+
+
+def test_metric_reads_no_edge_ids_or_orientation(ruleset):
+    # the metric step skips a candidate whose result equals a rejected one up
+    # to the ids and orientation of its new edges, so neither the metric nor
+    # its scorer may read them.  On a covered diagram no pair group holds
+    # edges at (a, b) and (b, a), a != b, the one tie `pair_separation` would
+    # break by input order; renumbering a built candidate's new edges keeps
+    # its value and cover verdict, and shuffling and reversing them in its
+    # delta keeps its score.  (A Diagram stores each edge's ends in order, so
+    # orientation shows only in the delta.)
+    opt = Optimiser(rules=ruleset)
+    rules = opt._metric_rules
+    metric = CommutationMetric()
+    groups = candidates = 0
+
+    def renumbered(out, parent, rnd):
+        new = [e for e in out.edges() if e > max(parent.edges())]
+        ids = dict(zip(new, rnd.sample(new, len(new))))
+        return Diagram(out._vertices, {ids.get(e, e): out.edge_ends(e)[::-1] for e in out.edges()},
+                       out.inputs, out.outputs)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(width=st.integers(2, 6), depth=st.integers(4, 24), seed=st.integers(0, 10**6),
+           picks=st.lists(st.integers(0, 10**6), max_size=2), shuffle=st.integers(0, 10**6))
+    def covered_split_forms(width, depth, seed, picks, shuffle):
+        nonlocal groups, candidates
+        rnd = random.Random(shuffle)
+        d = _split_form(opt, width, depth, seed)
+        for pick in [None, *picks]:
+            if pick is not None:
+                options = [(r, m) for r in rules for m in find_matches(r, d)]
+                if not options:
+                    break
+                r, m = options[pick % len(options)]
+                out = apply_match(d, r, m)
+                if not has_path_cover(out):
+                    continue
+                d = out
+            for group in metric_terms(d, find_path_cover(d)).groups.values():
+                ends = set(group)
+                assert not any(a != b and (b, a) in ends for a, b in ends)
+                groups += 1
+            score = metric.scorer(d)
+            for rule in rules:
+                for m in find_matches(rule, d):
+                    delta = match_delta(d, rule, m)
+                    flipped = delta._replace(new_edges=tuple(
+                        (v, u) for u, v in rnd.sample(delta.new_edges, len(delta.new_edges))))
+                    scored, again = score(rule, m, delta), score(rule, m, flipped)
+                    assert (scored and scored.value) == (again and again.value), rule.name
+                    out = apply_match(d, rule, m)
+                    twin = renumbered(out, d, rnd)
+                    assert metric.value(twin) == metric.value(out), rule.name
+                    assert has_path_cover(twin) == has_path_cover(out), rule.name
+                    candidates += 1
+
+    covered_split_forms()
+    assert groups and candidates
 
 
 # -- canonicalise_blocks ----------------------------------------------------------------
