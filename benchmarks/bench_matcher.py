@@ -4,10 +4,12 @@ It matches every loop rule (the `always` group without Euler and H) against
 one fixed diagram: the simple form of the seeded width-4, depth-40 circuit,
 with its cross legs and leg phases split as the optimiser does before its
 main loop.  Each round takes a fresh copy of the diagram, so it pays for the
-per-diagram index once, as an optimiser step does.  The third case applies
-the rewrite the rule phase accepts first on that diagram to an indexed copy
-and matches the loop rules on the result, whose index is derived from its
-parent's.
+per-diagram index once, as an optimiser step does.  The `metric` case
+matches the metric phase's rules on the same diagram; their LHSs mix CNOT
+spiders with rarer Pauli and phase vertices, so most of their searches are
+rooted at a later LHS vertex.  The last case applies the rewrite
+the rule phase accepts first on that diagram to an indexed copy and matches
+the loop rules on the result, whose index is derived from its parent's.
 
 Run with: PYTHONPATH=src python -m pytest benchmarks/bench_matcher.py
 """
@@ -39,13 +41,18 @@ def _unanchored(d):
     return sum(len(find_matches(rule, d)) for rule in RULES)
 
 
+def _metric(d):
+    return sum(len(find_matches(rule, d)) for rule in OPT._metric_rules)
+
+
 def _anchored(d):
     # every rule's first interior vertex pinned at every interior vertex
     return sum(len(find_matches(rule, d, anchor=(rule.lhs.interior()[0], t)))
                for rule in RULES for t in d.interior())
 
 
-@pytest.mark.parametrize("search", [_unanchored, _anchored], ids=["unanchored", "anchored"])
+@pytest.mark.parametrize("search", [_unanchored, _anchored, _metric],
+                         ids=["unanchored", "anchored", "metric"])
 def test_find_matches(benchmark, search):
     found = benchmark.pedantic(search, setup=_fresh, rounds=30)
     assert found == search(DIAGRAM)

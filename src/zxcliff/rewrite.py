@@ -15,14 +15,26 @@ of each pair once all are placed.  Each target diagram's interior is indexed
 once, by signature; everything else the search reads, the diagram holds
 itself (`Diagram.neighbour_sets`, `edges_between` and its adjacency).  A
 search whose target pools hold fewer vertices of some LHS signature than the
-LHS has returns no match at once.  Otherwise the root of an LHS component
-draws candidates from the signature pool and every later vertex from the
-neighbours of its parent's image.  An anchored search pins one LHS vertex to
-one target vertex and roots the plan there.  Plans and indexes are cached
-weakly, per rule and per diagram.  A rewrite carries the target's index and
-neighbour map to its result: only the matched vertices, the attachments and
-the fresh vertices change, and each carried value equals one built from
-scratch.
+LHS has returns no match at once.  Otherwise it is rooted at the first LHS
+vertex of the signature with the smallest target pool, using the plan
+compiled for that root; the root of each LHS component draws candidates from
+its signature pool and every later vertex from the neighbours of its
+parent's image.  An anchored search pins one LHS vertex to one target vertex
+and roots the plan there.
+
+A plan also holds the rule's symmetries: the LHS self-embeddings that leave
+the rewrite's result unchanged, found by matching the LHS into itself.  A
+match composed with a symmetry builds the same diagram, up to the ids and
+orientation of the new edges, so the selection loop's search keeps only the
+least match, by `Match.key`, of each orbit; an anchored plan holds only the
+symmetries that fix its anchor.  One comparison per symmetry tells the least
+member: the first LHS edge the symmetry moves must go to a lower target edge
+than that edge's image does.  `find_matches` still returns every embedding.
+
+Plans and indexes are cached weakly, per rule and per diagram.  A rewrite
+carries the target's index and neighbour map to its result: only the matched
+vertices, the attachments and the fresh vertices change, and each carried
+value equals one built from scratch.
 
 Matches are returned in a canonical order (lexicographic over the sorted
 image vertex ids, then edge and boundary assignments), so every operation in
@@ -144,9 +156,20 @@ class _Plan(NamedTuple):
     bedges: Tuple[Tuple[Tuple[EdgeId, VertexId], ...], ...]
     # (signature, number of positions with it): a target needs that many in its pool
     need: Tuple[Tuple[Tuple, int], ...]
+    # per `need` entry, the plan rooted at the first position with that
+    # signature; None for this plan's own root, and in anchored and
+    # re-rooted plans, which are never re-rooted
+    roots: Tuple[Optional["_Plan"], ...]
+    # the LHS self-embeddings, identity excluded, that keep the rewrite's
+    # result (`_symmetries`); an anchored plan keeps those fixing its anchor
+    symmetries: Tuple[Match, ...]
+    # (e, f) per symmetry: its first moved LHS edge and that edge's image.  A
+    # match is the least of its orbit by `Match.key` exactly when it sends e
+    # to a lower target edge than f, for every pair
+    breaks: Tuple[Tuple[EdgeId, EdgeId], ...]
 
 
-def _compile(lhs: Diagram, root: Optional[VertexId]) -> _Plan:
+def _compile(lhs: Diagram, root: Optional[VertexId], symmetries: Sequence[Match] = ()) -> _Plan:
     interior = lhs.interior()
     roots = interior if root is None else [root] + interior
     order: List[VertexId] = []
@@ -178,6 +201,13 @@ def _compile(lhs: Diagram, root: Optional[VertexId]) -> _Plan:
             bedges[pos[u]].append((e, v))
     sigs = tuple((lhs.kind(v), lhs.phase(v), lhs.degree(v), len(between.get((i, i), ())))
                  for i, v in enumerate(order))
+    need = tuple(Counter(sigs).items())
+    breaks = set()
+    for a in symmetries:
+        moved = [(e, f) for e, f in a.edge_map if e != f]
+        # a symmetry moving only edgeless vertices keeps the key: no tie to break
+        if moved:
+            breaks.add(moved[0])
     return _Plan(
         order=tuple(order),
         sigs=sigs,
@@ -186,8 +216,27 @@ def _compile(lhs: Diagram, root: Optional[VertexId]) -> _Plan:
                     for i, v in enumerate(order)),
         pairs=tuple((i, j, tuple(es)) for (i, j), es in between.items()),
         bedges=tuple(tuple(b) for b in bedges),
-        need=tuple(Counter(sigs).items()),
+        need=need,
+        roots=(None,) * len(need),
+        symmetries=tuple(symmetries),
+        breaks=tuple(sorted(breaks)),
     )
+
+
+def _symmetries(rule: Rule) -> List[Match]:
+    """The self-embeddings of ``rule.lhs``, other than the identity, whose
+    rewrite of the LHS has the identity's `_result_key`.
+
+    Composing a match m with such a symmetry a (LHS vertex v to m's image
+    of a's image of v, and so for edges and attachments) gives a match with
+    m's result key: it removes the same vertices, and it renames the
+    boundary vertices in a way that keeps the multiset of new edges.  So of
+    each orbit the rewrite loop needs only the least match."""
+    lhs = rule.lhs
+    selfs = _embed(rule.name, _compile(lhs, None), lhs, _index(lhs), None, ())
+    key = {a: _result_key(match_delta(lhs, rule, a)) for a in selfs}
+    identity = next(a for a in selfs if all(x == y for x, y in a.vertex_map + a.edge_map))
+    return [a for a in selfs if a != identity and key[a] == key[identity]]
 
 
 # compiled plans per rule, keyed by the anchored LHS vertex (None: unanchored)
@@ -195,12 +244,27 @@ _PLAN_CACHE: "WeakKeyDictionary[Rule, Dict[Optional[VertexId], _Plan]]" = WeakKe
 
 
 def _plan(rule: Rule, root: Optional[VertexId]) -> _Plan:
-    plans = _PLAN_CACHE.setdefault(rule, {})
-    if root not in plans:
-        if root is not None and root not in rule.lhs.interior():
-            raise RuleFormatError(f"anchor {root} is not interior to {rule.name}")
-        plans[root] = _compile(rule.lhs, root)
-    return plans[root]
+    plans = _PLAN_CACHE.get(rule)
+    if plans is None:
+        plans = _PLAN_CACHE[rule] = {}
+    plan = plans.get(root)
+    if plan is None:
+        plan = plans[root] = _new_plan(rule, root)
+    return plan
+
+
+def _new_plan(rule: Rule, root: Optional[VertexId]) -> _Plan:
+    if root is not None and root not in rule.lhs.interior():
+        raise RuleFormatError(f"anchor {root} is not interior to {rule.name}")
+    if root is not None:
+        # only the orbit members that keep the anchor are enumerated under it
+        return _compile(rule.lhs, root, [a for a in _plan(rule, None).symmetries
+                                         if a.vmap()[root] == root])
+    symmetries = _symmetries(rule)
+    plan = _compile(rule.lhs, None, symmetries)
+    firsts = [plan.sigs.index(s) for s, _ in plan.need]
+    return plan._replace(roots=tuple(
+        None if i == 0 else _compile(rule.lhs, plan.order[i], symmetries) for i in firsts))
 
 
 class _Index(NamedTuple):
@@ -271,12 +335,35 @@ def find_matches(rule: Rule, target: Diagram,
 
     With ``anchor=(lhs_vertex, target_vertex)`` only the embeddings sending
     that interior LHS vertex to that target vertex are returned."""
+    return _search(rule, target, anchor, False)
+
+
+def _search(rule: Rule, target: Diagram, anchor: Optional[Tuple[VertexId, VertexId]],
+            distinct: bool) -> List[Match]:
+    """`find_matches`; with ``distinct``, only the least match, by
+    `Match.key`, of each orbit under the plan's symmetries."""
     plan = _plan(rule, None if anchor is None else anchor[0])
     idx = _index(target)
+    pool = idx.pool
     # an embedding is injective and keeps signatures, so a pool short of
-    # some LHS signature rules out every match
-    if any(len(idx.pool.get(s, ())) < k for s, k in plan.need):
-        return []
+    # some LHS signature rules out every match; otherwise the search is
+    # rooted at the first signature with the fewest target vertices
+    rooted, fewest = plan, None
+    for (s, k), alt in zip(plan.need, plan.roots):
+        found = len(pool.get(s, ()))
+        if found < k:
+            return []
+        if fewest is None or found < fewest:
+            rooted, fewest = alt or plan, found
+    return _embed(rule.name, rooted, target, idx, anchor, rooted.breaks if distinct else ())
+
+
+def _embed(name: str, plan: _Plan, target: Diagram, idx: _Index,
+           anchor: Optional[Tuple[VertexId, VertexId]],
+           breaks: Sequence[Tuple[EdgeId, EdgeId]]) -> List[Match]:
+    """The embeddings ``plan`` finds in target, whose index is ``idx``, in
+    canonical order, less those that some pair of ``breaks`` shows are not
+    the least of their orbit."""
     nbrs = target.neighbour_sets()
     n = len(plan.order)
     img: List[VertexId] = [0] * n
@@ -318,8 +405,10 @@ def find_matches(rule: Rule, target: Diagram,
                 for (le, bvert), half in zip(bedges, perm):
                     full[le] = half[0]
                     attach[bvert] = half
+            if breaks and any(full[e] > full[f] for e, f in breaks):
+                continue
             matches.append(Match(
-                rule_name=rule.name,
+                rule_name=name,
                 vertex_map=vertex_map,
                 edge_map=tuple(sorted(full.items())),
                 boundary_attach=tuple(sorted(attach.items())),
@@ -632,10 +721,10 @@ def rewrite_first(rules: Sequence[Rule], d: Diagram,
     unanchored).
 
     Neither ``accept`` nor ``metric`` may read edge ids or edge orientation.
-    Then a candidate whose result equals, up to those, one already rejected
-    in this call (`_result_key`; automorphisms of a rule's LHS give such
-    repeats) would be rejected too, and it is skipped unscored and unbuilt.
-    Keys are worked out only once a rule has had a candidate rejected.
+    Then the matches of one orbit under the rule's symmetries, which build
+    the same diagram up to those, get the same verdict, so the search gives
+    the loop only the least of each orbit by `Match.key`.  d's own metric
+    value is worked out only once there is a candidate.
 
     A metric may offer ``scorer(d)``: a function that values a candidate
     ``(rule, match, delta)`` of d, with ``delta`` its `match_delta`, without
@@ -646,21 +735,16 @@ def rewrite_first(rules: Sequence[Rule], d: Diagram,
     built only once its value passes; when its cover was spliced, the cover
     search on it, which the next step's base needs anyway, must return the
     same paths."""
-    base = None if metric is None else metric(d)
-    score = None
+    base = score = None
     for rule, anchor in zip(rules, itertools.repeat(None) if anchors is None else anchors):
-        rejected: Set[Tuple] = set()  # keys of this rule's rejected results
-        for m in find_matches(rule, d, anchor=anchor):
-            delta = match_delta(d, rule, m) if metric is not None or rejected else None
-            key = _result_key(delta) if rejected else None
-            if key in rejected:
-                continue
+        for m in _search(rule, d, anchor, True):
             out = scored = None
             if metric is not None:
                 if score is None:
                     scorer = getattr(metric, "scorer", None)
                     score = _unscored if scorer is None else scorer(d)
-                scored = score(rule, m, delta)
+                    base = metric(d)
+                scored = score(rule, m, match_delta(d, rule, m))
             if scored is None or scored.value < base:
                 out = apply_match(d, rule, m)
                 if scored is not None and scored.splice is not None \
@@ -669,12 +753,10 @@ def rewrite_first(rules: Sequence[Rule], d: Diagram,
                 if (accept is not None and not accept(out)) \
                         or (metric is not None and scored is None and metric(out) >= base):
                     out = None
-            if out is None:
-                rejected.add(_result_key(delta or match_delta(d, rule, m)) if key is None else key)
-                continue
-            if trace is not None:
-                trace.record_rewrite(rule, m, out)
-            return out
+            if out is not None:
+                if trace is not None:
+                    trace.record_rewrite(rule, m, out)
+                return out
     return None
 
 

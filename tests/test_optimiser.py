@@ -370,11 +370,12 @@ def _split_form(opt, width, depth, seed):
 
 @pytest.mark.parametrize("width, depth", [(4, 40), (6, 60)])
 def test_skipped_candidates_match_their_representative(ruleset, width, depth):
-    # the metric step skips a candidate whose result key equals that of an
-    # earlier rejected candidate of its rule.  Built, every such repeat must
-    # have its representative's metric value and cover verdict, on the split
-    # form and on the metric phase's fixpoint, where the closing step rejects
-    # everything; that step must score exactly one candidate per key
+    # the metric step's search skips each match that a rule symmetry maps to
+    # a lesser one, whose result key equals that earlier match's.  Built,
+    # every such repeat must have its representative's metric value and
+    # cover verdict, on the split form and on the metric phase's fixpoint,
+    # where the closing step rejects everything; that step must score
+    # exactly one candidate per key
     opt = Optimiser(rules=ruleset)
     metric = CommutationMetric()
     d = _split_form(opt, width, depth, 0)

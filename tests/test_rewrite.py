@@ -1,5 +1,6 @@
 import json
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,15 +8,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from match_reference import reference_matches
+import zxcliff.rewrite as rewrite
 from zxcliff.circuit import circuit, gate, random_clifford_circuit, translate
 from zxcliff.diagram import B, Diagram, X, Z, opposite_colour
 from zxcliff.errors import (ReplayDivergence, RuleFormatError, StaleMatchError)
 from zxcliff.normal_forms import line_diagram
-from zxcliff.optimiser import Optimiser
+from zxcliff.optimiser import CommutationMetric, Optimiser
 from zxcliff.passes import fuse_spiders, h_euler_expand, simple_form
 from zxcliff.rewrite import (_INDEX_CACHE, ProofTrace, Rule, _build_index, _Index, _index, _plan,
-                             apply_match, find_matches, reduce, replay, rewrite_first,
-                             rewrite_metric)
+                             _result_key, _search, apply_match, find_matches, match_delta, reduce,
+                             replay, rewrite_first, rewrite_metric)
 from zxcliff.semantics import interpret, scalar_free_equal
 
 
@@ -132,6 +134,9 @@ def test_matches_agree_with_reference(ruleset, width, depth, seed, picks):
         if options:
             r, m = options[pick % len(options)]
             targets.append(apply_match(g, r, m))
+    # GreenPiCx's Pauli comes last in its plan and is rarest here, so its
+    # unanchored search is rooted there
+    targets.append(t(gate("CNOT", 0, 1), gate("CNOT", 1, 0), gate("Z", 0)))
     for g in targets:
         ids = g.vertices() + [g.max_vertex_id() + 1]
         for rule in rules:
@@ -141,6 +146,17 @@ def test_matches_agree_with_reference(ruleset, width, depth, seed, picks):
                 for v in ids:
                     assert find_matches(rule, g, anchor=(a, v)) == \
                         [m for m in expected if m.vmap()[a] == v], (rule.name, a, v)
+    green_pi_cx = next(rule for rule in rules if rule.name == "GreenPiCx")
+    searched = []
+    embed = rewrite._embed
+
+    def spy(name, plan, *args):
+        searched.append(plan)
+        return embed(name, plan, *args)
+
+    with mock.patch.object(rewrite, "_embed", spy):
+        find_matches(green_pi_cx, targets[-1])
+    assert any(searched[0] is p for p in _plan(green_pi_cx, None).roots)
 
 
 def test_signature_count_rejection_is_exact():
@@ -163,6 +179,66 @@ def test_signature_count_rejection_is_exact():
                 for v in target.interior():
                     assert find_matches(rule, target, anchor=(a, v)) == \
                         [m for m in expected if m.vmap()[a] == v], (rule.name, a, v)
+
+
+def _compose(a, b):
+    """Self-embedding a after self-embedding b, as (vertex pairs, edge pairs)."""
+    av, ae = a.vmap(), a.emap()
+    return (tuple(sorted((v, av[w]) for v, w in b.vertex_map)),
+            tuple(sorted((e, ae[f]) for e, f in b.edge_map)))
+
+
+def test_symmetries_keep_the_result_and_form_a_group(ruleset):
+    # every compiled symmetry rewrites the LHS to the identity's result key,
+    # with the identity they are closed under composition, re-rooted plans
+    # keep them all and an anchored plan keeps those that fix its anchor
+    for rule in ruleset.all_rules():
+        lhs = rule.lhs
+        plan = _plan(rule, None)
+        identity = next(a for a in find_matches(rule, lhs)
+                        if all(x == y for x, y in a.vertex_map + a.edge_map))
+        key = _result_key(match_delta(lhs, rule, identity))
+        group = (identity, *plan.symmetries)
+        assert all(_result_key(match_delta(lhs, rule, a)) == key for a in group), rule.name
+        maps = {(a.vertex_map, a.edge_map) for a in group}
+        assert len(maps) == len(group), rule.name
+        assert all(_compose(a, b) in maps for a in group for b in group), rule.name
+        assert all(p.symmetries == plan.symmetries for p in plan.roots if p is not None)
+        for v in lhs.interior():
+            assert _plan(rule, v).symmetries == \
+                tuple(a for a in plan.symmetries if a.vmap()[v] == v), (rule.name, v)
+
+
+def test_symmetry_group_sizes(rules_by_name):
+    # C2GreenCxCommute may swap the legs at each end of its CNOT pair;
+    # GreenCommute swaps the legs of one CNOT spider; GreenCxCommute's LHS
+    # swap changes its result; CxSw's moves interior vertices
+    sizes = {"C2GreenCxCommute": 4, "GreenCommute": 2, "GreenCxCommute": 1, "CxSw": 4}
+    assert {name: 1 + len(_plan(rules_by_name[name], None).symmetries) for name in sizes} == sizes
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(width=st.integers(1, 6), depth=st.integers(4, 24), seed=st.integers(0, 10**6))
+def test_loop_search_gives_the_first_match_of_each_result(ruleset, width, depth, seed):
+    # on a split simple form and on its metric fixpoint, the selection loop's
+    # search must give, in order, the first `find_matches` match of each
+    # result key, for every rule of every phase: unanchored, and anchored as
+    # the targeted phase anchors, at every interior vertex
+    opt = Optimiser(rules=ruleset)
+    d = opt._split_leg_phases(opt._split_cross_legs(
+        simple_form(translate(random_clifford_circuit(width, depth, seed)))))
+    metric = CommutationMetric()
+    fixpoint = reduce(lambda g, tr: rewrite_metric(opt._metric_rules, g, metric, tr), d).diagram
+    rules = ruleset.init + opt._loop_rules + opt._targeted_rules + opt._metric_rules
+    for g in (d, fixpoint):
+        searches = [(rule, None) for rule in rules] + \
+            [(rule, (opt._anchors[rule.name], v)) for rule in opt._targeted_rules
+             for v in g.interior()]
+        for rule, anchor in searches:
+            first = {}
+            for m in find_matches(rule, g, anchor=anchor):
+                first.setdefault(_result_key(match_delta(g, rule, m)), m)
+            assert _search(rule, g, anchor, True) == list(first.values()), (rule.name, anchor)
 
 
 def _rhs_shape_rules(kind, phase):
@@ -276,8 +352,6 @@ def test_derived_index_agrees_on_fingerprint_corpus(optimiser, monkeypatch):
     # is derived and its neighbour map carried
     from test_fingerprint import GOLDEN
 
-    import zxcliff.rewrite as rewrite
-
     derived = []
 
     def checked(g, rule, m):
@@ -291,6 +365,25 @@ def test_derived_index_agrees_on_fingerprint_corpus(optimiser, monkeypatch):
     for width, depth, seed in sorted(GOLDEN):
         optimiser.run(random_clifford_circuit(width, depth, seed))
     assert derived and all(derived)
+
+
+def test_match_keys_are_distinct_on_fingerprint_corpus(optimiser, monkeypatch):
+    # the loop keeps the least match of each symmetry orbit by `Match.key`,
+    # so no two embeddings that the optimiser's searches meet share a key
+    from test_fingerprint import GOLDEN
+
+    search = rewrite._search
+    distinct = []
+
+    def checked(rule, g, anchor, pruned):
+        keys = [m.key() for m in search(rule, g, anchor, False)]
+        distinct.append(len(set(keys)) == len(keys))
+        return search(rule, g, anchor, pruned)
+
+    monkeypatch.setattr(rewrite, "_search", checked)
+    for width, depth, seed in sorted(GOLDEN):
+        optimiser.run(random_clifford_circuit(width, depth, seed))
+    assert distinct and all(distinct)
 
 
 # -- application ---------------------------------------------------------------------
