@@ -51,10 +51,17 @@ class Diagram:
 
     ``vertices`` maps id -> (kind, phase); ``edges`` maps id -> (u, v) with
     u <= v.  ``inputs``/``outputs`` are the ordered boundary ids.
+
+    ``memo`` holds values other modules derive from the diagram, each worked
+    out at most once and dropped with the diagram: its path cover
+    (``"cover"``, `flow.find_path_cover`), its matcher index (``"index"``,
+    from `rewrite`) and its commutation-metric terms (``"terms"``, from
+    `optimiser`).  No memoised value may refer back to the diagram, so
+    reference counting alone frees a diagram and its memo together.
     """
 
     __slots__ = ("_vertices", "_edges", "_inputs", "_outputs", "_adj", "_nbrs", "_max_vertex",
-                 "__weakref__")
+                 "memo", "__weakref__")
 
     def __init__(
         self,
@@ -77,6 +84,7 @@ class Diagram:
         # built on first use, or carried from a rewritten parent (`neighbour_sets`)
         self._nbrs: Optional[Dict[VertexId, Set[VertexId]]] = None
         self._max_vertex: Optional[VertexId] = None  # found on first use
+        self.memo: Dict[str, object] = {}
         self._validate()
 
     # -- construction helpers -------------------------------------------------
@@ -336,8 +344,13 @@ class Diagram:
                 used.discard(bv)
             return False
 
-        if not backtrack(0):
-            return False
+        try:
+            if not backtrack(0):
+                return False
+        finally:
+            # backtrack holds itself through its closure cell; emptying the
+            # cell breaks that cycle, so reference counting frees the search
+            del backtrack
         # boundary seed mappings were never edge-checked if boundaries map to
         # boundaries of differing attachment; verify the full edge multisets
         count1: Dict[Tuple[VertexId, VertexId], int] = {}

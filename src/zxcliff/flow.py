@@ -30,7 +30,6 @@ before it stand.
 from __future__ import annotations
 
 import heapq
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
@@ -54,7 +53,7 @@ class PathCover:
     read.  The rest is worked out on first use: ``pos`` maps each vertex to
     its (path, position), ``pred`` inverts f, and ``claim_order`` and
     ``claim_step`` record the sweep.  A cover holds no reference to its
-    diagram, which keys it in the cover cache."""
+    diagram, whose memo holds it."""
 
     paths: Tuple[Tuple[VertexId, ...], ...]
     succ: Dict[VertexId, VertexId]
@@ -163,11 +162,6 @@ def _sweep(d: Diagram, nbrs: Dict[VertexId, Set[VertexId]]
     return succ, sorted(unreached)
 
 
-# diagrams are immutable, so covers are cached per object; entries vanish
-# with the diagram, which is the invalidation callers need after rewriting
-_COVER_CACHE: "weakref.WeakKeyDictionary[Diagram, PathCover]" = weakref.WeakKeyDictionary()
-
-
 def find_path_cover(d: Diagram) -> PathCover:
     """The path cover satisfying F1-F3, or NotACircuit.
 
@@ -177,13 +171,13 @@ def find_path_cover(d: Diagram) -> PathCover:
     the causal flow is unique (de Beaudrap, arXiv:quant-ph/0611284), so the
     result does not depend on the order of the sweep and a failed sweep means
     no cover exists.  The paths follow the successor from each input in input
-    order, and F1-F3 are rechecked on them.  Successful covers are memoised
-    per diagram object.
+    order, and F1-F3 are rechecked on them.  A successful cover is memoised
+    in ``d.memo["cover"]``; diagrams are immutable, so it never goes stale.
 
     On failure, ``NotACircuit.stranded`` lists the vertices the sweep never
     reached; it is empty only when the input and output counts differ.
     """
-    cached = _COVER_CACHE.get(d)
+    cached = d.memo.get("cover")
     if cached is not None:
         return cached
     if d.num_inputs != d.num_outputs:
@@ -205,7 +199,7 @@ def find_path_cover(d: Diagram) -> PathCover:
     if flow is None:
         raise AssertionError("the flow sweep produced paths that fail F1-F3")
     cover = PathCover(tuple(paths), *flow, nbrs, frozenset(d.inputs))
-    _COVER_CACHE[d] = cover
+    d.memo["cover"] = cover
     return cover
 
 
@@ -242,15 +236,13 @@ class Splice:
         return tuple(paths)
 
 
-# per rule: each LHS cover path as (start boundary, interior, end boundary,
-# interior of the RHS cover path between the same boundary positions), or
-# None when a side has no cover or the two covers pair the boundary apart
-_SPLICE_PLANS: "weakref.WeakKeyDictionary[Rule, Optional[Tuple]]" = weakref.WeakKeyDictionary()
-
-
 def _splice_plan(rule: "Rule") -> Optional[Tuple]:
-    if rule in _SPLICE_PLANS:
-        return _SPLICE_PLANS[rule]
+    """Each LHS cover path as (start boundary, interior, end boundary,
+    interior of the RHS cover path between the same boundary positions), or
+    None when a side has no cover or the two covers pair the boundary apart;
+    memoised in ``rule.memo["splice"]``."""
+    if "splice" in rule.memo:
+        return rule.memo["splice"]
     plan: Optional[Tuple] = None
     try:
         lhs_paths = find_path_cover(rule.lhs).paths
@@ -265,7 +257,7 @@ def _splice_plan(rule: "Rule") -> Optional[Tuple]:
         if all(e in rhs_between for e in ends):
             plan = tuple((p[0], p[1:-1], p[-1], rhs_between[e])
                          for p, e in zip(lhs_paths, ends))
-    _SPLICE_PLANS[rule] = plan
+    rule.memo["splice"] = plan
     return plan
 
 

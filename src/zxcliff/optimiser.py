@@ -41,7 +41,6 @@ import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -149,18 +148,14 @@ def metric_terms(d: Diagram, pc: PathCover) -> MetricTerms:
                        sum(separation.values()))
 
 
-# diagrams are immutable, so a metric step's base value and its scorer share
-# one set of terms; entries vanish with the diagram, as covers do
-_TERMS_CACHE: "WeakKeyDictionary[Diagram, MetricTerms]" = WeakKeyDictionary()
-
-
 def _cover_terms(d: Diagram) -> Tuple[PathCover, MetricTerms]:
-    """d's cover and its `metric_terms`, each worked out once per diagram;
-    NotACircuit when d has no cover."""
+    """d's cover and its `metric_terms`, each worked out once per diagram
+    and memoised on it, so a metric step's base value and its scorer share
+    one set of terms; NotACircuit when d has no cover."""
     pc = find_path_cover(d)
-    terms = _TERMS_CACHE.get(d)
+    terms = d.memo.get("terms")
     if terms is None:
-        terms = _TERMS_CACHE[d] = metric_terms(d, pc)
+        terms = d.memo["terms"] = metric_terms(d, pc)
     return pc, terms
 
 

@@ -31,10 +31,12 @@ symmetries that fix its anchor.  One comparison per symmetry tells the least
 member: the first LHS edge the symmetry moves must go to a lower target edge
 than that edge's image does.  `find_matches` still returns every embedding.
 
-Plans and indexes are cached weakly, per rule and per diagram.  A rewrite
-carries the target's index and neighbour map to its result: only the matched
-vertices, the attachments and the fresh vertices change, and each carried
-value equals one built from scratch.
+A rule memoises its plans (`Rule.memo`) and a diagram its index
+(`Diagram.memo`), so each is dropped with its object.  A rewrite carries the
+target's index and neighbour map to its result: only the matched vertices,
+the attachments and the fresh vertices change, and each carried value equals
+one built from scratch.  No search leaves a reference cycle, so reference
+counting frees its working set as soon as it returns.
 
 Matches are returned in a canonical order (lexicographic over the sorted
 image vertex ids, then edge and boundary assignments), so every operation in
@@ -47,9 +49,8 @@ import itertools
 import json
 from bisect import insort
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
-from weakref import WeakKeyDictionary
 
 from .diagram import Diagram, EdgeId, VertexId
 from .errors import ReplayDivergence, RuleFormatError, StaleMatchError
@@ -60,11 +61,18 @@ Metric = Callable[[Diagram], int]
 
 @dataclass(frozen=True)
 class Rule:
-    """A directed equation between two diagrams with the same boundary."""
+    """A directed equation between two diagrams with the same boundary.
+
+    ``memo`` holds what other code compiles from the rule, once per rule
+    object and dropped with it: its search plans by anchor (``"plans"``), its
+    RHS plan (``"rhs"``, `match_delta`) and its cover splice plan
+    (``"splice"``, `flow.splice_cover`).  It takes no part in equality,
+    hashing or the repr."""
 
     name: str
     lhs: Diagram
     rhs: Diagram
+    memo: Dict[str, object] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.lhs.signature() != self.rhs.signature():
@@ -239,14 +247,11 @@ def _symmetries(rule: Rule) -> List[Match]:
     return [a for a in selfs if a != identity and key[a] == key[identity]]
 
 
-# compiled plans per rule, keyed by the anchored LHS vertex (None: unanchored)
-_PLAN_CACHE: "WeakKeyDictionary[Rule, Dict[Optional[VertexId], _Plan]]" = WeakKeyDictionary()
-
-
 def _plan(rule: Rule, root: Optional[VertexId]) -> _Plan:
-    plans = _PLAN_CACHE.get(rule)
+    # keyed by the anchored LHS vertex (None: unanchored)
+    plans = rule.memo.get("plans")
     if plans is None:
-        plans = _PLAN_CACHE[rule] = {}
+        plans = rule.memo["plans"] = {}
     plan = plans.get(root)
     if plan is None:
         plan = plans[root] = _new_plan(rule, root)
@@ -274,13 +279,10 @@ class _Index(NamedTuple):
     sig: Dict[VertexId, Tuple]  # interior vertex -> (kind, phase, degree, self-loops)
 
 
-_INDEX_CACHE: "WeakKeyDictionary[Diagram, _Index]" = WeakKeyDictionary()
-
-
 def _index(d: Diagram) -> _Index:
-    idx = _INDEX_CACHE.get(d)
+    idx = d.memo.get("index")
     if idx is None:
-        idx = _INDEX_CACHE[d] = _build_index(d)
+        idx = d.memo["index"] = _build_index(d)
     return idx
 
 
@@ -438,7 +440,12 @@ def _embed(name: str, plan: _Plan, target: Diagram, idx: _Index,
             backtrack(i + 1)
             used.discard(t)
 
-    backtrack(0)
+    try:
+        backtrack(0)
+    finally:
+        # backtrack holds itself through its closure cell; emptying the cell
+        # breaks that cycle, so reference counting frees the search
+        del backtrack
     matches.sort(key=lambda m: m.key())
     return matches
 
@@ -519,14 +526,11 @@ class _RhsPlan(NamedTuple):
     boundary: Tuple[Tuple[VertexId, VertexId], ...]  # (RHS, LHS) boundary vertex pairs
 
 
-_RHS_CACHE: "WeakKeyDictionary[Rule, _RhsPlan]" = WeakKeyDictionary()
-
-
 def _rhs_plan(rule: Rule) -> _RhsPlan:
-    plan = _RHS_CACHE.get(rule)
+    plan = rule.memo.get("rhs")
     if plan is None:
         rhs, lhs = rule.rhs, rule.lhs
-        plan = _RHS_CACHE[rule] = _RhsPlan(
+        plan = rule.memo["rhs"] = _RhsPlan(
             interior=tuple(rhs.interior()),
             edges=tuple(map(rhs.edge_ends, rhs.edges())),
             boundary=tuple(zip(rhs.inputs + rhs.outputs, lhs.inputs + lhs.outputs)))
@@ -572,9 +576,9 @@ def apply_match(target: Diagram, rule: Rule, m: Match) -> Diagram:
     if nbrs is not None:
         out._nbrs = {v: ns for v, ns in nbrs.items() if v not in delta.removed}
         out._nbrs.update(delta.neighbours(nbrs))
-    parent = _INDEX_CACHE.get(target)
+    parent = target.memo.get("index")
     if parent is not None:
-        _INDEX_CACHE[out] = _derive_index(parent, out, delta)
+        out.memo["index"] = _derive_index(parent, out, delta)
     return out
 
 

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from zxcliff.normal_forms import cc1_table, cc2_family
@@ -33,3 +35,19 @@ def optimiser(ruleset):
 @pytest.fixture(scope="session")
 def optimiser_nofallback(ruleset):
     return Optimiser(OptimiserConfig(semantic_fallback=False), rules=ruleset)
+
+
+@pytest.fixture
+def cyclic_garbage():
+    """A function that runs ``work()`` with the cycle collector off and
+    returns how many objects it left unreachable: the ones that only the
+    collector, not reference counting, could free."""
+    def count(work):
+        gc.collect()
+        gc.disable()
+        try:
+            work()
+            return gc.collect()
+        finally:
+            gc.enable()
+    return count

@@ -195,6 +195,30 @@ def test_iso_distinguishes_multiplicity():
     assert not d1.iso_equal(d2)
 
 
+def test_iso_leaves_no_cyclic_garbage(cyclic_garbage, monkeypatch):
+    # both pairs reach the backtracking search: same boundary, vertex, edge
+    # and signature counts; CNOT(1, 0) differs from CNOT(0, 1) only in
+    # which wire holds the Z spider
+    d = t(gate("CNOT", 0, 1), gate("S", 0), gate("CNOT", 1, 0))
+    same = Diagram.from_json_obj(d.to_json_obj())
+    other = t(gate("CNOT", 1, 0), gate("S", 0), gate("CNOT", 1, 0))
+    results = []
+    assert cyclic_garbage(lambda: results.extend((d.iso_equal(same), d.iso_equal(other)))) == 0
+    assert results == [True, False]
+
+    def failing_search():
+        try:
+            d.iso_equal(same)
+        except RuntimeError:
+            pass
+
+    def boom(*args):
+        raise RuntimeError("search interrupted")
+
+    monkeypatch.setattr(Diagram, "edges_between", boom)
+    assert cyclic_garbage(failing_search) == 0
+
+
 # -- algebraic properties ------------------------------------------------------------
 
 def test_compose_associative_up_to_iso():

@@ -1,4 +1,3 @@
-import gc
 import random
 import weakref
 
@@ -132,6 +131,29 @@ def test_trace_replays_to_final(optimiser, rules_by_name):
         res = optimiser.run(c)
         assert replay(res.trace, rules_by_name).iso_equal(res.trace.final)
         assert res.trace.final.iso_equal(res.diagram)
+
+
+def test_optimise_and_replay_leave_no_cyclic_garbage(ruleset, rules_by_name, cyclic_garbage):
+    # once warm, optimising and replaying leave nothing that only the cycle
+    # collector could free: every search, and every cover, index and metric
+    # term memoised on a diagram, goes with reference counting
+    circuits = [random_clifford_circuit(width, depth, seed)
+                for width, depth, seed in ((1, 40, 0), (1, 40, 1), (2, 20, 0), (2, 20, 1),
+                                           (4, 24, 0))]
+    plain = Optimiser(rules=ruleset)
+    checked = Optimiser(OptimiserConfig(verify_each_step=True), rules=ruleset)
+    replayed = []
+
+    def optimise_and_replay():
+        for c in circuits:
+            for opt in (plain, checked):
+                trace = opt.run(c).trace
+                replayed.append(replay(trace, rules_by_name).iso_equal(trace.final))
+
+    optimise_and_replay()  # compiles the rules' plans and the normal-form tables
+    replayed.clear()
+    assert cyclic_garbage(optimise_and_replay) == 0
+    assert len(replayed) == 2 * len(circuits) and all(replayed)
 
 
 def test_traces_byte_stable(optimiser):
@@ -477,8 +499,9 @@ def test_carried_neighbour_sets_are_never_mutated(ruleset):
 
 
 def test_cover_and_scorer_leave_the_diagram_collectable(ruleset):
-    # the cover cache is keyed weakly by diagram, so a cover, or anything the
-    # scorer leaves behind, that held its diagram would keep it alive for good
+    # the diagram's memo holds its cover, so a cover, or anything the scorer
+    # leaves behind, that held its diagram would make a cycle, which
+    # reference counting alone, with no collection, never frees
     opt = Optimiser(rules=ruleset)
     d = opt._split_leg_phases(opt._split_cross_legs(
         simple_form(translate(random_clifford_circuit(4, 40, 0)))))
@@ -489,7 +512,6 @@ def test_cover_and_scorer_leave_the_diagram_collectable(ruleset):
     assert any(s is not None and s.splice is not None for s in scored)
     ref = weakref.ref(d)
     del d, score
-    gc.collect()
     assert ref() is None
 
 

@@ -15,9 +15,9 @@ from zxcliff.errors import (ReplayDivergence, RuleFormatError, StaleMatchError)
 from zxcliff.normal_forms import line_diagram
 from zxcliff.optimiser import CommutationMetric, Optimiser
 from zxcliff.passes import fuse_spiders, h_euler_expand, simple_form
-from zxcliff.rewrite import (_INDEX_CACHE, ProofTrace, Rule, _build_index, _Index, _index, _plan,
-                             _result_key, _search, apply_match, find_matches, match_delta, reduce,
-                             replay, rewrite_first, rewrite_metric)
+from zxcliff.rewrite import (ProofTrace, Rule, _build_index, _Index, _index, _plan, _result_key,
+                             _search, apply_match, find_matches, match_delta, reduce, replay,
+                             rewrite_first, rewrite_metric)
 from zxcliff.semantics import interpret, scalar_free_equal
 
 
@@ -301,7 +301,7 @@ def _derived_index_chain(ruleset, width, depth, seed, picks):
     def step(g, rule, m):
         parent = _index(g)
         out = apply_match(g, rule, m)
-        derived = _INDEX_CACHE[out]
+        derived = out.memo["index"]
         full = _build_index(out)
         for field in _Index._fields:
             assert getattr(derived, field) == getattr(full, field), (rule.name, field)
@@ -357,7 +357,7 @@ def test_derived_index_agrees_on_fingerprint_corpus(optimiser, monkeypatch):
     def checked(g, rule, m):
         out = apply_match(g, rule, m)
         full = _build_index(out)
-        derived.append(_INDEX_CACHE[out] == full)
+        derived.append(out.memo["index"] == full)
         _assert_carried_neighbours(g, out)
         return out
 
@@ -384,6 +384,44 @@ def test_match_keys_are_distinct_on_fingerprint_corpus(optimiser, monkeypatch):
     for width, depth, seed in sorted(GOLDEN):
         optimiser.run(random_clifford_circuit(width, depth, seed))
     assert distinct and all(distinct)
+
+
+def test_search_and_metric_step_leave_no_cyclic_garbage(ruleset, cyclic_garbage, monkeypatch):
+    # reference counting alone frees a search, a metric step and all they
+    # memoise; each call works on a fresh copy of d, so its index, cover and
+    # metric terms are worked out, and dropped, inside the call
+    opt = Optimiser(rules=ruleset)
+    d = opt._split_leg_phases(opt._split_cross_legs(
+        simple_form(translate(random_clifford_circuit(4, 40, 0)))))
+    metric = CommutationMetric()
+    found, steps = [], []
+
+    def search():
+        g = d.builder().build()
+        found.append(sum(len(find_matches(rule, g)) for rule in opt._metric_rules))
+
+    def metric_step():
+        steps.append(rewrite_first(opt._metric_rules, d.builder().build(), metric=metric))
+
+    for work in (search, metric_step):
+        work()  # compiles the rules' plans
+        assert cyclic_garbage(work) == 0
+    assert found[-1] > 0 and steps[-1] is not None
+
+    # and so does a search that raises part way
+    rule = next(r for r in opt._metric_rules if find_matches(r, d))
+
+    def interrupted():
+        try:
+            find_matches(rule, d)
+        except RuntimeError:
+            pass
+
+    def boom(**fields):
+        raise RuntimeError("search interrupted")
+
+    monkeypatch.setattr(rewrite, "Match", boom)
+    assert cyclic_garbage(interrupted) == 0
 
 
 # -- application ---------------------------------------------------------------------
