@@ -280,89 +280,11 @@ class Diagram:
     # -- isomorphism -----------------------------------------------------------
 
     def iso_equal(self, other: "Diagram") -> bool:
-        """Kind/phase-preserving isomorphism with boundaries pinned by position."""
-        if self.signature() != other.signature():
-            return False
-        if len(self._vertices) != len(other._vertices):
-            return False
-        if len(self._edges) != len(other._edges):
-            return False
-        mapping: Dict[VertexId, VertexId] = {}
-        used = set()
-        for a, bv in zip(self._inputs + self._outputs, other._inputs + other._outputs):
-            mapping[a] = bv
-            used.add(bv)
+        """Kind/phase-preserving isomorphism with boundaries pinned by
+        position, decided by the rewrite matcher (`rewrite.isomorphic`)."""
+        from .rewrite import isomorphic
 
-        mine = [v for v in self.interior()]
-        theirs = other.interior()
-        if len(mine) != len(theirs):
-            return False
-
-        def sig(d: "Diagram", v: VertexId) -> Tuple:
-            return (d.kind(v), d.phase(v), d.degree(v))
-
-        by_sig: Dict[Tuple, List[VertexId]] = {}
-        for v in theirs:
-            by_sig.setdefault(sig(other, v), []).append(v)
-        for v in mine:
-            if len(by_sig.get(sig(self, v), [])) == 0:
-                return False
-
-        # order by rarest signature first to prune early
-        mine.sort(key=lambda v: (len(by_sig.get(sig(self, v), [])), v))
-
-        def edges_consistent(a: VertexId, bv: VertexId) -> bool:
-            # every edge from a to an already-mapped vertex must be matched
-            # in multiplicity on the other side
-            for u in set(self.neighbours(a)) | {a}:
-                if u == a:
-                    m1 = len(self.edges_between(a, a))
-                    m2 = len(other.edges_between(bv, bv))
-                    if m1 != m2:
-                        return False
-                elif u in mapping:
-                    m1 = len(self.edges_between(a, u))
-                    m2 = len(other.edges_between(bv, mapping[u]))
-                    if m1 != m2:
-                        return False
-            return True
-
-        def backtrack(i: int) -> bool:
-            if i == len(mine):
-                return True
-            a = mine[i]
-            for bv in by_sig.get(sig(self, a), []):
-                if bv in used:
-                    continue
-                if not edges_consistent(a, bv):
-                    continue
-                mapping[a] = bv
-                used.add(bv)
-                if backtrack(i + 1):
-                    return True
-                del mapping[a]
-                used.discard(bv)
-            return False
-
-        try:
-            if not backtrack(0):
-                return False
-        finally:
-            # backtrack holds itself through its closure cell; emptying the
-            # cell breaks that cycle, so reference counting frees the search
-            del backtrack
-        # boundary seed mappings were never edge-checked if boundaries map to
-        # boundaries of differing attachment; verify the full edge multisets
-        count1: Dict[Tuple[VertexId, VertexId], int] = {}
-        for u, v in self._edges.values():
-            mu, mv = mapping[u], mapping[v]
-            key = (min(mu, mv), max(mu, mv))
-            count1[key] = count1.get(key, 0) + 1
-        count2: Dict[Tuple[VertexId, VertexId], int] = {}
-        for u, v in other._edges.values():
-            key = (min(u, v), max(u, v))
-            count2[key] = count2.get(key, 0) + 1
-        return count1 == count2
+        return isomorphic(self, other)
 
     # -- serialisation ----------------------------------------------------------
 

@@ -24,9 +24,10 @@ Phases:
    diagram's flow sweep, resumed where the rewrite first touches it
    (`flow.stranded_after`), shows the cover is lost; only candidates neither
    settles, and the one accepted, are built.  Neither the metric nor the
-   cover test reads edge ids or orientation, so the loop skips, unscored,
-   any candidate whose result equals one it has already rejected up to
-   those (automorphisms of a rule's LHS give such repeats).
+   cover test reads edge ids or orientation, so matches that build the same
+   diagram up to those (automorphisms of a rule's LHS give them) get one
+   verdict, and the search hands the loop only the least match of each
+   such symmetry orbit.
 3. Final tidy: every single-qubit run is replaced by its CC1 representative
    (2x2 oracle lookup, each vertex's matrix taken from `interpret`); on
    two-qubit diagrams with the semantic fallback enabled the whole diagram

@@ -19,8 +19,13 @@ LHS has returns no match at once.  Otherwise it is rooted at the first LHS
 vertex of the signature with the smallest target pool, using the plan
 compiled for that root; the root of each LHS component draws candidates from
 its signature pool and every later vertex from the neighbours of its
-parent's image.  An anchored search pins one LHS vertex to one target vertex
-and roots the plan there.
+parent's image.  A plan may be rooted at several LHS vertices at once, each
+pinned to one target vertex: an anchored search pins one.
+
+The same search decides diagram isomorphism with the boundary pinned by
+position (`isomorphic`, behind `Diagram.iso_equal`): one diagram's whole
+interior is matched into the other's, with the interior neighbour of each
+boundary vertex pinned to its counterpart's.
 
 A plan also holds the rule's symmetries: the LHS self-embeddings that leave
 the rewrite's result unchanged, found by matching the LHS into itself.  A
@@ -149,9 +154,9 @@ class Match:
 
 
 class _Plan(NamedTuple):
-    """A rule's LHS compiled for search.  Position i is the i-th interior
-    vertex in BFS order; each vertex after a component's root touches an
-    earlier one, its parent."""
+    """A rule's LHS, or a diagram `isomorphic` matches whole, compiled for
+    search.  Position i is the i-th interior vertex in BFS order; each
+    vertex after a component's root touches an earlier one, its parent."""
 
     order: Tuple[VertexId, ...]
     sigs: Tuple[Tuple, ...]  # (kind, phase, degree, self-loops) per position
@@ -177,16 +182,17 @@ class _Plan(NamedTuple):
     breaks: Tuple[Tuple[EdgeId, EdgeId], ...]
 
 
-def _compile(lhs: Diagram, root: Optional[VertexId], symmetries: Sequence[Match] = ()) -> _Plan:
-    interior = lhs.interior()
-    roots = interior if root is None else [root] + interior
+def _compile(lhs: Diagram, roots: Sequence[VertexId],
+             symmetries: Sequence[Match] = ()) -> _Plan:
+    """The plan for ``lhs``: one BFS from all the ``roots``, which take the
+    first positions in their order and have no parent, then one from each
+    interior vertex left unreached.  Edges between two boundary vertices
+    are left out: no embedding sees them."""
     order: List[VertexId] = []
-    parent: Dict[VertexId, Optional[VertexId]] = {}
-    for r in roots:
-        if r in parent:
-            continue
-        parent[r] = None
-        queue = deque([r])
+    parent: Dict[VertexId, Optional[VertexId]] = dict.fromkeys(roots)
+    queue = deque(parent)
+    # None ends the search from the last vertex left unreached
+    for r in [*lhs.interior(), None]:
         while queue:
             v = queue.popleft()
             order.append(v)
@@ -194,7 +200,11 @@ def _compile(lhs: Diagram, root: Optional[VertexId], symmetries: Sequence[Match]
                 if w not in parent and not lhs.is_boundary(w):
                     parent[w] = v
                     queue.append(w)
+        if r is not None and r not in parent:
+            parent[r] = None
+            queue.append(r)
     pos = {v: i for i, v in enumerate(order)}
+    parents = tuple(None if parent[v] is None else pos[parent[v]] for v in order)
 
     between: Dict[Tuple[VertexId, VertexId], List[EdgeId]] = {}
     bedges: List[List[Tuple[EdgeId, VertexId]]] = [[] for _ in order]
@@ -205,10 +215,13 @@ def _compile(lhs: Diagram, root: Optional[VertexId], symmetries: Sequence[Match]
                                []).append(e)
         elif v in pos:
             bedges[pos[v]].append((e, u))
-        else:
+        elif u in pos:
             bedges[pos[u]].append((e, v))
-    sigs = tuple((lhs.kind(v), lhs.phase(v), lhs.degree(v), len(between.get((i, i), ())))
-                 for i, v in enumerate(order))
+    links: List[List[int]] = [[] for _ in order]
+    for i, j in sorted(between):
+        if i < j and parents[j] != i:
+            links[j].append(i)
+    sigs = tuple(_signature(lhs, v) for v in order)
     need = tuple(Counter(sigs).items())
     breaks = set()
     for a in symmetries:
@@ -219,9 +232,8 @@ def _compile(lhs: Diagram, root: Optional[VertexId], symmetries: Sequence[Match]
     return _Plan(
         order=tuple(order),
         sigs=sigs,
-        parents=tuple(None if parent[v] is None else pos[parent[v]] for v in order),
-        links=tuple(tuple(j for j in range(i) if (j, i) in between and order[j] != parent[v])
-                    for i, v in enumerate(order)),
+        parents=parents,
+        links=tuple(map(tuple, links)),
         pairs=tuple((i, j, tuple(es)) for (i, j), es in between.items()),
         bedges=tuple(tuple(b) for b in bedges),
         need=need,
@@ -241,7 +253,7 @@ def _symmetries(rule: Rule) -> List[Match]:
     boundary vertices in a way that keeps the multiset of new edges.  So of
     each orbit the rewrite loop needs only the least match."""
     lhs = rule.lhs
-    selfs = _embed(rule.name, _compile(lhs, None), lhs, _index(lhs), None, ())
+    selfs = _embed(rule.name, _compile(lhs, ()), lhs, _index(lhs), (), ())
     key = {a: _result_key(match_delta(lhs, rule, a)) for a in selfs}
     identity = next(a for a in selfs if all(x == y for x, y in a.vertex_map + a.edge_map))
     return [a for a in selfs if a != identity and key[a] == key[identity]]
@@ -263,13 +275,13 @@ def _new_plan(rule: Rule, root: Optional[VertexId]) -> _Plan:
         raise RuleFormatError(f"anchor {root} is not interior to {rule.name}")
     if root is not None:
         # only the orbit members that keep the anchor are enumerated under it
-        return _compile(rule.lhs, root, [a for a in _plan(rule, None).symmetries
-                                         if a.vmap()[root] == root])
+        return _compile(rule.lhs, (root,), [a for a in _plan(rule, None).symmetries
+                                            if a.vmap()[root] == root])
     symmetries = _symmetries(rule)
-    plan = _compile(rule.lhs, None, symmetries)
+    plan = _compile(rule.lhs, (), symmetries)
     firsts = [plan.sigs.index(s) for s, _ in plan.need]
     return plan._replace(roots=tuple(
-        None if i == 0 else _compile(rule.lhs, plan.order[i], symmetries) for i in firsts))
+        None if i == 0 else _compile(rule.lhs, (plan.order[i],), symmetries) for i in firsts))
 
 
 class _Index(NamedTuple):
@@ -287,7 +299,13 @@ def _index(d: Diagram) -> _Index:
 
 
 def _signature(d: Diagram, v: VertexId) -> Tuple:
-    return d.kind(v), d.phase(v), d.degree(v), len(d.edges_between(v, v))
+    # a self-loop is listed once at v and counts twice towards its degree
+    kind, phase = d._vertices[v]
+    loops = 0
+    for e in d._adj[v]:
+        if d._edges[e] == (v, v):
+            loops += 1
+    return kind, phase, len(d._adj[v]) + loops, loops
 
 
 def _build_index(d: Diagram) -> _Index:
@@ -357,15 +375,16 @@ def _search(rule: Rule, target: Diagram, anchor: Optional[Tuple[VertexId, Vertex
             return []
         if fewest is None or found < fewest:
             rooted, fewest = alt or plan, found
-    return _embed(rule.name, rooted, target, idx, anchor, rooted.breaks if distinct else ())
+    return _embed(rule.name, rooted, target, idx, () if anchor is None else (anchor[1],),
+                  rooted.breaks if distinct else ())
 
 
-def _embed(name: str, plan: _Plan, target: Diagram, idx: _Index,
-           anchor: Optional[Tuple[VertexId, VertexId]],
+def _embed(name: str, plan: _Plan, target: Diagram, idx: _Index, pins: Sequence[VertexId],
            breaks: Sequence[Tuple[EdgeId, EdgeId]]) -> List[Match]:
     """The embeddings ``plan`` finds in target, whose index is ``idx``, in
     canonical order, less those that some pair of ``breaks`` shows are not
-    the least of their orbit."""
+    the least of their orbit.  The plan's first positions, its roots, go to
+    the target vertices ``pins`` in order."""
     nbrs = target.neighbour_sets()
     n = len(plan.order)
     img: List[VertexId] = [0] * n
@@ -422,13 +441,13 @@ def _embed(name: str, plan: _Plan, target: Diagram, idx: _Index,
             return
         sig = plan.sigs[i]
         p = plan.parents[i]
-        if p is not None:
+        if i < len(pins):
+            cands = [pins[i]] if idx.sig.get(pins[i]) == sig else []
+        elif p is not None:
             # in id order, so matches with equal keys keep one order
             # however the neighbour map was made
             cands = [t for t in nbrs[img[p]] if idx.sig.get(t) == sig]
             cands.sort()
-        elif i == 0 and anchor is not None:
-            cands = [anchor[1]] if idx.sig.get(anchor[1]) == sig else []
         else:
             cands = idx.pool.get(sig, [])
         links = plan.links[i]
@@ -448,6 +467,39 @@ def _embed(name: str, plan: _Plan, target: Diagram, idx: _Index,
         del backtrack
     matches.sort(key=lambda m: m.key())
     return matches
+
+
+def isomorphic(a: Diagram, b: Diagram) -> bool:
+    """Whether a and b are equal up to vertex and edge ids, with kinds and
+    phases kept and the boundaries pinned by position (`Diagram.iso_equal`).
+
+    Such an isomorphism is an embedding of a's whole interior onto b's that
+    takes each boundary half-edge of a to b's boundary vertex at the same
+    position.  So the interior neighbour of each boundary vertex of a is
+    pinned to that of b's at the same position (a pin on a boundary vertex
+    matches nothing), and the wires between two boundary vertices, which no
+    embedding sees, are compared directly.  Then any embedding will do: it
+    leaves each image vertex as many boundary neighbours as its preimage
+    has, and the pins have named them all."""
+    if (a.signature() != b.signature() or len(a._vertices) != len(b._vertices)
+            or len(a._edges) != len(b._edges)):
+        return False
+    twin = dict(zip(a.inputs + a.outputs, b.inputs + b.outputs))
+    na, nb = a.neighbour_sets(), b.neighbour_sets()
+    pins: Dict[VertexId, VertexId] = {}
+    for u, v in twin.items():
+        (x,), (y,) = na[u], nb[v]
+        if x in twin:
+            if twin[x] != y:
+                return False
+        elif pins.setdefault(x, y) != y:
+            return False
+    plan = _compile(a, tuple(pins))
+    idx = _index(b)
+    # the interiors are of one size, so equal counts of a's signatures mean equal pools
+    if any(len(idx.pool.get(s, ())) != k for s, k in plan.need):
+        return False
+    return bool(_embed("", plan, b, idx, tuple(pins.values()), ()))
 
 
 def _revalidate(target: Diagram, rule: Rule, m: Match) -> None:

@@ -1,13 +1,22 @@
+import functools
 import random
+import signal
+from pathlib import Path
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zxcliff.circuit import circuit, gate, random_clifford_circuit, translate
-from zxcliff.diagram import B, Diagram, DiagramBuilder, H, X, Z
+from zxcliff.diagram import B, SPIDERS, Diagram, DiagramBuilder, H, X, Z
 from zxcliff.errors import CompositionArityError, DiagramInvariantError
 from zxcliff.normal_forms import line_diagram
+from zxcliff.optimiser import Optimiser
 from zxcliff.semantics import interpret, scalar_free_equal
+
+DATA = Path(__file__).parent / "data"
 
 
 def wire():
@@ -217,6 +226,130 @@ def test_iso_leaves_no_cyclic_garbage(cyclic_garbage, monkeypatch):
 
     monkeypatch.setattr(Diagram, "edges_between", boom)
     assert cyclic_garbage(failing_search) == 0
+
+
+def _relabelled(d, rng):
+    """d with its vertex and edge ids renumbered at random."""
+    vs, es = d.vertices(), d.edges()
+    new = dict(zip(vs, rng.sample(range(3 * len(vs)), len(vs))))
+    edges = {f: tuple(new[v] for v in d.edge_ends(e))
+             for f, e in zip(rng.sample(range(3 * len(es)), len(es)), es)}
+    return Diagram({new[v]: (d.kind(v), d.phase(v)) for v in vs}, edges,
+                   [new[v] for v in d.inputs], [new[v] for v in d.outputs])
+
+
+def test_iso_decides_slow_pairs_within_a_second():
+    # equal-size, non-isomorphic inputs to loop-rule phases of one optimiser
+    # run: round 0's and round 1's second phase for
+    # random_clifford_circuit(4, 40, 0) (50 vertices, 55 edges), and round
+    # 1's first and second phase for random_clifford_circuit(6, 60, 0) (97
+    # vertices, 113 edges); a search drawing every candidate from a whole
+    # signature pool took over 3 s and over 60 s to tell them apart
+    pairs = [("w4_d40_s0_round0", "w4_d40_s0_round1"),
+             ("w6_d60_s0_round1_first", "w6_d60_s0_round1_second")]
+    diagrams = [[Diagram.from_json((DATA / f"loop_input_{name}.json").read_text())
+                 for name in pair] for pair in pairs]
+    rng = random.Random(0)
+    relabelled = [_relabelled(a, rng) for a, _ in diagrams]
+
+    def timeout(signum, frame):
+        raise TimeoutError("iso_equal took over 1 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    try:
+        for (a, b), same in zip(diagrams, relabelled):
+            signal.setitimer(signal.ITIMER_REAL, 1.0)
+            assert not a.iso_equal(b)
+            assert a.iso_equal(same)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _nx_isomorphic(a, b):
+    """The reference: networkx on multigraphs labelled (kind, phase,
+    boundary position)."""
+    def graph(d):
+        ends = d.inputs + d.outputs
+        g = nx.MultiGraph()
+        g.add_nodes_from((v, {"label": (d.kind(v), d.phase(v),
+                                        ends.index(v) if v in ends else None)})
+                         for v in d.vertices())
+        g.add_edges_from(map(d.edge_ends, d.edges()))
+        return g
+
+    return nx.is_isomorphic(graph(a), graph(b), node_match=lambda x, y: x["label"] == y["label"])
+
+
+class _Recording(Optimiser):
+    """An optimiser that keeps every diagram it checks after a step."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def _after_step(self, d):
+        self.seen.append(d)
+        super()._after_step(d)
+
+
+@functools.lru_cache(maxsize=None)
+def _run_diagrams(width, seed):
+    opt = _Recording()
+    opt.run(random_clifford_circuit(width, 4 * width, seed))
+    return tuple(opt.seen)
+
+
+def _mutants(d, rng):
+    """Copies of d with one phase bumped, two inputs swapped, or the far
+    ends of two interior edges exchanged, each when d has what it needs."""
+    out = []
+    spiders = [v for v in d.interior() if d.kind(v) in SPIDERS]
+    if spiders:
+        b = d.builder()
+        v = rng.choice(spiders)
+        b.set_phase(v, d.phase(v) + 1)
+        out.append(b.build())
+    if d.num_inputs >= 2:
+        b = d.builder()
+        i, j = rng.sample(range(d.num_inputs), 2)
+        b.inputs[i], b.inputs[j] = b.inputs[j], b.inputs[i]
+        out.append(b.build())
+    inner = [e for e in d.edges() if not any(map(d.is_boundary, d.edge_ends(e)))]
+    if len(inner) >= 2:
+        b = d.builder()
+        e, f = rng.sample(inner, 2)
+        (u1, v1), (u2, v2) = d.edge_ends(e), d.edge_ends(f)
+        b.edges[e], b.edges[f] = (u1, v2), (u2, v1)
+        out.append(b.build())
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(width=st.integers(1, 6), seed=st.integers(0, 1), pick=st.integers(0, 10**6),
+       shuffle=st.integers(0, 10**6))
+def test_iso_agrees_with_networkx(width, seed, pick, shuffle):
+    # a diagram from an optimiser run against its relabelled copy and its
+    # relabelled mutants
+    seen = _run_diagrams(width, seed)
+    d = seen[pick % len(seen)]
+    rng = random.Random(shuffle)
+    same = _relabelled(d, rng)
+    assert d.iso_equal(same) and _nx_isomorphic(d, same)
+    for m in _mutants(d, rng):
+        m = _relabelled(m, rng)
+        assert d.iso_equal(m) == _nx_isomorphic(d, m)
+
+
+def test_iso_without_interior():
+    swap = translate(circuit(2, gate("SWAP", 0, 1)))
+    assert not swap.interior()
+    cases = [(Diagram.wires(2), swap, False), (swap, swap, True),
+             (Diagram.identity_wire(), Diagram.wires(1), True),
+             (Diagram.empty(), Diagram.empty(), True),
+             (Diagram.wires(1), t(gate("S", 0)), False)]
+    for a, b, expected in cases:
+        assert a.iso_equal(b) == _nx_isomorphic(a, b) == expected, (a, b)
 
 
 # -- algebraic properties ------------------------------------------------------------
