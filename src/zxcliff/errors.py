@@ -40,7 +40,9 @@ class UnsoundRuleError(ZXError):
 
 
 class StaleMatchError(ZXError):
-    """A match no longer embeds into the diagram it is applied to."""
+    """A recorded step is not one its own code makes on the diagram it is
+    applied to: a match that is not an embedding there, or a semantic step
+    whose region or member is not the one derived there."""
 
 
 class ReplayDivergence(ZXError):

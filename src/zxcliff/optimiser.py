@@ -32,7 +32,12 @@ Phases:
    (2x2 oracle lookup, each vertex's matrix taken from `interpret`); on
    two-qubit diagrams with the semantic fallback enabled the whole diagram
    is replaced by its CC2 member.  These steps are recorded as semantic
-   normalisations, distinct from axiomatic rewrites.
+   normalisations, distinct from axiomatic rewrites.  Replay derives each
+   one again with the helpers that made it: a cc1 step's region must be
+   one of `_single_qubit_runs` on the diagram's cover and its member the
+   one `_cc1_member` looks up, and a cc2 step's member the one
+   `_cc2_member` finds for the diagram's interpretation; any other step
+   raises StaleMatchError.
 4. Extraction back to a gate list via the path cover.
 """
 
@@ -47,7 +52,7 @@ import numpy as np
 
 from .circuit import Circuit, circuit_size, translate
 from .diagram import B, H, X, Z, Diagram, DiagramBuilder, EdgeId, VertexId
-from .errors import NotACircuit, NotALineGraph
+from .errors import NotACircuit, NotALineGraph, StaleMatchError
 from .flow import (PathCover, Splice, extract_circuit, find_path_cover, has_path_cover,
                    splice_cover, stranded_after)
 from .normal_forms import cc1_table, cc2_family, line_diagram
@@ -455,12 +460,9 @@ class Optimiser:
         return d
 
     def _cc2_fallback(self, d: Diagram) -> Diagram:
-        fam = cc2_family()
-        matrix = interpret(d)
-        member = fam.lookup(matrix)
+        idx, member = _cc2_member(d)
         if d.iso_equal(member):
             return d
-        idx = fam.index(matrix)
         out = _replace_whole(d, member)
         if self._trace is not None:
             self._trace.record_semantic({"op": "cc2", "member": idx}, out)
@@ -589,6 +591,12 @@ def _replace_run(d: Diagram, region: Sequence[VertexId], e_prev: EdgeId,
     return b.build()
 
 
+def _cc1_member(d: Diagram, region: Sequence[VertexId]) -> Tuple[int, List[Tuple[str, int]]]:
+    """The CC1 member of a run's matrix: its index and its (kind, phase) sequence."""
+    idx, rep = cc1_table().lookup(_run_matrix(d, region))
+    return idx, [(rep.kind(v), rep.phase(v)) for v in rep.interior()]
+
+
 def canonicalise_blocks(d: Diagram, pc: PathCover,
                         trace: Optional[ProofTrace] = None) -> Diagram:
     """Replace every maximal single-qubit run by its CC1 representative.
@@ -596,12 +604,9 @@ def canonicalise_blocks(d: Diagram, pc: PathCover,
     Replacements are verified by the 2x2 oracle, not derived from axioms, and
     are recorded as semantic-normalisation steps.
     """
-    table = cc1_table()
     for region, e_prev, e_next in _single_qubit_runs(d, pc):
-        idx, rep = table.lookup(_run_matrix(d, region))
-        rep_seq = [(rep.kind(v), rep.phase(v)) for v in rep.interior()]
-        run_seq = [(d.kind(v), d.phase(v)) for v in region]
-        if rep_seq == run_seq:
+        idx, rep_seq = _cc1_member(d, region)
+        if rep_seq == [(d.kind(v), d.phase(v)) for v in region]:
             continue
         out = _replace_run(d, region, e_prev, e_next, rep_seq)
         if trace is not None:
@@ -631,15 +636,29 @@ def _replace_whole(d: Diagram, member: Diagram) -> Diagram:
     return b.build()
 
 
+def _cc2_member(d: Diagram) -> Tuple[int, Diagram]:
+    """The CC2 member of d's interpretation: its index and the member."""
+    fam = cc2_family()
+    matrix = interpret(d)
+    return fam.index(matrix), fam.lookup(matrix)
+
+
+# replay derives each semantic step again, with the helpers that made it
 def _replay_cc1(d: Diagram, payload: dict) -> Diagram:
-    rep = cc1_table().members[payload["member"]]
-    seq = [(rep.kind(v), rep.phase(v)) for v in rep.interior()]
-    return _replace_run(d, payload["region"], payload["prev_edge"],
-                        payload["next_edge"], seq)
+    run = (payload["region"], payload["prev_edge"], payload["next_edge"])
+    if run not in _single_qubit_runs(d, find_path_cover(d)):
+        raise StaleMatchError(f"cc1 region {run[0]} is not a single-qubit run")
+    idx, seq = _cc1_member(d, run[0])
+    if payload["member"] != idx:
+        raise StaleMatchError(f"cc1 member {payload['member']} is not the run's, {idx}")
+    return _replace_run(d, *run, seq)
 
 
 def _replay_cc2(d: Diagram, payload: dict) -> Diagram:
-    return _replace_whole(d, cc2_family().members[payload["member"]])
+    idx, member = _cc2_member(d)
+    if payload["member"] != idx:
+        raise StaleMatchError(f"cc2 member {payload['member']} is not the diagram's, {idx}")
+    return _replace_whole(d, member)
 
 
 SEMANTIC_REPLAYERS["cc1"] = _replay_cc1

@@ -22,6 +22,12 @@ its signature pool and every later vertex from the neighbours of its
 parent's image.  A plan may be rooted at several LHS vertices at once, each
 pinned to one target vertex: an anchored search pins one.
 
+The same search is the only definition of a match.  `apply_match` accepts a
+match only if the plan rooted at every LHS interior vertex, each pinned to
+the match's image of it, finds that match among its embeddings; otherwise it
+raises StaleMatchError.  So `replay`, which applies each recorded match with
+`apply_match`, accepts exactly the rewrites the matcher could have made.
+
 The same search decides diagram isomorphism with the boundary pinned by
 position (`isomorphic`, behind `Diagram.iso_equal`): one diagram's whole
 interior is matched into the other's, with the interior neighbour of each
@@ -69,10 +75,11 @@ class Rule:
     """A directed equation between two diagrams with the same boundary.
 
     ``memo`` holds what other code compiles from the rule, once per rule
-    object and dropped with it: its search plans by anchor (``"plans"``), its
-    RHS plan (``"rhs"``, `match_delta`) and its cover splice plan
-    (``"splice"``, `flow.splice_cover`).  It takes no part in equality,
-    hashing or the repr."""
+    object and dropped with it: its search plans by anchor (``"plans"``), the
+    plan rooted at its whole LHS interior that checks each match
+    (``"pinned"``, `apply_match`), its RHS plan (``"rhs"``, `match_delta`)
+    and its cover splice plan (``"splice"``, `flow.splice_cover`).  It takes
+    no part in equality, hashing or the repr."""
 
     name: str
     lhs: Diagram
@@ -502,44 +509,18 @@ def isomorphic(a: Diagram, b: Diagram) -> bool:
     return bool(_embed("", plan, b, idx, tuple(pins.values()), ()))
 
 
-def _revalidate(target: Diagram, rule: Rule, m: Match) -> None:
-    lhs = rule.lhs
+def _check_embedding(target: Diagram, rule: Rule, m: Match) -> None:
+    # the plan rooted at every LHS interior vertex, each pinned to m's image
+    # of it, finds the embeddings with m's vertex map; m must be one of them
+    plan = rule.memo.get("pinned")
+    if plan is None:
+        plan = rule.memo["pinned"] = _compile(rule.lhs, tuple(rule.lhs.interior()))
     vmap = m.vmap()
-    emap = m.emap()
-    attach = m.attach()
-    try:
-        if set(vmap) != set(lhs.interior()):
-            raise StaleMatchError("vertex map does not cover the LHS interior")
-        if len(set(vmap.values())) != len(vmap):
-            raise StaleMatchError("vertex map not injective")
-        for lv, tv in vmap.items():
-            if (target.kind(tv), target.phase(tv)) != (lhs.kind(lv), lhs.phase(lv)):
-                raise StaleMatchError(f"vertex {tv} no longer matches {lv}")
-            if target.degree(tv) != lhs.degree(lv):
-                raise StaleMatchError(f"vertex {tv} degree changed")
-        if len(set(emap.values())) != len(emap):
-            raise StaleMatchError("edge map not injective")
-        for le, te in emap.items():
-            lu, lv_ = lhs.edge_ends(le)
-            tu, tv_ = target.edge_ends(te)
-            limg = {vmap[x] for x in (lu, lv_) if x in vmap}
-            if not limg <= {tu, tv_}:
-                raise StaleMatchError(f"edge {te} endpoints changed")
-        image = set(vmap.values())
-        mapped = set(emap.values())
-        for tv in image:
-            for e in target.incident_edges(tv):
-                if e not in mapped:
-                    raise StaleMatchError(f"unmatched edge {e} at matched vertex {tv}")
-        for b, (te, side) in attach.items():
-            if te not in mapped:
-                raise StaleMatchError(f"attachment edge {te} is not matched")
-            if side not in (0, 1):
-                raise StaleMatchError(f"bad attachment side {side}")
-            if target.edge_ends(te)[side] in image:
-                raise StaleMatchError(f"attachment of {b} points at a matched vertex")
-    except KeyError as exc:  # missing vertex/edge ids
-        raise StaleMatchError(f"match refers to a missing id: {exc}")
+    if vmap.keys() != set(plan.order):
+        raise StaleMatchError(f"vertex map does not cover the interior of {rule.name}'s LHS")
+    pins = tuple(vmap[v] for v in plan.order)
+    if m not in _embed(rule.name, plan, target, _index(target), pins, ()):
+        raise StaleMatchError(f"match is not an embedding of {rule.name}'s LHS")
 
 
 class MatchDelta(NamedTuple):
@@ -590,7 +571,8 @@ def _rhs_plan(rule: Rule) -> _RhsPlan:
 
 
 def match_delta(target: Diagram, rule: Rule, m: Match) -> MatchDelta:
-    """The change `apply_match(target, rule, m)` makes; m is not revalidated."""
+    """The change `apply_match(target, rule, m)` makes, for m one of the
+    matcher's embeddings; m is not checked."""
     vmap = m.vmap()
     attach = {b: target.edge_ends(te)[side] for b, (te, side) in m.boundary_attach}
     plan = _rhs_plan(rule)
@@ -611,8 +593,9 @@ def apply_match(target: Diagram, rule: Rule, m: Match) -> Diagram:
 
     What the target already has is carried to the result rather than built
     again: its neighbour map, patched by `MatchDelta.neighbours`, and its
-    matcher index (`_derive_index`)."""
-    _revalidate(target, rule, m)
+    matcher index (`_derive_index`).  Raises StaleMatchError unless m is one
+    of the matcher's embeddings of the rule's LHS into target."""
+    _check_embedding(target, rule, m)
     delta = match_delta(target, rule, m)
     b = target.builder()
     for te in sorted(te for _, te in m.edge_map):
@@ -695,16 +678,21 @@ class ProofTrace:
         return t
 
 
-# populated by the normal-forms/optimiser modules; maps a semantic-step
-# "op" field to a function (diagram, payload) -> diagram
+# populated by the optimiser module; maps a semantic-step "op" field to a
+# function (diagram, payload) -> diagram that derives the step again and
+# raises StaleMatchError when the payload is not what it derives
 SEMANTIC_REPLAYERS: Dict[str, Callable[[Diagram, dict], Diagram]] = {}
 
 
 def replay(trace: ProofTrace, rules_by_name: Dict[str, Rule]) -> Diagram:
     """Re-execute a trace from its initial diagram; returns the final diagram.
 
-    Raises ReplayDivergence if any step fails to re-apply or the result is not
-    isomorphic to the recorded final diagram.
+    Each step is checked by the code that made it: a rewrite's match must be
+    one of the matcher's embeddings (`apply_match`), and a semantic step's
+    region and member must be the ones its op derives again.  Raises
+    ReplayDivergence, naming the step and the error, if any step fails to
+    re-apply, or if the result is not isomorphic to the recorded final
+    diagram.
     """
     from .passes import PASSES
 
@@ -718,21 +706,23 @@ def replay(trace: ProofTrace, rules_by_name: Dict[str, Rule]) -> Diagram:
                     raise ReplayDivergence(f"step {i}: unknown rule {m.rule_name!r}")
                 d = apply_match(d, rule, m)
             elif step.kind == "pass":
-                fn = PASSES.get(step.payload["name"])
+                name = step.payload["name"]
+                fn = PASSES.get(name)
                 if fn is None:
-                    raise ReplayDivergence(f"step {i}: unknown pass")
+                    raise ReplayDivergence(f"step {i}: unknown pass {name!r}")
                 d = fn(d, **step.payload.get("args", {}))
             elif step.kind == "semantic":
-                fn = SEMANTIC_REPLAYERS.get(step.payload.get("op"))
+                op = step.payload.get("op")
+                fn = SEMANTIC_REPLAYERS.get(op)
                 if fn is None:
-                    raise ReplayDivergence(f"step {i}: unknown semantic op")
+                    raise ReplayDivergence(f"step {i}: unknown semantic op {op!r}")
                 d = fn(d, step.payload)
             else:
                 raise ReplayDivergence(f"step {i}: unknown step kind {step.kind!r}")
         except ReplayDivergence:
             raise
         except Exception as exc:
-            raise ReplayDivergence(f"step {i} failed: {exc}") from exc
+            raise ReplayDivergence(f"step {i} failed: {type(exc).__name__}: {exc}") from exc
     if not d.iso_equal(trace.final):
         raise ReplayDivergence("replayed diagram differs from recorded final")
     return d

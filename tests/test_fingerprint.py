@@ -11,6 +11,10 @@ while the targeted Pauli phase still selected by `PauliMetric`.  A change
 that alters a hash alters which rewrites the optimiser takes or how they are
 recorded; update the table only when that is the intent, and say so in the
 changelog.
+
+`OUTPUT` pins the output alone: the sha256 of ``str(result.circuit)`` for
+the same runs, recorded when each `GOLDEN` hash still held.  A change that
+alters only how the trace is recorded re-pins `GOLDEN` and keeps `OUTPUT`.
 """
 
 import hashlib
@@ -41,3 +45,26 @@ def test_behaviour_fingerprint(optimiser, width, depth, seed):
     res = optimiser.run(random_clifford_circuit(width, depth, seed))
     text = str(res.circuit) + "\n" + res.trace.to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[(width, depth, seed)]
+
+
+OUTPUT = {
+    (1, 20, 0): "b511a768367584ca7feaa16f52bb9e45b735ea09dd5699acd66868b95a32f67d",
+    (1, 20, 1): "e62b38fc0882b6de0b0ee93b97c99173d8eab016f7bf9efbb1a19a9ab7860892",
+    (1, 20, 2): "b15b413d219dc70da1eaed9d2ab2f8937dd4c7c56854149b035b6742563306d8",
+    (2, 20, 0): "6c56ac15ad02d7d7b2601424e41ac1c83169602636c9a2febf5a81b2e8caf1a0",
+    (2, 20, 1): "be12885e1dfe70350a919a7d454643647adfea2e5535d922d71465ca508d0c19",
+    (2, 20, 2): "afd36156f45f25c9b269fb620971d17646cb79aa5ce55e08c8c6cfdbb00f9d44",
+    (3, 20, 0): "7f93c2d83bfdeeef2195228899d17d73a6532445862cf7c1998075e5fe328084",
+    (3, 20, 1): "22bd55eb5af0d3c7e1d074a2c44995099fbc68acb24570a04189c7c647e59bdb",
+    (3, 20, 2): "88ce99147919123d4818357a81c1074866f68480f6c8d13ed72c5bcf6d1c722a",
+    (4, 40, 0): "4559a8ef321ec10797bdce60bfc3a90118662e2018dde669cca3950a55d97a0b",
+    (4, 40, 1): "4a0abd0da0c62153ee6d39b8eda25686d6658bf5a37a86b1be3b66e5b49045c0",
+    (5, 30, 0): "713b28526883ee42c786200abae8c71dabebe76618974bb0adce58cc8585a1d3",
+    (6, 40, 0): "0c4f668b5bb1028f6d1977852d5709302db3915b3b6ab1ac2458209472140395",
+}
+
+
+@pytest.mark.parametrize("width,depth,seed", sorted(OUTPUT))
+def test_output_fingerprint(optimiser, width, depth, seed):
+    res = optimiser.run(random_clifford_circuit(width, depth, seed))
+    assert hashlib.sha256(str(res.circuit).encode()).hexdigest() == OUTPUT[(width, depth, seed)]

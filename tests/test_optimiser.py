@@ -10,15 +10,16 @@ from apply_reference import reference_apply_match
 from zxcliff.circuit import (circuit, circuit_size, gate, gate_matrix_product,
                              random_clifford_circuit, translate)
 from zxcliff.diagram import B, Diagram, DiagramBuilder, X, Z
-from zxcliff.errors import NotALineGraph, UnsoundRuleError
+from zxcliff.errors import NotALineGraph, ReplayDivergence, UnsoundRuleError
 from zxcliff.flow import (_sweep, find_path_cover, has_path_cover, is_circuit_like, splice_cover,
                           stranded_after)
 from zxcliff.normal_forms import cc2_contains, line_diagram
 from zxcliff.optimiser import (CommutationMetric, Optimiser, OptimiserConfig, PauliMetric,
-                               canonicalise_blocks, group_crosses, line_to_pauli_standard,
-                               metric_terms, optimise, pair_separation, spliced_separation)
+                               _replace_run, _replace_whole, canonicalise_blocks, group_crosses,
+                               line_to_pauli_standard, metric_terms, optimise, pair_separation,
+                               spliced_separation)
 from zxcliff.passes import simple_form
-from zxcliff.rewrite import (ProofTrace, Rule, _result_key, apply_match, find_matches,
+from zxcliff.rewrite import (ProofStep, ProofTrace, Rule, _result_key, apply_match, find_matches,
                              match_delta, reduce, replay, rewrite_first, rewrite_metric)
 from zxcliff.ruleset import RuleSet
 from zxcliff.semantics import interpret, scalar_free_equal
@@ -675,6 +676,46 @@ def test_canonicalise_keeps_existing_member(cc1):
     out = canonicalise_blocks(m, find_path_cover(m), tr)
     assert out.iso_equal(m)
     assert not tr.steps
+
+
+def _tampered_cc1_trace(cc1, shift):
+    """A one-step cc1 trace on a width-1 run, tampered: the member bumped,
+    or (with ``shift``) the region moved one vertex on, keeping the member.
+    Its final is what the tampered step builds."""
+    d = line_diagram([(Z, 1), (X, 1), (Z, 1), (X, 1)])
+    tr = ProofTrace(d)
+    canonicalise_blocks(d, find_path_cover(d), tr)
+    (step,) = tr.steps
+    p = dict(step.payload)
+    if shift:
+        region = p["region"]
+        p["region"] = region[1:]
+        p["prev_edge"] = d.edges_between(region[0], region[1])[0]
+    else:
+        p["member"] = (p["member"] + 1) % len(cc1.members)
+    rep = cc1.members[p["member"]]
+    seq = [(rep.kind(v), rep.phase(v)) for v in rep.interior()]
+    tr.steps = [ProofStep("semantic", p)]
+    tr.final = _replace_run(d, p["region"], p["prev_edge"], p["next_edge"], seq)
+    return tr
+
+
+@pytest.mark.parametrize("shift", [False, True], ids=["member", "region"])
+def test_replay_rejects_tampered_cc1_step(cc1, rules_by_name, shift):
+    with pytest.raises(ReplayDivergence, match="StaleMatchError: cc1"):
+        replay(_tampered_cc1_trace(cc1, shift), rules_by_name)
+
+
+def test_replay_rejects_tampered_cc2_member(optimiser, cc2, rules_by_name):
+    res = optimiser.run(random_clifford_circuit(2, 20, 0))
+    tr = res.trace
+    assert tr.steps[-1].payload["op"] == "cc2"
+    p = dict(tr.steps[-1].payload, member=tr.steps[-1].payload["member"] + 1)
+    tr.steps[-1] = ProofStep("semantic", p)
+    # a cc2 step keeps only the boundary of the diagram it replaces
+    tr.final = _replace_whole(tr.final, cc2.members[p["member"]])
+    with pytest.raises(ReplayDivergence, match="StaleMatchError: cc2"):
+        replay(tr, rules_by_name)
 
 
 def test_canonicalise_between_legs(optimiser):

@@ -15,9 +15,9 @@ from zxcliff.errors import (ReplayDivergence, RuleFormatError, StaleMatchError)
 from zxcliff.normal_forms import line_diagram
 from zxcliff.optimiser import CommutationMetric, Optimiser
 from zxcliff.passes import fuse_spiders, h_euler_expand, simple_form
-from zxcliff.rewrite import (ProofTrace, Rule, _build_index, _Index, _index, _plan, _result_key,
-                             _search, apply_match, find_matches, match_delta, reduce, replay,
-                             rewrite_first, rewrite_metric)
+from zxcliff.rewrite import (Match, ProofStep, ProofTrace, Rule, _build_index, _Index, _index,
+                             _plan, _result_key, _search, apply_match, find_matches, match_delta,
+                             reduce, replay, rewrite_first, rewrite_metric)
 from zxcliff.semantics import interpret, scalar_free_equal
 
 
@@ -458,6 +458,29 @@ def test_stale_match_detected():
         apply_match(other, GREEN_PI, m)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(width=st.integers(1, 3), seed=st.integers(0, 10**6), pick=st.integers(0, 10**6))
+def test_swapped_attachments_are_refused_or_sound(ruleset, width, seed, pick):
+    """A match with the half-edges of two LHS boundary vertices swapped is
+    refused, or rewrites to a diagram with the target's interpretation."""
+    d = translate(random_clifford_circuit(width, 12, seed))
+    found = [(rule, m) for rule in ruleset.all_rules() for m in find_matches(rule, d)
+             if len(m.boundary_attach) >= 2]
+    assume(found)
+    rule, m = found[pick % len(found)]
+    attach = list(m.boundary_attach)
+    pairs = [(i, j) for i in range(len(attach)) for j in range(i + 1, len(attach))]
+    i, j = pairs[pick // len(found) % len(pairs)]
+    (bi, hi), (bj, hj) = attach[i], attach[j]
+    attach[i], attach[j] = (bi, hj), (bj, hi)
+    swapped = Match(m.rule_name, m.vertex_map, m.edge_map, tuple(attach))
+    try:
+        out = apply_match(d, rule, swapped)
+    except StaleMatchError:
+        return
+    assert scalar_free_equal(interpret(out), interpret(d)), (rule.name, swapped)
+
+
 def test_rewrites_are_sound_at_every_match(rules_by_name):
     rng = random.Random(55)
     rules = [rules_by_name[n] for n in
@@ -613,6 +636,23 @@ def test_corrupted_trace_raises(rules_by_name):
     bad = ProofTrace.from_json(json.dumps(obj))
     with pytest.raises(ReplayDivergence):
         replay(bad, rules_by_name)
+
+
+@pytest.mark.parametrize("step,message", [
+    (ProofStep("pass", {"name": "no_such_pass", "args": {}}),
+     "step 0: unknown pass 'no_such_pass'"),
+    (ProofStep("semantic", {"op": "cc3", "member": 0}), "step 0: unknown semantic op 'cc3'"),
+    (ProofStep("semantic", {"op": "cc1", "member": 0}), "step 0 failed: KeyError: 'region'"),
+    (ProofStep("rewrite", {"match": {"rule": "Cx", "vertex_map": [[2, 99], [3, 98]],
+                                     "edge_map": [], "boundary_attach": []}}),
+     "step 0 failed: StaleMatchError: "),
+], ids=["pass", "op", "key", "match"])
+def test_replay_names_each_failure(rules_by_name, step, message):
+    tr = ProofTrace(t(gate("CNOT", 0, 1), gate("CNOT", 0, 1)))
+    tr.steps = [step]
+    with pytest.raises(ReplayDivergence) as err:
+        replay(tr, rules_by_name)
+    assert str(err.value).startswith(message)
 
 
 def test_trace_detects_tampered_final(rules_by_name):
