@@ -9,6 +9,16 @@ Diagrams are immutable values once constructed; every operation returns a new
 diagram.  Mutation happens through :class:`DiagramBuilder`.  Vertex and edge
 ids are plain ints and all iteration is in sorted id order, so every operation
 here is deterministic.
+
+A builder made from a diagram and changed only through its methods builds
+its result by derivation (`Diagram._derive`): C-level copies of the parent's
+vertex, edge and adjacency dicts, new adjacency lists for the vertices the
+builder touched, and the invariants checked on those vertices alone.  Each
+invariant is local to one vertex or edge and the parent was valid, so this
+proves what the full check over every vertex and edge proves, in work
+proportional to the change.  Rule applications, splits and the structural
+passes but spider fusion (which re-points edges) build this way; the result
+equals the full constructor's field by field, insertion orders included.
 """
 
 from __future__ import annotations
@@ -46,6 +56,28 @@ def phase_add(a: int, b: int) -> int:
     return (a + b) % 4
 
 
+def _check_vertex(v: VertexId, kind: str, phase: int, listed: bool, at: Sequence[EdgeId],
+                  edges: Dict[EdgeId, Tuple[VertexId, VertexId]]) -> None:
+    """The invariants local to vertex v, whose edges are ``at`` (self-loops
+    once): a known kind, a phase in range on a spider and none elsewhere,
+    degree 1 at a boundary vertex and 2 at an H box, and kind B exactly when
+    v is ``listed`` as an input or output."""
+    if kind in SPIDERS:
+        if not 0 <= phase <= 3:
+            raise DiagramInvariantError(f"phase {phase} out of range at {v}")
+    elif kind not in KINDS:
+        raise DiagramInvariantError(f"unknown vertex kind {kind!r}")
+    elif phase != 0:
+        raise DiagramInvariantError(f"{kind} vertex {v} carries a phase")
+    else:
+        degree = len(at) + sum(1 for e in at if edges[e] == (v, v))
+        if degree != (1 if kind == B else 2):
+            raise DiagramInvariantError(f"{kind} vertex {v} has degree {degree}")
+    if (kind == B) != listed:
+        raise DiagramInvariantError(
+            f"vertex {v} boundary status disagrees with input/output lists")
+
+
 class Diagram:
     """Immutable framed open graph.
 
@@ -55,13 +87,14 @@ class Diagram:
     ``memo`` holds values other modules derive from the diagram, each worked
     out at most once and dropped with the diagram: its path cover
     (``"cover"``, `flow.find_path_cover`), its matcher index (``"index"``,
-    from `rewrite`) and its commutation-metric terms (``"terms"``, from
-    `optimiser`).  No memoised value may refer back to the diagram, so
+    from `rewrite`), the plan that matches it whole (``"iso"``, from
+    `rewrite.isomorphic`) and its commutation-metric terms (``"terms"``,
+    from `optimiser`).  No memoised value may refer back to the diagram, so
     reference counting alone frees a diagram and its memo together.
     """
 
     __slots__ = ("_vertices", "_edges", "_inputs", "_outputs", "_adj", "_nbrs", "_max_vertex",
-                 "memo", "__weakref__")
+                 "_next_edge", "memo", "__weakref__")
 
     def __init__(
         self,
@@ -75,15 +108,19 @@ class Diagram:
         self._inputs = tuple(inputs)
         self._outputs = tuple(outputs)
         adj: Dict[VertexId, List[EdgeId]] = {v: [] for v in self._vertices}
-        for e in sorted(self._edges):
-            u, v = self._edges[e]
-            adj[u].append(e)
-            if v != u:
-                adj[v].append(e)
+        try:
+            for e in sorted(self._edges):
+                u, v = self._edges[e]
+                adj[u].append(e)
+                if v != u:
+                    adj[v].append(e)
+        except KeyError:
+            raise DiagramInvariantError(f"edge {e} has undeclared endpoint") from None
         self._adj = adj
         # built on first use, or carried from a rewritten parent (`neighbour_sets`)
         self._nbrs: Optional[Dict[VertexId, Set[VertexId]]] = None
         self._max_vertex: Optional[VertexId] = None  # found on first use
+        self._next_edge: Optional[EdgeId] = None  # a builder's first edge id, when known
         self.memo: Dict[str, object] = {}
         self._validate()
 
@@ -114,26 +151,63 @@ class Diagram:
         seen = set(self._inputs) | set(self._outputs)
         if len(self._inputs) + len(self._outputs) != len(seen):
             raise DiagramInvariantError("inputs and outputs overlap")
-        for v, (kind, phase) in self._vertices.items():
-            if kind not in KINDS:
-                raise DiagramInvariantError(f"unknown vertex kind {kind!r}")
-            if kind in SPIDERS:
-                if not 0 <= phase <= 3:
-                    raise DiagramInvariantError(f"phase {phase} out of range at {v}")
-            elif phase != 0:
-                raise DiagramInvariantError(f"{kind} vertex {v} carries a phase")
-            if (kind == B) != (v in seen):
-                raise DiagramInvariantError(
-                    f"vertex {v} boundary status disagrees with input/output lists"
-                )
+        if not seen <= self._vertices.keys():
+            raise DiagramInvariantError("a boundary id names no vertex")
         for e, (u, v) in self._edges.items():
             if u not in self._vertices or v not in self._vertices:
                 raise DiagramInvariantError(f"edge {e} has undeclared endpoint")
-        for v, (kind, _) in self._vertices.items():
-            if kind == B and self.degree(v) != 1:
-                raise DiagramInvariantError(f"boundary {v} has degree {self.degree(v)}")
-            if kind == H and self.degree(v) != 2:
-                raise DiagramInvariantError(f"H vertex {v} has degree {self.degree(v)}")
+        for v, (kind, phase) in self._vertices.items():
+            _check_vertex(v, kind, phase, v in seen, self._adj[v], self._edges)
+
+    def _derive(self, b: "DiagramBuilder") -> "Diagram":
+        """What ``b``, a builder on self that only its methods changed, holds,
+        equal field by field to the full constructor's result.
+
+        So every vertex whose kind, phase or edges differ from self's is in
+        ``b._touched``, every edge not in self is in ``b._added_at`` of each
+        of its ends, in id order, and no edge of self was re-pointed.  Only
+        the touched vertices get new adjacency lists and are checked; every
+        invariant `_validate` checks is local to one vertex or edge, and self
+        is valid, so that proves the same thing.  An edge of self or an added
+        one is left with a removed end only if that end is touched, which is
+        checked.  The added vertices, last in ``b._v``, are put last in
+        ``_adj`` too, in the same order."""
+        vertices, edges, fresh = b._v, b._e, b._fresh
+        out = Diagram.__new__(Diagram)
+        out._vertices = vertices.copy()
+        out._edges = edges.copy()
+        out._inputs, out._outputs = inputs, outputs = self._inputs, self._outputs
+        out._nbrs = None
+        out.memo = {}
+        # the highest id a builder has seen is the largest, if it is still there
+        out._max_vertex = b._next_v - 1 if b._next_v - 1 in vertices else None
+        out._next_edge = b._next_e if b._next_e - 1 in edges else None
+        adj = out._adj = self._adj.copy()
+        late: Dict[VertexId, List[EdgeId]] = {}
+        for v in b._touched:
+            at = b.incident(v)
+            kp = vertices.get(v)
+            if kp is None:
+                if at:
+                    raise DiagramInvariantError(f"edge {at[0]} has undeclared endpoint")
+                if v in inputs or v in outputs:
+                    raise DiagramInvariantError("a boundary id names no vertex")
+                adj.pop(v, None)
+                continue
+            kind, phase = kp
+            listed = v in inputs or v in outputs
+            # an unlisted spider with its phase in range is valid whatever its edges
+            if kind not in SPIDERS or listed or not 0 <= phase <= 3:
+                _check_vertex(v, kind, phase, listed, at, edges)
+            if v in fresh:
+                adj.pop(v, None)
+                late[v] = at
+            else:
+                adj[v] = at
+        for v in fresh:
+            if v in late:
+                adj[v] = late[v]
+        return out
 
     # -- basic accessors -------------------------------------------------------
 
@@ -334,21 +408,69 @@ class Diagram:
 
 
 class DiagramBuilder:
-    """Mutable scratch representation used to assemble diagrams."""
+    """Mutable scratch representation used to assemble diagrams.
+
+    A builder made from a base diagram records, as its methods run, every
+    vertex they touch (added, removed, re-kinded, re-phased, or given or
+    losing an edge) and every edge they add at each vertex.  ``incident``,
+    ``degree`` and ``remove_vertex`` then read the base's adjacency plus the
+    added edges, and ``build()`` derives the result from the base
+    (`Diagram._derive`), checking only what changed.
+
+    The raw ``vertices``, ``edges``, ``inputs`` and ``outputs`` may still be
+    read and written directly, but a builder that has handed one out, or
+    whose boundaries were set, may hold changes it never saw; it scans its
+    edges and builds with the full constructor instead.  So does a builder
+    with no base.
+    """
+
+    __slots__ = ("_v", "_e", "_in", "_out", "_next_v", "_next_e", "_base", "_raw", "_full",
+                 "_touched", "_added_at", "_fresh")
 
     def __init__(self, base: Optional[Diagram] = None):
+        self._base = base
         if base is None:
-            self.vertices: Dict[VertexId, Tuple[str, int]] = {}
-            self.edges: Dict[EdgeId, Tuple[VertexId, VertexId]] = {}
-            self.inputs: List[VertexId] = []
-            self.outputs: List[VertexId] = []
+            self._v: Dict[VertexId, Tuple[str, int]] = {}
+            self._e: Dict[EdgeId, Tuple[VertexId, VertexId]] = {}
+            self._in: List[VertexId] = []
+            self._out: List[VertexId] = []
+            self._next_v = 0
         else:
-            self.vertices = dict(base._vertices)
-            self.edges = dict(base._edges)
-            self.inputs = list(base.inputs)
-            self.outputs = list(base.outputs)
-        self._next_v = max(self.vertices, default=-1) + 1
-        self._next_e = max(self.edges, default=-1) + 1
+            self._v = base._vertices.copy()
+            self._e = base._edges.copy()
+            self._in = list(base._inputs)
+            self._out = list(base._outputs)
+            self._next_v = base.max_vertex_id() + 1
+        self._next_e = None if base is None else base._next_edge
+        if self._next_e is None:
+            self._next_e = max(self._e, default=-1) + 1
+        self._raw = False  # whether a raw field was handed out
+        self._full = base is None  # whether build() must run the full constructor
+        self._touched: Dict[VertexId, None] = {}  # in order of first touch
+        self._added_at: Dict[VertexId, List[EdgeId]] = {}  # in id order, loops once
+        self._fresh: Dict[VertexId, None] = {}  # added vertices, in order of last addition
+
+    # the raw fields: handing one out gives up the recorded delta
+
+    @property
+    def vertices(self) -> Dict[VertexId, Tuple[str, int]]:
+        self._raw = self._full = True
+        return self._v
+
+    @property
+    def edges(self) -> Dict[EdgeId, Tuple[VertexId, VertexId]]:
+        self._raw = self._full = True
+        return self._e
+
+    @property
+    def inputs(self) -> List[VertexId]:
+        self._raw = self._full = True
+        return self._in
+
+    @property
+    def outputs(self) -> List[VertexId]:
+        self._raw = self._full = True
+        return self._out
 
     def next_vertex_id(self) -> VertexId:
         return self._next_v
@@ -359,46 +481,78 @@ class DiagramBuilder:
         return v
 
     def add_vertex_with_id(self, v: VertexId, kind: str, phase: int = 0) -> VertexId:
-        if v in self.vertices:
+        if v in self._v:
             raise DiagramInvariantError(f"duplicate vertex id {v}")
-        self.vertices[v] = (kind, phase % 4 if kind in SPIDERS else 0)
-        self._next_v = max(self._next_v, v + 1)
+        self._v[v] = (kind, phase % 4 if kind in SPIDERS else 0)
+        fresh = self._fresh
+        if v in fresh:
+            del fresh[v]  # re-added: it goes last
+        fresh[v] = self._touched[v] = None
+        if v >= self._next_v:
+            self._next_v = v + 1
         return v
 
     def add_edge(self, u: VertexId, v: VertexId) -> EdgeId:
         e = self._next_e
-        self.edges[e] = (min(u, v), max(u, v))
+        if u > v:
+            u, v = v, u
+        self._e[e] = (u, v)
         self._next_e = e + 1
+        self._touched[u] = self._touched[v] = None
+        added = self._added_at
+        if u in added:
+            added[u].append(e)
+        else:
+            added[u] = [e]
+        if v != u:
+            if v in added:
+                added[v].append(e)
+            else:
+                added[v] = [e]
         return e
 
     def remove_edge(self, e: EdgeId) -> None:
-        del self.edges[e]
+        u, v = self._e.pop(e)
+        self._touched[u] = self._touched[v] = None
 
     def remove_vertex(self, v: VertexId) -> None:
         """Remove v and all incident edges."""
-        del self.vertices[v]
-        for e in [e for e, (a, b) in self.edges.items() if a == v or b == v]:
-            del self.edges[e]
+        del self._v[v]
+        touched, es = self._touched, self._e
+        touched[v] = None
+        for e in self.incident(v):
+            a, b = es.pop(e)
+            touched[b if a == v else a] = None
 
     def set_phase(self, v: VertexId, phase: int) -> None:
-        kind, _ = self.vertices[v]
-        self.vertices[v] = (kind, phase % 4)
+        kind, _ = self._v[v]
+        self._v[v] = (kind, phase % 4)
+        self._touched[v] = None
 
     def set_kind(self, v: VertexId, kind: str) -> None:
-        _, phase = self.vertices[v]
-        self.vertices[v] = (kind, phase)
+        _, phase = self._v[v]
+        self._v[v] = (kind, phase)
+        self._touched[v] = None
 
     def incident(self, v: VertexId) -> List[EdgeId]:
-        return sorted(e for e, (a, b) in self.edges.items() if a == v or b == v)
+        """Edge ids at v in id order, self-loops listed once."""
+        es = self._e
+        if self._raw:
+            return sorted(e for e, (a, b) in es.items() if a == v or b == v)
+        # methods never re-point an edge, and every added id exceeds the base's;
+        # plain loops, as these lists hold too few edges for filter() to pay
+        at = []
+        if self._base is not None:
+            for e in self._base._adj.get(v, ()):
+                if e in es:
+                    at.append(e)
+        for e in self._added_at.get(v, ()):
+            if e in es:
+                at.append(e)
+        return at
 
     def degree(self, v: VertexId) -> int:
-        d = 0
-        for a, b in self.edges.values():
-            if a == v:
-                d += 1
-            if b == v:
-                d += 1
-        return d
+        return sum(2 if a == b else 1 for a, b in map(self._e.__getitem__, self.incident(v)))
 
     def join_boundaries(self, out_v: VertexId, in_v: VertexId) -> None:
         """Delete the boundary pair (out_v, in_v) and fuse their edges.
@@ -411,27 +565,26 @@ class DiagramBuilder:
         """
         (e1,) = self.incident(out_v)
         a = self._other(e1, out_v)
+        self.remove_vertex(out_v)
         if a == in_v:
             # wire runs directly between the two boundaries being glued
-            del self.edges[e1]
-            del self.vertices[out_v]
-            del self.vertices[in_v]
+            self.remove_vertex(in_v)
             return
         (e2,) = self.incident(in_v)
         b = self._other(e2, in_v)
-        del self.edges[e1]
-        del self.edges[e2]
-        del self.vertices[out_v]
-        del self.vertices[in_v]
+        self.remove_vertex(in_v)
         self.add_edge(a, b)
 
     def _other(self, e: EdgeId, v: VertexId) -> VertexId:
-        a, b = self.edges[e]
+        a, b = self._e[e]
         return b if v == a else a
 
     def set_boundaries(self, inputs: Iterable[VertexId], outputs: Iterable[VertexId]) -> None:
-        self.inputs = list(inputs)
-        self.outputs = list(outputs)
+        self._full = True
+        self._in = list(inputs)
+        self._out = list(outputs)
 
     def build(self) -> Diagram:
-        return Diagram(self.vertices, self.edges, self.inputs, self.outputs)
+        if self._full:
+            return Diagram(self._v, self._e, self._in, self._out)
+        return self._base._derive(self)

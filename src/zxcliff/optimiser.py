@@ -348,6 +348,9 @@ class Optimiser:
     def _after_step(self, d: Diagram) -> None:
         if not self.cfg.verify_each_step:
             return
+        # every invariant again, over the whole diagram: a derived diagram
+        # was checked only where it changed (`DiagramBuilder.build`)
+        d._validate()
         if max(d.num_inputs, d.num_outputs) <= 5 and self._verify_ref is not None:
             if not scalar_free_equal(interpret(d), self._verify_ref):
                 raise AssertionError("step changed the interpretation")

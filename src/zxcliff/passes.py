@@ -11,7 +11,7 @@ a pass changed anything.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Sequence, Set, Tuple
 
 from .diagram import H, X, Z, Diagram, EdgeId, VertexId, phase_add, phase_neg
 from .errors import TargetKindError
@@ -79,8 +79,8 @@ def remove_identities(d: Diagram) -> Diagram:
     edges become one self-loop, which the scan skips."""
     b = d.builder()
     removed = False
-    for v in sorted(b.vertices):
-        kind, phase = b.vertices[v]
+    for v in sorted(d._vertices):
+        kind, phase = d._vertices[v]  # only v itself is ever removed, so b agrees
         if kind not in (Z, X) or phase != 0:
             continue
         inc = b.incident(v)
@@ -91,9 +91,7 @@ def remove_identities(d: Diagram) -> Diagram:
         c = b._other(e2, v)
         if a == v or c == v:
             continue
-        b.remove_edge(e1)
-        b.remove_edge(e2)
-        del b.vertices[v]
+        b.remove_vertex(v)
         b.add_edge(a, c)
         removed = True
     return b.build() if removed else d
@@ -101,6 +99,8 @@ def remove_identities(d: Diagram) -> Diagram:
 
 def hopf_reduce(d: Diagram) -> Diagram:
     """Cancel parallel edges between opposite-colour spiders two at a time."""
+    if len(set(d._edges.values())) == len(d._edges):
+        return d  # no parallel edges, so no pair to cancel
     pairs: Dict[Tuple[VertexId, VertexId], List[EdgeId]] = {}
     for e in d.edges():
         u, v = d.edge_ends(e)
@@ -149,28 +149,33 @@ def drop_scalar_components(d: Diagram) -> Diagram:
     Zero-valued components are kept: the diagram genuinely denotes the zero
     map and dropping them would change the semantics.
     """
-    comp: Dict[VertexId, int] = {}
-    for v in d.vertices():
-        if v in comp:
-            continue
-        stack = [v]
-        comp[v] = v
+    nbrs = d.neighbour_sets()
+    reached: Set[VertexId] = set()
+
+    def reach(starts: Sequence[VertexId]) -> List[VertexId]:
+        """The vertices reachable from ``starts`` not reached before, now marked."""
+        found = [v for v in starts if v not in reached]
+        reached.update(found)
+        stack = list(found)
         while stack:
-            u = stack.pop()
-            for w in d.neighbours(u):
-                if w not in comp:
-                    comp[w] = v
+            for w in nbrs[stack.pop()]:
+                if w not in reached:
+                    reached.add(w)
+                    found.append(w)
                     stack.append(w)
-    roots_with_boundary = {comp[v] for v in d.vertices() if d.is_boundary(v)}
+        return found
+
+    reach(d.inputs + d.outputs)
     doomed: List[VertexId] = []
-    for root in sorted(set(comp.values()) - roots_with_boundary):
-        members = sorted(v for v, r in comp.items() if r == root)
-        sub = Diagram({v: d._vertices[v] for v in members},
-                      {e: d.edge_ends(e) for e in d.edges()
-                       if d.edge_ends(e)[0] in members},
+    # each boundary-free component, in the order of its lowest vertex
+    for v in sorted(d._vertices.keys() - reached):
+        if v in reached:
+            continue
+        members = sorted(reach([v]))
+        sub = Diagram({u: d._vertices[u] for u in members},
+                      {e: ends for e, ends in sorted(d._edges.items()) if ends[0] in members},
                       (), ())
-        scalar = interpret(sub)[0, 0]
-        if abs(scalar) > 1e-12:
+        if abs(interpret(sub)[0, 0]) > 1e-12:
             doomed.extend(members)
     if not doomed:
         return d
@@ -226,13 +231,13 @@ def colour_change_vertex(d: Diagram, v: VertexId) -> Diagram:
     b.set_kind(v, X if d.kind(v) == Z else Z)
     handled = set()
     for e in sorted(d.incident_edges(v)):
-        if e in handled or e not in b.edges:
+        if e in handled:
             continue
-        u, w = b.edges[e]
+        u, w = d.edge_ends(e)
         if u == w:
             continue  # self-loop: the two H boxes cancel each other
         other = w if u == v else u
-        if b.vertices[other][0] == H:
+        if d.kind(other) == H:
             # cancel with the existing H box: connect v straight through
             far_edges = [e2 for e2 in b.incident(other) if e2 != e]
             (e2,) = far_edges
@@ -271,7 +276,7 @@ def pi_copy(d: Diagram, pauli_v: VertexId, spider_v: VertexId) -> Diagram:
     b.add_edge(prev, spider_v)
     b.set_phase(spider_v, phase_neg(d.phase(spider_v)))
     for e in other_edges:
-        u, w = b.edges[e]
+        u, w = d.edge_ends(e)
         if u == w:
             continue  # loop legs get two Pauli copies which cancel
         other = w if u == spider_v else u

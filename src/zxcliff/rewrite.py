@@ -63,7 +63,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .diagram import Diagram, EdgeId, VertexId
+from .diagram import B, Diagram, EdgeId, VertexId
 from .errors import ReplayDivergence, RuleFormatError, StaleMatchError
 from .flow import Splice, find_path_cover
 
@@ -329,30 +329,34 @@ def _derive_index(parent: _Index, out: Diagram, delta: MatchDelta) -> _Index:
     the index of the diagram that ``delta`` rewrites into ``out``.  Only the
     matched, attached and fresh vertices change; every other entry carries
     over."""
-    pool = dict(parent.pool)
-    sig = dict(parent.sig)
-    copied: Set[Tuple] = set()  # signatures whose pool list is out's own
-
-    def own_pool(s: Tuple) -> List[VertexId]:
-        if s not in copied:
-            copied.add(s)
-            pool[s] = list(pool.get(s, ()))
-        return pool[s]
-
+    pool = parent.pool.copy()
+    sig = parent.sig.copy()
+    own: Dict[Tuple, List[VertexId]] = {}  # signature -> out's own copy of its pool
     for v in delta.removed:
-        own_pool(sig.pop(v)).remove(v)
-    for v in {*delta.attach.values(), *delta.fresh.values()}:
-        if out.is_boundary(v):
+        s = sig.pop(v)
+        if s not in own:
+            own[s] = pool[s].copy()
+        own[s].remove(v)
+    verts = out._vertices
+    # an attachment may repeat; its second visit finds its signature already new
+    for v in (*delta.attach.values(), *delta.fresh.values()):
+        if verts[v][0] == B:
             continue
         old = sig.get(v)
-        sig[v] = _signature(out, v)
-        if sig[v] != old:
+        s = sig[v] = _signature(out, v)
+        if s != old:
             if old is not None:
-                own_pool(old).remove(v)
-            insort(own_pool(sig[v]), v)
-    for s in copied:
-        if not pool[s]:
-            del pool[s]
+                if old not in own:
+                    own[old] = pool[old].copy()
+                own[old].remove(v)
+            if s not in own:
+                own[s] = pool[s].copy() if s in pool else []
+            insort(own[s], v)
+    for s, vs in own.items():
+        if vs:
+            pool[s] = vs
+        else:
+            pool.pop(s, None)
     return _Index(pool, sig)
 
 
@@ -387,11 +391,12 @@ def _search(rule: Rule, target: Diagram, anchor: Optional[Tuple[VertexId, Vertex
 
 
 def _embed(name: str, plan: _Plan, target: Diagram, idx: _Index, pins: Sequence[VertexId],
-           breaks: Sequence[Tuple[EdgeId, EdgeId]]) -> List[Match]:
+           breaks: Sequence[Tuple[EdgeId, EdgeId]], first: bool = False) -> List[Match]:
     """The embeddings ``plan`` finds in target, whose index is ``idx``, in
     canonical order, less those that some pair of ``breaks`` shows are not
     the least of their orbit.  The plan's first positions, its roots, go to
-    the target vertices ``pins`` in order."""
+    the target vertices ``pins`` in order.  With ``first``, the search stops
+    at the first embedding it finds, which need not be the least."""
     nbrs = target.neighbour_sets()
     n = len(plan.order)
     img: List[VertexId] = [0] * n
@@ -441,6 +446,8 @@ def _embed(name: str, plan: _Plan, target: Diagram, idx: _Index, pins: Sequence[
                 edge_map=tuple(sorted(full.items())),
                 boundary_attach=tuple(sorted(attach.items())),
             ))
+            if first:
+                return
 
     def backtrack(i: int) -> None:
         if i == n:
@@ -465,6 +472,8 @@ def _embed(name: str, plan: _Plan, target: Diagram, idx: _Index, pins: Sequence[
             used.add(t)
             backtrack(i + 1)
             used.discard(t)
+            if first and matches:
+                return
 
     try:
         backtrack(0)
@@ -501,12 +510,15 @@ def isomorphic(a: Diagram, b: Diagram) -> bool:
                 return False
         elif pins.setdefault(x, y) != y:
             return False
-    plan = _compile(a, tuple(pins))
+    # the pinned vertices, and so the plan, depend on a alone
+    plan = a.memo.get("iso")
+    if plan is None:
+        plan = a.memo["iso"] = _compile(a, tuple(pins))
     idx = _index(b)
     # the interiors are of one size, so equal counts of a's signatures mean equal pools
     if any(len(idx.pool.get(s, ())) != k for s, k in plan.need):
         return False
-    return bool(_embed("", plan, b, idx, tuple(pins.values()), ()))
+    return bool(_embed("", plan, b, idx, tuple(pins.values()), (), first=True))
 
 
 def _check_embedding(target: Diagram, rule: Rule, m: Match) -> None:
@@ -542,8 +554,10 @@ class MatchDelta(NamedTuple):
         vertex, given the target's (self-loops dropped).  No other vertex's
         neighbours change: an edge into the match is matched, so its far end
         is an attachment."""
-        out = {a: nbrs[a] - self.removed for a in self.attach.values()}
-        out.update((w, set()) for w in self.fresh.values())
+        removed = self.removed
+        out = {a: nbrs[a] - removed for a in self.attach.values()}
+        for w in self.fresh.values():
+            out[w] = set()
         for u, v in self.new_edges:
             if u != v:
                 out[u].add(v)
@@ -555,6 +569,7 @@ class _RhsPlan(NamedTuple):
     """What `match_delta` needs of a rule, whatever the match."""
 
     interior: Tuple[VertexId, ...]  # RHS interior, in the order fresh ids are given
+    labels: Tuple[Tuple[str, int], ...]  # (kind, phase) of each interior vertex
     edges: Tuple[Tuple[VertexId, VertexId], ...]  # RHS edge ends, in edge-id order
     boundary: Tuple[Tuple[VertexId, VertexId], ...]  # (RHS, LHS) boundary vertex pairs
 
@@ -565,6 +580,7 @@ def _rhs_plan(rule: Rule) -> _RhsPlan:
         rhs, lhs = rule.rhs, rule.lhs
         plan = rule.memo["rhs"] = _RhsPlan(
             interior=tuple(rhs.interior()),
+            labels=tuple(rhs._vertices[v] for v in rhs.interior()),
             edges=tuple(map(rhs.edge_ends, rhs.edges())),
             boundary=tuple(zip(rhs.inputs + rhs.outputs, lhs.inputs + lhs.outputs)))
     return plan
@@ -574,17 +590,19 @@ def match_delta(target: Diagram, rule: Rule, m: Match) -> MatchDelta:
     """The change `apply_match(target, rule, m)` makes, for m one of the
     matcher's embeddings; m is not checked."""
     vmap = m.vmap()
-    attach = {b: target.edge_ends(te)[side] for b, (te, side) in m.boundary_attach}
+    edges = target._edges
+    attach = {b: edges[te][side] for b, (te, side) in m.boundary_attach}
     plan = _rhs_plan(rule)
-    fresh = {rv: v for v, rv in enumerate(plan.interior, target.max_vertex_id() + 1)}
-    ends = dict(fresh)
-    ends.update((rb, attach[lb]) for rb, lb in plan.boundary)
+    fresh = dict(zip(plan.interior, itertools.count(target.max_vertex_id() + 1)))
+    ends = fresh.copy()
+    for rb, lb in plan.boundary:
+        ends[rb] = attach[lb]
     return MatchDelta(
         vmap=vmap,
         removed=frozenset(vmap.values()),
         attach=attach,
         fresh=fresh,
-        new_edges=tuple((ends[u], ends[v]) for u, v in plan.edges),
+        new_edges=tuple([(ends[u], ends[v]) for u, v in plan.edges]),
     )
 
 
@@ -598,18 +616,19 @@ def apply_match(target: Diagram, rule: Rule, m: Match) -> Diagram:
     _check_embedding(target, rule, m)
     delta = match_delta(target, rule, m)
     b = target.builder()
-    for te in sorted(te for _, te in m.edge_map):
-        b.remove_edge(te)
-    for tv in sorted(delta.removed):
-        del b.vertices[tv]
-    for rv, v in delta.fresh.items():
-        b.add_vertex_with_id(v, rule.rhs.kind(rv), rule.rhs.phase(rv))
+    # the gluing condition makes the matched edges exactly those at matched vertices
+    for tv in delta.removed:
+        b.remove_vertex(tv)
+    for v, (kind, phase) in zip(delta.fresh.values(), _rhs_plan(rule).labels):
+        b.add_vertex_with_id(v, kind, phase)
     for u, v in delta.new_edges:
         b.add_edge(u, v)
     out = b.build()
     nbrs = target._nbrs
     if nbrs is not None:
-        out._nbrs = {v: ns for v, ns in nbrs.items() if v not in delta.removed}
+        out._nbrs = nbrs.copy()
+        for v in delta.removed:
+            del out._nbrs[v]
         out._nbrs.update(delta.neighbours(nbrs))
     parent = target.memo.get("index")
     if parent is not None:
