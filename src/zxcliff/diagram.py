@@ -10,15 +10,17 @@ diagram.  Mutation happens through :class:`DiagramBuilder`.  Vertex and edge
 ids are plain ints and all iteration is in sorted id order, so every operation
 here is deterministic.
 
-A builder made from a diagram and changed only through its methods builds
-its result by derivation (`Diagram._derive`): C-level copies of the parent's
+Every builder builds its result by derivation from its base, the empty
+diagram when it has none (`Diagram._derive`): C-level copies of the base's
 vertex, edge and adjacency dicts, new adjacency lists for the vertices the
-builder touched, and the invariants checked on those vertices alone.  Each
-invariant is local to one vertex or edge and the parent was valid, so this
-proves what the full check over every vertex and edge proves, in work
-proportional to the change.  Rule applications, splits and the structural
-passes but spider fusion (which re-points edges) build this way; the result
-equals the full constructor's field by field, insertion orders included.
+builder touched, and the invariants checked on those vertices, and on the
+boundary lists when the builder set new ones.  Each invariant is local to one
+vertex or edge, or to the lists, and the base was valid, so this proves what
+the full check over every vertex and edge proves, in work proportional to the
+change.  The result equals the full constructor's field by field, insertion
+orders included.  The full constructor builds a diagram from plain dicts:
+JSON load, the adjoint, colour swaps, spider fusion (which re-points edges)
+and component subdiagrams.
 """
 
 from __future__ import annotations
@@ -160,23 +162,35 @@ class Diagram:
             _check_vertex(v, kind, phase, v in seen, self._adj[v], self._edges)
 
     def _derive(self, b: "DiagramBuilder") -> "Diagram":
-        """What ``b``, a builder on self that only its methods changed, holds,
-        equal field by field to the full constructor's result.
+        """What ``b``, a builder on self, holds, equal field by field to the
+        full constructor's result.
 
-        So every vertex whose kind, phase or edges differ from self's is in
-        ``b._touched``, every edge not in self is in ``b._added_at`` of each
-        of its ends, in id order, and no edge of self was re-pointed.  Only
-        the touched vertices get new adjacency lists and are checked; every
-        invariant `_validate` checks is local to one vertex or edge, and self
-        is valid, so that proves the same thing.  An edge of self or an added
-        one is left with a removed end only if that end is touched, which is
-        checked.  The added vertices, last in ``b._v``, are put last in
-        ``_adj`` too, in the same order."""
-        vertices, edges, fresh = b._v, b._e, b._fresh
+        The builder's methods put every vertex whose kind, phase or edges
+        differ from self's in ``b._touched``, and every edge not in self in
+        ``b._added_at`` of each of its ends, in id order; none re-points an
+        edge of self.  Only the touched vertices get new adjacency lists and
+        are checked, with every vertex whose listed status the builder's
+        boundary lists changed; every invariant `_validate` checks is local to
+        one vertex or edge, or to the lists, and self is valid, so that proves
+        the same thing.  An edge of self or an added one is left with a
+        removed end only if that end is touched, which is checked.  The added
+        vertices, last in ``b._v``, are put last in ``_adj`` too, in the same
+        order."""
+        vertices, edges, fresh, touched = b._v, b._e, b._fresh, b._touched
+        inputs, outputs = b._in, b._out
+        listed = set(inputs)
+        listed.update(outputs)
+        relisted: Set[VertexId] = set()
+        if inputs != self._inputs or outputs != self._outputs:
+            if len(listed) != len(inputs) + len(outputs):
+                raise DiagramInvariantError("inputs and outputs overlap")
+            if not listed <= vertices.keys():
+                raise DiagramInvariantError("a boundary id names no vertex")
+            relisted = listed.symmetric_difference(self._inputs + self._outputs)
         out = Diagram.__new__(Diagram)
         out._vertices = vertices.copy()
         out._edges = edges.copy()
-        out._inputs, out._outputs = inputs, outputs = self._inputs, self._outputs
+        out._inputs, out._outputs = inputs, outputs
         out._nbrs = None
         out.memo = {}
         # the highest id a builder has seen is the largest, if it is still there
@@ -184,21 +198,20 @@ class Diagram:
         out._next_edge = b._next_e if b._next_e - 1 in edges else None
         adj = out._adj = self._adj.copy()
         late: Dict[VertexId, List[EdgeId]] = {}
-        for v in b._touched:
+        for v in touched:
             at = b.incident(v)
             kp = vertices.get(v)
             if kp is None:
                 if at:
                     raise DiagramInvariantError(f"edge {at[0]} has undeclared endpoint")
-                if v in inputs or v in outputs:
+                if v in listed:
                     raise DiagramInvariantError("a boundary id names no vertex")
                 adj.pop(v, None)
                 continue
             kind, phase = kp
-            listed = v in inputs or v in outputs
             # an unlisted spider with its phase in range is valid whatever its edges
-            if kind not in SPIDERS or listed or not 0 <= phase <= 3:
-                _check_vertex(v, kind, phase, listed, at, edges)
+            if kind not in SPIDERS or v in listed or not 0 <= phase <= 3:
+                _check_vertex(v, kind, phase, v in listed, at, edges)
             if v in fresh:
                 adj.pop(v, None)
                 late[v] = at
@@ -207,6 +220,11 @@ class Diagram:
         for v in fresh:
             if v in late:
                 adj[v] = late[v]
+        for v in relisted:
+            # a vertex no longer listed is still there, or it was removed and touched
+            if v not in touched:
+                kind, phase = vertices[v]
+                _check_vertex(v, kind, phase, v in listed, adj[v], edges)
         return out
 
     # -- basic accessors -------------------------------------------------------
@@ -306,6 +324,20 @@ class Diagram:
 
     # -- structural algebra ----------------------------------------------------
 
+    def _builder_with(self, other: "Diagram") -> Tuple["DiagramBuilder", Dict[VertexId, VertexId]]:
+        """A builder on self that also holds a copy of other, its vertex ids
+        shifted past self's, and the map from other's vertex ids to the copy's."""
+        b = self.builder()
+        offset = b.next_vertex_id()
+        relabel = {v: v + offset for v in other._vertices}
+        for v in sorted(other._vertices):
+            kind, phase = other._vertices[v]
+            b.add_vertex_with_id(relabel[v], kind, phase)
+        for e in sorted(other._edges):
+            u, v = other._edges[e]
+            b.add_edge(relabel[u], relabel[v])
+        return b, relabel
+
     def compose(self, second: "Diagram") -> "Diagram":
         """Join self's outputs to second's inputs pairwise by position."""
         if self.num_outputs != second.num_inputs:
@@ -313,15 +345,7 @@ class Diagram:
                 f"cannot compose {self.num_outputs} outputs with "
                 f"{second.num_inputs} inputs"
             )
-        b = self.builder()
-        offset = b.next_vertex_id()
-        relabel = {v: v + offset for v in second._vertices}
-        for v in sorted(second._vertices):
-            kind, phase = second._vertices[v]
-            b.add_vertex_with_id(relabel[v], kind, phase)
-        for e in sorted(second._edges):
-            u, v = second._edges[e]
-            b.add_edge(relabel[u], relabel[v])
+        b, relabel = self._builder_with(second)
         for out_v, in_v in zip(self._outputs, second._inputs):
             b.join_boundaries(out_v, relabel[in_v])
         b.set_boundaries(self._inputs, [relabel[v] for v in second._outputs])
@@ -329,15 +353,7 @@ class Diagram:
 
     def tensor(self, bottom: "Diagram") -> "Diagram":
         """Disjoint union; self's wires come first in the boundary orders."""
-        b = self.builder()
-        offset = b.next_vertex_id()
-        relabel = {v: v + offset for v in bottom._vertices}
-        for v in sorted(bottom._vertices):
-            kind, phase = bottom._vertices[v]
-            b.add_vertex_with_id(relabel[v], kind, phase)
-        for e in sorted(bottom._edges):
-            u, v = bottom._edges[e]
-            b.add_edge(relabel[u], relabel[v])
+        b, relabel = self._builder_with(bottom)
         b.set_boundaries(
             list(self._inputs) + [relabel[v] for v in bottom._inputs],
             list(self._outputs) + [relabel[v] for v in bottom._outputs],
@@ -386,9 +402,10 @@ class Diagram:
     def from_json_obj(obj: dict) -> "Diagram":
         vertices = {}
         for item in obj["vertices"]:
-            kind = item["kind"]
-            phase = int(item.get("phase", 0))
-            vertices[int(item["id"])] = (kind, phase)
+            v = int(item["id"])
+            if v in vertices:
+                raise DiagramInvariantError(f"vertex {v} is listed twice")
+            vertices[v] = (item["kind"], int(item.get("phase", 0)))
         edges = {i: (int(u), int(v)) for i, (u, v) in enumerate(obj["edges"])}
         return Diagram(vertices, edges, [int(v) for v in obj["inputs"]],
                        [int(v) for v in obj["outputs"]])
@@ -410,67 +427,31 @@ class Diagram:
 class DiagramBuilder:
     """Mutable scratch representation used to assemble diagrams.
 
-    A builder made from a base diagram records, as its methods run, every
-    vertex they touch (added, removed, re-kinded, re-phased, or given or
-    losing an edge) and every edge they add at each vertex.  ``incident``,
-    ``degree`` and ``remove_vertex`` then read the base's adjacency plus the
-    added edges, and ``build()`` derives the result from the base
-    (`Diagram._derive`), checking only what changed.
-
-    The raw ``vertices``, ``edges``, ``inputs`` and ``outputs`` may still be
-    read and written directly, but a builder that has handed one out, or
-    whose boundaries were set, may hold changes it never saw; it scans its
-    edges and builds with the full constructor instead.  So does a builder
-    with no base.
+    A builder starts from a base diagram, or from the empty diagram when it
+    is given none.  As its methods run it records every vertex they touch
+    (added, removed, re-kinded, re-phased, or given or losing an edge) and
+    every edge they add at each vertex.  ``incident`` and ``remove_vertex``
+    read the base's adjacency plus the added edges, and ``build()`` derives
+    the result from the base (`Diagram._derive`), checking only what changed.
     """
 
-    __slots__ = ("_v", "_e", "_in", "_out", "_next_v", "_next_e", "_base", "_raw", "_full",
+    __slots__ = ("_v", "_e", "_in", "_out", "_next_v", "_next_e", "_base",
                  "_touched", "_added_at", "_fresh")
 
     def __init__(self, base: Optional[Diagram] = None):
-        self._base = base
         if base is None:
-            self._v: Dict[VertexId, Tuple[str, int]] = {}
-            self._e: Dict[EdgeId, Tuple[VertexId, VertexId]] = {}
-            self._in: List[VertexId] = []
-            self._out: List[VertexId] = []
-            self._next_v = 0
-        else:
-            self._v = base._vertices.copy()
-            self._e = base._edges.copy()
-            self._in = list(base._inputs)
-            self._out = list(base._outputs)
-            self._next_v = base.max_vertex_id() + 1
-        self._next_e = None if base is None else base._next_edge
+            base = Diagram.empty()
+        self._base = base
+        self._v = base._vertices.copy()
+        self._e = base._edges.copy()
+        self._in, self._out = base._inputs, base._outputs
+        self._next_v = base.max_vertex_id() + 1
+        self._next_e = base._next_edge
         if self._next_e is None:
             self._next_e = max(self._e, default=-1) + 1
-        self._raw = False  # whether a raw field was handed out
-        self._full = base is None  # whether build() must run the full constructor
         self._touched: Dict[VertexId, None] = {}  # in order of first touch
         self._added_at: Dict[VertexId, List[EdgeId]] = {}  # in id order, loops once
         self._fresh: Dict[VertexId, None] = {}  # added vertices, in order of last addition
-
-    # the raw fields: handing one out gives up the recorded delta
-
-    @property
-    def vertices(self) -> Dict[VertexId, Tuple[str, int]]:
-        self._raw = self._full = True
-        return self._v
-
-    @property
-    def edges(self) -> Dict[EdgeId, Tuple[VertexId, VertexId]]:
-        self._raw = self._full = True
-        return self._e
-
-    @property
-    def inputs(self) -> List[VertexId]:
-        self._raw = self._full = True
-        return self._in
-
-    @property
-    def outputs(self) -> List[VertexId]:
-        self._raw = self._full = True
-        return self._out
 
     def next_vertex_id(self) -> VertexId:
         return self._next_v
@@ -537,22 +518,16 @@ class DiagramBuilder:
     def incident(self, v: VertexId) -> List[EdgeId]:
         """Edge ids at v in id order, self-loops listed once."""
         es = self._e
-        if self._raw:
-            return sorted(e for e, (a, b) in es.items() if a == v or b == v)
         # methods never re-point an edge, and every added id exceeds the base's;
         # plain loops, as these lists hold too few edges for filter() to pay
         at = []
-        if self._base is not None:
-            for e in self._base._adj.get(v, ()):
-                if e in es:
-                    at.append(e)
+        for e in self._base._adj.get(v, ()):
+            if e in es:
+                at.append(e)
         for e in self._added_at.get(v, ()):
             if e in es:
                 at.append(e)
         return at
-
-    def degree(self, v: VertexId) -> int:
-        return sum(2 if a == b else 1 for a, b in map(self._e.__getitem__, self.incident(v)))
 
     def join_boundaries(self, out_v: VertexId, in_v: VertexId) -> None:
         """Delete the boundary pair (out_v, in_v) and fuse their edges.
@@ -580,11 +555,8 @@ class DiagramBuilder:
         return b if v == a else a
 
     def set_boundaries(self, inputs: Iterable[VertexId], outputs: Iterable[VertexId]) -> None:
-        self._full = True
-        self._in = list(inputs)
-        self._out = list(outputs)
+        self._in = tuple(inputs)
+        self._out = tuple(outputs)
 
     def build(self) -> Diagram:
-        if self._full:
-            return Diagram(self._v, self._e, self._in, self._out)
         return self._base._derive(self)

@@ -135,15 +135,12 @@ class CC1Table:
             self.keys[canonical_key(interpret(m))] = i
 
     def lookup(self, matrix: np.ndarray) -> Tuple[int, Diagram]:
-        k = canonical_key(matrix)
-        if k in self.keys:
-            idx = self.keys[k]
-            if scalar_free_equal(interpret(self.members[idx]), matrix):
-                return idx, self.members[idx]
-        for idx, m in enumerate(self.members):  # rounding fallback, rarely taken
-            if scalar_free_equal(interpret(m), matrix):
-                return idx, m
-        raise NotAClifford("matrix is not a 1-qubit Clifford")
+        idx = self.keys.get(canonical_key(matrix))
+        if idx is None:
+            raise NotAClifford("matrix is not a 1-qubit Clifford (no key match)")
+        if not scalar_free_equal(interpret(self.members[idx]), matrix):
+            raise NotAClifford("key collision outside tolerance")
+        return idx, self.members[idx]
 
     def verify_minimality(self) -> None:
         """No line diagram with fewer vertices is equivalent to any member."""

@@ -70,31 +70,34 @@ def remove_self_loops(d: Diagram) -> Diagram:
     return b.build()
 
 
+_IDENTITIES = ((Z, 0), (X, 0))
+
+
 def remove_identities(d: Diagram) -> Diagram:
     """Delete zero-phase degree-2 spiders, joining their two edges.
 
     One scan in id order finds every removal that rescanning after each one
-    would: a removal never makes an earlier vertex removable.  Its far ends
-    a and c keep their edge counts when they differ, and when a = c its two
-    edges become one self-loop, which the scan skips."""
+    would: a removal never makes a vertex removable.  Its far ends a and c
+    keep their edge counts and trade one non-loop edge for another when they
+    differ, and when a = c its two edges become one self-loop, which the scan
+    skips.  So only the vertices removable in d are scanned, the first of
+    them is removed, and when there are none d is returned as it is."""
+    adj, edges = d._adj, d._edges
+    candidates = sorted(v for v, kp in d._vertices.items() if kp in _IDENTITIES
+                        and len(adj[v]) == 2 and (v, v) not in map(edges.__getitem__, adj[v]))
+    if not candidates:
+        return d
     b = d.builder()
-    removed = False
-    for v in sorted(d._vertices):
-        kind, phase = d._vertices[v]  # only v itself is ever removed, so b agrees
-        if kind not in (Z, X) or phase != 0:
-            continue
+    for v in candidates:
         inc = b.incident(v)
         if len(inc) != 2:
-            continue  # degree-2 via a self-loop is left to anti-loop
+            continue  # an earlier removal made its two edges one self-loop
         e1, e2 = inc
         a = b._other(e1, v)
         c = b._other(e2, v)
-        if a == v or c == v:
-            continue
         b.remove_vertex(v)
         b.add_edge(a, c)
-        removed = True
-    return b.build() if removed else d
+    return b.build()
 
 
 def hopf_reduce(d: Diagram) -> Diagram:

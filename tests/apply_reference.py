@@ -1,8 +1,9 @@
 """The rule application `zxcliff.rewrite.apply_match` used before match deltas.
 
-It edits a builder directly: it deletes the matched edges and vertices, adds
-the RHS interior with the builder's next vertex ids and the RHS edges with
-its next edge ids.  Tests compare the delta-built output against it, ids and
+It edits copies of the target's vertex and edge dicts and builds the result
+with the full constructor: it deletes the matched edges and vertices, adds
+the RHS interior with the ids after the target's largest vertex id and the
+RHS edges with the ids after its largest edge id.  Tests compare the delta-built output against it, ids and
 insertion order included.  The match is not revalidated here.
 """
 
@@ -18,7 +19,10 @@ def reference_apply_match(target: Diagram, rule: Rule, m: Match) -> Diagram:
     """Replace the matched subgraph by the rule's RHS."""
     vmap = m.vmap()
     attach = m.attach()
-    b = target.builder()
+    vertices = dict(target._vertices)
+    edges = dict(target._edges)
+    next_v = max(vertices, default=-1) + 1
+    next_e = max(edges, default=-1) + 1
 
     # record attachment vertices before deleting anything
     attach_vertex: Dict[VertexId, VertexId] = {}
@@ -26,14 +30,16 @@ def reference_apply_match(target: Diagram, rule: Rule, m: Match) -> Diagram:
         attach_vertex[bvert] = target.edge_ends(te)[side]
 
     for te in sorted(m.emap().values()):
-        b.remove_edge(te)
+        del edges[te]
     for tv in sorted(vmap.values()):
-        del b.vertices[tv]
+        del vertices[tv]
 
     rhs = rule.rhs
     fresh: Dict[VertexId, VertexId] = {}
     for rv in rhs.interior():
-        fresh[rv] = b.add_vertex(rhs.kind(rv), rhs.phase(rv))
+        fresh[rv] = next_v
+        vertices[next_v] = (rhs.kind(rv), rhs.phase(rv))
+        next_v += 1
 
     lhs_b = list(rule.lhs.inputs) + list(rule.lhs.outputs)
     rhs_b = list(rhs.inputs) + list(rhs.outputs)
@@ -44,6 +50,7 @@ def reference_apply_match(target: Diagram, rule: Rule, m: Match) -> Diagram:
 
     for e in rhs.edges():
         u, v = rhs.edge_ends(e)
-        b.add_edge(endpoint(u), endpoint(v))
+        edges[next_e] = (endpoint(u), endpoint(v))
+        next_e += 1
 
-    return b.build()
+    return Diagram(vertices, edges, target.inputs, target.outputs)

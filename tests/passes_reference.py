@@ -5,8 +5,10 @@ one-pass forms.
 fuses the lowest-id same-colour edge, re-points every edge at the removed
 vertex, and rescans all edges from the start after each fusion, so it is
 quadratic in the edge count.  `reference_remove_identities` restarts its
-sorted scan over the vertices after every removal.  Tests compare the
-one-pass forms against them.
+sorted scan over the vertices after every removal.  Both edit copies of the
+diagram's vertex and edge dicts, give a new edge the id after the largest,
+and build the result with the full constructor.  Tests compare the one-pass
+forms against them.
 """
 
 from __future__ import annotations
@@ -20,58 +22,66 @@ def reference_fuse_spiders(d: Diagram) -> Diagram:
     Any extra parallel edges between a fused pair turn into self-loops on the
     merged vertex; they are left for the anti-loop pass.
     """
-    b = d.builder()
+    vertices, edges = dict(d._vertices), dict(d._edges)
     fused = False
     while True:
         target = None
-        for e in sorted(b.edges):
-            u, v = b.edges[e]
+        for e in sorted(edges):
+            u, v = edges[e]
             if u == v:
                 continue
-            ku = b.vertices[u][0]
-            if ku in (Z, X) and b.vertices[v][0] == ku:
+            ku = vertices[u][0]
+            if ku in (Z, X) and vertices[v][0] == ku:
                 target = (e, min(u, v), max(u, v))
                 break
         if target is None:
             break
         fused = True
         e, keep, gone = target
-        b.set_phase(keep, phase_add(b.vertices[keep][1], b.vertices[gone][1]))
-        b.remove_edge(e)
-        for e2 in list(b.edges):
-            a, c = b.edges[e2]
+        kind, phase = vertices[keep]
+        vertices[keep] = (kind, phase_add(phase, vertices[gone][1]))
+        del edges[e]
+        for e2 in list(edges):
+            a, c = edges[e2]
             if a == gone:
                 a = keep
             if c == gone:
                 c = keep
-            b.edges[e2] = (min(a, c), max(a, c))
-        del b.vertices[gone]
-    return b.build() if fused else d
+            edges[e2] = (min(a, c), max(a, c))
+        del vertices[gone]
+    return Diagram(vertices, edges, d.inputs, d.outputs) if fused else d
+
+
+def _other(ends, v):
+    a, b = ends
+    return b if v == a else a
 
 
 def reference_remove_identities(d: Diagram) -> Diagram:
     """Delete zero-phase degree-2 spiders, joining their two edges."""
-    b = d.builder()
+    vertices, edges = dict(d._vertices), dict(d._edges)
+    next_e = max(edges, default=-1) + 1
     removed = False
     changed = True
     while changed:
         changed = False
-        for v in sorted(b.vertices):
-            kind, phase = b.vertices[v]
+        for v in sorted(vertices):
+            kind, phase = vertices[v]
             if kind not in (Z, X) or phase != 0:
                 continue
-            inc = b.incident(v)
+            inc = sorted(e for e, ends in edges.items() if v in ends)
             if len(inc) != 2:
                 continue  # degree-2 via a self-loop is left to anti-loop
             e1, e2 = inc
-            a = b._other(e1, v)
-            c = b._other(e2, v)
+            a = _other(edges[e1], v)
+            c = _other(edges[e2], v)
             if a == v or c == v:
                 continue
-            b.remove_edge(e1)
-            b.remove_edge(e2)
-            del b.vertices[v]
-            b.add_edge(a, c)
+            del edges[e1]
+            del edges[e2]
+            del vertices[v]
+            edges[next_e] = (a, c)
+            next_e += 1
             changed = removed = True
             break
-    return b.build() if removed else d
+    return Diagram(vertices, edges, d.inputs, d.outputs) if removed else d

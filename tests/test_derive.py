@@ -1,5 +1,5 @@
-"""Diagrams derived from a parent (`DiagramBuilder.build` on a builder that
-only its methods changed) against the full constructor."""
+"""Diagrams derived from a parent (`DiagramBuilder.build`) against the full
+constructor on the builder's fields."""
 
 import functools
 import hashlib
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from test_fingerprint import GOLDEN
 from zxcliff.circuit import circuit, gate, random_clifford_circuit, translate
-from zxcliff.diagram import B, H, X, Z, Diagram
+from zxcliff.diagram import B, H, X, Z, Diagram, DiagramBuilder
 from zxcliff.errors import DiagramInvariantError
 from zxcliff.optimiser import Optimiser, OptimiserConfig
 
@@ -44,6 +44,28 @@ def _built(make):
         return make()
     except DiagramInvariantError:
         return None
+
+
+def _full(b):
+    return Diagram(b._v, b._e, b._in, b._out)
+
+
+_build = DiagramBuilder.build
+
+
+def _same_as_full(b):
+    """b.build() against the full constructor on b's fields: both refuse, or
+    both give the same fields, insertion orders and adjacency lists included.
+    The derived diagram, or None."""
+    derived, full = _built(lambda: _build(b)), _built(lambda: _full(b))
+    assert (derived is None) == (full is None)
+    if derived is not None:
+        assert _fields(derived) == _fields(full)
+        assert derived.neighbour_sets() == full.neighbour_sets()
+        assert derived.max_vertex_id() == full.max_vertex_id()
+        assert derived.builder().next_vertex_id() == full.builder().next_vertex_id()
+        assert derived.builder().add_edge(0, 0) == full.builder().add_edge(0, 0)
+    return derived
 
 
 # an edit: (method, pick, pick, value); picks choose among the live vertices
@@ -80,31 +102,45 @@ def test_derived_build_equals_full_constructor(width, seed, pick, edits):
             b.set_phase(live_v[i % len(live_v)], value)
         elif op == "set_kind" and live_v:
             b.set_kind(live_v[i % len(live_v)], KINDS_TRIED[value % len(KINDS_TRIED)])
-    assert not b._full  # the builder derives
-    derived = _built(b.build)
-    full = _built(lambda: Diagram(b.vertices, b.edges, b.inputs, b.outputs))
-    assert (derived is None) == (full is None)
-    if derived is not None:
-        assert _fields(derived) == _fields(full)
-        assert derived.neighbour_sets() == full.neighbour_sets()
-        assert derived.max_vertex_id() == full.max_vertex_id()
-        assert derived.builder().next_vertex_id() == full.builder().next_vertex_id()
-        assert derived.builder().add_edge(0, 0) == full.builder().add_edge(0, 0)
+    _same_as_full(b)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(width=st.integers(1, 6), seed=st.integers(0, 1), picks=st.tuples(st.integers(0, 10**6),
+       st.integers(0, 10**6)), depth=st.integers(1, 30), circuit_seed=st.integers(0, 10**6),
+       wires=st.integers(0, 4))
+def test_builds_from_scratch_and_with_new_boundaries_equal_full_constructor(
+        width, seed, picks, depth, circuit_seed, wires):
+    # builders with no base (translate, wires) and builders that set their
+    # boundaries (compose, tensor, wires), each build checked as it is made
+    seen = _run_diagrams(width, seed)
+    d, e = (seen[p % len(seen)] for p in picks)
+    checked = []
+
+    def build(b):
+        checked.append(b)
+        out = _same_as_full(b)
+        assert out is not None
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DiagramBuilder, "build", build)
+        translate(random_clifford_circuit(width, depth, circuit_seed))
+        d.compose(e)
+        d.tensor(e)
+        Diagram.wires(wires)
+    assert len(checked) == 4
 
 
 def test_builder_reads_base_adjacency():
-    # incident and degree read the base's adjacency plus the added edges
+    # incident reads the base's adjacency plus the added edges
     d = translate(circuit(2, gate("CNOT", 0, 1), gate("H", 1)))
     b = d.builder()
     for v in d.vertices():
-        assert b.incident(v) == d.incident_edges(v) and b.degree(v) == d.degree(v)
+        assert b.incident(v) == d.incident_edges(v)
     z = next(v for v in d.interior() if d.degree(v) == 3)
     e = b.add_edge(z, z)
     b.remove_edge(d.incident_edges(z)[0])
-    assert b.incident(z) == d.incident_edges(z)[1:] + [e]
-    assert b.degree(z) == d.degree(z) + 1
-    raw = b.edges  # a raw field handed out: the builder scans it and builds in full
-    assert raw[e] == (z, z) and b._full
     assert b.incident(z) == d.incident_edges(z)[1:] + [e]
 
 
@@ -116,11 +152,10 @@ def _cnot_h():
 
 
 def _refused_both_ways(b, match):
-    assert not b._full
     with pytest.raises(DiagramInvariantError, match=match):
         b.build()
     with pytest.raises(DiagramInvariantError):
-        Diagram(b.vertices, b.edges, b.inputs, b.outputs)
+        _full(b)
 
 
 def test_local_check_refuses_edge_on_removed_vertex():
@@ -181,6 +216,44 @@ def test_local_check_refuses_phase_and_boundary_status():
     b = d2.builder()
     b.set_kind(z, B)
     _refused_both_ways(b, "boundary status disagrees")
+
+
+def _bad_boundary_lists(ins, outs, spider, missing):
+    """Boundary lists that overlap, name a missing id, leave a B vertex
+    unlisted, or list a spider, each with the refusal it meets."""
+    return [(ins, outs + ins[:1], "overlap"),
+            (ins + [missing], outs, "names no vertex"),
+            (ins[1:], outs, "boundary status disagrees"),
+            (ins + [spider], outs, "boundary status disagrees")]
+
+
+def test_local_check_refuses_bad_boundary_lists():
+    d = _cnot_h()
+    for inputs, outputs, match in _bad_boundary_lists(
+            list(d.inputs), list(d.outputs), d.interior()[0], d.max_vertex_id() + 1):
+        b = d.builder()
+        b.set_boundaries(inputs, outputs)
+        _refused_both_ways(b, match)
+
+
+def test_local_check_refuses_bad_boundary_lists_without_base():
+    def two_wires():
+        b = DiagramBuilder()
+        ins, outs = [b.add_vertex(B), b.add_vertex(B)], [b.add_vertex(B), b.add_vertex(B)]
+        z = b.add_vertex(Z)
+        b.add_edge(ins[0], z)
+        b.add_edge(z, outs[0])
+        b.add_edge(ins[1], outs[1])
+        return b, ins, outs, z
+
+    b, ins, outs, z = two_wires()
+    b.set_boundaries(ins, outs)
+    assert b.build().num_inputs == 2
+    for inputs, outputs, match in _bad_boundary_lists(ins, outs, z, z + 1):
+        b = two_wires()[0]
+        b.set_boundaries(inputs, outputs)
+        _refused_both_ways(b, match)
+    _refused_both_ways(two_wires()[0], "boundary status disagrees")  # never set
 
 
 # -- every step checked in full ---------------------------------------------------------

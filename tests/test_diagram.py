@@ -311,17 +311,17 @@ def _mutants(d, rng):
         b.set_phase(v, d.phase(v) + 1)
         out.append(b.build())
     if d.num_inputs >= 2:
-        b = d.builder()
+        inputs = list(d.inputs)
         i, j = rng.sample(range(d.num_inputs), 2)
-        b.inputs[i], b.inputs[j] = b.inputs[j], b.inputs[i]
-        out.append(b.build())
+        inputs[i], inputs[j] = inputs[j], inputs[i]
+        out.append(Diagram(d._vertices, d._edges, inputs, d.outputs))
     inner = [e for e in d.edges() if not any(map(d.is_boundary, d.edge_ends(e)))]
     if len(inner) >= 2:
-        b = d.builder()
+        edges = dict(d._edges)
         e, f = rng.sample(inner, 2)
         (u1, v1), (u2, v2) = d.edge_ends(e), d.edge_ends(f)
-        b.edges[e], b.edges[f] = (u1, v2), (u2, v1)
-        out.append(b.build())
+        edges[e], edges[f] = (u1, v2), (u2, v1)
+        out.append(Diagram(d._vertices, edges, d.inputs, d.outputs))
     return out
 
 
@@ -407,6 +407,17 @@ def test_json_multiplicity_encoding():
     obj = d.to_json_obj()
     assert obj["edges"].count([z, x]) == 2
     assert Diagram.from_json_obj(obj).iso_equal(d)
+
+
+def test_json_refuses_a_vertex_listed_twice():
+    # the second entry would silently replace the first
+    obj = {"vertices": [{"id": 0, "kind": "B"}, {"id": 1, "kind": "Z", "phase": 1},
+                        {"id": 1, "kind": "X", "phase": 2}, {"id": 2, "kind": "B"}],
+           "edges": [[0, 1], [1, 2]], "inputs": [0], "outputs": [2]}
+    with pytest.raises(DiagramInvariantError, match="vertex 1 is listed twice"):
+        Diagram.from_json_obj(obj)
+    del obj["vertices"][2]
+    assert Diagram.from_json_obj(obj).phase(1) == 1
 
 
 def test_line_diagram_helper():

@@ -39,6 +39,20 @@ def test_cc1_lookup_rejects_non_clifford(cc1):
         cc1.lookup(t_gate)
 
 
+def test_cc1_keyed_lookup_hits_every_short_run(cc1):
+    # every single-qubit run of 1-4 vertices that canonicalisation can meet
+    # finds its member by key, and the member's matrix re-checks
+    from zxcliff.optimiser import _GATE_2X2
+    runs = [np.eye(2, dtype=complex)]
+    looked_up = 0
+    for _ in range(4):
+        runs = [g @ m for m in runs for g in _GATE_2X2.values()]
+        for m in runs:
+            cc1.lookup(m)
+        looked_up += len(runs)
+    assert looked_up == 7380
+
+
 def test_cc1_minimality(cc1):
     cc1.verify_minimality()
 

@@ -1,8 +1,40 @@
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+_SIZED = '''"""A module docstring
+over two lines."""
+
+import os  # a trailing comment
+
+# a comment line
+
+
+def f(a):
+    """A function docstring."""
+    return max(a,
+               len(os.sep))
+'''
+
+
+def test_src_size_counts_code_lines():
+    # 12 physical lines; the import, the def and both lines of the call are code
+    file_size = runpy.run_path(str(ROOT / "tools" / "src_size.py"))["file_size"]
+    assert file_size(_SIZED) == (12, 4)
+
+
+def test_src_size_totals_the_package():
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "src_size.py"), str(ROOT / "src" / "zxcliff")],
+        capture_output=True, text=True, check=True).stdout
+    rows = {line.split()[0]: line.split()[1:] for line in out.splitlines()}
+    assert "diagram.py" in rows
+    totals = [int(x.replace(",", "")) for x in rows.pop("total")]
+    assert totals == [sum(int(row[i]) for row in rows.values()) for i in (0, 1)]
+    assert 0 < totals[1] < totals[0]
 
 
 def test_layer_share_times_named_functions():
