@@ -19,8 +19,7 @@ vertex or edge, or to the lists, and the base was valid, so this proves what
 the full check over every vertex and edge proves, in work proportional to the
 change.  The result equals the full constructor's field by field, insertion
 orders included.  The full constructor builds a diagram from plain dicts:
-JSON load, the adjoint, colour swaps, spider fusion (which re-points edges)
-and component subdiagrams.
+JSON load, the adjoint, colour swaps and component subdiagrams.
 """
 
 from __future__ import annotations
@@ -89,10 +88,12 @@ class Diagram:
     ``memo`` holds values other modules derive from the diagram, each worked
     out at most once and dropped with the diagram: its path cover
     (``"cover"``, `flow.find_path_cover`), its matcher index (``"index"``,
-    from `rewrite`), the plan that matches it whole (``"iso"``, from
-    `rewrite.isomorphic`) and its commutation-metric terms (``"terms"``,
-    from `optimiser`).  No memoised value may refer back to the diagram, so
-    reference counting alone frees a diagram and its memo together.
+    from `rewrite`) and its commutation-metric terms (``"terms"``, from
+    `optimiser`).  A cover is searched on first use, or carried from the
+    diagram's parent by `rewrite.apply_match`, and then its rank need not be
+    the least order (`flow.PathCover`).  No memoised value may refer back to
+    the diagram or to another diagram's memo, so reference counting alone
+    frees a diagram and its memo together.
     """
 
     __slots__ = ("_vertices", "_edges", "_inputs", "_outputs", "_adj", "_nbrs", "_max_vertex",
@@ -167,8 +168,10 @@ class Diagram:
 
         The builder's methods put every vertex whose kind, phase or edges
         differ from self's in ``b._touched``, and every edge not in self in
-        ``b._added_at`` of each of its ends, in id order; none re-points an
-        edge of self.  Only the touched vertices get new adjacency lists and
+        ``b._added_at`` of each of its ends, in id order; an edge they
+        re-point touches its old and new ends and joins ``b._added_at`` of
+        each new one (`DiagramBuilder.incident` sorts them back into id
+        order).  Only the touched vertices get new adjacency lists and
         are checked, with every vertex whose listed status the builder's
         boundary lists changed; every invariant `_validate` checks is local to
         one vertex or edge, or to the lists, and self is valid, so that proves
@@ -430,13 +433,14 @@ class DiagramBuilder:
     A builder starts from a base diagram, or from the empty diagram when it
     is given none.  As its methods run it records every vertex they touch
     (added, removed, re-kinded, re-phased, or given or losing an edge) and
-    every edge they add at each vertex.  ``incident`` and ``remove_vertex``
-    read the base's adjacency plus the added edges, and ``build()`` derives
-    the result from the base (`Diagram._derive`), checking only what changed.
+    every edge they add or re-point at each vertex.  ``incident`` and
+    ``remove_vertex`` read the base's adjacency plus those edges, and
+    ``build()`` derives the result from the base (`Diagram._derive`),
+    checking only what changed.
     """
 
     __slots__ = ("_v", "_e", "_in", "_out", "_next_v", "_next_e", "_base",
-                 "_touched", "_added_at", "_fresh")
+                 "_touched", "_added_at", "_fresh", "_moved")
 
     def __init__(self, base: Optional[Diagram] = None):
         if base is None:
@@ -452,6 +456,7 @@ class DiagramBuilder:
         self._touched: Dict[VertexId, None] = {}  # in order of first touch
         self._added_at: Dict[VertexId, List[EdgeId]] = {}  # in id order, loops once
         self._fresh: Dict[VertexId, None] = {}  # added vertices, in order of last addition
+        self._moved = False  # whether an edge was re-pointed
 
     def next_vertex_id(self) -> VertexId:
         return self._next_v
@@ -492,6 +497,23 @@ class DiagramBuilder:
                 added[v] = [e]
         return e
 
+    def repoint_edge(self, e: EdgeId, u: VertexId, v: VertexId) -> None:
+        """Give edge e the ends u and v, keeping its id."""
+        if u > v:
+            u, v = v, u
+        old = self._e[e]
+        self._e[e] = (u, v)
+        touched = self._touched
+        touched[old[0]] = touched[old[1]] = touched[u] = touched[v] = None
+        added = self._added_at
+        for w in ((u,) if u == v else (u, v)):
+            if w not in old:
+                if w in added:
+                    added[w].append(e)
+                else:
+                    added[w] = [e]
+        self._moved = True
+
     def remove_edge(self, e: EdgeId) -> None:
         u, v = self._e.pop(e)
         self._touched[u] = self._touched[v] = None
@@ -518,8 +540,8 @@ class DiagramBuilder:
     def incident(self, v: VertexId) -> List[EdgeId]:
         """Edge ids at v in id order, self-loops listed once."""
         es = self._e
-        # methods never re-point an edge, and every added id exceeds the base's;
-        # plain loops, as these lists hold too few edges for filter() to pay
+        # every added id exceeds the base's; plain loops, as these lists hold
+        # too few edges for filter() to pay
         at = []
         for e in self._base._adj.get(v, ()):
             if e in es:
@@ -527,6 +549,9 @@ class DiagramBuilder:
         for e in self._added_at.get(v, ()):
             if e in es:
                 at.append(e)
+        if self._moved:
+            # a re-pointed edge may have left v, or come to v out of id order
+            at = sorted({e for e in at if v in es[e]})
         return at
 
     def join_boundaries(self, out_v: VertexId, in_v: VertexId) -> None:

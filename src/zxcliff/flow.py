@@ -18,18 +18,24 @@ over to these multigraphs, and the sweep reads only the diagram's neighbour
 sets (`Diagram.neighbour_sets`), which a rewrite carries to its result.
 
 `find_path_cover` builds one `PathCover` per diagram, which holds everything
-later steps read of the cover: the paths, the flow and its rank, and, worked
-out on first use, positions, predecessors and a record of the sweep.  The
-metric phase values rewrites of a covered diagram without building them: a
-candidate's cover is spliced from its parent's (`splice_cover`), and when
-the splice fails, `stranded_after` resumes the parent's sweep at the first
-step that claims a matched vertex: the sweep is confluent, so the claims
-before it stand.
+later steps read of the cover: the paths, the flow and a rank ordering it,
+and, worked out on first use, positions, predecessors, a record of the sweep
+and the least order of the flow.  A rewrite's cover is spliced from its
+parent's (`splice_cover`): the rule's RHS cover takes the place of the
+matched segments, and a local check proves the result a causal flow, so by
+uniqueness it is the cover.  The metric phase values candidates this way
+without building them, and `rewrite.apply_match` carries the spliced cover
+to the diagram it builds (`carry_cover`), ranked by the parent's rank with
+each new vertex placed inside the window the check worked out.  When the
+splice fails, `stranded_after` resumes the parent's sweep at the first step
+that claims a matched vertex: the sweep is confluent, so the claims before
+it stand.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
@@ -47,13 +53,19 @@ class PathCover:
     """Vertex-disjoint input-to-output paths covering every vertex, with the
     flow they witness.
 
-    ``succ`` is the successor function f and ``rank`` the least topological
-    order of F2-F3 in vertex-id order; ``nbrs`` and ``inputs`` are the
-    diagram's neighbour sets and inputs, which a splice and a resumed sweep
-    read.  The rest is worked out on first use: ``pos`` maps each vertex to
-    its (path, position), ``pred`` inverts f, and ``claim_order`` and
-    ``claim_step`` record the sweep.  A cover holds no reference to its
-    diagram, whose memo holds it."""
+    ``succ`` is the successor function f, and ``rank`` is a topological
+    order of F2-F3: an integer per vertex, lower at v than at f(v) and at
+    every other neighbour of f(v).  A searched cover's rank is the least
+    such order in vertex-id order, spaced `RANK_STEP` apart; a cover carried
+    through a rewrite (`carry_cover`) keeps its parent's ranks and places
+    each new vertex between them, so its rank need not be the least.
+    ``nbrs`` and ``inputs`` are the diagram's neighbour sets and inputs,
+    which a splice and a resumed sweep read.  The rest is worked out on
+    first use: ``pos`` maps each vertex to its (path, position), ``pred``
+    inverts f, ``claim_order`` and ``claim_step`` record the sweep, and
+    ``least_rank`` orders the vertices by the least order, which a search
+    hands over and a carried cover gets from one Kahn pass.  A cover holds
+    no reference to its diagram, whose memo holds it, or to another cover."""
 
     paths: Tuple[Tuple[VertexId, ...], ...]
     succ: Dict[VertexId, VertexId]
@@ -82,13 +94,25 @@ class PathCover:
     def claim_step(self) -> Dict[VertexId, int]:
         return {u: i for i, u in enumerate(self.claim_order)}
 
+    @cached_property
+    def least_rank(self) -> Dict[VertexId, int]:
+        """A rank whose order is the least topological order of F2-F3 in
+        vertex-id order; a searched cover's own rank."""
+        return _flow_of_paths(self.paths, self.nbrs)[1]
+
+
+# the gap between consecutive ranks of a searched cover, which leaves room
+# to place the vertices that later rewrites add (`Splice.rank`)
+RANK_STEP = 1 << 32
+
 
 def _flow_of_paths(paths: Sequence[Sequence[VertexId]], nbrs: Dict[VertexId, Set[VertexId]]
                    ) -> Optional[Tuple[Dict[VertexId, VertexId], Dict[VertexId, int]]]:
     """Build (f, rank) from paths and check F1-F3; None if they fail.
 
     The order constraints are v -> f(v) and v -> u for every u ~ f(v),
-    u != v; the rank is their least topological order in vertex-id order."""
+    u != v; the rank is their least topological order in vertex-id order,
+    the i-th vertex ranked i * `RANK_STEP`."""
     succ: Dict[VertexId, VertexId] = {}
     for path in paths:
         for a, b in zip(path, path[1:]):
@@ -106,7 +130,7 @@ def _flow_of_paths(paths: Sequence[Sequence[VertexId]], nbrs: Dict[VertexId, Set
     rank: Dict[VertexId, int] = {}
     while ready:
         v = heapq.heappop(ready)
-        rank[v] = len(rank)
+        rank[v] = len(rank) * RANK_STEP
         fv = succ.get(v)
         if fv is None:
             continue
@@ -165,21 +189,31 @@ def _sweep(d: Diagram, nbrs: Dict[VertexId, Set[VertexId]]
 def find_path_cover(d: Diagram) -> PathCover:
     """The path cover satisfying F1-F3, or NotACircuit.
 
+    A cover is memoised in ``d.memo["cover"]``, by a search here or by the
+    rewrite that built d (`carry_cover`); diagrams are immutable, so it never
+    goes stale.  Without one, d's cover is searched (`search_path_cover`)."""
+    cached = d.memo.get("cover")
+    if cached is not None:
+        return cached
+    cover = d.memo["cover"] = search_path_cover(d)
+    return cover
+
+
+def search_path_cover(d: Diagram) -> PathCover:
+    """d's path cover found from scratch, without reading or writing the
+    memo, or NotACircuit.
+
     The cover comes from the Mhalla-Perdrix backward sweep (arXiv:0709.2670):
     starting from the outputs, a processed vertex with exactly one unprocessed
     neighbour u becomes the successor of u.  With as many inputs as outputs
     the causal flow is unique (de Beaudrap, arXiv:quant-ph/0611284), so the
     result does not depend on the order of the sweep and a failed sweep means
     no cover exists.  The paths follow the successor from each input in input
-    order, and F1-F3 are rechecked on them.  A successful cover is memoised
-    in ``d.memo["cover"]``; diagrams are immutable, so it never goes stale.
+    order, and F1-F3 are rechecked on them.
 
     On failure, ``NotACircuit.stranded`` lists the vertices the sweep never
     reached; it is empty only when the input and output counts differ.
     """
-    cached = d.memo.get("cover")
-    if cached is not None:
-        return cached
     if d.num_inputs != d.num_outputs:
         raise NotACircuit(
             f"{d.num_inputs} inputs vs {d.num_outputs} outputs")
@@ -199,21 +233,31 @@ def find_path_cover(d: Diagram) -> PathCover:
     if flow is None:
         raise AssertionError("the flow sweep produced paths that fail F1-F3")
     cover = PathCover(tuple(paths), *flow, nbrs, frozenset(d.inputs))
-    d.memo["cover"] = cover
+    vars(cover)["least_rank"] = cover.rank  # the search's rank is the least order
     return cover
 
 
 class Splice:
     """A candidate's cover: its parent's, with one segment of each touched
     path replaced.  ``segments`` maps a path index to (first, last, new): the
-    parent positions first..last give way to the vertices ``new``."""
+    parent positions first..last give way to the vertices ``new``.  ``succ``
+    holds the successors that change, and ``window`` what `splice_cover`
+    worked out to place the new vertices in the parent's rank: per new
+    vertex the highest rank that must come before it and the lowest that
+    must come after it, the new vertices that must come after it, and an
+    order of them that respects those."""
 
-    __slots__ = ("parent", "segments", "_new_pos")
+    __slots__ = ("parent", "segments", "succ", "window", "_new_pos")
 
     def __init__(self, parent: PathCover,
-                 segments: Dict[int, Tuple[int, int, Tuple[VertexId, ...]]]):
+                 segments: Dict[int, Tuple[int, int, Tuple[VertexId, ...]]],
+                 succ: Dict[VertexId, VertexId],
+                 window: Tuple[Dict[VertexId, int], Dict[VertexId, float],
+                               Dict[VertexId, List[VertexId]], List[VertexId]]):
         self.parent = parent
         self.segments = segments
+        self.succ = succ
+        self.window = window
         self._new_pos = {w: (q, first + i) for q, (first, _, new) in segments.items()
                          for i, w in enumerate(new)}
 
@@ -234,6 +278,41 @@ class Splice:
         for q, (first, last, new) in self.segments.items():
             paths[q] = paths[q][:first] + new + paths[q][last + 1:]
         return tuple(paths)
+
+    def rank(self, removed: FrozenSet[VertexId]) -> Optional[Dict[VertexId, int]]:
+        """A topological order of the candidate's F2-F3: the parent's rank
+        without the ``removed`` vertices, and each new vertex, in the
+        window's order, placed strictly between the ranks that must come
+        before and after it.  Its upper bound first falls to those of the
+        new vertices after it, and its lower bound has risen to the ranks
+        of those placed before it; with k new vertices in the longest chain
+        that must follow it, it takes the first of k + 1 equal steps across
+        that window, leaving room for the chain.  None when some window holds
+        no integer: the splice's check allows any real placement, and the
+        caller searches instead."""
+        lo, hi, later, order = self.window
+        lo, hi = lo.copy(), hi.copy()
+        chain: Dict[VertexId, int] = {}
+        for w in reversed(order):
+            chain[w] = 1
+            for u in later[w]:
+                if hi[u] < hi[w]:
+                    hi[w] = hi[u]
+                if chain[u] >= chain[w]:
+                    chain[w] = chain[u] + 1
+        rank = self.parent.rank.copy()
+        for v in removed:
+            del rank[v]
+        for w in order:
+            # every new vertex has a path successor ranked after it, so hi is finite
+            r = lo[w] + (hi[w] - lo[w]) // (chain[w] + 1)
+            if r <= lo[w]:
+                return None
+            rank[w] = r
+            for u in later[w]:
+                if lo[u] < r:
+                    lo[u] = r
+        return rank
 
 
 def _splice_plan(rule: "Rule") -> Optional[Tuple]:
@@ -265,7 +344,7 @@ def splice_cover(parent: PathCover, rule: "Rule", delta: "MatchDelta",
                  nbrs: Dict[VertexId, Set[VertexId]]) -> Optional[Splice]:
     """The cover of the rewritten diagram, spliced from its parent's in
     O(|rule|) work, or None when this cannot be shown locally; ``nbrs`` holds
-    the rewritten neighbours of the attachments and fresh vertices.
+    the rewritten neighbours of the attachments and fresh vertices, at least.
 
     Each LHS cover path must map onto a contiguous segment of a distinct
     parent path, forwards or reversed; the RHS cover path between the same
@@ -312,7 +391,7 @@ def splice_cover(parent: PathCover, rule: "Rule", delta: "MatchDelta",
             sources.add(v)
     rank = parent.rank
     lo = dict.fromkeys(fresh, -1)  # highest rank that must come before
-    hi = dict.fromkeys(fresh, len(rank))  # lowest rank that must come after
+    hi: Dict[VertexId, float] = dict.fromkeys(fresh, math.inf)  # lowest that must come after
     later: Dict[VertexId, List[VertexId]] = {w: [] for w in fresh}
     indeg = dict.fromkeys(fresh, 0)
     for v in sources:
@@ -331,10 +410,10 @@ def splice_cover(parent: PathCover, rule: "Rule", delta: "MatchDelta",
     # place the fresh vertices in topological order, each just after the
     # latest old vertex that must precede it
     ready = [w for w in fresh if indeg[w] == 0]
-    placed = 0
+    order = []
     while ready:
         w = ready.pop()
-        placed += 1
+        order.append(w)
         if lo[w] >= hi[w]:
             return None
         for u in later[w]:
@@ -342,9 +421,33 @@ def splice_cover(parent: PathCover, rule: "Rule", delta: "MatchDelta",
             indeg[u] -= 1
             if indeg[u] == 0:
                 ready.append(u)
-    if placed != len(fresh):
+    if len(order) != len(fresh):
         return None
-    return Splice(parent, segments)
+    return Splice(parent, segments, succ, (lo, hi, later, order))
+
+
+def carry_cover(parent: PathCover, rule: "Rule", delta: "MatchDelta",
+                nbrs: Dict[VertexId, Set[VertexId]]) -> Optional[PathCover]:
+    """The cover of the diagram that ``delta`` rewrites parent's diagram
+    into, derived from parent; ``nbrs`` is that diagram's neighbour map.
+    None when the splice fails or its new vertices find no integer rank
+    (`Splice.rank`).
+
+    The paths are the splice's, the flow the parent's without the removed
+    vertices and with the splice's changed successors, and the rank the
+    splice's placement in the parent's.  By uniqueness the flow is the one
+    `search_path_cover` finds.  The result refers to no cover or diagram."""
+    splice = splice_cover(parent, rule, delta, nbrs)
+    if splice is None:
+        return None
+    rank = splice.rank(delta.removed)
+    if rank is None:
+        return None
+    succ = parent.succ.copy()
+    for v in delta.removed:
+        del succ[v]
+    succ.update(splice.succ)
+    return PathCover(splice.paths(), succ, rank, nbrs, parent.inputs)
 
 
 def stranded_after(parent: PathCover, delta: "MatchDelta",

@@ -54,7 +54,7 @@ from .circuit import Circuit, circuit_size, translate
 from .diagram import B, H, X, Z, Diagram, DiagramBuilder, EdgeId, VertexId
 from .errors import NotACircuit, NotALineGraph, StaleMatchError
 from .flow import (PathCover, Splice, extract_circuit, find_path_cover, has_path_cover,
-                   splice_cover, stranded_after)
+                   search_path_cover, splice_cover, stranded_after)
 from .normal_forms import cc1_table, cc2_family, line_diagram
 from .passes import (fuse_spiders, h_euler_expand, hopf_reduce, pi_copy,
                      remove_identities, remove_self_loops, simple_form,
@@ -354,18 +354,35 @@ class Optimiser:
         if max(d.num_inputs, d.num_outputs) <= 5 and self._verify_ref is not None:
             if not scalar_free_equal(interpret(d), self._verify_ref):
                 raise AssertionError("step changed the interpretation")
-        if not has_path_cover(d):
-            raise AssertionError("step produced a diagram without causal flow")
+        # the search runs on a copy with nothing carried or memoised
+        try:
+            searched = search_path_cover(Diagram(d._vertices, d._edges, d.inputs, d.outputs))
+        except NotACircuit:
+            raise AssertionError("step produced a diagram without causal flow") from None
+        if d.neighbour_sets() != searched.nbrs:
+            raise AssertionError("a carried neighbour map differs from the diagram's")
+        # a memoised cover may have been carried through a rewrite: it must be
+        # the searched one, with a rank that orders every F2-F3 constraint
+        cover = d.memo.get("cover")
+        if cover is None:
+            return
+        if cover.paths != searched.paths or cover.succ != searched.succ:
+            raise AssertionError("a memoised cover differs from the searched one")
+        rank, nbrs = cover.rank, searched.nbrs
+        if rank.keys() != nbrs.keys() or any(
+                rank[v] >= rank[u] for v, fv in cover.succ.items() for u in (fv, *nbrs[fv])
+                if u != v):
+            raise AssertionError("a memoised cover's rank breaks F2-F3")
 
     # -- phases ----------------------------------------------------------------
 
     def _split_cross_legs(self, d: Diagram) -> Diagram:
         """Decompose every spider with more than one cross edge into a chain
-        of degree-3 legs, ordered by the flow rank of the cross partners so
-        the result keeps its causal flow."""
+        of degree-3 legs, ordered by the least flow order of the cross
+        partners so the result keeps its causal flow."""
         while True:
             pc = find_path_cover(d)
-            rank = pc.rank
+            rank = pc.least_rank
             target = None
             for path in pc.paths:
                 for p, v in enumerate(path):

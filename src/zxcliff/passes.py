@@ -25,9 +25,10 @@ def fuse_spiders(d: Diagram) -> Diagram:
     spanning forest that Kruskal's algorithm picks from those edges in id
     order, so one union-find pass over the sorted edges does the same work.
     Each component keeps its lowest vertex id and the sum of its phases, and
-    every other edge is re-pointed to the survivors: any extra parallel edges
-    between a fused pair turn into self-loops on the merged vertex, left for
-    the anti-loop pass.
+    every other edge at a fused vertex is re-pointed to the survivors,
+    keeping its id: any extra parallel edges between a fused pair turn into
+    self-loops on the merged vertex, left for the anti-loop pass.  The result
+    is derived from d (`DiagramBuilder.repoint_edge`).
     """
     kinds = d._vertices
     root: Dict[VertexId, VertexId] = {}
@@ -50,13 +51,20 @@ def fuse_spiders(d: Diagram) -> Diagram:
     if not forest:
         return d
     survivor = {v: find(v) for v in root}
-    vertices = {v: kp for v, kp in kinds.items() if v not in survivor}
+    b = d.builder()
+    for e in forest:
+        b.remove_edge(e)
+    phase: Dict[VertexId, int] = {}
     for v, r in survivor.items():
-        k, p = vertices[r]
-        vertices[r] = (k, phase_add(p, kinds[v][1]))
-    edges = {e: (survivor.get(u, u), survivor.get(v, v))
-             for e, (u, v) in d._edges.items() if e not in forest}
-    return Diagram(vertices, edges, d.inputs, d.outputs)
+        for e in d._adj[v]:
+            if e not in forest:
+                x, y = d._edges[e]
+                b.repoint_edge(e, survivor.get(x, x), survivor.get(y, y))
+        b.remove_vertex(v)
+        phase[r] = phase_add(phase.get(r, kinds[r][1]), kinds[v][1])
+    for r, p in phase.items():
+        b.set_phase(r, p)
+    return b.build()
 
 
 def remove_self_loops(d: Diagram) -> Diagram:

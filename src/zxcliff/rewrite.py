@@ -28,10 +28,12 @@ the match's image of it, finds that match among its embeddings; otherwise it
 raises StaleMatchError.  So `replay`, which applies each recorded match with
 `apply_match`, accepts exactly the rewrites the matcher could have made.
 
-The same search decides diagram isomorphism with the boundary pinned by
-position (`isomorphic`, behind `Diagram.iso_equal`): one diagram's whole
-interior is matched into the other's, with the interior neighbour of each
-boundary vertex pinned to its counterpart's.
+Diagram isomorphism with the boundary pinned by position (`isomorphic`,
+behind `Diagram.iso_equal`) is read off the two path covers when both
+diagrams have one, since the unique flow fixes the only candidate map.  Two
+diagrams without a cover are decided by the same search: one diagram's
+whole interior is matched into the other's, with the interior neighbour of
+each boundary vertex pinned to its counterpart's.
 
 A plan also holds the rule's symmetries: the LHS self-embeddings that leave
 the rewrite's result unchanged, found by matching the LHS into itself.  A
@@ -44,10 +46,10 @@ than that edge's image does.  `find_matches` still returns every embedding.
 
 A rule memoises its plans (`Rule.memo`) and a diagram its index
 (`Diagram.memo`), so each is dropped with its object.  A rewrite carries the
-target's index and neighbour map to its result: only the matched vertices,
-the attachments and the fresh vertices change, and each carried value equals
-one built from scratch.  No search leaves a reference cycle, so reference
-counting frees its working set as soon as it returns.
+target's index, neighbour map and path cover to its result: only the matched
+vertices, the attachments and the fresh vertices change, and each carried
+value equals one built from scratch.  No search leaves a reference cycle, so
+reference counting frees its working set as soon as it returns.
 
 Matches are returned in a canonical order (lexicographic over the sorted
 image vertex ids, then edge and boundary assignments), so every operation in
@@ -64,8 +66,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .diagram import B, Diagram, EdgeId, VertexId
-from .errors import ReplayDivergence, RuleFormatError, StaleMatchError
-from .flow import Splice, find_path_cover
+from .errors import NotACircuit, ReplayDivergence, RuleFormatError, StaleMatchError
+from .flow import PathCover, Splice, carry_cover, find_path_cover
 
 Metric = Callable[[Diagram], int]
 
@@ -161,7 +163,7 @@ class Match:
 
 
 class _Plan(NamedTuple):
-    """A rule's LHS, or a diagram `isomorphic` matches whole, compiled for
+    """A rule's LHS, or a diagram `_matched_whole` matches whole, compiled for
     search.  Position i is the i-th interior vertex in BFS order; each
     vertex after a component's root touches an earlier one, its parent."""
 
@@ -489,6 +491,47 @@ def isomorphic(a: Diagram, b: Diagram) -> bool:
     """Whether a and b are equal up to vertex and edge ids, with kinds and
     phases kept and the boundaries pinned by position (`Diagram.iso_equal`).
 
+    Such an isomorphism carries a causal flow of a to one of b.  So when both
+    have a path cover, it sends the p-th vertex of a's path q to the p-th of
+    b's path q, since the flow is unique, and one exists exactly when that
+    map keeps what `_cover_shape` lists.  A diagram with a cover is not
+    isomorphic to one without.  When neither has a cover, the matcher
+    decides (`_matched_whole`)."""
+    if (a.signature() != b.signature() or len(a._vertices) != len(b._vertices)
+            or len(a._edges) != len(b._edges)):
+        return False
+    ca, cb = _cover_or_none(a), _cover_or_none(b)
+    if ca is not None and cb is not None:
+        return _cover_shape(a, ca) == _cover_shape(b, cb)
+    return ca is None and cb is None and _matched_whole(a, b)
+
+
+def _cover_or_none(d: Diagram) -> Optional[PathCover]:
+    try:
+        return find_path_cover(d)
+    except NotACircuit:
+        return None
+
+
+def _cover_shape(d: Diagram, pc: PathCover) -> Tuple:
+    """d up to ids, read along its cover: each path's (kind, phase)
+    sequence, the output position each path ends at, and the sorted
+    multiset of edges as pairs of (path, position), self-loops and parallel
+    edges included."""
+    pos = pc.pos
+    pairs = []
+    for u, v in d._edges.values():
+        pu, pv = pos[u], pos[v]
+        pairs.append((pu, pv) if pu <= pv else (pv, pu))
+    pairs.sort()
+    verts, out_index = d._vertices, {v: j for j, v in enumerate(d._outputs)}
+    return (tuple(tuple(verts[v] for v in path) for path in pc.paths),
+            tuple(out_index[path[-1]] for path in pc.paths), pairs)
+
+
+def _matched_whole(a: Diagram, b: Diagram) -> bool:
+    """`isomorphic` for diagrams of one size and boundary by the matcher.
+
     Such an isomorphism is an embedding of a's whole interior onto b's that
     takes each boundary half-edge of a to b's boundary vertex at the same
     position.  So the interior neighbour of each boundary vertex of a is
@@ -497,9 +540,6 @@ def isomorphic(a: Diagram, b: Diagram) -> bool:
     embedding sees, are compared directly.  Then any embedding will do: it
     leaves each image vertex as many boundary neighbours as its preimage
     has, and the pins have named them all."""
-    if (a.signature() != b.signature() or len(a._vertices) != len(b._vertices)
-            or len(a._edges) != len(b._edges)):
-        return False
     twin = dict(zip(a.inputs + a.outputs, b.inputs + b.outputs))
     na, nb = a.neighbour_sets(), b.neighbour_sets()
     pins: Dict[VertexId, VertexId] = {}
@@ -510,10 +550,7 @@ def isomorphic(a: Diagram, b: Diagram) -> bool:
                 return False
         elif pins.setdefault(x, y) != y:
             return False
-    # the pinned vertices, and so the plan, depend on a alone
-    plan = a.memo.get("iso")
-    if plan is None:
-        plan = a.memo["iso"] = _compile(a, tuple(pins))
+    plan = _compile(a, tuple(pins))
     idx = _index(b)
     # the interiors are of one size, so equal counts of a's signatures mean equal pools
     if any(len(idx.pool.get(s, ())) != k for s, k in plan.need):
@@ -610,9 +647,22 @@ def apply_match(target: Diagram, rule: Rule, m: Match) -> Diagram:
     """Replace the matched subgraph by the rule's RHS.
 
     What the target already has is carried to the result rather than built
-    again: its neighbour map, patched by `MatchDelta.neighbours`, and its
-    matcher index (`_derive_index`).  Raises StaleMatchError unless m is one
-    of the matcher's embeddings of the rule's LHS into target."""
+    again: its neighbour map, patched by `MatchDelta.neighbours`, its
+    matcher index (`_derive_index`) and its memoised path cover, spliced
+    with the rule's (`flow.carry_cover`) when the splice passes.  Raises
+    StaleMatchError unless m is one of the matcher's embeddings of the
+    rule's LHS into target."""
+    out, delta = _apply(target, rule, m)
+    parent = target.memo.get("cover")
+    if parent is not None and out._nbrs is not None:
+        cover = carry_cover(parent, rule, delta, out._nbrs)
+        if cover is not None:
+            out.memo["cover"] = cover
+    return out
+
+
+def _apply(target: Diagram, rule: Rule, m: Match) -> Tuple[Diagram, MatchDelta]:
+    """`apply_match` without the cover, and the match's delta."""
     _check_embedding(target, rule, m)
     delta = match_delta(target, rule, m)
     b = target.builder()
@@ -633,7 +683,7 @@ def apply_match(target: Diagram, rule: Rule, m: Match) -> Diagram:
     parent = target.memo.get("index")
     if parent is not None:
         out.memo["index"] = _derive_index(parent, out, delta)
-    return out
+    return out, delta
 
 
 # -- proof traces -----------------------------------------------------------------
@@ -811,7 +861,10 @@ def rewrite_first(rules: Sequence[Rule], d: Diagram,
                     base = metric(d)
                 scored = score(rule, m, match_delta(d, rule, m))
             if scored is None or scored.value < base:
-                out = apply_match(d, rule, m)
+                # a metric's candidates are built without the target's cover:
+                # the scorer has spliced every one it could, and the search
+                # on the accepted one checks the splice from scratch
+                out = apply_match(d, rule, m) if metric is None else _apply(d, rule, m)[0]
                 if scored is not None and scored.splice is not None \
                         and find_path_cover(out).paths != scored.splice.paths():
                     raise AssertionError("a spliced cover differs from the searched one")

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from passes_reference import reference_fuse_spiders
 from test_fingerprint import GOLDEN
 from zxcliff.circuit import circuit, gate, random_clifford_circuit, translate
 from zxcliff.diagram import B, H, X, Z, Diagram, DiagramBuilder
 from zxcliff.errors import DiagramInvariantError
 from zxcliff.optimiser import Optimiser, OptimiserConfig
+from zxcliff.passes import fuse_spiders, h_euler_expand
 
 
 class _Recording(Optimiser):
@@ -71,7 +73,7 @@ def _same_as_full(b):
 # an edit: (method, pick, pick, value); picks choose among the live vertices
 # and edges, the value is a phase or indexes a kind
 EDITS = st.tuples(st.sampled_from(["add_vertex", "add_edge", "remove_edge", "remove_vertex",
-                                   "set_phase", "set_kind"]),
+                                   "set_phase", "set_kind", "repoint_edge"]),
                   st.integers(0, 10**6), st.integers(0, 10**6), st.integers(-5, 8))
 KINDS_TRIED = (Z, X, H, B, "Q")
 
@@ -102,7 +104,41 @@ def test_derived_build_equals_full_constructor(width, seed, pick, edits):
             b.set_phase(live_v[i % len(live_v)], value)
         elif op == "set_kind" and live_v:
             b.set_kind(live_v[i % len(live_v)], KINDS_TRIED[value % len(KINDS_TRIED)])
+        elif op == "repoint_edge" and live_e and live_v:
+            # one end kept or both moved, to a live vertex or a removed one
+            e = live_e[i % len(live_e)]
+            u, v = b._e[e]
+            w = live_v[j % len(live_v)] if value >= 0 else d.max_vertex_id() - value
+            b.repoint_edge(e, u if value % 2 else w, w if value % 3 else v)
     _same_as_full(b)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(width=st.integers(1, 6), depth=st.integers(1, 40), seed=st.integers(0, 10**6),
+       pick=st.integers(0, 10**6), run_seed=st.integers(0, 1))
+def test_fuse_spiders_derives_what_the_full_constructor_builds(width, depth, seed, pick,
+                                                               run_seed):
+    # spider fusion re-points edges through the builder; its build must equal
+    # the full constructor's on the builder's fields, and the reference fusion
+    # up to nothing: same ids, same insertion orders
+    inputs = [h_euler_expand(translate(random_clifford_circuit(width, depth, seed)))]
+    seen = _run_diagrams(width, run_seed)
+    inputs.append(seen[pick % len(seen)])
+    checked = []
+
+    def build(b):
+        checked.append(b)
+        out = _same_as_full(b)
+        assert out is not None
+        return out
+
+    for d in inputs:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(DiagramBuilder, "build", build)
+            out = fuse_spiders(d)
+        if out is not d:
+            assert _fields(out) == _fields(reference_fuse_spiders(d))
+    assert len(checked) <= len(inputs)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

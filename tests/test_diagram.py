@@ -14,6 +14,7 @@ from zxcliff.diagram import B, SPIDERS, Diagram, DiagramBuilder, H, X, Z
 from zxcliff.errors import CompositionArityError, DiagramInvariantError
 from zxcliff.normal_forms import line_diagram
 from zxcliff.optimiser import Optimiser
+from zxcliff.rewrite import _matched_whole, isomorphic
 from zxcliff.semantics import interpret, scalar_free_equal
 
 DATA = Path(__file__).parent / "data"
@@ -205,19 +206,22 @@ def test_iso_distinguishes_multiplicity():
 
 
 def test_iso_leaves_no_cyclic_garbage(cyclic_garbage, monkeypatch):
-    # both pairs reach the backtracking search: same boundary, vertex, edge
-    # and signature counts; CNOT(1, 0) differs from CNOT(0, 1) only in
-    # which wire holds the Z spider
+    # both pairs pass the quick rejects: same boundary, vertex, edge and
+    # signature counts; CNOT(1, 0) differs from CNOT(0, 1) only in which wire
+    # holds the Z spider.  They have covers, so iso_equal reads the covers;
+    # the backtracking search that decides diagrams without one is run too
     d = t(gate("CNOT", 0, 1), gate("S", 0), gate("CNOT", 1, 0))
     same = Diagram.from_json_obj(d.to_json_obj())
     other = t(gate("CNOT", 1, 0), gate("S", 0), gate("CNOT", 1, 0))
     results = []
-    assert cyclic_garbage(lambda: results.extend((d.iso_equal(same), d.iso_equal(other)))) == 0
-    assert results == [True, False]
+    assert cyclic_garbage(lambda: results.extend((
+        d.iso_equal(same), d.iso_equal(other), _matched_whole(d, same),
+        _matched_whole(d, other)))) == 0
+    assert results == [True, False, True, False]
 
     def failing_search():
         try:
-            d.iso_equal(same)
+            _matched_whole(d, same)
         except RuntimeError:
             pass
 
@@ -261,6 +265,10 @@ def test_iso_decides_slow_pairs_within_a_second():
             signal.setitimer(signal.ITIMER_REAL, 1.0)
             assert not a.iso_equal(b)
             assert a.iso_equal(same)
+            # and by the search that decides diagrams without a cover
+            signal.setitimer(signal.ITIMER_REAL, 1.0)
+            assert not _matched_whole(a, b)
+            assert _matched_whole(a, same)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
@@ -339,6 +347,52 @@ def test_iso_agrees_with_networkx(width, seed, pick, shuffle):
     for m in _mutants(d, rng):
         m = _relabelled(m, rng)
         assert d.iso_equal(m) == _nx_isomorphic(d, m)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(width=st.integers(1, 6), seed=st.integers(0, 1), pick=st.integers(0, 10**6),
+       shuffle=st.integers(0, 10**6))
+def test_iso_by_covers_agrees_with_pinned_search(width, seed, pick, shuffle):
+    # on the corpus of test_iso_agrees_with_networkx, whose pairs have one
+    # size and boundary: reading the covers decides as the matcher does
+    seen = _run_diagrams(width, seed)
+    d = seen[pick % len(seen)]
+    rng = random.Random(shuffle)
+    for m in [_relabelled(d, rng), *(_relabelled(m, rng) for m in _mutants(d, rng))]:
+        assert isomorphic(d, m) == _matched_whole(d, m)
+
+
+def test_fixpoint_tests_agree_with_pinned_search():
+    # every fixpoint test of some optimiser runs, both ways, with the
+    # verdicts of both kinds among them
+    verdicts = []
+
+    class Checked(Optimiser):
+        def run(self, c):
+            iso_equal = Diagram.iso_equal
+
+            def checked(a, b):
+                verdict = iso_equal(a, b)
+                assert not _comparable(a, b) or verdict == _matched_whole(a, b)
+                verdicts.append(verdict)
+                return verdict
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(Diagram, "iso_equal", checked)
+                return super().run(c)
+
+    opt = Checked()
+    for width, depth in [(1, 20), (2, 16), (3, 20), (4, 30)]:
+        for seed in range(3):
+            opt.run(random_clifford_circuit(width, depth, seed))
+    assert set(verdicts) == {True, False}
+
+
+def _comparable(a, b):
+    """Whether a and b pass isomorphic's quick rejects, which the search
+    takes as given."""
+    return (a.signature() == b.signature() and len(a._vertices) == len(b._vertices)
+            and len(a._edges) == len(b._edges))
 
 
 def test_iso_without_interior():
