@@ -11,6 +11,12 @@ rooted at a later LHS vertex.  The last case applies the rewrite
 the rule phase accepts first on that diagram to an indexed copy and matches
 the loop rules on the result, whose index is derived from its parent's.
 
+Each plan generates its search code, its kernel, on its first search, so an
+optimiser's first pass pays for that once per plan.  The `kernels` case
+times generating the kernels of every plan of the default rule set: each
+rule's unanchored plan, the plans rooted at its other signatures, and the
+plan pinned at its whole LHS that `apply_match` checks matches with.
+
 Run with: PYTHONPATH=src python -m pytest benchmarks/bench_matcher.py
 """
 
@@ -20,7 +26,9 @@ from zxcliff.circuit import random_clifford_circuit, translate
 from zxcliff.flow import has_path_cover
 from zxcliff.optimiser import Optimiser
 from zxcliff.passes import simple_form
-from zxcliff.rewrite import Match, ProofTrace, apply_match, find_matches, rewrite_first
+from zxcliff.rewrite import (Match, ProofTrace, _compile, _kernel, _plan, apply_match,
+                             find_matches, rewrite_first)
+from zxcliff.ruleset import load_ruleset
 
 OPT = Optimiser()
 RULES = OPT._loop_rules
@@ -71,3 +79,20 @@ def _after_rewrite(d):
 def test_find_matches_after_rewrite(benchmark):
     found = benchmark.pedantic(_after_rewrite, setup=_indexed, rounds=30)
     assert found == _after_rewrite(DIAGRAM)
+
+
+def _every_plan():
+    plans = []
+    for rule in load_ruleset().all_rules():
+        plan = _plan(rule, None)
+        plans += [plan, *(p for p in plan.roots if p is not None),
+                  _compile(rule.lhs, tuple(rule.lhs.interior()))]
+    return plans
+
+
+PLANS = _every_plan()
+
+
+def test_generate_kernels(benchmark):
+    kernels = benchmark.pedantic(lambda: [_kernel(plan) for plan in PLANS], rounds=5)
+    assert len(kernels) == len(PLANS)

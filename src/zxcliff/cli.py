@@ -2,7 +2,8 @@
 
 Verbs: optimize, verify, bench, rules check, extract, translate, nf dump.
 Exit codes for optimize: 0 success, 2 input is not a circuit, 3 verification
-failure.
+failure.  Every verb exits 2 on a malformed argument, such as a count, size
+or job number that is not a positive integer.
 """
 
 from __future__ import annotations
@@ -164,13 +165,23 @@ def _cmd_nf_dump(args) -> int:
     return 0
 
 
+def _positive(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="zxcliff",
                                 description="Clifford circuit optimiser over ZX diagrams")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--seed", type=int, default=0,
                    help="base seed for random-circuit verbs")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_positive, default=1,
                    help="worker processes for bench runs")
     sub = p.add_subparsers(dest="cmd", required=True)
 
@@ -182,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="check every rewrite step against the oracle")
     o.add_argument("--no-fallback", action="store_true",
                    help="disable the CC1/CC2 semantic fallback")
-    o.add_argument("--max-iters", type=int, default=50)
+    o.add_argument("--max-iters", type=_positive, default=50)
     o.set_defaults(fn=_cmd_optimize)
 
     v = sub.add_parser("verify", help="compare two circuit files up to scalar")
@@ -191,9 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(fn=_cmd_verify)
 
     b = sub.add_parser("bench", help="random-circuit benchmark")
-    b.add_argument("--width", type=int, nargs="+", required=True)
-    b.add_argument("--depth", type=int, nargs="+", required=True)
-    b.add_argument("--count", type=int, default=50)
+    b.add_argument("--width", type=_positive, nargs="+", required=True)
+    b.add_argument("--depth", type=_positive, nargs="+", required=True)
+    b.add_argument("--count", type=_positive, default=50)
     b.add_argument("--csv", default=None)
     b.add_argument("--strict", action="store_true")
     b.add_argument("--no-fallback", action="store_true")

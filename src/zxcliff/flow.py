@@ -62,7 +62,8 @@ class PathCover:
     ``nbrs`` and ``inputs`` are the diagram's neighbour sets and inputs,
     which a splice and a resumed sweep read.  The rest is worked out on
     first use: ``pos`` maps each vertex to its (path, position), ``pred``
-    inverts f, ``claim_order`` and ``claim_step`` record the sweep, and
+    inverts f (a carried cover gets both from its parent's),
+    ``claim_order`` and ``claim_step`` record the sweep, and
     ``least_rank`` orders the vertices by the least order, which a search
     hands over and a carried cover gets from one Kahn pass.  A cover holds
     no reference to its diagram, whose memo holds it, or to another cover."""
@@ -436,18 +437,32 @@ def carry_cover(parent: PathCover, rule: "Rule", delta: "MatchDelta",
     The paths are the splice's, the flow the parent's without the removed
     vertices and with the splice's changed successors, and the rank the
     splice's placement in the parent's.  By uniqueness the flow is the one
-    `search_path_cover` finds.  The result refers to no cover or diagram."""
+    `search_path_cover` finds.  Positions and predecessors are the parent's
+    too, patched the same way: the positions are numbered again only on the
+    spliced paths, from each segment on.  The result refers to no cover or
+    diagram."""
     splice = splice_cover(parent, rule, delta, nbrs)
     if splice is None:
         return None
     rank = splice.rank(delta.removed)
     if rank is None:
         return None
-    succ = parent.succ.copy()
+    succ, pred, pos = parent.succ.copy(), parent.pred.copy(), parent.pos.copy()
     for v in delta.removed:
-        del succ[v]
+        # every matched vertex lies inside a segment, so it has a successor and
+        # a predecessor; those left on the path get new ones from the splice
+        del succ[v], pred[v], pos[v]
     succ.update(splice.succ)
-    return PathCover(splice.paths(), succ, rank, nbrs, parent.inputs)
+    for a, b in splice.succ.items():
+        pred[b] = a
+    paths = splice.paths()
+    for q, (first, _, _) in splice.segments.items():
+        path = paths[q]
+        for p in range(first, len(path)):
+            pos[path[p]] = (q, p)
+    cover = PathCover(paths, succ, rank, nbrs, parent.inputs)
+    vars(cover).update(pos=pos, pred=pred)
+    return cover
 
 
 def stranded_after(parent: PathCover, delta: "MatchDelta",

@@ -10,17 +10,21 @@ which the matcher uses for pruning.
 Each rule's LHS is compiled once into a search plan: a BFS order over its
 interior, each vertex's (kind, phase, degree, self-loop) signature, its
 earlier neighbours, the edges of each interior pair, and its boundary edges.
-A search checks adjacency as it places each vertex and the number of edges
-of each pair once all are placed.  Each target diagram's interior is indexed
-once, by signature; everything else the search reads, the diagram holds
-itself (`Diagram.neighbour_sets`, `edges_between` and its adjacency).  A
-search whose target pools hold fewer vertices of some LHS signature than the
-LHS has returns no match at once.  Otherwise it is rooted at the first LHS
-vertex of the signature with the smallest target pool, using the plan
-compiled for that root; the root of each LHS component draws candidates from
-its signature pool and every later vertex from the neighbours of its
-parent's image.  A plan may be rooted at several LHS vertices at once, each
-pinned to one target vertex: an anchored search pins one.
+On its first search a plan generates its kernel (`_kernel`): one Python
+function with a nested loop per plan position and every check written out
+inline, so that no search interprets the plan.  It checks adjacency as it
+places each vertex and the number of edges of each pair once all are placed,
+and writes each match's maps in an order fixed when the kernel is generated.
+Each target diagram's interior is indexed once, by signature; everything
+else the search reads, the diagram holds itself (`Diagram.neighbour_sets`
+and its adjacency and edge ends).  A search whose target pools hold fewer
+vertices of some LHS signature than the LHS has returns no match at once.
+Otherwise it is rooted at the first LHS vertex of the signature with the
+smallest target pool, using the plan compiled for that root; the root of
+each LHS component draws candidates from its signature pool and every later
+vertex from the neighbours of its parent's image.  A plan may be rooted at
+several LHS vertices at once, each pinned to one target vertex: an anchored
+search pins one.
 
 The same search is the only definition of a match.  `apply_match` accepts a
 match only if the plan rooted at every LHS interior vertex, each pinned to
@@ -60,9 +64,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import linecache
+import weakref
 from bisect import insort
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .diagram import B, Diagram, EdgeId, VertexId
@@ -162,12 +170,16 @@ class Match:
         )
 
 
-class _Plan(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class _Plan:
     """A rule's LHS, or a diagram `_matched_whole` matches whole, compiled for
     search.  Position i is the i-th interior vertex in BFS order; each
-    vertex after a component's root touches an earlier one, its parent."""
+    vertex after a component's root touches an earlier one, its parent.
+    The first ``pins`` positions are roots whose images a search is given.
+    ``kernel``, the search as code (`_kernel`), is generated on first use."""
 
     order: Tuple[VertexId, ...]
+    pins: int
     sigs: Tuple[Tuple, ...]  # (kind, phase, degree, self-loops) per position
     parents: Tuple[Optional[int], ...]
     # the earlier interior neighbours besides the parent
@@ -190,13 +202,19 @@ class _Plan(NamedTuple):
     # to a lower target edge than f, for every pair
     breaks: Tuple[Tuple[EdgeId, EdgeId], ...]
 
+    @cached_property
+    def kernel(self) -> Callable[..., bool]:
+        return _kernel(self)
+
 
 def _compile(lhs: Diagram, roots: Sequence[VertexId],
-             symmetries: Sequence[Match] = ()) -> _Plan:
+             symmetries: Sequence[Match] = (), pinned: bool = True) -> _Plan:
     """The plan for ``lhs``: one BFS from all the ``roots``, which take the
     first positions in their order and have no parent, then one from each
-    interior vertex left unreached.  Edges between two boundary vertices
-    are left out: no embedding sees them."""
+    interior vertex left unreached.  The roots are pinned unless ``pinned``
+    is false; then they draw from their signature pools as every other root
+    does.  Edges between two boundary vertices are left out: no embedding
+    sees them."""
     order: List[VertexId] = []
     parent: Dict[VertexId, Optional[VertexId]] = dict.fromkeys(roots)
     queue = deque(parent)
@@ -240,6 +258,7 @@ def _compile(lhs: Diagram, roots: Sequence[VertexId],
             breaks.add(moved[0])
     return _Plan(
         order=tuple(order),
+        pins=len(roots) if pinned else 0,
         sigs=sigs,
         parents=parents,
         links=tuple(map(tuple, links)),
@@ -252,6 +271,188 @@ def _compile(lhs: Diagram, roots: Sequence[VertexId],
     )
 
 
+# CPython refuses a function that nests more than 20 loops (`SyntaxError: too
+# many statically nested blocks`).  A kernel function nests one loop per
+# unpinned position it places, and the last one a loop over the boundary
+# half-edges' permutations.
+_CHUNK = 16
+_kernel_files = itertools.count()
+
+
+def _tuple(items: Sequence[str]) -> str:
+    # the source of a tuple of the expressions ``items``
+    return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
+
+
+def _kernel(plan: _Plan) -> Callable[..., bool]:
+    """The search ``plan`` describes, as one generated Python function.
+
+    It is called as ``kernel(out, Match, name, nbrs, sg, pool, adj, ends,
+    distinct, first, pins)``, with the target's neighbour sets, its index's
+    signature lookup (``sig.get``) and pools, and its adjacency and edge
+    ends.  It appends to ``out``, as (`Match.key`, match), every embedding
+    `_embed` describes, in the order the search finds them, and returns True
+    when ``first`` stopped it.
+
+    The code is straight-line per plan position: a pinned position takes its
+    pin, a component root loops over its signature pool and every other
+    position over its parent image's neighbours of its signature, in id
+    order, listed once its parent is placed.  An image is compared only with
+    the earlier images of its signature, since images of two signatures
+    differ; a parent or linked image is a neighbour, so it differs too.
+    Once every position is placed, the edges of each interior pair are
+    collected and their number checked.  The gluing condition needs no scan:
+    a position without boundary edges has all its target edges matched by
+    degree, so an unmatched edge between two images joins two positions that
+    have boundary edges and no LHS edge, and those pairs are checked to be
+    non-adjacent as they are placed.  Each position with boundary edges
+    lists its unmatched half-edges, whose permutations give the attachments.
+    Every map of the match is written in its sorted order, and each symmetry
+    break is one comparison at the first place that knows both its edges.
+
+    A function nests at most `_CHUNK` position loops; a longer plan's
+    function calls the next one with the images found so far.  Only integers
+    taken from the plan enter the source; signatures are default arguments.
+    The source is registered in `linecache` for as long as the kernel lives,
+    so tracebacks and profiles show the generated lines."""
+    n, npins = len(plan.order), plan.pins
+    sigs, parents, bedges = plan.sigs, plan.parents, plan.bedges
+    adjacent = {(i, j) for i, j, _ in plan.pairs}
+    image: Dict[EdgeId, str] = {}  # LHS edge -> expression of its target edge
+    mapped: List[List[str]] = [[] for _ in range(n)]  # interior edge images at each position
+    for i, j, les in plan.pairs:
+        for e in les:
+            image[e] = f"f{e}"
+            mapped[i].append(image[e])
+            if j != i:
+                mapped[j].append(image[e])
+    attach: Dict[VertexId, str] = {}  # LHS boundary vertex -> expression of its half-edge
+    multi = [i for i in range(n) if len(bedges[i]) > 1]  # positions whose half-edges permute
+    for i, bs in enumerate(bedges):
+        for k, (e, b) in enumerate(bs):
+            attach[b] = f"h{i}" if len(bs) == 1 else f"p{i}[{k}]"
+            image[e] = attach[b] + "[0]"
+    bounds = [0, *range(npins + _CHUNK, n, _CHUNK), n]
+    # each break is checked once both its edges are known: before the loop
+    # over the boundary permutations, or inside it
+    permuted = {e for i in multi for e, _ in bedges[i]}
+    breaks: Tuple[List[str], List[str]] = ([], [])
+    for e, f in plan.breaks:
+        breaks[e in permuted or f in permuted].append(f"{image[e]} > {image[f]}")
+    # the candidates of each position after a root are listed once its parent
+    # is placed, or as its function starts; positions with one parent and
+    # signature share their list
+    listed: Dict[Tuple[int, Tuple], str] = {}
+    children: List[List[int]] = [[] for _ in range(n)]
+    for j in range(npins, n):
+        if parents[j] is not None:
+            children[parents[j]].append(j)
+
+    context = "out, Match, name, nbrs, sg, pool, adj, ends, distinct, first"
+    lines: List[str] = []
+    depth = 1
+
+    def emit(line: str) -> None:
+        lines.append(" " * depth + line)
+
+    def reject() -> str:
+        return "continue" if depth > 1 else "return False"
+
+    def candidates(js: Sequence[int]) -> None:
+        for j in js:
+            key = (parents[j], sigs[j])
+            if key not in listed:
+                listed[key] = f"c{j}"
+                emit(f"c{j} = [t for t in nbrs[t{parents[j]}] if sg(t) == s{j}]")
+                emit(f"if not c{j}: {reject()}")
+                emit(f"c{j}.sort()")
+
+    for c in reversed(range(len(bounds) - 1)):
+        lo, hi = bounds[c], bounds[c + 1]
+        params = [context, "pins"] if c == 0 else [context, *(f"t{i}" for i in range(lo))]
+        params += [f"s{j}=_sigs[{j}]" for j in range(lo, hi)]
+        if hi < n:
+            params.append(f"_k{c + 1}=_k{c + 1}")
+        lines.append(f"def _k{c}({', '.join(params)}):")
+        depth = 1
+        listed.clear()
+        if c == 0 and npins:
+            emit(f"{', '.join(f't{j}' for j in range(npins))}, = pins")
+        candidates([j for j in range(max(lo, npins), hi)
+                    if parents[j] is not None and parents[j] < lo])
+        for j in range(lo, hi):
+            p = parents[j]
+            if j < npins:
+                emit(f"if sg(t{j}) != s{j}: {reject()}")
+            elif p is None:
+                emit(f"for t{j} in pool.get(s{j}, ()):")
+                depth += 1
+            else:
+                emit(f"for t{j} in {listed[p, sigs[j]]}:")
+                depth += 1
+            links = plan.links[j]
+            same = [f"t{i}" for i in range(j) if sigs[i] == sigs[j] and i != p
+                    and i not in links]
+            if same:
+                emit(f"if t{j} == {same[0]}: {reject()}" if len(same) == 1
+                     else f"if t{j} in {_tuple(same)}: {reject()}")
+            apart = [i for i in range(j) if bedges[i] and bedges[j] and (i, j) not in adjacent]
+            if links or apart:
+                emit(f"n{j} = nbrs[t{j}]")
+                tests = [f"t{i} not in n{j}" for i in links] + [f"t{i} in n{j}" for i in apart]
+                emit(f"if {' or '.join(tests)}: {reject()}")
+            candidates([k for k in children[j] if k < hi])
+        if hi < n:
+            emit(f"if _k{c + 1}({context}, {', '.join(f't{i}' for i in range(hi))}): return True")
+            lines.append(" return False")
+            continue
+        for i, j, les in plan.pairs:
+            emit(f"q = (t{i}, t{j}) if t{i} < t{j} else (t{j}, t{i})" if i != j
+                 else f"q = (t{j}, t{j})")
+            emit(f"q = [e for e in adj[t{i}] if ends[e] == q]")
+            emit(f"if len(q) != {len(les)}: {reject()}")
+            emit(f"{', '.join(image[e] for e in les)}, = q")
+        for i, bs in enumerate(bedges):
+            if bs:
+                half = f"[(e, 1 if ends[e][0] == t{i} else 0) for e in adj[t{i}]"
+                if mapped[i]:
+                    half += f" if e not in {_tuple(mapped[i])}"
+                emit(f"h{i}, = {half}]" if len(bs) == 1 else f"r{i} = {half}]")
+        before, inside = breaks
+        if before:
+            emit(f"if distinct and ({' or '.join(before)}): {reject()}")
+        if multi:
+            perms = ", ".join(f"permutations(r{i})" for i in multi)
+            emit(f"for {''.join(f'p{i}, ' for i in multi)}in product({perms}):")
+            depth += 1
+        if inside:
+            emit(f"if distinct and ({' or '.join(inside)}): continue")
+        vertex_map = [f"({plan.order[i]}, t{i})"
+                      for i in sorted(range(n), key=plan.order.__getitem__)]
+        edge_map = [f"({e}, {image[e]})" for e in sorted(image)]
+        boundary = [f"({b}, {attach[b]})" for b in sorted(attach)]
+        emit(f"em = {_tuple(edge_map)}")
+        emit(f"ba = {_tuple(boundary)}")
+        emit(f"out.append(((sorted({_tuple([f't{i}' for i in range(n)])}), em, ba), "
+             f"Match(rule_name=name, vertex_map={_tuple(vertex_map)}, "
+             f"edge_map=em, boundary_attach=ba)))")
+        emit("if first: return True")
+        lines.append(" return False")
+    source = "\n".join(lines) + "\n"
+    filename = f"<matcher kernel {next(_kernel_files)}>"
+    namespace = {"_sigs": sigs, "permutations": itertools.permutations,
+                 "product": itertools.product}
+    exec(compile(source, filename, "exec"), namespace)
+    # the functions refer to the namespace as their globals; taking them out
+    # leaves no cycle between the two
+    kernel = namespace.pop("_k0")
+    for c in range(1, len(bounds) - 1):
+        del namespace[f"_k{c}"]
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    weakref.finalize(kernel, linecache.cache.pop, filename, None)
+    return kernel
+
+
 def _symmetries(rule: Rule) -> List[Match]:
     """The self-embeddings of ``rule.lhs``, other than the identity, whose
     rewrite of the LHS has the identity's `_result_key`.
@@ -262,7 +463,7 @@ def _symmetries(rule: Rule) -> List[Match]:
     boundary vertices in a way that keeps the multiset of new edges.  So of
     each orbit the rewrite loop needs only the least match."""
     lhs = rule.lhs
-    selfs = _embed(rule.name, _compile(lhs, ()), lhs, _index(lhs), (), ())
+    selfs = _embed(rule.name, _compile(lhs, ()), lhs, _index(lhs), (), False)
     key = {a: _result_key(match_delta(lhs, rule, a)) for a in selfs}
     identity = next(a for a in selfs if all(x == y for x, y in a.vertex_map + a.edge_map))
     return [a for a in selfs if a != identity and key[a] == key[identity]]
@@ -289,8 +490,9 @@ def _new_plan(rule: Rule, root: Optional[VertexId]) -> _Plan:
     symmetries = _symmetries(rule)
     plan = _compile(rule.lhs, (), symmetries)
     firsts = [plan.sigs.index(s) for s, _ in plan.need]
-    return plan._replace(roots=tuple(
-        None if i == 0 else _compile(rule.lhs, (plan.order[i],), symmetries) for i in firsts))
+    return replace(plan, roots=tuple(
+        None if i == 0 else _compile(rule.lhs, (plan.order[i],), symmetries, pinned=False)
+        for i in firsts))
 
 
 class _Index(NamedTuple):
@@ -389,102 +591,28 @@ def _search(rule: Rule, target: Diagram, anchor: Optional[Tuple[VertexId, Vertex
         if fewest is None or found < fewest:
             rooted, fewest = alt or plan, found
     return _embed(rule.name, rooted, target, idx, () if anchor is None else (anchor[1],),
-                  rooted.breaks if distinct else ())
+                  distinct)
+
+
+_by_key = itemgetter(0)  # a kernel's (Match.key, match) pairs by key
 
 
 def _embed(name: str, plan: _Plan, target: Diagram, idx: _Index, pins: Sequence[VertexId],
-           breaks: Sequence[Tuple[EdgeId, EdgeId]], first: bool = False) -> List[Match]:
+           distinct: bool, first: bool = False) -> List[Match]:
     """The embeddings ``plan`` finds in target, whose index is ``idx``, in
-    canonical order, less those that some pair of ``breaks`` shows are not
-    the least of their orbit.  The plan's first positions, its roots, go to
-    the target vertices ``pins`` in order.  With ``first``, the search stops
-    at the first embedding it finds, which need not be the least."""
-    nbrs = target.neighbour_sets()
-    n = len(plan.order)
-    img: List[VertexId] = [0] * n
-    used = set()
-    matches: List[Match] = []
-
-    def complete() -> None:
-        # interior edges: canonical sorted pairing, once the multiplicities
-        # agree; every LHS adjacency was checked as it was placed
-        emap: Dict[EdgeId, EdgeId] = {}
-        for i, j, les in plan.pairs:
-            tes = target.edges_between(img[i], img[j])
-            if len(tes) != len(les):
-                return
-            emap.update(zip(les, tes))
-        mapped = set(emap.values())
-        image = set(img)
-        # boundary edges: assign remaining target half-edges at each image;
-        # equal degrees leave as many as the LHS vertex has boundary edges
-        # (self-loops are interior edges, so all of them are mapped)
-        slots = []
-        for bedges, t in zip(plan.bedges, img):
-            remaining = []
-            for e in target._adj[t]:
-                if e in mapped:
-                    continue
-                u, w = target.edge_ends(e)
-                far, side = (w, 1) if u == t else (u, 0)
-                if far in image:
-                    return  # would leave an unmatched edge at a matched vertex
-                remaining.append((e, side))
-            if bedges:
-                slots.append((bedges, remaining))
-        vertex_map = tuple(sorted(zip(plan.order, img)))
-        for perms in itertools.product(*(itertools.permutations(r) for _, r in slots)):
-            full = dict(emap)
-            attach = {}
-            for (bedges, _), perm in zip(slots, perms):
-                for (le, bvert), half in zip(bedges, perm):
-                    full[le] = half[0]
-                    attach[bvert] = half
-            if breaks and any(full[e] > full[f] for e, f in breaks):
-                continue
-            matches.append(Match(
-                rule_name=name,
-                vertex_map=vertex_map,
-                edge_map=tuple(sorted(full.items())),
-                boundary_attach=tuple(sorted(attach.items())),
-            ))
-            if first:
-                return
-
-    def backtrack(i: int) -> None:
-        if i == n:
-            complete()
-            return
-        sig = plan.sigs[i]
-        p = plan.parents[i]
-        if i < len(pins):
-            cands = [pins[i]] if idx.sig.get(pins[i]) == sig else []
-        elif p is not None:
-            # in id order, so matches with equal keys keep one order
-            # however the neighbour map was made
-            cands = [t for t in nbrs[img[p]] if idx.sig.get(t) == sig]
-            cands.sort()
-        else:
-            cands = idx.pool.get(sig, [])
-        links = plan.links[i]
-        for t in cands:
-            if t in used or links and any(img[j] not in nbrs[t] for j in links):
-                continue
-            img[i] = t
-            used.add(t)
-            backtrack(i + 1)
-            used.discard(t)
-            if first and matches:
-                return
-
-    try:
-        backtrack(0)
-    finally:
-        # backtrack holds itself through its closure cell; emptying the cell
-        # breaks that cycle, so reference counting frees the search
-        del backtrack
-    matches.sort(key=lambda m: m.key())
-    return matches
+    canonical order; with ``distinct``, only those that no pair of the
+    plan's ``breaks`` shows are not the least of their orbit.  The plan's
+    pinned positions, its first, go to the target vertices ``pins`` in
+    order.  With ``first``, the search stops at the first embedding it
+    finds, which need not be the least."""
+    found: List[Tuple[Tuple, Match]] = []
+    plan.kernel(found, Match, name, target.neighbour_sets(), idx.sig.get, idx.pool,
+                target._adj, target._edges, distinct, first, pins)
+    if not found:
+        return []
+    if len(found) > 1:
+        found.sort(key=_by_key)
+    return [m for _, m in found]
 
 
 def isomorphic(a: Diagram, b: Diagram) -> bool:
@@ -555,7 +683,7 @@ def _matched_whole(a: Diagram, b: Diagram) -> bool:
     # the interiors are of one size, so equal counts of a's signatures mean equal pools
     if any(len(idx.pool.get(s, ())) != k for s, k in plan.need):
         return False
-    return bool(_embed("", plan, b, idx, tuple(pins.values()), (), first=True))
+    return bool(_embed("", plan, b, idx, tuple(pins.values()), False, first=True))
 
 
 def _check_embedding(target: Diagram, rule: Rule, m: Match) -> None:
@@ -568,7 +696,7 @@ def _check_embedding(target: Diagram, rule: Rule, m: Match) -> None:
     if vmap.keys() != set(plan.order):
         raise StaleMatchError(f"vertex map does not cover the interior of {rule.name}'s LHS")
     pins = tuple(vmap[v] for v in plan.order)
-    if m not in _embed(rule.name, plan, target, _index(target), pins, ()):
+    if m not in _embed(rule.name, plan, target, _index(target), pins, False):
         raise StaleMatchError(f"match is not an embedding of {rule.name}'s LHS")
 
 

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from zxcliff import bench as bench_module
 from zxcliff.bench import CSV_HEADER, VERIFY_WIDTH_BOUND, bench, render_report
 from zxcliff.cli import main
@@ -152,3 +154,20 @@ def test_cli_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "optimize" in proc.stdout
+
+
+@pytest.mark.parametrize("args", [
+    ["bench", "--width", "0", "--depth", "5"],
+    ["bench", "--width", "1", "--depth", "0"],
+    ["bench", "--width", "1", "2", "--depth", "-3"],
+    ["bench", "--width", "1", "--depth", "5", "--count", "0"],
+    ["--jobs", "0", "bench", "--width", "1", "--depth", "5"],
+    ["--jobs", "two", "bench", "--width", "1", "--depth", "5"],
+    ["optimize", "c.txt", "--max-iters", "0"],
+])
+def test_cli_refuses_non_positive_sizes(args, capsys):
+    # an argument error, not a traceback from deep inside the run
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert "is not a positive integer" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import json
 import random
+import traceback
 from unittest import mock
 
 import numpy as np
@@ -157,6 +158,57 @@ def test_matches_agree_with_reference(ruleset, width, depth, seed, picks):
     with mock.patch.object(rewrite, "_embed", spy):
         find_matches(green_pi_cx, targets[-1])
     assert any(searched[0] is p for p in _plan(green_pi_cx, None).roots)
+
+
+def test_rule_names_are_data_not_kernel_source(ruleset):
+    # each plan's search is generated Python; a rule name that would break
+    # out of a string literal or a line must change nothing but the name
+    name = 'it\'s "odd"\n# not a comment'
+    targets = [t(gate("CNOT", 0, 1), gate("CNOT", 0, 1), gate("Z", 0), gate("CNOT", 1, 0)),
+               simple_form(translate(random_clifford_circuit(2, 12, 3)))]
+    for rule in ruleset.all_rules()[:12]:
+        odd = Rule(name, rule.lhs, rule.rhs)
+        for g in targets:
+            expected = [Match(name, m.vertex_map, m.edge_map, m.boundary_attach)
+                        for m in reference_matches(rule, g)]
+            assert find_matches(odd, g) == expected, rule.name
+            for m in expected[:3]:
+                assert apply_match(g, odd, m).iso_equal(apply_match(g, rule, Match(
+                    rule.name, m.vertex_map, m.edge_map, m.boundary_attach)))
+
+
+def test_interrupted_search_shows_its_generated_line(rules_by_name, monkeypatch):
+    # a traceback through a search names the line of the plan's kernel that
+    # was running, with its text
+    rule = rules_by_name["Cx"]
+    target = t(gate("CNOT", 0, 1), gate("CNOT", 0, 1))
+    assert find_matches(rule, target)
+
+    def boom(**fields):
+        raise RuntimeError("search interrupted")
+
+    monkeypatch.setattr(rewrite, "Match", boom)
+    with pytest.raises(RuntimeError) as exc:
+        find_matches(rule, target)
+    frames = [f for f in traceback.extract_tb(exc.value.__traceback__)
+              if f.filename.startswith("<matcher kernel")]
+    assert frames and "Match(rule_name=name" in frames[-1].line
+    assert "".join(traceback.format_tb(exc.value.__traceback__)).count("Match(rule_name") == 1
+
+
+def test_long_plans_search_through_chained_functions():
+    # a plan longer than one generated function may nest loops for is
+    # searched by a chain of functions; they find what the reference finds
+    lhs = simple_form(translate(random_clifford_circuit(2, 24, 0)))
+    rule = Rule("long", lhs, lhs)
+    target = lhs.tensor(lhs)
+    assert "_k1" in _plan(rule, None).kernel.__code__.co_varnames
+    expected = reference_matches(rule, target)
+    assert len(expected) == 2 and find_matches(rule, target) == expected
+    a = lhs.interior()[-1]
+    for v in target.interior():
+        assert find_matches(rule, target, anchor=(a, v)) == \
+            [m for m in expected if m.vmap()[a] == v]
 
 
 def test_signature_count_rejection_is_exact():
