@@ -1,6 +1,9 @@
 """Micro-benchmark of the metric phase: one `rewrite_metric` step with the
 commutation metric, the closing step that finds nothing, the scoring of
-every one of a step's candidates, and the cover search under them.
+every one of a step's candidates, and the cover search under them.  Each
+rule generates its splice and score kernel on its first score or carry, so
+an optimiser pays for that once per rule; the `kernels` case times
+generating the kernels of every metric rule of the default rule set.
 
 They run on fixed diagrams: the simple forms of the seeded width-4,
 depth-40 and width-6, depth-60 circuits, with their cross legs and leg
@@ -18,10 +21,10 @@ Run with: PYTHONPATH=src python -m pytest benchmarks/bench_metric.py
 import pytest
 
 from zxcliff.circuit import random_clifford_circuit, translate
-from zxcliff.flow import find_path_cover
+from zxcliff.flow import _splice_kernel, _splice_plan, find_path_cover
 from zxcliff.optimiser import CommutationMetric, Optimiser
 from zxcliff.passes import simple_form
-from zxcliff.rewrite import find_matches, match_delta, reduce, rewrite_metric
+from zxcliff.rewrite import find_matches, reduce, rewrite_metric
 
 OPT = Optimiser()
 DIAGRAMS = {f"w{width}": OPT._split_leg_phases(OPT._split_cross_legs(
@@ -58,7 +61,7 @@ def test_rewrite_metric_closing_step(benchmark, key):
 
 def _score_every_candidate(d, key):
     score = CommutationMetric().scorer(d)
-    return [score(rule, m, match_delta(d, rule, m)) for rule, m in CANDIDATES[key]]
+    return [score(rule, m) for rule, m in CANDIDATES[key]]
 
 
 @pytest.mark.parametrize("key", DIAGRAMS)
@@ -74,3 +77,10 @@ def test_score_every_candidate(benchmark, key):
 def test_find_path_cover(benchmark):
     pc = benchmark.pedantic(find_path_cover, setup=_fresh, rounds=30)
     assert pc.paths == find_path_cover(DIAGRAM).paths
+
+
+def test_generate_scoring_kernels(benchmark):
+    plans = [(rule, _splice_plan(rule)) for rule in OPT._metric_rules]
+    kernels = benchmark.pedantic(lambda: [_splice_kernel(rule, plan) for rule, plan in plans],
+                                 rounds=5)
+    assert len(kernels) == 16 and all(kernels)

@@ -21,31 +21,34 @@ sets (`Diagram.neighbour_sets`), which a rewrite carries to its result.
 later steps read of the cover: the paths, the flow and a rank ordering it,
 and, worked out on first use, positions, predecessors, a record of the sweep
 and the least order of the flow.  A rewrite's cover is spliced from its
-parent's (`splice_cover`): the rule's RHS cover takes the place of the
-matched segments, and a local check proves the result a causal flow, so by
-uniqueness it is the cover.  The metric phase values candidates this way
-without building them, and `rewrite.apply_match` carries the spliced cover
-to the diagram it builds (`carry_cover`), ranked by the parent's rank with
-each new vertex placed inside the window the check worked out.  When the
-splice fails, `stranded_after` resumes the parent's sweep at the first step
-that claims a matched vertex: the sweep is confluent, so the claims before
-it stand.
+parent's: the rule's RHS cover takes the place of the matched segments, and
+a local check proves the result a causal flow, so by uniqueness it is the
+cover.  Each rule generates the splice as one straight-line function on its
+first use (`splice_kernel`), as the matcher generates its searches.  The
+metric phase values candidates with it without building them, and
+`rewrite.apply_match` carries the spliced cover to the diagram it builds
+(`carry_cover`), ranked by the parent's rank with each new vertex placed
+inside the window the check worked out.  When the splice fails,
+`stranded_after` resumes the parent's sweep at the first step that claims a
+matched vertex: the sweep is confluent, so the claims before it stand.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .diagram import H, X, Z, Diagram, VertexId
 from .errors import CrossEdgeColourError, NotACircuit
 from .passes import is_simple
 
 if TYPE_CHECKING:
-    from .rewrite import MatchDelta, Rule
+    from .rewrite import Match, MatchDelta, Rule
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,18 +58,19 @@ class PathCover:
 
     ``succ`` is the successor function f, and ``rank`` is a topological
     order of F2-F3: an integer per vertex, lower at v than at f(v) and at
-    every other neighbour of f(v).  A searched cover's rank is the least
-    such order in vertex-id order, spaced `RANK_STEP` apart; a cover carried
-    through a rewrite (`carry_cover`) keeps its parent's ranks and places
-    each new vertex between them, so its rank need not be the least.
-    ``nbrs`` and ``inputs`` are the diagram's neighbour sets and inputs,
-    which a splice and a resumed sweep read.  The rest is worked out on
-    first use: ``pos`` maps each vertex to its (path, position), ``pred``
-    inverts f (a carried cover gets both from its parent's),
-    ``claim_order`` and ``claim_step`` record the sweep, and
-    ``least_rank`` orders the vertices by the least order, which a search
-    hands over and a carried cover gets from one Kahn pass.  A cover holds
-    no reference to its diagram, whose memo holds it, or to another cover."""
+    every other neighbour of f(v).  A searched cover is ranked by its own
+    sweep: its claims in reverse, then the outputs, spaced `RANK_STEP`
+    apart; a cover carried through a rewrite (`carry_cover`) keeps its
+    parent's ranks and places each new vertex between them.  Neither rank
+    need be the least order.  ``nbrs`` and ``inputs`` are the diagram's
+    neighbour sets and inputs, which a splice and a resumed sweep read.  The
+    rest is worked out on first use: ``pos`` maps each vertex to its (path,
+    position), ``pred`` inverts f (a carried cover gets both from its
+    parent's), ``claim_order`` and ``claim_step`` record the sweep (a search
+    hands over its own claims), and ``least_rank`` orders the vertices by
+    the least order of F2-F3 in vertex-id order (`_flow_of_paths`).  A cover
+    holds no reference to its diagram, whose memo holds it, or to another
+    cover."""
 
     paths: Tuple[Tuple[VertexId, ...], ...]
     succ: Dict[VertexId, VertexId]
@@ -98,7 +102,7 @@ class PathCover:
     @cached_property
     def least_rank(self) -> Dict[VertexId, int]:
         """A rank whose order is the least topological order of F2-F3 in
-        vertex-id order; a searched cover's own rank."""
+        vertex-id order."""
         return _flow_of_paths(self.paths, self.nbrs)[1]
 
 
@@ -210,7 +214,8 @@ def search_path_cover(d: Diagram) -> PathCover:
     the causal flow is unique (de Beaudrap, arXiv:quant-ph/0611284), so the
     result does not depend on the order of the sweep and a failed sweep means
     no cover exists.  The paths follow the successor from each input in input
-    order, and F1-F3 are rechecked on them.
+    order.  The sweep's claims, in reverse, rank the cover, and F1-F3 are
+    rechecked against that rank in one pass.
 
     On failure, ``NotACircuit.stranded`` lists the vertices the sweep never
     reached; it is empty only when the input and output counts differ.
@@ -224,17 +229,21 @@ def search_path_cover(d: Diagram) -> PathCover:
         raise NotACircuit(
             f"no causal-flow path cover exists; stranded vertices {stranded}",
             stranded=stranded)
+    # when v claims u, every other neighbour of v has been claimed before or
+    # is an output, so the claims in reverse, then the outputs, order F2-F3
+    rank = {v: i * RANK_STEP for i, v in enumerate(itertools.chain(reversed(succ), d.outputs))}
+    for v, fv in succ.items():
+        # ranks are distinct, so F1 and F3 say v is the least neighbour of f(v)
+        if rank[v] >= rank[fv] or min(map(rank.__getitem__, nbrs[fv])) != rank[v]:
+            raise AssertionError("the flow sweep produced a successor that fails F1-F3")
     paths = []
     for v in d.inputs:
         path = [v]
         while path[-1] in succ:
             path.append(succ[path[-1]])
         paths.append(tuple(path))
-    flow = _flow_of_paths(paths, nbrs)
-    if flow is None:
-        raise AssertionError("the flow sweep produced paths that fail F1-F3")
-    cover = PathCover(tuple(paths), *flow, nbrs, frozenset(d.inputs))
-    vars(cover)["least_rank"] = cover.rank  # the search's rank is the least order
+    cover = PathCover(tuple(paths), succ, rank, nbrs, frozenset(d.inputs))
+    vars(cover)["claim_order"] = list(succ)  # the sweep's own claims, in order
     return cover
 
 
@@ -242,37 +251,27 @@ class Splice:
     """A candidate's cover: its parent's, with one segment of each touched
     path replaced.  ``segments`` maps a path index to (first, last, new): the
     parent positions first..last give way to the vertices ``new``.  ``succ``
-    holds the successors that change, and ``window`` what `splice_cover`
+    holds the successors that change, and ``window`` what the splice check
     worked out to place the new vertices in the parent's rank: per new
     vertex the highest rank that must come before it and the lowest that
     must come after it, the new vertices that must come after it, and an
-    order of them that respects those."""
+    order of them that respects those.  ``terms``, when the kernel was given
+    the parent's metric terms, holds the candidate's Pauli sum and its
+    separation (`optimiser.metric_terms`)."""
 
-    __slots__ = ("parent", "segments", "succ", "window", "_new_pos")
+    __slots__ = ("parent", "segments", "succ", "window", "terms")
 
     def __init__(self, parent: PathCover,
                  segments: Dict[int, Tuple[int, int, Tuple[VertexId, ...]]],
                  succ: Dict[VertexId, VertexId],
                  window: Tuple[Dict[VertexId, int], Dict[VertexId, float],
-                               Dict[VertexId, List[VertexId]], List[VertexId]]):
+                               Dict[VertexId, List[VertexId]], List[VertexId]],
+                 terms: Optional[Tuple[int, int]] = None):
         self.parent = parent
         self.segments = segments
         self.succ = succ
         self.window = window
-        self._new_pos = {w: (q, first + i) for q, (first, _, new) in segments.items()
-                         for i, w in enumerate(new)}
-
-    def position(self, v: VertexId) -> Tuple[int, int]:
-        """(path, position) of a vertex of the candidate."""
-        qp = self._new_pos.get(v)
-        if qp is not None:
-            return qp
-        q, p = self.parent.pos[v]
-        seg = self.segments.get(q)
-        if seg is not None and p > seg[1]:
-            first, last, new = seg
-            return q, p + len(new) - (last - first + 1)
-        return q, p
+        self.terms = terms
 
     def paths(self) -> Tuple[Tuple[VertexId, ...], ...]:
         paths = list(self.parent.paths)
@@ -341,98 +340,308 @@ def _splice_plan(rule: "Rule") -> Optional[Tuple]:
     return plan
 
 
-def splice_cover(parent: PathCover, rule: "Rule", delta: "MatchDelta",
-                 nbrs: Dict[VertexId, Set[VertexId]]) -> Optional[Splice]:
-    """The cover of the rewritten diagram, spliced from its parent's in
-    O(|rule|) work, or None when this cannot be shown locally; ``nbrs`` holds
-    the rewritten neighbours of the attachments and fresh vertices, at least.
+def _is_pauli_kind(kind_phase: Tuple[str, int]) -> bool:
+    return kind_phase[0] in (Z, X) and kind_phase[1] == 2
+
+
+def pair_separation(ends: Sequence[Tuple[int, int]]) -> int:
+    """Interior vertices between consecutive cross edges of one pair of paths.
+
+    ``ends`` holds each edge's positions on the lower and the higher path, in
+    any order: they are sorted on (max, min, position on the lower path), so
+    only equal ends tie.  On a covered diagram that last key decides nothing.
+    Two edges at (a, b) and (b, a) with a < b, between lower path L and
+    higher path H, would force a cycle in the flow order: L_a <= L_{b-1} by
+    F2, L_{b-1} < H_a by F3 since H_a ~ L_b = f(L_{b-1}), H_a <= H_{b-1} by
+    F2, and H_{b-1} < L_a by F3 since L_a ~ H_b = f(H_{b-1}).  Boundaries
+    only end paths, so between positions lo < hi of one path lie hi - lo - 1
+    interior vertices."""
+    ordered = sorted([(a, b, a, b) if a >= b else (b, a, a, b) for a, b in ends])
+    total = 0
+    for (_, _, a1, b1), (_, _, a2, b2) in zip(ordered, ordered[1:]):
+        gap_a, gap_b = abs(a1 - a2) - 1, abs(b1 - b2) - 1
+        if gap_a > 0:
+            total += gap_a
+        if gap_b > 0:
+            total += gap_b
+    return total
+
+
+_UNCUT = (math.inf, math.inf, 0)  # `_respaced`'s cut of a path without a segment
+
+
+def _respaced(terms, changed: Dict[Tuple[int, int], List[Tuple[int, int]]],
+              cut: Dict[int, Tuple[int, int, int]]) -> int:
+    """The separation of a spliced candidate, from its parent's metric terms:
+    each ``changed`` group is recomputed from the parent's ends and the new
+    cross edges it lists, every other keeps its total.  ``cut`` maps each
+    spliced path to its replaced positions first..last and the shift of the
+    positions after them: an end inside them is dropped, one after them
+    shifts.  The new edges come after the old ones, as their ids do."""
+    total = terms.total_separation
+    for key, ends in changed.items():
+        fa, la, da = cut.get(key[0], _UNCUT)
+        fb, lb, db = cut.get(key[1], _UNCUT)
+        for pa, pb in terms.groups.get(key, ()):
+            if not (fa <= pa <= la or fb <= pb <= lb):
+                ends.append((pa + da if pa > la else pa, pb + db if pb > lb else pb))
+        total += pair_separation(ends) - terms.separation.get(key, 0)
+    return total
+
+
+def splice_kernel(rule: "Rule") -> Optional[Callable[..., Optional[Splice]]]:
+    """The rule's splice and score kernel (`_splice_kernel`), generated on
+    first use and memoised in ``rule.memo["kernel"]``; None when the rule has
+    no splice plan."""
+    memo = rule.memo
+    if "kernel" not in memo:
+        plan = _splice_plan(rule)
+        memo["kernel"] = None if plan is None else _splice_kernel(rule, plan)
+    return memo["kernel"]
+
+
+def _splice_kernel(rule: "Rule", plan: Tuple) -> Callable[..., Optional[Splice]]:
+    """The cover splice of the rule's rewrites, as one generated function.
+
+    It is called as ``kernel(m, target, pc, terms)``, with m one of the
+    matcher's embeddings of the rule's LHS into target, whose cover is pc.
+    It returns the `Splice` of the rewritten diagram's cover, worked out in
+    O(|rule|) from pc, or None when this cannot be shown locally; given the
+    parent's metric terms (`optimiser.metric_terms`) as ``terms``, it values
+    the candidate as well.
 
     Each LHS cover path must map onto a contiguous segment of a distinct
-    parent path, forwards or reversed; the RHS cover path between the same
-    boundary positions replaces it in that orientation.  Then only the
-    sources whose order constraints changed are checked: the fresh vertices,
-    the attachments whose successor changed, and the predecessors of the
-    attachments and fresh vertices.  Each fresh vertex must fit, in the
-    parent's rank, between the old vertices that must precede and follow it.
-    A constraint between two old vertices needs no check: it is one of the
-    parent's, or it runs from a segment's upstream attachment or that
-    vertex's predecessor to the downstream attachment or one of its
-    neighbours, which the parent already orders through the replaced
-    segment.  Passing shows the spliced successor is a causal flow, so by
-    uniqueness it is the one `find_path_cover` finds."""
-    plan = _splice_plan(rule)
-    if plan is None:
-        return None
-    pos = parent.pos
-    segments: Dict[int, Tuple[int, int, Tuple[VertexId, ...]]] = {}
-    succ: Dict[VertexId, VertexId] = {}  # successors that change
-    for start, interior, end, replacement in plan:
-        seq = [delta.attach[start], *(delta.vmap[v] for v in interior), delta.attach[end]]
-        q, p0 = pos[seq[0]]
-        step = pos[seq[1]][1] - p0
-        if q in segments or step not in (1, -1) \
-                or any(pos[v] != (q, p0 + step * i) for i, v in enumerate(seq)):
-            return None
-        new = tuple(delta.fresh[v] for v in replacement)
-        first = p0 + 1 if step == 1 else p0 - len(interior)
-        if step == -1:
-            new = new[::-1]
-        last = first + len(interior) - 1
-        segments[q] = (first, last, new)
-        path = parent.paths[q]
-        chain = (path[first - 1], *new, path[last + 1])
-        succ.update(zip(chain, chain[1:]))
+    parent path, forwards or reversed: its images and attachments must
+    follow one another under pc's successor.  The RHS cover path between
+    the same boundary positions replaces it in that orientation.  Then all
+    attachments are distinct, each has one matched neighbour, the end of
+    its own segment, and one new neighbour, on its own spliced path.  So
+    which vertices are fresh, their neighbours and the changed successors
+    are fixed by the rule and the orientations, and one straight-line body
+    per combination of orientations works them out.  Only the sources whose
+    order constraints changed are checked: the fresh vertices and the
+    upstream attachments (the predecessor of one is ranked below it, so
+    bounds nothing more).  Each fresh vertex must fit, in pc's rank, between
+    the old vertices that must precede and follow it; the later-than
+    relation among fresh vertices is fixed too, so its order is worked out
+    once, here, and a cycle in it fails the splice outright.  A constraint
+    between two old vertices needs no check: it is one of pc's, or it runs
+    from a segment's upstream attachment or that vertex's predecessor to
+    the downstream attachment or one of its neighbours, which pc already
+    orders through the replaced segment.  Passing shows the spliced
+    successor is a causal flow, so by uniqueness it is the one
+    `find_path_cover` finds.
 
-    fresh = set(delta.fresh.values())
-    pred = {b: a for a, b in succ.items()}
-    sources = set(succ)
-    for a in delta.attach.values():
-        v = pred.get(a, parent.pred.get(a))
-        if v is not None:
-            sources.add(v)
-    rank = parent.rank
-    lo = dict.fromkeys(fresh, -1)  # highest rank that must come before
-    hi: Dict[VertexId, float] = dict.fromkeys(fresh, math.inf)  # lowest that must come after
-    later: Dict[VertexId, List[VertexId]] = {w: [] for w in fresh}
-    indeg = dict.fromkeys(fresh, 0)
-    for v in sources:
-        fv = succ[v] if v in succ else parent.succ[v]
-        for u in (fv, *(nbrs[fv] if fv in nbrs else parent.nbrs[fv])):
-            if u == v:
-                continue
-            if v in fresh:
-                if u in fresh:
-                    later[v].append(u)
-                    indeg[u] += 1
-                else:
-                    hi[v] = min(hi[v], rank[u])
-            elif u in fresh:
-                lo[u] = max(lo[u], rank[v])
-    # place the fresh vertices in topological order, each just after the
-    # latest old vertex that must precede it
-    ready = [w for w in fresh if indeg[w] == 0]
-    order = []
-    while ready:
-        w = ready.pop()
-        order.append(w)
-        if lo[w] >= hi[w]:
-            return None
-        for u in later[w]:
-            lo[u] = max(lo[u], lo[w])
-            indeg[u] -= 1
-            if indeg[u] == 0:
-                ready.append(u)
-    if len(order) != len(fresh):
-        return None
-    return Splice(parent, segments, succ, (lo, hi, later, order))
+    The value: the matched vertices' labels are the LHS's, so the Paulis a
+    segment loses and gains sit at fixed offsets from its start, and only
+    the Paulis after a resized segment are counted in pc's terms.  The
+    cross-edge groups a candidate changes are those between two spliced
+    paths that an LHS edge or a new edge joins, at fixed offsets, and every
+    group of a resized path (`_respaced`).
+
+    As for the matcher's kernels (`rewrite._kernel`), only integers taken
+    from the rule enter the source, and the source is registered in
+    `linecache` while the kernel lives."""
+    import graphlib
+
+    from .rewrite import _compiled, _tuple
+
+    lhs, rhs = rule.lhs, rule.rhs
+    # LHS interior vertex v is t{v}, LHS boundary vertex b attaches at a{b},
+    # RHS interior vertex x becomes w{x}; an RHS boundary vertex stands for
+    # the attachment of the LHS one at its position
+    name = {x: f"w{x}" for x in rhs.interior()}
+    name.update((rb, f"a{lb}") for rb, lb in zip(rhs.inputs + rhs.outputs,
+                                                lhs.inputs + lhs.outputs))
+    new_nbrs: Dict[str, Set[str]] = {v: set() for v in name.values()}
+    new_edges = []
+    for u, v in map(rhs.edge_ends, rhs.edges()):
+        new_edges.append((name[u], name[v]))
+        if u != v:
+            new_nbrs[name[u]].add(name[v])
+            new_nbrs[name[v]].add(name[u])
+    pauli = {name[x] for x in rhs.interior() if _is_pauli_kind(rhs._vertices[x])}
+    pauli.update(f"t{v}" for v in lhs.interior() if _is_pauli_kind(lhs._vertices[v]))
+    # the LHS path of every LHS vertex; an LHS edge between two paths ends a
+    # cross edge of the pair their images lie on
+    on_path = {v: k for k, (s, inner, e, _) in enumerate(plan) for v in (s, *inner, e)}
+    lost = {tuple(sorted((on_path[u], on_path[v])))
+            for u, v in map(lhs.edge_ends, lhs.edges()) if on_path[u] != on_path[v]}
+
+    lines: List[str] = []
+
+    def emit(depth: int, line: str) -> None:
+        lines.append(" " * depth + line)
+
+    interior, boundary = lhs.interior(), sorted(lhs.inputs + lhs.outputs)
+    emit(1, f"_, {_tuple([f'(_, t{v})' for v in interior])}, _, "
+            f"{_tuple([f'(_, (e{b}, s{b}))' for b in boundary])} = m")
+    emit(1, "edges = target._edges")
+    for b in boundary:
+        emit(1, f"a{b} = edges[e{b}][s{b}]")
+    emit(1, "succ, pos = pc.succ, pc.pos")
+    emit(1, "sg = succ.get")
+    for k, (s, inner, e, _) in enumerate(plan):
+        ts = [f"t{v}" for v in inner]
+        # forwards each image is followed by the next and the last by a{e};
+        # reversed each by the one before and the first by a{s}
+        forward = zip(ts, [*ts[1:], f"a{e}"])
+        reverse = zip(ts, [f"a{s}", *ts[:-1]])
+        emit(1, f"x = succ[{ts[0]}]")
+        for word, pairs, up, last in (("if", forward, s, ts[0]), ("elif", reverse, e, ts[-1])):
+            tests = [f"x == {b}" if i == 0 else f"succ[{a}] == {b}"
+                     for i, (a, b) in enumerate(pairs)]
+            emit(1, f"{word} {' and '.join(tests)} and sg(a{up}) == {last}:")
+            emit(2, f"fw{k} = {word == 'if'}")
+            emit(2, f"q{k}, f{k} = pos[a{up}]")
+        emit(1, "else:")
+        emit(2, "return None")
+    pairs = [(k, j) for k in range(len(plan)) for j in range(k + 1, len(plan))]
+    if pairs:
+        emit(1, f"if {' or '.join(f'q{k} == q{j}' for k, j in pairs)}:")
+        emit(2, "return None")
+    fresh_ids = [name[x] for x in rhs.interior()]  # in the order `rewrite.match_delta` numbers them
+    for i, w in enumerate(fresh_ids):
+        emit(1, f"{w} = {fresh_ids[0]} + {i}" if i else f"{w} = target.max_vertex_id() + 1")
+    emit(1, "rank, nbrs = pc.rank, pc.nbrs")
+
+    def body(orientation: Sequence[bool], depth: int) -> None:
+        # per spliced path: upstream attachment, fresh vertices in path order,
+        # downstream attachment, images in path order
+        chains = []
+        for (s, inner, e, replacement), fw in zip(plan, orientation):
+            step = 1 if fw else -1
+            chains.append((f"a{s}" if fw else f"a{e}", [name[x] for x in replacement[::step]],
+                           f"a{e}" if fw else f"a{s}", [f"t{v}" for v in inner[::step]]))
+        emit(depth, "segments = {" + ", ".join(
+            f"q{k}: (f{k} + 1, f{k} + {len(inner)}, {_tuple(fresh)})"
+            for k, (_, fresh, _, inner) in enumerate(chains)) + "}")
+        emit(depth, "changed = {" + ", ".join(
+            f"{a}: {b}" for up, fresh, down, _ in chains
+            for a, b in zip([up, *fresh], [*fresh, down])) + "}")
+        # per fresh vertex: the ranks of the old vertices that must come
+        # before and after it, and the fresh vertices that must come after it
+        lo: Dict[str, List[str]] = {}
+        hi: Dict[str, List[str]] = {}
+        later: Dict[str, List[str]] = {}
+        beyond: Dict[str, Tuple[str, str]] = {}  # (downstream attachment, its matched neighbour)
+        for up, fresh, down, inner in chains:
+            for w in fresh:
+                lo[w], hi[w], later[w] = [], [], []
+        for up, fresh, down, inner in chains:
+            if fresh:
+                for u in sorted({fresh[0]} | new_nbrs[fresh[0]]):
+                    if u in lo:
+                        lo[u].append(f"rank[{up}]")
+            for w, fv in zip(fresh, [*fresh[1:], down]):
+                for u in sorted(({fv} | new_nbrs[fv]) - {w}):
+                    if u in later:
+                        later[w].append(u)
+                    else:
+                        hi[w].append(f"rank[{u}]")
+                if fv == down:
+                    # the old neighbours of the downstream attachment bound w too
+                    beyond[w] = (down, inner[-1])
+        try:
+            order = list(graphlib.TopologicalSorter(
+                {w: [v for v in later if w in later[v]] for w in later}).static_order())
+        except graphlib.CycleError:
+            emit(depth, "return None")
+            return
+        for w in order:
+            emit(depth, f"l{w} = " + (f"max({', '.join(lo[w])})" if len(lo[w]) > 1
+                                       else lo[w][0] if lo[w] else "-1"))
+            emit(depth, f"h{w} = " + (f"min({', '.join(hi[w])})" if len(hi[w]) > 1
+                                       else hi[w][0] if hi[w] else "inf"))
+            if w in beyond:
+                down, end = beyond[w]
+                emit(depth, f"for u in nbrs[{down}]:")
+                emit(depth + 1, f"if u != {end} and rank[u] < h{w}:")
+                emit(depth + 2, f"h{w} = rank[u]")
+        for w in order:
+            for u in later[w]:
+                emit(depth, f"if l{w} > l{u}:")
+                emit(depth + 1, f"l{u} = l{w}")
+        if order:
+            emit(depth, f"if {' or '.join(f'l{w} >= h{w}' for w in order)}:")
+            emit(depth + 1, "return None")
+        window = ["{" + ", ".join(f"{w}: {x}" for w, x in zip(order, xs)) + "}" for xs in (
+            [f"l{w}" for w in order], [f"h{w}" for w in order],
+            [f"[{', '.join(later[w])}]" for w in order])]
+        emit(depth, f"splice = Splice(pc, segments, changed, "
+                    f"({', '.join(window)}, [{', '.join(order)}]))")
+        emit(depth, "if terms is None:")
+        emit(depth + 1, "return splice")
+        # the value: Paulis at offset i of a segment sit at position f + i
+        at: Dict[str, Tuple[int, str]] = {}
+        const, paulis = 0, ["terms.pauli_sum"]
+        for k, (up, fresh, down, inner) in enumerate(chains):
+            at[up] = (k, f"f{k}")
+            at[down] = (k, f"f{k} + {len(fresh) + 1}")
+            for i, w in enumerate(fresh, 1):
+                at[w] = (k, f"f{k} + {i}")
+            gain = [i for i, w in enumerate(fresh, 1) if w in pauli]
+            loss = [i for i, t in enumerate(inner, 1) if t in pauli]
+            const += sum(gain) - sum(loss)
+            if len(gain) != len(loss):
+                paulis.append(f"{len(gain) - len(loss)} * f{k}")
+            if len(fresh) != len(inner):
+                # the Paulis after a resized segment shift with it
+                emit(depth, f"r{k} = terms.paulis[q{k}]")
+                paulis.append(f"{len(fresh) - len(inner)} * "
+                              f"(len(r{k}) - bisect_right(r{k}, f{k} + {len(inner)}))")
+        if const:
+            paulis.append(str(const))
+        emit(depth, f"pauli = {' + '.join(paulis)}".replace("+ -", "- "))
+        gained: Dict[Tuple[int, int], List[Tuple[str, str]]] = {pair: [] for pair in lost}
+        for u, v in new_edges:
+            (ku, pu), (kv, pv) = at[u], at[v]
+            if ku != kv:
+                gained.setdefault((min(ku, kv), max(ku, kv)), []).append(
+                    (pu, pv) if ku < kv else (pv, pu))
+        emit(depth, "groups = {}")
+        for (k, j), ends in sorted(gained.items()):
+            emit(depth, f"if q{k} < q{j}:")
+            emit(depth + 1, f"groups[q{k}, q{j}] = [{', '.join(f'({a}, {b})' for a, b in ends)}]")
+            emit(depth, "else:")
+            emit(depth + 1, f"groups[q{j}, q{k}] = [{', '.join(f'({b}, {a})' for a, b in ends)}]")
+        resized = [f"q{k} in key" for k, (_, fresh, _, inner) in enumerate(chains)
+                   if len(fresh) != len(inner)]
+        if resized:
+            emit(depth, "for key in terms.groups:")
+            emit(depth + 1, f"if key not in groups and ({' or '.join(resized)}):")
+            emit(depth + 2, "groups[key] = []")
+        emit(depth, "splice.terms = pauli, respaced(terms, groups, {" + ", ".join(
+            f"q{k}: (f{k} + 1, f{k} + {len(inner)}, {len(fresh) - len(inner)})"
+            for k, (_, fresh, _, inner) in enumerate(chains)) + "})")
+        emit(depth, "return splice")
+
+    def branch(orientation: List[bool], depth: int) -> None:
+        k = len(orientation)
+        if k == len(plan):
+            body(orientation, depth)
+            return
+        emit(depth, f"if fw{k}:")
+        branch([*orientation, True], depth + 1)
+        emit(depth, "else:")
+        branch([*orientation, False], depth + 1)
+
+    branch([], 1)
+    lines.insert(0, "def _splice(m, target, pc, terms):")
+    return _compiled("\n".join(lines) + "\n", "splice kernel", "_splice", {
+        "Splice": Splice, "inf": math.inf, "bisect_right": bisect_right,
+        "respaced": _respaced})
 
 
-def carry_cover(parent: PathCover, rule: "Rule", delta: "MatchDelta",
-                nbrs: Dict[VertexId, Set[VertexId]]) -> Optional[PathCover]:
-    """The cover of the diagram that ``delta`` rewrites parent's diagram
-    into, derived from parent; ``nbrs`` is that diagram's neighbour map.
-    None when the splice fails or its new vertices find no integer rank
-    (`Splice.rank`).
+def carry_cover(parent: PathCover, rule: "Rule", m: "Match", target: Diagram,
+                removed: FrozenSet[VertexId], nbrs: Dict[VertexId, Set[VertexId]]
+                ) -> Optional[PathCover]:
+    """The cover of the diagram that m, one of the matcher's embeddings of
+    the rule's LHS into target, rewrites target into, derived from parent,
+    target's cover; ``removed`` holds the matched vertices and ``nbrs`` is
+    the rewritten diagram's neighbour map.  None when the splice fails
+    (`splice_kernel`, the one the metric's scorer runs) or its new vertices
+    find no integer rank (`Splice.rank`).
 
     The paths are the splice's, the flow the parent's without the removed
     vertices and with the splice's changed successors, and the rank the
@@ -441,14 +650,15 @@ def carry_cover(parent: PathCover, rule: "Rule", delta: "MatchDelta",
     too, patched the same way: the positions are numbered again only on the
     spliced paths, from each segment on.  The result refers to no cover or
     diagram."""
-    splice = splice_cover(parent, rule, delta, nbrs)
+    kernel = splice_kernel(rule)
+    splice = None if kernel is None else kernel(m, target, parent, None)
     if splice is None:
         return None
-    rank = splice.rank(delta.removed)
+    rank = splice.rank(removed)
     if rank is None:
         return None
     succ, pred, pos = parent.succ.copy(), parent.pred.copy(), parent.pos.copy()
-    for v in delta.removed:
+    for v in removed:
         # every matched vertex lies inside a segment, so it has a successor and
         # a predecessor; those left on the path get new ones from the splice
         del succ[v], pred[v], pos[v]

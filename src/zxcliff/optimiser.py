@@ -18,10 +18,10 @@ Phases:
    and its terms live here: `metric_terms` works out a covered diagram's
    Pauli positions and cross-edge groups for both `CommutationMetric.value`
    and its scorer.  The scorer values each candidate from the current
-   diagram's cover and terms without building it: the rule's RHS cover is
-   spliced in and checked locally (`flow.splice_cover`) and the separation
-   carried per pair of paths (`spliced_separation`), or the current
-   diagram's flow sweep, resumed where the rewrite first touches it
+   diagram's cover and terms without building it: the rule's generated
+   kernel splices its RHS cover in, checks it locally and carries the Pauli
+   sum and the separation per pair of paths (`flow.splice_kernel`), or the
+   current diagram's flow sweep, resumed where the rewrite first touches it
    (`flow.stranded_after`), shows the cover is lost; only candidates neither
    settles, and the one accepted, are built.  Neither the metric nor the
    cover test reads edge ids or orientation, so matches that build the same
@@ -44,7 +44,6 @@ Phases:
 from __future__ import annotations
 
 import time
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -53,13 +52,13 @@ import numpy as np
 from .circuit import Circuit, circuit_size, translate
 from .diagram import B, H, X, Z, Diagram, DiagramBuilder, EdgeId, VertexId
 from .errors import NotACircuit, NotALineGraph, StaleMatchError
-from .flow import (PathCover, Splice, extract_circuit, find_path_cover, has_path_cover,
-                   search_path_cover, splice_cover, stranded_after)
+from .flow import (PathCover, _is_pauli_kind, extract_circuit, find_path_cover, has_path_cover,
+                   pair_separation, search_path_cover, splice_kernel, stranded_after)
 from .normal_forms import cc1_table, cc2_family, line_diagram
 from .passes import (fuse_spiders, h_euler_expand, hopf_reduce, pi_copy,
                      remove_identities, remove_self_loops, simple_form,
                      split_cross_leg, split_phase)
-from .rewrite import (Match, MatchDelta, ProofTrace, Rule, Scored, reduce, rewrite_first,
+from .rewrite import (Match, ProofTrace, Rule, Scored, match_delta, reduce, rewrite_first,
                       rewrite_metric, SEMANTIC_REPLAYERS)
 from .ruleset import RuleSet, audit_ruleset, load_ruleset
 from .semantics import interpret, scalar_free_equal
@@ -94,10 +93,6 @@ class OptimiseResult:
     stats: Dict
 
 
-def _is_pauli_kind(kind_phase: Tuple[str, int]) -> bool:
-    return kind_phase[0] in (Z, X) and kind_phase[1] == 2
-
-
 def group_crosses(ends: Iterable[Tuple[Tuple[int, int], Tuple[int, int]]]
                   ) -> Dict[Tuple[int, int], List[Tuple[int, int]]]:
     """Cross edges grouped by pair of paths.
@@ -112,23 +107,6 @@ def group_crosses(ends: Iterable[Tuple[Tuple[int, int], Tuple[int, int]]]
         elif qv < qu:
             groups.setdefault((qv, qu), []).append((pv, pu))
     return groups
-
-
-def pair_separation(ends: Sequence[Tuple[int, int]]) -> int:
-    """Interior vertices between consecutive cross edges of one pair of paths.
-
-    ``ends`` holds each edge's positions on the lower and the higher path, in
-    any order: they are sorted on (max, min, position on the lower path), so
-    only equal ends tie.  On a covered diagram that last key decides nothing.
-    Two edges at (a, b) and (b, a) with a < b, between lower path L and
-    higher path H, would force a cycle in the flow order: L_a <= L_{b-1} by
-    F2, L_{b-1} < H_a by F3 since H_a ~ L_b = f(L_{b-1}), H_a <= H_{b-1} by
-    F2, and H_{b-1} < L_a by F3 since L_a ~ H_b = f(H_{b-1}).  Boundaries
-    only end paths, so between positions lo < hi of one path lie hi - lo - 1
-    interior vertices."""
-    ordered = sorted(ends, key=lambda e: (max(e), min(e), e[0]))
-    return sum(max(0, abs(a1 - a2) - 1) + max(0, abs(b1 - b2) - 1)
-               for (a1, b1), (a2, b2) in zip(ordered, ordered[1:]))
 
 
 class MetricTerms(NamedTuple):
@@ -165,44 +143,6 @@ def _cover_terms(d: Diagram) -> Tuple[PathCover, MetricTerms]:
     return pc, terms
 
 
-def spliced_separation(parent: PathCover, terms: MetricTerms, splice: Splice,
-                       delta: MatchDelta) -> int:
-    """The separation of a spliced candidate's cross edges, carried per pair
-    of paths.  A group's total changes only if it loses a cross edge (one
-    with a matched end), gains one (a new edge across two paths), or has an
-    end on a path whose replaced segment changes length; every other edge
-    keeps its positions.  Those groups are recomputed from the parent's
-    positions: an edge with an end in a replaced segment is dropped, an end
-    after one shifts with the segment's length, and the new edges come after
-    all old ones, which is their edge-id order in the built candidate.  Every
-    other group keeps the parent's total."""
-    at = splice.position
-    gained = group_crosses([(at(u), at(v)) for u, v in delta.new_edges])
-    changed = set(gained)
-    pos = parent.pos
-    for r in delta.removed:
-        qr = pos[r][0]
-        for w in parent.nbrs[r]:
-            qw = pos[w][0]
-            if qw != qr:
-                changed.add((qr, qw) if qr < qw else (qw, qr))
-    # per path: the replaced positions first..last and the shift after them;
-    # an untouched path's range lies past its end
-    shifts = [(len(path), len(path), 0) for path in parent.paths]
-    for q, (first, last, new) in splice.segments.items():
-        shifts[q] = (first, last, len(new) - (last - first + 1))
-        if shifts[q][2]:
-            changed.update(key for key in terms.groups if q in key)
-    total = terms.total_separation
-    for key in changed:
-        (fa, la, da), (fb, lb, db) = shifts[key[0]], shifts[key[1]]
-        ends = [(pa + da if pa > la else pa, pb + db if pb > lb else pb)
-                for pa, pb in terms.groups.get(key, ()) if not (fa <= pa <= la or fb <= pb <= lb)]
-        ends.extend(gained.get(key, ()))
-        total += pair_separation(ends) - terms.separation.get(key, 0)
-    return total
-
-
 class CommutationMetric:
     """Metric for the CNOT commutation phase: Pauli positions plus a weighted
     same-pair CNOT separation term, so both moving Paulis off CNOTs and
@@ -228,46 +168,36 @@ class CommutationMetric:
             return self._penalty(len(d.vertices()), len(exc.stranded))
         return terms.pauli_sum + self.separation_weight * terms.total_separation
 
-    def scorer(self, d: Diagram) -> Callable[[Rule, Match, MatchDelta], Optional[Scored]]:
+    def scorer(self, d: Diagram) -> Callable[[Rule, Match], Optional[Scored]]:
         """Value the rewrites of d without building them, from d's cover and
         its terms (`metric_terms`, the very ones `value` uses on d).
 
-        Each candidate comes with its match delta, and its rewritten
-        neighbour sets are worked out once.  A candidate whose cover splices
-        (`flow.splice_cover`) is scored from d's Pauli sum plus a local delta
-        and from d's separation, with only the qubit-pair groups the splice
-        changes recomputed (`spliced_separation`).  Otherwise d's flow sweep
-        is resumed at the first step that claims a matched vertex
-        (`flow.stranded_after`): a candidate it strands gets the off-path
-        penalty, any other is left open.  A d without a cover leaves every
-        candidate open."""
+        Each candidate runs its rule's generated splice and score kernel
+        (`flow.splice_kernel`, the one `flow.carry_cover` runs too), given
+        d's terms.  A candidate whose cover splices is valued from d's Pauli
+        sum and separation, with only the segments and the qubit-pair groups
+        it changes worked out again.  Otherwise d's flow sweep is resumed at
+        the first step that claims a matched vertex (`flow.stranded_after`):
+        a candidate it strands gets the off-path penalty, any other is left
+        open.  A d without a cover leaves every candidate open."""
         try:
             parent, terms = _cover_terms(d)
         except NotACircuit:
-            return lambda rule, m, delta: None
+            return lambda rule, m: None
         num_vertices = len(d.vertices())
 
-        def score(rule: Rule, m: Match, delta: MatchDelta) -> Optional[Scored]:
-            nbrs = delta.neighbours(parent.nbrs)
-            splice = splice_cover(parent, rule, delta, nbrs)
+        def score(rule: Rule, m: Match) -> Optional[Scored]:
+            kernel = splice_kernel(rule)
+            splice = None if kernel is None else kernel(m, d, parent, terms)
             if splice is None:
-                stranded = stranded_after(parent, delta, nbrs)
+                delta = match_delta(d, rule, m)
+                stranded = stranded_after(parent, delta, delta.neighbours(parent.nbrs))
                 if not stranded:
                     return None
                 size = num_vertices - len(delta.removed) + len(delta.fresh)
                 return Scored(self._penalty(size, len(stranded)), None)
-            fresh_kind = {v: rule.rhs._vertices[rv] for rv, v in delta.fresh.items()}
-            total = terms.pauli_sum
-            for q, (first, last, new) in splice.segments.items():
-                # the Paulis replaced go, those after the segment shift with
-                # its length, and the new ones count at their positions
-                row = terms.paulis[q]
-                lo, hi = bisect_left(row, first), bisect_right(row, last)
-                total += ((len(new) - (last - first + 1)) * (len(row) - hi) - sum(row[lo:hi])
-                          + sum(first + i for i, w in enumerate(new)
-                                if _is_pauli_kind(fresh_kind[w])))
-            separation = spliced_separation(parent, terms, splice, delta)
-            return Scored(total + self.separation_weight * separation, splice)
+            pauli, separation = splice.terms
+            return Scored(pauli + self.separation_weight * separation, splice)
 
         return score
 
@@ -436,8 +366,8 @@ class Optimiser:
         return res.diagram
 
     def _reduce_rules(self, rules: Sequence[Rule], d: Diagram) -> Diagram:
-        return self._reduce(
-            lambda g, trace: rewrite_first(rules, g, trace, accept=has_path_cover), d)
+        return self._reduce(lambda g, trace: rewrite_first(
+            rules, g, trace, accept=has_path_cover, check=self.cfg.verify_each_step), d)
 
     def _move_pauli(self, d: Diagram, trace: Optional[ProofTrace]) -> Optional[Diagram]:
         """One targeted commutation: the first movable Pauli that some rule,
@@ -449,7 +379,8 @@ class Optimiser:
         rules = self._targeted_rules
         for t in _movable_paulis(d):
             out = rewrite_first(rules, d, trace, accept=has_path_cover,
-                                anchors=[(self._anchors[r.name], t) for r in rules])
+                                anchors=[(self._anchors[r.name], t) for r in rules],
+                                check=self.cfg.verify_each_step)
             if out is not None:
                 return out
         return None
@@ -518,7 +449,7 @@ class Optimiser:
             d = self._cleanup_passes(d)
             d = self._reduce(self._move_pauli, d)
             d = self._reduce(lambda g, trace: rewrite_metric(
-                self._metric_rules, g, self._metric, trace), d)
+                self._metric_rules, g, self._metric, trace, self.cfg.verify_each_step), d)
             d = self._reduce_rules(self._loop_rules, d)
             # refuse: adjacent same-colour structure merges and freed CNOT
             # pairs cancel through the hopf rule

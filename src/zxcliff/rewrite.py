@@ -30,7 +30,9 @@ The same search is the only definition of a match.  `apply_match` accepts a
 match only if the plan rooted at every LHS interior vertex, each pinned to
 the match's image of it, finds that match among its embeddings; otherwise it
 raises StaleMatchError.  So `replay`, which applies each recorded match with
-`apply_match`, accepts exactly the rewrites the matcher could have made.
+`apply_match`, accepts exactly the rewrites the matcher could have made.  The
+selection loop applies the matches its own search just made, so it skips
+that check unless asked to make it (`OptimiserConfig.verify_each_step`).
 
 Diagram isomorphism with the boundary pinned by position (`isomorphic`,
 behind `Diagram.iso_equal`) is read off the two path covers when both
@@ -87,9 +89,10 @@ class Rule:
     ``memo`` holds what other code compiles from the rule, once per rule
     object and dropped with it: its search plans by anchor (``"plans"``), the
     plan rooted at its whole LHS interior that checks each match
-    (``"pinned"``, `apply_match`), its RHS plan (``"rhs"``, `match_delta`)
-    and its cover splice plan (``"splice"``, `flow.splice_cover`).  It takes
-    no part in equality, hashing or the repr."""
+    (``"pinned"``, `apply_match`), its RHS plan (``"rhs"``, `match_delta`),
+    its cover splice plan (``"splice"``) and the splice and score kernel
+    generated from it (``"kernel"``, `flow.splice_kernel`).  It takes no
+    part in equality, hashing or the repr."""
 
     name: str
     lhs: Diagram
@@ -125,13 +128,14 @@ class Rule:
         return Rule(name, swap(self.lhs), swap(self.rhs))
 
 
-@dataclass(frozen=True)
-class Match:
+class Match(NamedTuple):
     """An embedding of a rule's LHS into a target diagram.
 
-    ``boundary_attach`` maps each LHS boundary vertex to the half-edge it
-    stands for: (target edge id, end index of the far vertex).
-    """
+    ``vertex_map`` lists (LHS interior vertex, image) and ``boundary_attach``
+    (LHS boundary vertex, half-edge) in LHS vertex order; a half-edge is
+    (target edge id, end index of the far vertex).  A match is a tuple, so
+    it equals and hashes as the tuple of its fields; every comparison the
+    package makes is between two matches."""
 
     rule_name: str
     vertex_map: Tuple[Tuple[VertexId, VertexId], ...]
@@ -438,16 +442,23 @@ def _kernel(plan: _Plan) -> Callable[..., bool]:
              f"edge_map=em, boundary_attach=ba)))")
         emit("if first: return True")
         lines.append(" return False")
-    source = "\n".join(lines) + "\n"
-    filename = f"<matcher kernel {next(_kernel_files)}>"
-    namespace = {"_sigs": sigs, "permutations": itertools.permutations,
-                 "product": itertools.product}
+    return _compiled("\n".join(lines) + "\n", "matcher kernel", "_k0", {
+        "_sigs": sigs, "permutations": itertools.permutations, "product": itertools.product})
+
+
+def _compiled(source: str, label: str, entry: str, namespace: Dict[str, object]) -> Callable:
+    """The function ``entry`` that generated ``source`` defines, compiled with
+    ``namespace`` as its globals.  Every function the source defines is taken
+    out of the namespace again, so the functions and their globals form no
+    cycle: one function reaches another only through a default argument.
+    The source is registered in `linecache` for as long as the function
+    lives, under a file name that starts with ``<label``."""
+    filename = f"<{label} {next(_kernel_files)}>"
+    given = set(namespace)
     exec(compile(source, filename, "exec"), namespace)
-    # the functions refer to the namespace as their globals; taking them out
-    # leaves no cycle between the two
-    kernel = namespace.pop("_k0")
-    for c in range(1, len(bounds) - 1):
-        del namespace[f"_k{c}"]
+    kernel = namespace[entry]
+    for name in [name for name in namespace if name not in given and name != "__builtins__"]:
+        del namespace[name]
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     weakref.finalize(kernel, linecache.cache.pop, filename, None)
     return kernel
@@ -780,18 +791,23 @@ def apply_match(target: Diagram, rule: Rule, m: Match) -> Diagram:
     with the rule's (`flow.carry_cover`) when the splice passes.  Raises
     StaleMatchError unless m is one of the matcher's embeddings of the
     rule's LHS into target."""
+    _check_embedding(target, rule, m)
+    return _carried(target, rule, m)
+
+
+def _carried(target: Diagram, rule: Rule, m: Match) -> Diagram:
+    """`apply_match` without the check, for a match the matcher has just made."""
     out, delta = _apply(target, rule, m)
     parent = target.memo.get("cover")
     if parent is not None and out._nbrs is not None:
-        cover = carry_cover(parent, rule, delta, out._nbrs)
+        cover = carry_cover(parent, rule, m, target, delta.removed, out._nbrs)
         if cover is not None:
             out.memo["cover"] = cover
     return out
 
 
 def _apply(target: Diagram, rule: Rule, m: Match) -> Tuple[Diagram, MatchDelta]:
-    """`apply_match` without the cover, and the match's delta."""
-    _check_embedding(target, rule, m)
+    """`_carried` without the cover, and the match's delta."""
     delta = match_delta(target, rule, m)
     b = target.builder()
     # the gluing condition makes the matched edges exactly those at matched vertices
@@ -935,7 +951,7 @@ class Scored(NamedTuple):
     splice: Optional[Splice]  # its spliced cover; None when it has no cover
 
 
-def _unscored(rule: Rule, m: Match, delta: MatchDelta) -> Optional[Scored]:
+def _unscored(rule: Rule, m: Match) -> Optional[Scored]:
     return None
 
 
@@ -954,8 +970,8 @@ def rewrite_first(rules: Sequence[Rule], d: Diagram,
                   trace: Optional[ProofTrace] = None,
                   accept: Optional[Callable[[Diagram], bool]] = None,
                   metric: Optional[Metric] = None,
-                  anchors: Optional[Sequence[Optional[Tuple[VertexId, VertexId]]]] = None
-                  ) -> Optional[Diagram]:
+                  anchors: Optional[Sequence[Optional[Tuple[VertexId, VertexId]]]] = None,
+                  check: bool = False) -> Optional[Diagram]:
     """Apply the first candidate, rules in list order and matches in
     canonical order, whose result passes every given test: ``accept`` on the
     built result (the optimiser uses `has_path_cover` to stay within
@@ -970,14 +986,17 @@ def rewrite_first(rules: Sequence[Rule], d: Diagram,
     value is worked out only once there is a candidate.
 
     A metric may offer ``scorer(d)``: a function that values a candidate
-    ``(rule, match, delta)`` of d, with ``delta`` its `match_delta`, without
-    building it, as a `Scored`, or returns None when it cannot tell.  It is
-    asked for on the first match.  The candidates it leaves open, and every
-    candidate of a plain callable, are built and measured, so the choice is
-    the one building every candidate would make.  A scored candidate is
-    built only once its value passes; when its cover was spliced, the cover
-    search on it, which the next step's base needs anyway, must return the
-    same paths."""
+    ``(rule, match)`` of d without building it, as a `Scored`, or returns
+    None when it cannot tell.  It is asked for on the first match.  The
+    candidates it leaves open, and every candidate of a plain callable, are
+    built and measured, so the choice is the one building every candidate
+    would make.  A scored candidate is built only once its value passes;
+    when its cover was spliced, the cover search on it, which the next
+    step's base needs anyway, must return the same paths.
+
+    Every match comes from the matcher's own search on d, so it is applied
+    without `apply_match`'s check that it is one, unless ``check`` asks for
+    that check on every candidate built."""
     base = score = None
     for rule, anchor in zip(rules, itertools.repeat(None) if anchors is None else anchors):
         for m in _search(rule, d, anchor, True):
@@ -987,12 +1006,14 @@ def rewrite_first(rules: Sequence[Rule], d: Diagram,
                     scorer = getattr(metric, "scorer", None)
                     score = _unscored if scorer is None else scorer(d)
                     base = metric(d)
-                scored = score(rule, m, match_delta(d, rule, m))
+                scored = score(rule, m)
             if scored is None or scored.value < base:
+                if check:
+                    _check_embedding(d, rule, m)
                 # a metric's candidates are built without the target's cover:
                 # the scorer has spliced every one it could, and the search
                 # on the accepted one checks the splice from scratch
-                out = apply_match(d, rule, m) if metric is None else _apply(d, rule, m)[0]
+                out = _carried(d, rule, m) if metric is None else _apply(d, rule, m)[0]
                 if scored is not None and scored.splice is not None \
                         and find_path_cover(out).paths != scored.splice.paths():
                     raise AssertionError("a spliced cover differs from the searched one")
@@ -1007,9 +1028,9 @@ def rewrite_first(rules: Sequence[Rule], d: Diagram,
 
 
 def rewrite_metric(rules: Sequence[Rule], d: Diagram, metric: Metric,
-                   trace: Optional[ProofTrace] = None) -> Optional[Diagram]:
+                   trace: Optional[ProofTrace] = None, check: bool = False) -> Optional[Diagram]:
     """Apply the first match (rules in list order) that strictly reduces the metric."""
-    return rewrite_first(rules, d, trace, metric=metric)
+    return rewrite_first(rules, d, trace, metric=metric, check=check)
 
 
 @dataclass

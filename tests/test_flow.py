@@ -1,3 +1,4 @@
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +10,8 @@ from zxcliff.circuit import (GATE_ARITY, Circuit, Gate, circuit, gate,
                              translate)
 from zxcliff.diagram import B, DiagramBuilder, X, Z
 from zxcliff.errors import CrossEdgeColourError, NotACircuit
-from zxcliff.flow import (extract_circuit, find_path_cover, has_path_cover,
-                          is_circuit_like)
+from zxcliff.flow import (RANK_STEP, extract_circuit, find_path_cover, has_path_cover,
+                          is_circuit_like, search_path_cover)
 from zxcliff.passes import simple_form
 from zxcliff.rewrite import apply_match, find_matches
 from zxcliff.semantics import interpret, scalar_free_equal
@@ -250,3 +251,23 @@ def test_extraction_round_trip_random():
         out = extract_circuit(d, pc)
         assert scalar_free_equal(gate_matrix_product(out),
                                  gate_matrix_product(c)), seed
+
+
+@pytest.mark.parametrize("width, depth, seed", [(1, 20, 0), (3, 20, 1), (4, 40, 2), (6, 60, 0)])
+def test_searched_cover_is_ranked_by_its_sweep(width, depth, seed):
+    # a search ranks its cover by the sweep's claims in reverse, the outputs
+    # on top, and hands the claims over as its claim order; the least order
+    # is networkx's least topological order of F2-F3 in vertex-id order
+    d = simple_form(translate(random_clifford_circuit(width, depth, seed)))
+    pc = search_path_cover(d)
+    claims = vars(pc)["claim_order"]
+    order = [*reversed(claims), *d.outputs]
+    assert [pc.rank[v] for v in order] == [i * RANK_STEP for i in range(len(d.vertices()))]
+    assert claims == sorted(pc.succ, key=pc.rank.__getitem__, reverse=True)
+    check_flow_conditions(d, pc)
+    g = nx.DiGraph()
+    g.add_nodes_from(d.vertices())
+    g.add_edges_from((v, u) for v, fv in pc.succ.items() for u in (fv, *d.neighbours(fv))
+                     if u != v)
+    least = list(nx.lexicographical_topological_sort(g))
+    assert sorted(pc.least_rank, key=pc.least_rank.__getitem__) == least

@@ -1,3 +1,5 @@
+import gc
+import linecache
 import random
 import weakref
 
@@ -5,19 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import score_reference
 import select_reference
 from apply_reference import reference_apply_match
 from zxcliff.circuit import (circuit, circuit_size, gate, gate_matrix_product,
                              random_clifford_circuit, translate)
 from zxcliff.diagram import B, Diagram, DiagramBuilder, X, Z
 from zxcliff.errors import NotALineGraph, ReplayDivergence, UnsoundRuleError
-from zxcliff.flow import (_sweep, find_path_cover, has_path_cover, is_circuit_like, splice_cover,
+from zxcliff.flow import (_sweep, find_path_cover, has_path_cover, is_circuit_like, splice_kernel,
                           stranded_after)
 from zxcliff.normal_forms import cc2_contains, line_diagram
 from zxcliff.optimiser import (CommutationMetric, Optimiser, OptimiserConfig, PauliMetric,
                                _replace_run, _replace_whole, canonicalise_blocks, group_crosses,
-                               line_to_pauli_standard, metric_terms, optimise, pair_separation,
-                               spliced_separation)
+                               line_to_pauli_standard, metric_terms, optimise, pair_separation)
 from zxcliff.passes import simple_form
 from zxcliff.rewrite import (ProofStep, ProofTrace, Rule, _result_key, apply_match, find_matches,
                              match_delta, reduce, replay, rewrite_first, rewrite_metric)
@@ -303,7 +305,7 @@ def test_scorer_agrees_with_building(ruleset):
         score = metric.scorer(d)
         for rule in rules:
             for m in find_matches(rule, d):
-                scored = score(rule, m, match_delta(d, rule, m))
+                scored = score(rule, m)
                 out = apply_match(d, rule, m)
                 expected = reference_apply_match(d, rule, m)
                 assert list(out._vertices.items()) == list(expected._vertices.items())
@@ -424,9 +426,9 @@ def test_skipped_candidates_match_their_representative(ruleset, width, depth):
         def scorer(self, g):
             score = super().scorer(g)
 
-            def counted(rule, m, delta):
-                scored.append((rule.name, _result_key(delta)))
-                return score(rule, m, delta)
+            def counted(rule, m):
+                scored.append((rule.name, _result_key(match_delta(g, rule, m))))
+                return score(rule, m)
             return counted
 
     assert rewrite_metric(opt._metric_rules, fixpoint, Counted()) is None
@@ -489,7 +491,7 @@ def test_carried_neighbour_sets_are_never_mutated(ruleset):
                 score = CommutationMetric().scorer(d)
                 for r2 in rules:
                     for m2 in find_matches(r2, d):
-                        scored = score(r2, m2, match_delta(d, r2, m2))
+                        scored = score(r2, m2)
                         outcomes.add(None if scored is None else scored.splice is not None)
                         apply_match(d, r2, m2)
             for g, before in snapshot:
@@ -502,18 +504,32 @@ def test_carried_neighbour_sets_are_never_mutated(ruleset):
 def test_cover_and_scorer_leave_the_diagram_collectable(ruleset):
     # the diagram's memo holds its cover, so a cover, or anything the scorer
     # leaves behind, that held its diagram would make a cycle, which
-    # reference counting alone, with no collection, never frees
+    # reference counting alone, with no collection, never frees.  A rule's
+    # memo holds its splice and score kernel, which must hold neither the
+    # diagram nor its rule: each goes with reference counting, and takes its
+    # generated source out of `linecache` with it
     opt = Optimiser(rules=ruleset)
     d = opt._split_leg_phases(opt._split_cross_legs(
         simple_form(translate(random_clifford_circuit(4, 40, 0)))))
     find_path_cover(d)
-    score = CommutationMetric().scorer(d)
-    scored = [score(rule, m, match_delta(d, rule, m))
-              for rule in opt._metric_rules for m in find_matches(rule, d)]
-    assert any(s is not None and s.splice is not None for s in scored)
-    ref = weakref.ref(d)
-    del d, score
-    assert ref() is None
+    # copies with empty memos generate kernels of their own
+    rules = [Rule(rule.name, rule.lhs, rule.rhs) for rule in opt._metric_rules]
+    gc.disable()
+    try:
+        score = CommutationMetric().scorer(d)
+        scored = [score(rule, m) for rule in rules for m in find_matches(rule, d)]
+        assert any(s is not None and s.splice is not None for s in scored)
+        kernels = [weakref.ref(splice_kernel(rule)) for rule in rules]
+        files = {kernel().__code__.co_filename for kernel in kernels}
+        assert len(files) == len(rules) and files <= linecache.cache.keys()
+        ref = weakref.ref(d)
+        del d, score
+        assert ref() is None
+        del rules
+        assert all(kernel() is None for kernel in kernels)
+        assert not files & linecache.cache.keys()
+    finally:
+        gc.enable()
 
 
 def test_resumed_sweep_agrees_with_sweep(ruleset):
@@ -569,15 +585,15 @@ def test_carried_separation_agrees_with_full_pass(ruleset):
 
     def check(d, parent, rule, m):
         delta = match_delta(d, rule, m)
-        splice = splice_cover(parent, rule, delta, delta.neighbours(parent.nbrs))
+        kernel = splice_kernel(rule)
+        splice = None if kernel is None else kernel(m, d, parent, metric_terms(d, parent))
         if splice is None:
             return
         out = apply_match(d, rule, m)
         pos = find_path_cover(out).pos
         full = sum(map(pair_separation, group_crosses(
             (pos[u], pos[v]) for u, v in map(out.edge_ends, out.edges())).values()))
-        assert spliced_separation(parent, metric_terms(d, parent), splice, delta) == full, \
-            rule.name
+        assert splice.terms[1] == full, rule.name
         resized = {q for q, (first, last, new) in splice.segments.items()
                    if len(new) != last - first + 1}
         lost = {frozenset((parent.pos[r][0], parent.pos[w][0])) for r in delta.removed
@@ -604,8 +620,9 @@ def test_metric_reads_no_edge_ids_or_orientation(ruleset):
     # edges at (a, b) and (b, a), a != b, the one tie `pair_separation` would
     # break by input order; renumbering a built candidate's new edges keeps
     # its value and cover verdict, and shuffling and reversing them in its
-    # delta keeps its score.  (A Diagram stores each edge's ends in order, so
-    # orientation shows only in the delta.)
+    # delta keeps the interpreted score (`score_reference.score`) at the
+    # scorer's.  (A Diagram stores each edge's ends in order, so orientation
+    # shows only in the delta.)
     opt = Optimiser(rules=ruleset)
     rules = opt._metric_rules
     metric = CommutationMetric()
@@ -639,12 +656,15 @@ def test_metric_reads_no_edge_ids_or_orientation(ruleset):
                 assert not any(a != b and (b, a) in ends for a, b in ends)
                 groups += 1
             score = metric.scorer(d)
+            parent = find_path_cover(d)
+            terms = metric_terms(d, parent)
             for rule in rules:
                 for m in find_matches(rule, d):
                     delta = match_delta(d, rule, m)
                     flipped = delta._replace(new_edges=tuple(
                         (v, u) for u, v in rnd.sample(delta.new_edges, len(delta.new_edges))))
-                    scored, again = score(rule, m, delta), score(rule, m, flipped)
+                    scored = score(rule, m)
+                    again = score_reference.score(metric, d, parent, terms, rule, m, flipped)
                     assert (scored and scored.value) == (again and again.value), rule.name
                     out = apply_match(d, rule, m)
                     twin = renumbered(out, d, rnd)

@@ -14,7 +14,7 @@ from zxcliff.circuit import circuit, gate, random_clifford_circuit, translate
 from zxcliff.diagram import B, Diagram, X, Z, opposite_colour
 from zxcliff.errors import (ReplayDivergence, RuleFormatError, StaleMatchError)
 from zxcliff.normal_forms import line_diagram
-from zxcliff.optimiser import CommutationMetric, Optimiser
+from zxcliff.optimiser import CommutationMetric, Optimiser, OptimiserConfig
 from zxcliff.passes import fuse_spiders, h_euler_expand, simple_form
 from zxcliff.rewrite import (Match, ProofStep, ProofTrace, Rule, _build_index, _Index, _index,
                              _plan, _result_key, _search, apply_match, find_matches, match_delta,
@@ -405,15 +405,16 @@ def test_derived_index_agrees_on_fingerprint_corpus(optimiser, monkeypatch):
     from test_fingerprint import GOLDEN
 
     derived = []
+    apply = rewrite._apply
 
     def checked(g, rule, m):
-        out = apply_match(g, rule, m)
+        out, delta = apply(g, rule, m)
         full = _build_index(out)
         derived.append(out.memo["index"] == full)
         _assert_carried_neighbours(g, out)
-        return out
+        return out, delta
 
-    monkeypatch.setattr(rewrite, "apply_match", checked)
+    monkeypatch.setattr(rewrite, "_apply", checked)
     for width, depth, seed in sorted(GOLDEN):
         optimiser.run(random_clifford_circuit(width, depth, seed))
     assert derived and all(derived)
@@ -508,6 +509,48 @@ def test_stale_match_detected():
     other = t(gate("Z", 0), gate("V", 0))
     with pytest.raises(StaleMatchError):
         apply_match(other, GREEN_PI, m)
+
+
+def test_matches_compare_as_the_tuples_of_their_fields(ruleset):
+    # a match is the tuple of its fields: it equals and hashes as the frozen
+    # dataclass it replaced did, by its fields, and each search returns,
+    # the symmetry sets hold and the check compares only matches, so a
+    # plain tuple never meets one
+    target = simple_form(translate(random_clifford_circuit(3, 20, 1)))
+    for rule in ruleset.all_rules():
+        for m in find_matches(rule, target):
+            fields = (m.rule_name, m.vertex_map, m.edge_map, m.boundary_attach)
+            assert m == Match(*fields) and hash(m) == hash(fields)
+            assert Match.from_json_obj(json.loads(json.dumps(m.to_json_obj()))) == m
+            stale = m._replace(rule_name=rule.name + "'")
+            with pytest.raises(StaleMatchError):
+                rewrite._check_embedding(target, rule, stale)
+        symmetries = _plan(rule, None).symmetries
+        assert all(type(a) is Match for a in symmetries)
+        assert len(set(symmetries)) == len(symmetries)
+
+
+def test_selection_loop_checks_its_matches_only_when_asked(ruleset, monkeypatch):
+    # the loop applies the matches its own search made, so it checks them
+    # only under verify_each_step; apply_match and replay always check
+    checked = []
+    check = rewrite._check_embedding
+
+    def counted(target, rule, m):
+        checked.append(rule.name)
+        return check(target, rule, m)
+
+    monkeypatch.setattr(rewrite, "_check_embedding", counted)
+    c = random_clifford_circuit(2, 20, 0)
+    plain = Optimiser(rules=ruleset).run(c)
+    assert not checked
+    verified = Optimiser(OptimiserConfig(verify_each_step=True), rules=ruleset).run(c)
+    rewrites = [s for s in verified.trace.steps if s.kind == "rewrite"]
+    assert rewrites and len(checked) >= len(rewrites)
+    assert verified.trace.to_json() == plain.trace.to_json()
+    checked.clear()
+    replay(plain.trace, ruleset.by_name())
+    assert len(checked) == len(rewrites)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -1,13 +1,13 @@
 """Time named functions of the package inside a warm optimiser pass.
 
     python tools/layer_share.py --width 1 --depth 40 --count 100 \\
-        rewrite.apply_match rewrite._check_embedding diagram.DiagramBuilder.build
+        rewrite.rewrite_first rewrite._carried diagram.DiagramBuilder.build
 
 Each NAME is a function or method given by its module path under
-`zxcliff`: ``rewrite.apply_match``, ``diagram.DiagramBuilder.build``.  A
+`zxcliff`: ``rewrite.rewrite_first``, ``diagram.DiagramBuilder.build``.  A
 function is wrapped wherever a `zxcliff` module binds it, because
-``from .rewrite import apply_match`` copies the binding; a method is wrapped
-on its class.
+``from .rewrite import rewrite_first`` copies the binding; a method is
+wrapped on its class.
 
 One untimed pass over ``random_clifford_circuit(width, depth, seed)`` for
 seeds 0..count-1 loads the rules and compiles what is compiled once (the
@@ -15,9 +15,9 @@ warm-up); then the same pass runs ``--repeat`` times with the wrappers in,
 and the fastest of them is reported.  Per name it prints the calls, the
 microseconds per call including everything under it ("incl") and excluding
 the time in other named functions called from it ("self"), and both as a
-share of the pass's wall time.  So naming ``rewrite.apply_match`` together
-with ``rewrite._check_embedding`` gives, as apply_match's self time, the
-part of a rule application that is not its match check.
+share of the pass's wall time.  So naming ``rewrite.rewrite_first``
+together with ``rewrite._carried`` gives, as rewrite_first's self time, the
+part of a selection step that is not the rewrites it applies.
 
 ``--src DIR`` imports the package from another source tree, so that two
 checkouts are measured with one tool:
