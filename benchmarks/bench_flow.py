@@ -11,21 +11,32 @@ cover, as the phase's `has_path_cover` does: a memo hit.  The `searched`
 case builds the same result without the carry and searches its cover from
 scratch, which is what each step did before covers were carried.
 
+The `least_rank` and `extract` cases time the two flow orders on two
+diagrams: the seeded width-4, depth-40 circuit (the `wide-4q` shape) split
+as above, and the simple form of the seeded width-8, depth-160 circuit.
+`least_rank` works out the least order of a cover searched afresh for each
+round; `extract` reads the circuit off the diagram's cover.
+
 Run with: PYTHONPATH=src python -m pytest benchmarks/bench_flow.py
 """
 
 import pytest
 
 from zxcliff.circuit import random_clifford_circuit, translate
-from zxcliff.flow import find_path_cover, has_path_cover
+from zxcliff.flow import extract_circuit, find_path_cover, has_path_cover, search_path_cover
 from zxcliff.optimiser import Optimiser
 from zxcliff.passes import simple_form
 from zxcliff.rewrite import Match, ProofTrace, _apply, _index, apply_match, rewrite_first
 
 OPT = Optimiser()
 RULES = OPT.rules.init
-DIAGRAM = OPT._split_leg_phases(OPT._split_cross_legs(
-    simple_form(translate(random_clifford_circuit(1, 40, 0)))))
+
+
+def _split(d):
+    return OPT._split_leg_phases(OPT._split_cross_legs(d))
+
+
+DIAGRAM = _split(simple_form(translate(random_clifford_circuit(1, 40, 0))))
 _TRACE = ProofTrace(DIAGRAM)
 rewrite_first(RULES, DIAGRAM, _TRACE, accept=has_path_cover)
 # fresh copies keep every vertex and edge id, so this match applies to them
@@ -57,3 +68,22 @@ def test_rule_step_cover(benchmark, step, memoised):
     had_cover, cover = benchmark.pedantic(step, setup=_warm, rounds=200)
     assert had_cover == memoised
     assert cover.paths == EXPECTED
+
+
+ORDERED = {"wide-4q": _split(simple_form(translate(random_clifford_circuit(4, 40, 0)))),
+           "w8d160": simple_form(translate(random_clifford_circuit(8, 160, 0)))}
+
+
+@pytest.mark.parametrize("name", sorted(ORDERED))
+def test_least_rank(benchmark, name):
+    d = ORDERED[name]
+    rank = benchmark.pedantic(lambda pc: pc.least_rank,
+                              setup=lambda: ((search_path_cover(d),), {}), rounds=100)
+    assert rank == find_path_cover(d).least_rank
+
+
+@pytest.mark.parametrize("name", sorted(ORDERED))
+def test_extract(benchmark, name):
+    d = ORDERED[name]
+    out = benchmark.pedantic(extract_circuit, args=(d, find_path_cover(d)), rounds=50)
+    assert out.width == d.num_inputs

@@ -31,6 +31,13 @@ metric phase values candidates with it without building them, and
 inside the window the check worked out.  When the splice fails,
 `stranded_after` resumes the parent's sweep at the first step that claims a
 matched vertex: the sweep is confluent, so the claims before it stand.
+
+Three orders are worked out by one routine, `least_order`, the least
+topological order of a relation by Kahn's algorithm: a cover's least flow
+order (`PathCover.least_rank`), the events of an extracted circuit
+(`extract_circuit`) and the window of a splice's fresh vertices
+(`splice_kernel`).  One test, `ranks_flow`, checks that a rank orders a flow,
+for a search and for a memoised cover under ``verify_each_step``.
 """
 
 from __future__ import annotations
@@ -41,7 +48,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional,
+                    Sequence, Set, Tuple, TypeVar)
 
 from .diagram import H, X, Z, Diagram, VertexId
 from .errors import CrossEdgeColourError, NotACircuit
@@ -49,6 +57,8 @@ from .passes import is_simple
 
 if TYPE_CHECKING:
     from .rewrite import Match, MatchDelta, Rule
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,9 +78,10 @@ class PathCover:
     position), ``pred`` inverts f (a carried cover gets both from its
     parent's), ``claim_order`` and ``claim_step`` record the sweep (a search
     hands over its own claims), and ``least_rank`` orders the vertices by
-    the least order of F2-F3 in vertex-id order (`_flow_of_paths`).  A cover
-    holds no reference to its diagram, whose memo holds it, or to another
-    cover."""
+    the least order of F2-F3 in vertex-id order (`least_order` on ``succ``
+    and ``nbrs``; a cover's flow is verified, so that order is total).  A
+    cover holds no reference to its diagram, whose memo holds it, or to
+    another cover."""
 
     paths: Tuple[Tuple[VertexId, ...], ...]
     succ: Dict[VertexId, VertexId]
@@ -102,8 +113,11 @@ class PathCover:
     @cached_property
     def least_rank(self) -> Dict[VertexId, int]:
         """A rank whose order is the least topological order of F2-F3 in
-        vertex-id order."""
-        return _flow_of_paths(self.paths, self.nbrs)[1]
+        vertex-id order (`least_order`): v before f(v) and before every
+        other neighbour of f(v), the i-th vertex ranked i * `RANK_STEP`."""
+        nbrs = self.nbrs
+        order = least_order(nbrs, {v: [fv, *(nbrs[fv] - {v})] for v, fv in self.succ.items()})
+        return {v: i * RANK_STEP for i, v in enumerate(order)}
 
 
 # the gap between consecutive ranks of a searched cover, which leaves room
@@ -111,42 +125,44 @@ class PathCover:
 RANK_STEP = 1 << 32
 
 
-def _flow_of_paths(paths: Sequence[Sequence[VertexId]], nbrs: Dict[VertexId, Set[VertexId]]
-                   ) -> Optional[Tuple[Dict[VertexId, VertexId], Dict[VertexId, int]]]:
-    """Build (f, rank) from paths and check F1-F3; None if they fail.
-
-    The order constraints are v -> f(v) and v -> u for every u ~ f(v),
-    u != v; the rank is their least topological order in vertex-id order,
-    the i-th vertex ranked i * `RANK_STEP`."""
-    succ: Dict[VertexId, VertexId] = {}
-    for path in paths:
-        for a, b in zip(path, path[1:]):
-            succ[a] = b
-    indeg: Dict[VertexId, int] = dict.fromkeys(nbrs, 0)
-    for v, fv in succ.items():
-        if v not in nbrs[fv]:
-            return None  # F1
-        indeg[fv] += 1
-        for u in nbrs[fv]:
-            if u != v:
-                indeg[u] += 1
-    ready = [v for v, n in indeg.items() if n == 0]
+def least_order(nodes: Iterable[T], after: Mapping[T, Sequence[T]]) -> List[T]:
+    """The least topological order of ``nodes`` in their own order, where
+    every node in ``after[n]`` must come after n; a pair may repeat.  This is
+    Kahn's algorithm ("Topological sorting of large networks", CACM 1962)
+    with the ready nodes on a heap, so ids and unique key tuples order
+    themselves.  A relation with a cycle leaves the nodes on it, and all
+    after them, out of the result, which is then shorter than ``nodes``."""
+    indeg = dict.fromkeys(nodes, 0)
+    for later in after.values():
+        for u in later:
+            indeg[u] += 1
+    ready = [v for v, n in indeg.items() if not n]
     heapq.heapify(ready)
-    rank: Dict[VertexId, int] = {}
+    order = []
     while ready:
         v = heapq.heappop(ready)
-        rank[v] = len(rank) * RANK_STEP
-        fv = succ.get(v)
-        if fv is None:
-            continue
-        for u in (fv, *nbrs[fv]):
-            if u != v:
-                indeg[u] -= 1
-                if indeg[u] == 0:
-                    heapq.heappush(ready, u)
-    if len(rank) != len(nbrs):
-        return None  # cyclic: no order satisfies F2-F3
-    return succ, rank
+        order.append(v)
+        for u in after.get(v, ()):
+            indeg[u] -= 1
+            if not indeg[u]:
+                heapq.heappush(ready, u)
+    return order
+
+
+def ranks_flow(succ: Mapping[VertexId, VertexId], rank: Mapping[VertexId, int],
+               nbrs: Mapping[VertexId, Set[VertexId]]) -> bool:
+    """Whether ``rank`` orders the flow ``succ`` on the neighbour sets
+    ``nbrs``: each v is a neighbour of f(v) (F1) and ranks strictly below
+    f(v) (F2) and every other neighbour of f(v) (F3).  Vertices that no
+    constraint orders may share a rank."""
+    for v, fv in succ.items():
+        r = rank[v]
+        if r >= rank[fv] or v not in nbrs[fv]:
+            return False
+        for u in nbrs[fv]:
+            if rank[u] <= r and u != v:
+                return False
+    return True
 
 
 def _sweep_from(ready: List[VertexId], unreached: Set[VertexId], inputs: Set[VertexId],
@@ -232,10 +248,8 @@ def search_path_cover(d: Diagram) -> PathCover:
     # when v claims u, every other neighbour of v has been claimed before or
     # is an output, so the claims in reverse, then the outputs, order F2-F3
     rank = {v: i * RANK_STEP for i, v in enumerate(itertools.chain(reversed(succ), d.outputs))}
-    for v, fv in succ.items():
-        # ranks are distinct, so F1 and F3 say v is the least neighbour of f(v)
-        if rank[v] >= rank[fv] or min(map(rank.__getitem__, nbrs[fv])) != rank[v]:
-            raise AssertionError("the flow sweep produced a successor that fails F1-F3")
+    if not ranks_flow(succ, rank, nbrs):
+        raise AssertionError("the flow sweep produced a successor that fails F1-F3")
     paths = []
     for v in d.inputs:
         path = [v]
@@ -424,13 +438,13 @@ def _splice_kernel(rule: "Rule", plan: Tuple) -> Callable[..., Optional[Splice]]
     bounds nothing more).  Each fresh vertex must fit, in pc's rank, between
     the old vertices that must precede and follow it; the later-than
     relation among fresh vertices is fixed too, so its order is worked out
-    once, here, and a cycle in it fails the splice outright.  A constraint
-    between two old vertices needs no check: it is one of pc's, or it runs
-    from a segment's upstream attachment or that vertex's predecessor to
-    the downstream attachment or one of its neighbours, which pc already
-    orders through the replaced segment.  Passing shows the spliced
-    successor is a causal flow, so by uniqueness it is the one
-    `find_path_cover` finds.
+    once, here (`least_order`), and a cycle in it fails the splice
+    outright.  A constraint between two old vertices needs no check: it is
+    one of pc's, or it runs from a segment's upstream attachment or that
+    vertex's predecessor to the downstream attachment or one of its
+    neighbours, which pc already orders through the replaced segment.
+    Passing shows the spliced successor is a causal flow, so by uniqueness
+    it is the one `find_path_cover` finds.
 
     The value: the matched vertices' labels are the LHS's, so the Paulis a
     segment loses and gains sit at fixed offsets from its start, and only
@@ -442,8 +456,6 @@ def _splice_kernel(rule: "Rule", plan: Tuple) -> Callable[..., Optional[Splice]]
     As for the matcher's kernels (`rewrite._kernel`), only integers taken
     from the rule enter the source, and the source is registered in
     `linecache` while the kernel lives."""
-    import graphlib
-
     from .rewrite import _compiled, _tuple
 
     lhs, rhs = rule.lhs, rule.rhs
@@ -542,10 +554,8 @@ def _splice_kernel(rule: "Rule", plan: Tuple) -> Callable[..., Optional[Splice]]
                 if fv == down:
                     # the old neighbours of the downstream attachment bound w too
                     beyond[w] = (down, inner[-1])
-        try:
-            order = list(graphlib.TopologicalSorter(
-                {w: [v for v in later if w in later[v]] for w in later}).static_order())
-        except graphlib.CycleError:
+        order = least_order(later, later)
+        if len(order) < len(later):
             emit(depth, "return None")
             return
         for w in order:
@@ -709,12 +719,16 @@ def stranded_after(parent: PathCover, delta: "MatchDelta",
     return unreached
 
 
-def has_path_cover(d: Diagram) -> bool:
+def cover_or_none(d: Diagram) -> Optional[PathCover]:
+    """d's path cover (`find_path_cover`), or None when it has none."""
     try:
-        find_path_cover(d)
-        return True
+        return find_path_cover(d)
     except NotACircuit:
-        return False
+        return None
+
+
+def has_path_cover(d: Diagram) -> bool:
+    return cover_or_none(d) is not None
 
 
 def is_circuit_like(d: Diagram) -> bool:
@@ -726,8 +740,9 @@ def is_circuit_like(d: Diagram) -> bool:
     return has_path_cover(d)
 
 
-_PHASE_GATES = {(Z, 1): ("S",), (Z, 2): ("Z",), (Z, 3): ("Z", "S"),
-                (X, 1): ("V",), (X, 2): ("X",), (X, 3): ("X", "V")}
+# the 1-qubit gates of each path vertex's (kind, phase)
+_PHASE_GATES = {(Z, 0): (), (Z, 1): ("S",), (Z, 2): ("Z",), (Z, 3): ("Z", "S"),
+                (X, 0): (), (X, 1): ("V",), (X, 2): ("X",), (X, 3): ("X", "V"), (H, 0): ("H",)}
 
 
 def extract_circuit(d: Diagram, pc: PathCover) -> "Circuit":
@@ -735,9 +750,13 @@ def extract_circuit(d: Diagram, pc: PathCover) -> "Circuit":
 
     Path vertices become 1-qubit gates (higher-degree vertices contribute
     their phase gate plus one CNOT per cross edge); cross edges become CNOTs
-    with the Z end as control.  Events are emitted in a fixed linear
-    extension of the flow order: ready events sorted by (max path position,
-    lower qubit).  A permutation between path starts and output positions is
+    with the Z end as control.  Each event has a unique key, (path position,
+    qubit, 0, -1) for a 1-qubit gate and (the later end's position, the
+    lower qubit, 1, edge) for a CNOT, and follows the events at the previous
+    position of each of its qubits; events sharing a vertex commute, so they
+    carry no mutual constraint.  Events are emitted in the least topological
+    order of that relation by key (`least_order`); a cyclic relation is
+    NotACircuit.  A permutation between path starts and output positions is
     realised by trailing CNOT triples (the gate set has no primitive swap in
     extracted output).
     """
@@ -745,27 +764,17 @@ def extract_circuit(d: Diagram, pc: PathCover) -> "Circuit":
 
     pos = pc.pos
     width = len(pc.paths)
-    on_path_edges = set()
-    for path in pc.paths:
-        for a, b in zip(path, path[1:]):
-            es = d.edges_between(a, b)
-            on_path_edges.add(es[0])
-
-    events: List[Tuple[Tuple, List[Gate], Dict[int, int]]] = []
-    # key -> (gates, {qubit: slot_position})
+    on_path_edges = {d.edges_between(a, b)[0] for path in pc.paths for a, b in zip(path, path[1:])}
+    gates: Dict[Tuple, List[Gate]] = {}  # the gates of each event, by key
+    at: List[Dict[int, List[Tuple]]] = [{} for _ in range(width)]  # per qubit, by position
     for q, path in enumerate(pc.paths):
         for p, v in enumerate(path):
             if d.is_boundary(v):
                 continue
-            kind = d.kind(v)
-            if kind == H:
-                events.append(((p, q, 0, -1), [Gate("H", (q,))], {q: p}))
-                continue
-            phase = d.phase(v)
-            if phase:
-                names = _PHASE_GATES[(kind, phase)]
-                events.append(((p, q, 0, -1),
-                               [Gate(n, (q,)) for n in names], {q: p}))
+            names = _PHASE_GATES[d.kind(v), d.phase(v)]
+            if names:
+                gates[p, q, 0, -1] = [Gate(n, (q,)) for n in names]
+                at[q].setdefault(p, []).append((p, q, 0, -1))
     for e in sorted(d.edges()):
         if e in on_path_edges:
             continue
@@ -782,35 +791,21 @@ def extract_circuit(d: Diagram, pc: PathCover) -> "Circuit":
         if qz == qx:
             raise NotACircuit(f"cross edge {e} lies within one path")
         key = (max(pz, px), min(qz, qx), 1, e)
-        events.append((key, [Gate("CNOT", (qz, qx))], {qz: pz, qx: px}))
+        gates[key] = [Gate("CNOT", (qz, qx))]
+        at[qz].setdefault(pz, []).append(key)
+        at[qx].setdefault(px, []).append(key)
 
-    # schedule: per qubit, events are ordered by path position; events sharing
-    # a vertex (same position) commute, so they carry no mutual constraint
-    per_q: Dict[int, List[Tuple[int, int]]] = {q: [] for q in range(width)}
-    for idx, (key, gates, slots) in enumerate(events):
-        for q, p in slots.items():
-            per_q[q].append((p, idx))
-
-    emitted: List[Gate] = []
-    done = [False] * len(events)
-    remaining = len(events)
-
-    def ready_now(idx: int) -> bool:
-        for q, p in events[idx][2].items():
-            for p2, j in per_q[q]:
-                if p2 < p and not done[j]:
-                    return False
-        return True
-
-    while remaining:
-        ready = sorted((events[idx][0], idx) for idx in range(len(events))
-                       if not done[idx] and ready_now(idx))
-        if not ready:
-            raise NotACircuit("event schedule deadlocked (flow order cyclic)")
-        _, idx = ready[0]
-        done[idx] = True
-        remaining -= 1
-        emitted.extend(events[idx][1])
+    after: Dict[Tuple, List[Tuple]] = {}
+    for by_pos in at:
+        prev: List[Tuple] = []
+        for p in sorted(by_pos):
+            for key in prev:
+                after.setdefault(key, []).extend(by_pos[p])
+            prev = by_pos[p]
+    order = least_order(gates, after)
+    if len(order) < len(gates):
+        raise NotACircuit("event schedule deadlocked (flow order cyclic)")
+    emitted = [g for key in order for g in gates[key]]
 
     # trailing permutation: path q must deliver its value at output position
     # target[q]; realise by swaps (each swap = CNOT TONC CNOT)

@@ -14,7 +14,8 @@ The member keys come from composing the 24 CC1 matrices with the 20 core
 matrices; no member diagram is contracted to build the family, and each
 member diagram is built on first use.  That the keys of the member diagrams
 themselves are the composed ones is checked densely in the test suite, and
-every lookup re-checks the member it returns against the queried matrix.
+every lookup re-checks the member it returns against the queried matrix,
+comparing it with the member's own matrix, contracted once on first use.
 
 Tables are built lazily once per process and shared read-only.
 """
@@ -22,7 +23,7 @@ Tables are built lazily once per process and shared read-only.
 from __future__ import annotations
 
 from collections.abc import Sequence as SequenceABC
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -130,15 +131,14 @@ class CC1Table:
         if len(members) != 24:
             raise AssertionError(f"expected 24 members, found {len(members)}")
         self.members: Tuple[Diagram, ...] = tuple(members)
-        self.keys: Dict[Tuple, int] = {}
-        for i, m in enumerate(self.members):
-            self.keys[canonical_key(interpret(m))] = i
+        self._matrices = [interpret(m) for m in self.members]
+        self.keys: Dict[Tuple, int] = {canonical_key(m): i for i, m in enumerate(self._matrices)}
 
     def lookup(self, matrix: np.ndarray) -> Tuple[int, Diagram]:
         idx = self.keys.get(canonical_key(matrix))
         if idx is None:
             raise NotAClifford("matrix is not a 1-qubit Clifford (no key match)")
-        if not scalar_free_equal(interpret(self.members[idx]), matrix):
+        if not scalar_free_equal(self._matrices[idx], matrix):
             raise NotAClifford("key collision outside tolerance")
         return idx, self.members[idx]
 
@@ -203,8 +203,8 @@ class _Memo(SequenceABC):
     """A read-only sequence whose item i is made by ``make(i)`` on first
     access and kept, so every later access returns the same object."""
 
-    def __init__(self, n: int, make: Callable[[int], Diagram]):
-        self._items: List[Optional[Diagram]] = [None] * n
+    def __init__(self, n: int, make: Callable[[int], Any]):
+        self._items: List[Any] = [None] * n
         self._make = make
 
     def __len__(self) -> int:
@@ -249,6 +249,8 @@ class CC2Family:
                         self.keys[k] = len(self.shapes)
                         self.shapes.append((shape, ai, bi, i1, i2))
         self.members: Sequence[Diagram] = _Memo(len(self.shapes), self._member)
+        self._matrices: Sequence[np.ndarray] = _Memo(
+            len(self.shapes), lambda i: interpret(self.members[i]))
         if len(self.members) != 11520:
             raise AssertionError(f"expected 11520 members, found {len(self.members)}")
 
@@ -266,11 +268,16 @@ class CC2Family:
             raise NotAClifford("matrix is not a 2-qubit Clifford (no key match)")
         return idx
 
-    def lookup(self, matrix: np.ndarray) -> Diagram:
-        member = self.members[self.index(matrix)]
-        if not scalar_free_equal(interpret(member), matrix):
+    def find(self, matrix: np.ndarray) -> Tuple[int, Diagram]:
+        """The `index` of the matrix's member and the member, checked
+        against the matrix."""
+        idx = self.index(matrix)
+        if not scalar_free_equal(self._matrices[idx], matrix):
             raise NotAClifford("key collision outside tolerance")
-        return member
+        return idx, self.members[idx]
+
+    def lookup(self, matrix: np.ndarray) -> Diagram:
+        return self.find(matrix)[1]
 
     def contains(self, d: Diagram) -> bool:
         """Structural membership: d must be isomorphic to a member."""

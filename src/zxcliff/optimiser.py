@@ -52,8 +52,9 @@ import numpy as np
 from .circuit import Circuit, circuit_size, translate
 from .diagram import B, H, X, Z, Diagram, DiagramBuilder, EdgeId, VertexId
 from .errors import NotACircuit, NotALineGraph, StaleMatchError
-from .flow import (PathCover, _is_pauli_kind, extract_circuit, find_path_cover, has_path_cover,
-                   pair_separation, search_path_cover, splice_kernel, stranded_after)
+from .flow import (PathCover, _is_pauli_kind, cover_or_none, extract_circuit, find_path_cover,
+                   has_path_cover, pair_separation, ranks_flow, search_path_cover, splice_kernel,
+                   stranded_after)
 from .normal_forms import cc1_table, cc2_family, line_diagram
 from .passes import (fuse_spiders, h_euler_expand, hopf_reduce, pi_copy,
                      remove_identities, remove_self_loops, simple_form,
@@ -224,9 +225,8 @@ def _is_pauli(d: Diagram, v: VertexId) -> bool:
 def _movable_paulis(d: Diagram) -> Iterator[VertexId]:
     """Input-major, then path position: every Pauli at position >= 1 whose
     predecessor is a non-Pauli spider or a CNOT leg; none without a cover."""
-    try:
-        pc = find_path_cover(d)
-    except NotACircuit:
+    pc = cover_or_none(d)
+    if pc is None:
         return
     for path in pc.paths:
         for p, v in enumerate(path):
@@ -292,16 +292,14 @@ class Optimiser:
         if d.neighbour_sets() != searched.nbrs:
             raise AssertionError("a carried neighbour map differs from the diagram's")
         # a memoised cover may have been carried through a rewrite: it must be
-        # the searched one, with a rank that orders every F2-F3 constraint
+        # the searched one, with a rank that orders F1-F3 (`ranks_flow`)
         cover = d.memo.get("cover")
         if cover is None:
             return
         if cover.paths != searched.paths or cover.succ != searched.succ:
             raise AssertionError("a memoised cover differs from the searched one")
-        rank, nbrs = cover.rank, searched.nbrs
-        if rank.keys() != nbrs.keys() or any(
-                rank[v] >= rank[u] for v, fv in cover.succ.items() for u in (fv, *nbrs[fv])
-                if u != v):
+        if cover.rank.keys() != searched.nbrs.keys() \
+                or not ranks_flow(cover.succ, cover.rank, searched.nbrs):
             raise AssertionError("a memoised cover's rank breaks F2-F3")
 
     # -- phases ----------------------------------------------------------------
@@ -589,9 +587,7 @@ def _replace_whole(d: Diagram, member: Diagram) -> Diagram:
 
 def _cc2_member(d: Diagram) -> Tuple[int, Diagram]:
     """The CC2 member of d's interpretation: its index and the member."""
-    fam = cc2_family()
-    matrix = interpret(d)
-    return fam.index(matrix), fam.lookup(matrix)
+    return cc2_family().find(interpret(d))
 
 
 # replay derives each semantic step again, with the helpers that made it

@@ -76,8 +76,8 @@ from operator import itemgetter
 from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .diagram import B, Diagram, EdgeId, VertexId
-from .errors import NotACircuit, ReplayDivergence, RuleFormatError, StaleMatchError
-from .flow import PathCover, Splice, carry_cover, find_path_cover
+from .errors import ReplayDivergence, RuleFormatError, StaleMatchError
+from .flow import PathCover, Splice, carry_cover, cover_or_none, find_path_cover
 
 Metric = Callable[[Diagram], int]
 
@@ -639,17 +639,10 @@ def isomorphic(a: Diagram, b: Diagram) -> bool:
     if (a.signature() != b.signature() or len(a._vertices) != len(b._vertices)
             or len(a._edges) != len(b._edges)):
         return False
-    ca, cb = _cover_or_none(a), _cover_or_none(b)
+    ca, cb = cover_or_none(a), cover_or_none(b)
     if ca is not None and cb is not None:
         return _cover_shape(a, ca) == _cover_shape(b, cb)
     return ca is None and cb is None and _matched_whole(a, b)
-
-
-def _cover_or_none(d: Diagram) -> Optional[PathCover]:
-    try:
-        return find_path_cover(d)
-    except NotACircuit:
-        return None
 
 
 def _cover_shape(d: Diagram, pc: PathCover) -> Tuple:

@@ -4,14 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flow_reference
 from flow_reference import reference_cover
 from zxcliff.circuit import (GATE_ARITY, Circuit, Gate, circuit, gate,
                              gate_matrix_product, random_clifford_circuit,
                              translate)
 from zxcliff.diagram import B, DiagramBuilder, X, Z
 from zxcliff.errors import CrossEdgeColourError, NotACircuit
-from zxcliff.flow import (RANK_STEP, extract_circuit, find_path_cover, has_path_cover,
-                          is_circuit_like, search_path_cover)
+from zxcliff.flow import (RANK_STEP, PathCover, cover_or_none, extract_circuit, find_path_cover,
+                          has_path_cover, is_circuit_like, least_order, ranks_flow,
+                          search_path_cover)
+from zxcliff.optimiser import Optimiser
 from zxcliff.passes import simple_form
 from zxcliff.rewrite import apply_match, find_matches
 from zxcliff.semantics import interpret, scalar_free_equal
@@ -125,6 +128,30 @@ def test_interleaved_crosses_fail_f3():
     assert not has_path_cover(d)
 
 
+def test_cover_or_none_is_the_memoised_cover_or_none():
+    d = t(gate("CNOT", 0, 1))
+    assert cover_or_none(d) is find_path_cover(d)
+    assert cover_or_none(bridge_gadget()) is None
+
+
+def test_ranks_flow_checks_f1_to_f3():
+    d = t(gate("CNOT", 0, 1))
+    pc = search_path_cover(d)
+    assert ranks_flow(pc.succ, pc.rank, pc.nbrs)
+    # vertices that no constraint orders may share a rank
+    i0, i1 = d.inputs
+    assert ranks_flow(pc.succ, {**pc.rank, i1: pc.rank[i0]}, pc.nbrs)
+    # F2: a vertex ranked with its successor
+    v, fv = next(iter(pc.succ.items()))
+    assert not ranks_flow(pc.succ, {**pc.rank, v: pc.rank[fv]}, pc.nbrs)
+    # F3: a vertex ranked with another neighbour of its successor
+    v, fv = next((v, fv) for v, fv in pc.succ.items() if len(pc.nbrs[fv]) > 2)
+    u = next(u for u in pc.nbrs[fv] if u not in (v, pc.succ.get(fv)))
+    assert not ranks_flow(pc.succ, {**pc.rank, u: pc.rank[v]}, pc.nbrs)
+    # F1: a successor that is not a neighbour
+    assert not ranks_flow({i0: d.outputs[1]}, pc.rank, pc.nbrs)
+
+
 def test_is_circuit_like_on_pipeline_outputs(optimiser):
     for seed in range(8):
         c = random_clifford_circuit(2, 12, seed)
@@ -224,6 +251,36 @@ def test_extract_decomposes_shared_control():
     assert scalar_free_equal(gate_matrix_product(out), interpret(d))
 
 
+def crossing_cnots():
+    """The diagram of `test_interleaved_crosses_fail_f3`, with the cover its
+    wires suggest: two CNOTs, each later than the other on one of the
+    wires.  No order satisfies F2-F3, so the search finds no cover."""
+    b = DiagramBuilder()
+    i0, i1 = b.add_vertex(B), b.add_vertex(B)
+    za, xb = b.add_vertex(Z, 0), b.add_vertex(X, 0)
+    zc, xd = b.add_vertex(Z, 0), b.add_vertex(X, 0)
+    o0, o1 = b.add_vertex(B), b.add_vertex(B)
+    for u, v in [(i0, za), (za, xb), (xb, o0), (i1, zc), (zc, xd), (xd, o1), (za, xd),
+                 (zc, xb)]:
+        b.add_edge(u, v)
+    b.set_boundaries([i0, i1], [o0, o1])
+    d = b.build()
+    paths = ((i0, za, xb, o0), (i1, zc, xd, o1))
+    succ = {a: b for path in paths for a, b in zip(path, path[1:])}
+    rank = {v: i for i, v in enumerate(sorted(d.vertices()))}
+    return d, PathCover(paths, succ, rank, d.neighbour_sets(), frozenset(d.inputs))
+
+
+def test_extract_refuses_crossing_cnots():
+    # the events' order is cyclic, so extraction deadlocks, as the
+    # scheduler it replaced did
+    d, pc = crossing_cnots()
+    assert not has_path_cover(d)
+    for extract in (extract_circuit, flow_reference.extract_circuit):
+        with pytest.raises(NotACircuit, match="deadlocked"):
+            extract(d, pc)
+
+
 def test_extract_cross_edge_colour_checked():
     b = DiagramBuilder()
     i0, i1 = b.add_vertex(B), b.add_vertex(B)
@@ -271,3 +328,67 @@ def test_searched_cover_is_ranked_by_its_sweep(width, depth, seed):
                      if u != v)
     least = list(nx.lexicographical_topological_sort(g))
     assert sorted(pc.least_rank, key=pc.least_rank.__getitem__) == least
+
+
+# -- least order ------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(1, 12), data=st.data())
+def test_least_order_agrees_with_networkx(n, data):
+    # a random relation with repeated pairs: acyclic, it gives networkx's
+    # least topological order; cyclic, the nodes on a cycle or after one are
+    # left out and the rest come in networkx's order of the rest
+    node = st.integers(0, n - 1)
+    pairs = data.draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    pairs += data.draw(st.lists(st.sampled_from(pairs), max_size=n)) if pairs else []
+    after = {}
+    for a, b in pairs:
+        after.setdefault(a, []).append(b)
+    order = least_order(range(n), after)
+    g = nx.DiGraph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(pairs)
+    cyclic = {v for c in nx.strongly_connected_components(g)
+              if len(c) > 1 or g.has_edge(*2 * [min(c)]) for v in c}
+    blocked = cyclic.union(*(nx.descendants(g, v) for v in cyclic))
+    assert (len(order) < n) == bool(cyclic)
+    assert order == list(nx.lexicographical_topological_sort(g.subgraph(set(g) - blocked)))
+
+
+def test_least_order_orders_key_tuples():
+    keys = [(2, 0, 1, 5), (1, 1, 0, -1), (1, 0, 0, -1), (3, 0, 1, 2)]
+    assert least_order(keys, {}) == sorted(keys)
+    assert least_order(keys, {(3, 0, 1, 2): [(1, 0, 0, -1)]}) == [
+        (1, 1, 0, -1), (2, 0, 1, 5), (3, 0, 1, 2), (1, 0, 0, -1)]
+    assert least_order(keys, {keys[0]: [keys[1]], keys[1]: [keys[0]]}) == [keys[2], keys[3]]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(width=st.integers(1, 8), depth=st.integers(1, 50), seed=st.integers(0, 10**6),
+       data=st.data())
+def test_extract_agrees_with_reference(ruleset, width, depth, seed, data):
+    # on a simple form, on its split form and on the carried covers of a
+    # chain of random rewrites of that, extraction gives the reference's
+    # circuit, or fails the same way
+    d = simple_form(translate(random_clifford_circuit(width, depth, seed)))
+    opt = Optimiser(rules=ruleset)
+    diagrams = [d, opt._split_leg_phases(opt._split_cross_legs(d))]
+    rules = ruleset.init + ruleset.pauli_commute + ruleset.cnot_commute + ruleset.c2
+    for _ in range(data.draw(st.integers(1, 8))):
+        g = diagrams[-1]
+        find_path_cover(g)
+        candidates = [(rule, m) for rule in rules for m in find_matches(rule, g)]
+        if not candidates:
+            break
+        out = apply_match(g, *data.draw(st.sampled_from(candidates)))
+        if "cover" in out.memo:
+            diagrams.append(out)
+    for g in diagrams:
+        pc = find_path_cover(g)
+        try:
+            expected = flow_reference.extract_circuit(g, pc)
+        except (NotACircuit, CrossEdgeColourError) as exc:
+            with pytest.raises(type(exc)):
+                extract_circuit(g, pc)
+            continue
+        assert extract_circuit(g, pc) == expected

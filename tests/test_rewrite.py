@@ -402,7 +402,7 @@ def test_derived_index_agrees_on_fingerprint_corpus(optimiser, monkeypatch):
     # every rewrite the optimiser makes on the pinned fingerprint circuits
     # has an indexed parent with its neighbour map, so every result's index
     # is derived and its neighbour map carried
-    from test_fingerprint import GOLDEN
+    from test_fingerprint import GOLDEN, LARGE
 
     derived = []
     apply = rewrite._apply
@@ -415,7 +415,7 @@ def test_derived_index_agrees_on_fingerprint_corpus(optimiser, monkeypatch):
         return out, delta
 
     monkeypatch.setattr(rewrite, "_apply", checked)
-    for width, depth, seed in sorted(GOLDEN):
+    for width, depth, seed in sorted(set(GOLDEN) - LARGE):
         optimiser.run(random_clifford_circuit(width, depth, seed))
     assert derived and all(derived)
 
@@ -423,7 +423,7 @@ def test_derived_index_agrees_on_fingerprint_corpus(optimiser, monkeypatch):
 def test_match_keys_are_distinct_on_fingerprint_corpus(optimiser, monkeypatch):
     # the loop keeps the least match of each symmetry orbit by `Match.key`,
     # so no two embeddings that the optimiser's searches meet share a key
-    from test_fingerprint import GOLDEN
+    from test_fingerprint import GOLDEN, LARGE
 
     search = rewrite._search
     distinct = []
@@ -434,7 +434,7 @@ def test_match_keys_are_distinct_on_fingerprint_corpus(optimiser, monkeypatch):
         return search(rule, g, anchor, pruned)
 
     monkeypatch.setattr(rewrite, "_search", checked)
-    for width, depth, seed in sorted(GOLDEN):
+    for width, depth, seed in sorted(set(GOLDEN) - LARGE):
         optimiser.run(random_clifford_circuit(width, depth, seed))
     assert distinct and all(distinct)
 
