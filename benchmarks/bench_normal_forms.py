@@ -1,5 +1,6 @@
-"""Micro-benchmark of the CC2 family: its cold build, and the per-circuit
-index and member fetch that the optimiser's two-qubit fallback makes.
+"""Micro-benchmark of the normal-form tables: the cold builds of the CC1
+table and the CC2 family, and the per-circuit index and member fetch that
+the optimiser's two-qubit fallback makes.
 
 The fetch runs on the dense matrix of one fixed diagram, the seeded width-2,
 depth-20 circuit, against a fresh family per round, so it pays for building
@@ -9,7 +10,7 @@ Run with: PYTHONPATH=src python -m pytest benchmarks/bench_normal_forms.py
 """
 
 from zxcliff.circuit import random_clifford_circuit, translate
-from zxcliff.normal_forms import CC2Family, cc1_table
+from zxcliff.normal_forms import CC1Table, CC2Family, cc1_table
 from zxcliff.semantics import interpret
 
 CC1 = cc1_table()
@@ -18,6 +19,11 @@ MATRIX = interpret(translate(random_clifford_circuit(2, 20, 0)))
 
 def _fetch(fam):
     return fam.members[fam.index(MATRIX)]
+
+
+def test_cc1_build(benchmark):
+    table = benchmark.pedantic(CC1Table, rounds=10)
+    assert len(table.members) == 24
 
 
 def test_cc2_build(benchmark):

@@ -403,19 +403,29 @@ class Diagram:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "Diagram":
-        vertices = {}
-        for item in obj["vertices"]:
-            v = int(item["id"])
-            if v in vertices:
-                raise DiagramInvariantError(f"vertex {v} is listed twice")
-            vertices[v] = (item["kind"], int(item.get("phase", 0)))
-        edges = {i: (int(u), int(v)) for i, (u, v) in enumerate(obj["edges"])}
-        return Diagram(vertices, edges, [int(v) for v in obj["inputs"]],
-                       [int(v) for v in obj["outputs"]])
+        """The diagram `to_json_obj` wrote; DiagramInvariantError when obj is
+        not such an object or breaks an invariant."""
+        try:
+            vertices = {}
+            for item in obj["vertices"]:
+                v = int(item["id"])
+                if v in vertices:
+                    raise DiagramInvariantError(f"vertex {v} is listed twice")
+                vertices[v] = (item["kind"], int(item.get("phase", 0)))
+            edges = {i: (int(u), int(v)) for i, (u, v) in enumerate(obj["edges"])}
+            return Diagram(vertices, edges, [int(v) for v in obj["inputs"]],
+                           [int(v) for v in obj["outputs"]])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DiagramInvariantError(
+                f"malformed diagram ({type(exc).__name__}: {exc})") from None
 
     @staticmethod
     def from_json(text: str) -> "Diagram":
-        return Diagram.from_json_obj(json.loads(text))
+        try:
+            obj = json.loads(text)
+        except ValueError as exc:
+            raise DiagramInvariantError(f"diagram is not JSON: {exc}") from None
+        return Diagram.from_json_obj(obj)
 
     def __repr__(self) -> str:
         parts = []

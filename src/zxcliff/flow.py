@@ -19,12 +19,12 @@ sets (`Diagram.neighbour_sets`), which a rewrite carries to its result.
 
 `find_path_cover` builds one `PathCover` per diagram, which holds everything
 later steps read of the cover: the paths, the flow and a rank ordering it,
-and, worked out on first use, positions, predecessors, a record of the sweep
-and the least order of the flow.  A rewrite's cover is spliced from its
-parent's: the rule's RHS cover takes the place of the matched segments, and
-a local check proves the result a causal flow, so by uniqueness it is the
-cover.  Each rule generates the splice as one straight-line function on its
-first use (`splice_kernel`), as the matcher generates its searches.  The
+and, worked out on first use, positions, a record of the sweep and the least
+order of the flow.  A rewrite's cover is spliced from its parent's: the
+rule's RHS cover takes the place of the matched segments, and a local check
+proves the result a causal flow, so by uniqueness it is the cover.  Each
+rule generates the splice as one straight-line function on its first use
+(`splice_kernel`), as the matcher generates its searches.  The
 metric phase values candidates with it without building them, and
 `rewrite.apply_match` carries the spliced cover to the diagram it builds
 (`carry_cover`), ranked by the parent's rank with each new vertex placed
@@ -75,13 +75,12 @@ class PathCover:
     need be the least order.  ``nbrs`` and ``inputs`` are the diagram's
     neighbour sets and inputs, which a splice and a resumed sweep read.  The
     rest is worked out on first use: ``pos`` maps each vertex to its (path,
-    position), ``pred`` inverts f (a carried cover gets both from its
-    parent's), ``claim_order`` and ``claim_step`` record the sweep (a search
-    hands over its own claims), and ``least_rank`` orders the vertices by
-    the least order of F2-F3 in vertex-id order (`least_order` on ``succ``
-    and ``nbrs``; a cover's flow is verified, so that order is total).  A
-    cover holds no reference to its diagram, whose memo holds it, or to
-    another cover."""
+    position) (a carried cover patches its parent's), ``claim_order`` and
+    ``claim_step`` record the sweep (a search hands over its own claims),
+    and ``least_rank`` orders the vertices by the least order of F2-F3 in
+    vertex-id order (`least_order` on ``succ`` and ``nbrs``; a cover's flow
+    is verified, so that order is total).  A cover holds no reference to its
+    diagram, whose memo holds it, or to another cover."""
 
     paths: Tuple[Tuple[VertexId, ...], ...]
     succ: Dict[VertexId, VertexId]
@@ -92,10 +91,6 @@ class PathCover:
     @cached_property
     def pos(self) -> Dict[VertexId, Tuple[int, int]]:
         return {v: (q, p) for q, path in enumerate(self.paths) for p, v in enumerate(path)}
-
-    @cached_property
-    def pred(self) -> Dict[VertexId, VertexId]:
-        return {b: a for a, b in self.succ.items()}
 
     @cached_property
     def claim_order(self) -> List[VertexId]:
@@ -332,26 +327,20 @@ class Splice:
 def _splice_plan(rule: "Rule") -> Optional[Tuple]:
     """Each LHS cover path as (start boundary, interior, end boundary,
     interior of the RHS cover path between the same boundary positions), or
-    None when a side has no cover or the two covers pair the boundary apart;
-    memoised in ``rule.memo["splice"]``."""
-    if "splice" in rule.memo:
-        return rule.memo["splice"]
-    plan: Optional[Tuple] = None
+    None when a side has no cover or the two covers pair the boundary apart.
+    `splice_kernel` works it out once per rule."""
     try:
         lhs_paths = find_path_cover(rule.lhs).paths
         rhs_paths = find_path_cover(rule.rhs).paths
     except NotACircuit:
-        pass
-    else:
-        lhs_b = rule.lhs.inputs + rule.lhs.outputs
-        rhs_b = rule.rhs.inputs + rule.rhs.outputs
-        rhs_between = {(rhs_b.index(p[0]), rhs_b.index(p[-1])): p[1:-1] for p in rhs_paths}
-        ends = [(lhs_b.index(p[0]), lhs_b.index(p[-1])) for p in lhs_paths]
-        if all(e in rhs_between for e in ends):
-            plan = tuple((p[0], p[1:-1], p[-1], rhs_between[e])
-                         for p, e in zip(lhs_paths, ends))
-    rule.memo["splice"] = plan
-    return plan
+        return None
+    lhs_b = rule.lhs.inputs + rule.lhs.outputs
+    rhs_b = rule.rhs.inputs + rule.rhs.outputs
+    rhs_between = {(rhs_b.index(p[0]), rhs_b.index(p[-1])): p[1:-1] for p in rhs_paths}
+    ends = [(lhs_b.index(p[0]), lhs_b.index(p[-1])) for p in lhs_paths]
+    if not all(e in rhs_between for e in ends):
+        return None
+    return tuple((p[0], p[1:-1], p[-1], rhs_between[e]) for p, e in zip(lhs_paths, ends))
 
 
 def _is_pauli_kind(kind_phase: Tuple[str, int]) -> bool:
@@ -656,10 +645,9 @@ def carry_cover(parent: PathCover, rule: "Rule", m: "Match", target: Diagram,
     The paths are the splice's, the flow the parent's without the removed
     vertices and with the splice's changed successors, and the rank the
     splice's placement in the parent's.  By uniqueness the flow is the one
-    `search_path_cover` finds.  Positions and predecessors are the parent's
-    too, patched the same way: the positions are numbered again only on the
-    spliced paths, from each segment on.  The result refers to no cover or
-    diagram."""
+    `search_path_cover` finds.  The positions are the parent's too, without
+    the removed vertices and numbered again only on the spliced paths, from
+    each segment on.  The result refers to no cover or diagram."""
     kernel = splice_kernel(rule)
     splice = None if kernel is None else kernel(m, target, parent, None)
     if splice is None:
@@ -667,21 +655,19 @@ def carry_cover(parent: PathCover, rule: "Rule", m: "Match", target: Diagram,
     rank = splice.rank(removed)
     if rank is None:
         return None
-    succ, pred, pos = parent.succ.copy(), parent.pred.copy(), parent.pos.copy()
+    succ, pos = parent.succ.copy(), parent.pos.copy()
     for v in removed:
-        # every matched vertex lies inside a segment, so it has a successor and
-        # a predecessor; those left on the path get new ones from the splice
-        del succ[v], pred[v], pos[v]
+        # every matched vertex lies inside a segment, so it has a successor;
+        # those left on the path get new ones from the splice
+        del succ[v], pos[v]
     succ.update(splice.succ)
-    for a, b in splice.succ.items():
-        pred[b] = a
     paths = splice.paths()
     for q, (first, _, _) in splice.segments.items():
         path = paths[q]
         for p in range(first, len(path)):
             pos[path[p]] = (q, p)
     cover = PathCover(paths, succ, rank, nbrs, parent.inputs)
-    vars(cover).update(pos=pos, pred=pred)
+    vars(cover)["pos"] = pos
     return cover
 
 

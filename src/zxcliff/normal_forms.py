@@ -2,26 +2,30 @@
 
 CC1 holds one diagram per element of the reduced 1-qubit Clifford group:
 the identity wire, six one-vertex forms, thirteen two-vertex forms and four
-three-vertex forms.  CC2 is generated from four shapes (tensor, swap, CNOT
-and swapped-CNOT) dressed with CC1 blocks and the small post-CNOT parameter
-families; its size 24*24*(1+1+9+9) = 11520 equals the order of the reduced
-2-qubit Clifford group, so distinctness of all member keys makes the family
-a complete set of representatives.
+three-vertex forms.  It is built in one pass over 41 short line diagrams,
+each contracted once, and keeps each member's matrix and (kind, phase)
+sequence from that pass.  CC2 is generated from four shapes (tensor, swap,
+CNOT and swapped-CNOT) dressed with CC1 blocks and the small post-CNOT
+parameter families; its size 24*24*(1+1+9+9) = 11520 equals the order of
+the reduced 2-qubit Clifford group, so distinctness of all member keys makes
+the family a complete set of representatives.
 
 Every CC2 member is a core (one shape with its post-CNOT parameters, 20 in
 all) after a CC1 block on each wire, so its matrix is core @ kron(c1, c2).
-The member keys come from composing the 24 CC1 matrices with the 20 core
-matrices; no member diagram is contracted to build the family, and each
-member diagram is built on first use.  That the keys of the member diagrams
-themselves are the composed ones is checked densely in the test suite, and
-every lookup re-checks the member it returns against the queried matrix,
-comparing it with the member's own matrix, contracted once on first use.
+The member keys come from composing the 24 stored CC1 matrices with the 20
+core matrices; only the cores are contracted to build the family, and each
+member diagram is built on first use from the stored CC1 sequences.  That
+the keys of the member diagrams themselves are the composed ones is checked
+densely in the test suite, and every lookup re-checks the member it returns
+against the queried matrix, comparing it with the member's own matrix,
+contracted once on first use.
 
 Tables are built lazily once per process and shared read-only.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Sequence as SequenceABC
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -92,47 +96,31 @@ def _line_pool(max_vertices: int) -> List[List[Tuple[str, int]]]:
 
 
 class CC1Table:
-    """The 24 single-qubit minimal forms with precomputed oracle keys."""
+    """The 24 single-qubit minimal forms with precomputed oracle keys.
+
+    The candidates are walked once, shortest first: the identity wire, the
+    six one-vertex forms, the opposite-colour pairs and the alternating
+    +-pi/2 triples; the first candidate of each key is kept.  ``members``
+    holds the kept diagrams, ``seqs`` each one's (kind, phase) sequence along
+    the wire, `_matrices` its matrix and ``keys`` its index by key, all from
+    the one contraction of each candidate."""
 
     def __init__(self):
-        members: List[Diagram] = [Diagram.identity_wire()]
-        for kind in (Z, X):
-            for p in (1, 2, 3):
-                members.append(line_diagram([(kind, p)]))
-        # two-vertex candidates: opposite-colour ordered pairs, deduplicated
-        # semantically; exactly 13 classes must remain
-        keys = {canonical_key(interpret(m)) for m in members}
-        two: List[Diagram] = []
-        for first, second in ((Z, X), (X, Z)):
-            for a in (1, 2, 3):
-                for b in (1, 2, 3):
-                    d = line_diagram([(first, a), (second, b)])
-                    k = canonical_key(interpret(d))
-                    if k not in keys:
-                        keys.add(k)
-                        two.append(d)
-        if len(two) != 13:
-            raise AssertionError(f"expected 13 two-vertex forms, found {len(two)}")
-        members.extend(two)
-        # three-vertex candidates: alternating +-pi/2 labels only
-        three: List[Diagram] = []
-        for first, second in ((Z, X), (X, Z)):
-            for a in (1, 3):
-                for b in (1, 3):
-                    for c in (1, 3):
-                        d = line_diagram([(first, a), (second, b), (first, c)])
-                        k = canonical_key(interpret(d))
-                        if k not in keys:
-                            keys.add(k)
-                            three.append(d)
-        if len(three) != 4:
-            raise AssertionError(f"expected 4 three-vertex forms, found {len(three)}")
-        members.extend(three)
-        if len(members) != 24:
-            raise AssertionError(f"expected 24 members, found {len(members)}")
-        self.members: Tuple[Diagram, ...] = tuple(members)
-        self._matrices = [interpret(m) for m in self.members]
-        self.keys: Dict[Tuple, int] = {canonical_key(m): i for i, m in enumerate(self._matrices)}
+        pairs = ((Z, X), (X, Z))
+        candidates = [(), *(((k, p),) for k in (Z, X) for p in (1, 2, 3)),
+                      *(((f, a), (s, b)) for f, s in pairs for a in (1, 2, 3) for b in (1, 2, 3)),
+                      *(((f, a), (s, b), (f, c)) for f, s in pairs
+                        for a in (1, 3) for b in (1, 3) for c in (1, 3))]
+        found: Dict[Tuple, Tuple] = {}
+        for seq in candidates:
+            d = line_diagram(seq)
+            matrix = interpret(d)
+            found.setdefault(canonical_key(matrix), (seq, d, matrix))
+        self.keys: Dict[Tuple, int] = {k: i for i, k in enumerate(found)}
+        self.seqs, self.members, self._matrices = map(tuple, zip(*found.values()))
+        sizes = Counter(map(len, self.seqs))
+        if sizes != {0: 1, 1: 6, 2: 13, 3: 4}:
+            raise AssertionError(f"expected 1, 6, 13 and 4 forms by length, found {sizes}")
 
     def lookup(self, matrix: np.ndarray) -> Tuple[int, Diagram]:
         idx = self.keys.get(canonical_key(matrix))
@@ -150,9 +138,8 @@ class CC1Table:
             n = len(seq)
             if k not in best or n < best[k]:
                 best[k] = n
-        for i, m in enumerate(self.members):
-            k = canonical_key(interpret(m))
-            size = len(m.interior())
+        for k, i in self.keys.items():
+            size = len(self.seqs[i])
             if best.get(k, size) < size:
                 raise AssertionError(f"CC1 member {i} is not minimal")
 
@@ -224,12 +211,8 @@ class CC2Family:
     """All 11520 two-qubit minimal forms, indexed by oracle key."""
 
     def __init__(self, cc1: CC1Table):
-        self._cc1_seqs: List[List[Tuple[str, int]]] = []
-        for m in cc1.members:
-            seq = [(m.kind(v), m.phase(v)) for v in m.interior()]
-            # interior ids are in wire order by construction of line_diagram
-            self._cc1_seqs.append(seq)
-        c = np.stack([interpret(m) for m in cc1.members])
+        self._cc1_seqs = cc1.seqs
+        c = np.stack(cc1._matrices)
         n = len(c)
         # dressing i1 * n + i2 is kron(c[i1], c[i2]): wire 0 is the high bit
         dressings = np.einsum("aij,bkl->abikjl", c, c).reshape(n * n, 4, 4)

@@ -166,7 +166,7 @@ class CommutationMetric:
         try:
             terms = _cover_terms(d)[1]
         except NotACircuit as exc:
-            return self._penalty(len(d.vertices()), len(exc.stranded))
+            return self._penalty(len(d._vertices), len(exc.stranded))
         return terms.pauli_sum + self.separation_weight * terms.total_separation
 
     def scorer(self, d: Diagram) -> Callable[[Rule, Match], Optional[Scored]]:
@@ -185,7 +185,7 @@ class CommutationMetric:
             parent, terms = _cover_terms(d)
         except NotACircuit:
             return lambda rule, m: None
-        num_vertices = len(d.vertices())
+        num_vertices = len(d._vertices)
 
         def score(rule: Rule, m: Match) -> Optional[Scored]:
             kernel = splice_kernel(rule)
@@ -540,10 +540,11 @@ def _replace_run(d: Diagram, region: Sequence[VertexId], e_prev: EdgeId,
     return b.build()
 
 
-def _cc1_member(d: Diagram, region: Sequence[VertexId]) -> Tuple[int, List[Tuple[str, int]]]:
+def _cc1_member(d: Diagram, region: Sequence[VertexId]) -> Tuple[int, Tuple[Tuple[str, int], ...]]:
     """The CC1 member of a run's matrix: its index and its (kind, phase) sequence."""
-    idx, rep = cc1_table().lookup(_run_matrix(d, region))
-    return idx, [(rep.kind(v), rep.phase(v)) for v in rep.interior()]
+    table = cc1_table()
+    idx, _ = table.lookup(_run_matrix(d, region))
+    return idx, table.seqs[idx]
 
 
 def canonicalise_blocks(d: Diagram, pc: PathCover,
@@ -555,7 +556,7 @@ def canonicalise_blocks(d: Diagram, pc: PathCover,
     """
     for region, e_prev, e_next in _single_qubit_runs(d, pc):
         idx, rep_seq = _cc1_member(d, region)
-        if rep_seq == [(d.kind(v), d.phase(v)) for v in region]:
+        if rep_seq == tuple((d.kind(v), d.phase(v)) for v in region):
             continue
         out = _replace_run(d, region, e_prev, e_next, rep_seq)
         if trace is not None:

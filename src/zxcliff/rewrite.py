@@ -89,10 +89,10 @@ class Rule:
     ``memo`` holds what other code compiles from the rule, once per rule
     object and dropped with it: its search plans by anchor (``"plans"``), the
     plan rooted at its whole LHS interior that checks each match
-    (``"pinned"``, `apply_match`), its RHS plan (``"rhs"``, `match_delta`),
-    its cover splice plan (``"splice"``) and the splice and score kernel
-    generated from it (``"kernel"``, `flow.splice_kernel`).  It takes no
-    part in equality, hashing or the repr."""
+    (``"pinned"``, `apply_match`), its RHS plan (``"rhs"``, `match_delta`)
+    and the splice and score kernel generated from its cover splice plan
+    (``"kernel"``, `flow.splice_kernel`).  It takes no part in equality,
+    hashing or the repr."""
 
     name: str
     lhs: Diagram
@@ -712,7 +712,6 @@ class MatchDelta(NamedTuple):
     in ``rhs.edges()`` order.  `apply_match` builds its output from this,
     removing the match's edges."""
 
-    vmap: Dict[VertexId, VertexId]  # LHS interior vertex -> matched target vertex
     removed: FrozenSet[VertexId]  # the matched vertices
     attach: Dict[VertexId, VertexId]  # LHS boundary vertex -> target vertex it stands for
     fresh: Dict[VertexId, VertexId]  # RHS interior vertex -> its new id
@@ -758,7 +757,6 @@ def _rhs_plan(rule: Rule) -> _RhsPlan:
 def match_delta(target: Diagram, rule: Rule, m: Match) -> MatchDelta:
     """The change `apply_match(target, rule, m)` makes, for m one of the
     matcher's embeddings; m is not checked."""
-    vmap = m.vmap()
     edges = target._edges
     attach = {b: edges[te][side] for b, (te, side) in m.boundary_attach}
     plan = _rhs_plan(rule)
@@ -767,8 +765,7 @@ def match_delta(target: Diagram, rule: Rule, m: Match) -> MatchDelta:
     for rb, lb in plan.boundary:
         ends[rb] = attach[lb]
     return MatchDelta(
-        vmap=vmap,
-        removed=frozenset(vmap.values()),
+        removed=frozenset([t for _, t in m.vertex_map]),
         attach=attach,
         fresh=fresh,
         new_edges=tuple([(ends[u], ends[v]) for u, v in plan.edges]),
@@ -856,7 +853,7 @@ class ProofTrace:
         self.final = result
 
     def record_pass(self, name: str, args: dict, before: Diagram, result: Diagram) -> None:
-        affected = sorted(set(before.vertices()) ^ set(result.vertices()))
+        affected = sorted(before._vertices.keys() ^ result._vertices.keys())
         self.steps.append(ProofStep(
             "pass", {"name": name, "args": args, "affected": affected}))
         self.final = result

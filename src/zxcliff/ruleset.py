@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .circuit import Circuit, Gate, circuit_size, translate
 from .diagram import H, X, Z, Diagram
-from .errors import RuleFormatError, UnsoundRuleError
+from .errors import RuleFormatError, UnsoundRuleError, ZXError
 from .normal_forms import line_diagram
 from .rewrite import Rule
 from .semantics import DEFAULT_TOL, interpret, scalar_free_equal
@@ -163,7 +163,8 @@ def audit_ruleset(rs: RuleSet) -> None:
 
 def load_ruleset(directory: Optional[str] = None) -> RuleSet:
     """Load the rule library, close it under colour swapping and audit it
-    with `audit_ruleset`, generated variants included."""
+    with `audit_ruleset`, generated variants included.  A file that is not
+    a rule raises RuleFormatError naming it."""
     directory = directory or shipped_ruleset_dir()
     rs = RuleSet()
     for group in GROUPS:
@@ -173,10 +174,15 @@ def load_ruleset(directory: Optional[str] = None) -> RuleSet:
         for fname in sorted(os.listdir(gdir)):
             if not fname.endswith(".json"):
                 continue
-            with open(os.path.join(gdir, fname)) as f:
-                obj = json.load(f)
-            rs.group(group).append(Rule(obj["name"], Diagram.from_json_obj(obj["lhs"]),
-                                        Diagram.from_json_obj(obj["rhs"])))
+            path = os.path.join(gdir, fname)
+            try:
+                with open(path) as f:
+                    obj = json.load(f)
+                rule = Rule(obj["name"], Diagram.from_json_obj(obj["lhs"]),
+                            Diagram.from_json_obj(obj["rhs"]))
+            except (KeyError, TypeError, ValueError, ZXError) as exc:
+                raise RuleFormatError(f"{path}: {type(exc).__name__}: {exc}") from None
+            rs.group(group).append(rule)
     for group in GROUPS:
         extended: List[Rule] = []
         existing = rs.group(group)

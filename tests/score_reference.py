@@ -21,7 +21,7 @@ from zxcliff.optimiser import CommutationMetric, MetricTerms, group_crosses
 from zxcliff.rewrite import Match, MatchDelta, Rule, Scored
 
 
-def splice_cover(parent: PathCover, rule: Rule, delta: MatchDelta,
+def splice_cover(parent: PathCover, rule: Rule, m: Match, delta: MatchDelta,
                  nbrs: Dict[VertexId, Set[VertexId]]) -> Optional[Splice]:
     """The cover of the rewritten diagram, spliced from its parent's in
     O(|rule|) work, or None when this cannot be shown locally; ``nbrs`` holds
@@ -37,11 +37,12 @@ def splice_cover(parent: PathCover, rule: Rule, delta: MatchDelta,
     plan = _splice_plan(rule)
     if plan is None:
         return None
+    vmap = m.vmap()
     pos = parent.pos
     segments: Dict[int, Tuple[int, int, Tuple[VertexId, ...]]] = {}
     succ: Dict[VertexId, VertexId] = {}  # successors that change
     for start, interior, end, replacement in plan:
-        seq = [delta.attach[start], *(delta.vmap[v] for v in interior), delta.attach[end]]
+        seq = [delta.attach[start], *(vmap[v] for v in interior), delta.attach[end]]
         q, p0 = pos[seq[0]]
         step = pos[seq[1]][1] - p0
         if q in segments or step not in (1, -1) \
@@ -59,9 +60,10 @@ def splice_cover(parent: PathCover, rule: Rule, delta: MatchDelta,
 
     fresh = set(delta.fresh.values())
     pred = {b: a for a, b in succ.items()}
+    parent_pred = {b: a for a, b in parent.succ.items()}
     sources = set(succ)
     for a in delta.attach.values():
-        v = pred.get(a, parent.pred.get(a))
+        v = pred.get(a, parent_pred.get(a))
         if v is not None:
             sources.add(v)
     rank = parent.rank
@@ -158,7 +160,7 @@ def score(metric: CommutationMetric, d: Diagram, parent: PathCover, terms: Metri
     whose metric terms are ``terms``; ``delta`` is the candidate's
     `match_delta`."""
     nbrs = delta.neighbours(parent.nbrs)
-    splice = splice_cover(parent, rule, delta, nbrs)
+    splice = splice_cover(parent, rule, m, delta, nbrs)
     if splice is None:
         stranded = stranded_after(parent, delta, nbrs)
         if not stranded:

@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ from zxcliff import bench as bench_module
 from zxcliff.bench import CSV_HEADER, VERIFY_WIDTH_BOUND, bench, render_report
 from zxcliff.cli import main
 from zxcliff.circuit import parse_circuit, gate_matrix_product
+from zxcliff.ruleset import shipped_ruleset_dir
 from zxcliff.semantics import scalar_free_equal
 
 
@@ -119,6 +121,34 @@ def test_cli_extract_non_circuit(tmp_path, capsys):
     dia.write_text(bridge_gadget().to_json())
     assert main(["extract", str(dia)]) == 0  # diagnostic only by default
     assert main(["extract", str(dia), "--require-flow"]) == 2
+
+
+@pytest.mark.parametrize("text,found", [
+    ('{"vertices": [{"id": 0, "kind": "B"}, {"id": 1, "kind": "B"}], '
+     '"edges": [[0]], "inputs": [0], "outputs": [1]}', "ValueError"),
+    ("not json", "not JSON"),
+    ('{"edges": [], "inputs": [], "outputs": []}', "'vertices'"),
+], ids=["short-edge", "not-json", "no-vertices"])
+def test_cli_extract_refuses_malformed_diagram(tmp_path, capsys, text, found):
+    # the package's own error and exit 2, not a traceback
+    dia = tmp_path / "bad.json"
+    dia.write_text(text)
+    assert main(["extract", str(dia)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and found in err
+
+
+@pytest.mark.parametrize("text,found", [
+    ('{"name": "Bad", "rhs": {}}', "'lhs'"),
+    ("not json", "JSONDecodeError"),
+], ids=["no-lhs", "not-json"])
+def test_cli_rules_check_refuses_malformed_rule(tmp_path, capsys, text, found):
+    rules = tmp_path / "rules"
+    shutil.copytree(shipped_ruleset_dir(), rules)
+    (rules / "init" / "99_Bad.json").write_text(text)
+    assert main(["rules", "check", "--dir", str(rules)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "99_Bad.json" in err and found in err
 
 
 def test_cli_rules_check(capsys):

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,28 @@ from zxcliff.errors import NotAClifford
 from zxcliff import normal_forms
 from zxcliff.normal_forms import CC2Family, canonical_key, cc2_contains
 from zxcliff.semantics import interpret, scalar_free_equal
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_tables_are_pinned(cc1, cc2):
+    """The CC1 members in order, the CC1 and CC2 keys in insertion order and
+    the CC2 shapes, as recorded before the CC1 table was built in one pass;
+    every stored CC1 matrix is the one a fresh contraction of its member
+    gives."""
+    assert _sha(json.dumps([m.to_json() for m in cc1.members])) == \
+        "ad716e7ee24d977f225eff6fec3bd314a5658dacbcdec326ce1364a20789137e"
+    assert _sha(repr(list(cc1.keys.items()))) == \
+        "c3fd41d6ddb71d379cf79b47a2524960e88419d30c360bcf0b2e10edb7aa1c12"
+    assert _sha(repr(cc2.shapes)) == \
+        "98d8a246bd6a96dc2ffdb31b6090f09be021c994ed3d665cada3700ce1565795"
+    assert _sha(repr(list(cc2.keys.items()))) == \
+        "929142b077451812ddcb85c7ab77054126a079a9c3d98d36a71a79a8b7c6cf84"
+    assert len(cc1._matrices) == len(cc1.members)
+    for matrix, m in zip(cc1._matrices, cc1.members):
+        assert np.array_equal(matrix, interpret(m))
 
 
 def test_cc1_counts_and_shapes(cc1):
@@ -127,9 +152,9 @@ def test_cc2_builds_members_on_first_use(cc1, monkeypatch):
     monkeypatch.setattr(normal_forms, "_build_cc2_member", counting_build)
     monkeypatch.setattr(normal_forms, "interpret", counting_interpret)
     fam = CC2Family(cc1)
-    # only the 24 CC1 members and the 20 cores are contracted
+    # only the 20 cores are contracted: the CC1 matrices are the table's
     assert len(built) == 20
-    assert len(contracted) == 24 + 20
+    assert len(contracted) == 20
     assert all(c1 == c2 == [] for _, c1, c2, *_ in built)
     m = fam.members[4321]
     assert fam.members[4321] is m

@@ -49,7 +49,7 @@ def test_kernels_agree_with_reference(ruleset):
                 delta = match_delta(d, rule, m)
                 got = kernel(m, d, parent, terms)
                 expected = score_reference.splice_cover(
-                    parent, rule, delta, delta.neighbours(parent.nbrs))
+                    parent, rule, m, delta, delta.neighbours(parent.nbrs))
                 assert (got is None) == (expected is None), rule.name
                 assert (kernel(m, d, parent, None) is None) == (got is None), rule.name
                 scored = score(rule, m)
