@@ -1,9 +1,10 @@
 """Micro-benchmark of the metric phase: one `rewrite_metric` step with the
 commutation metric, the closing step that finds nothing, the scoring of
-every one of a step's candidates, and the cover search under them.  Each
-rule generates its splice and score kernel on its first score or carry, so
-an optimiser pays for that once per rule; the `kernels` case times
-generating the kernels of every metric rule of the default rule set.
+every one of a step's candidates and of only those whose splice fails, and
+the cover search under them.  Each rule generates its splice, score and
+patch kernels on its first score or carry, so an optimiser pays for that
+once per rule; the `kernels` case times generating the kernels of every
+metric rule of the default rule set.
 
 They run on fixed diagrams: the simple forms of the seeded width-4,
 depth-40 and width-6, depth-60 circuits, with their cross legs and leg
@@ -21,7 +22,7 @@ Run with: PYTHONPATH=src python -m pytest benchmarks/bench_metric.py
 import pytest
 
 from zxcliff.circuit import random_clifford_circuit, translate
-from zxcliff.flow import _splice_kernel, _splice_plan, find_path_cover
+from zxcliff.flow import _splice_kernel, _splice_plan, find_path_cover, splice_kernel
 from zxcliff.optimiser import CommutationMetric, Optimiser
 from zxcliff.passes import simple_form
 from zxcliff.rewrite import find_matches, reduce, rewrite_metric
@@ -72,6 +73,22 @@ def test_score_every_candidate(benchmark, key):
                              setup=lambda: _fresh(key), rounds=30)
     assert [s and s.value for s in out] == \
         [s and s.value for s in _score_every_candidate(DIAGRAMS[key], key)]
+
+
+def test_score_failed_splices(benchmark):
+    # only the width-4 candidates whose splice fails, so it shows what a
+    # failed splice costs the scorer: the kernel, the rewrite's patched
+    # neighbour sets and the resumed sweep
+    pc = find_path_cover(DIAGRAM)
+    failed = [(rule, m) for rule, m in CANDIDATES["w4"]
+              if splice_kernel(rule)(m, DIAGRAM, pc, None) is None]
+
+    def score_failed(d):
+        score = CommutationMetric().scorer(d)
+        return [score(rule, m) for rule, m in failed]
+
+    out = benchmark.pedantic(score_failed, setup=_fresh, rounds=30)
+    assert failed and all(s is None or s.splice is None for s in out)
 
 
 def test_find_path_cover(benchmark):

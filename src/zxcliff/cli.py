@@ -28,8 +28,11 @@ from .semantics import scalar_free_equal
 def _read(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path) as f:
-        return f.read()
+    try:
+        with open(path) as f:
+            return f.read()
+    except OSError as exc:
+        raise ZXError(f"cannot read {path}: {exc.strerror}") from None
 
 
 def _write(path: str | None, text: str) -> None:

@@ -35,6 +35,10 @@ class RuleFormatError(ZXError):
     """A rule file is malformed or violates the rule invariants."""
 
 
+class TraceFormatError(ZXError):
+    """A proof trace file is malformed."""
+
+
 class UnsoundRuleError(ZXError):
     """A loaded rule fails the semantic soundness audit."""
 

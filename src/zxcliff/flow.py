@@ -21,16 +21,20 @@ sets (`Diagram.neighbour_sets`), which a rewrite carries to its result.
 later steps read of the cover: the paths, the flow and a rank ordering it,
 and, worked out on first use, positions, a record of the sweep and the least
 order of the flow.  A rewrite's cover is spliced from its parent's: the
-rule's RHS cover takes the place of the matched segments, and a local check
-proves the result a causal flow, so by uniqueness it is the cover.  Each
-rule generates the splice as one straight-line function on its first use
-(`splice_kernel`), as the matcher generates its searches.  The
-metric phase values candidates with it without building them, and
-`rewrite.apply_match` carries the spliced cover to the diagram it builds
-(`carry_cover`), ranked by the parent's rank with each new vertex placed
-inside the window the check worked out.  When the splice fails,
-`stranded_after` resumes the parent's sweep at the first step that claims a
-matched vertex: the sweep is confluent, so the claims before it stand.
+rule's RHS cover takes the place of the matched segments, and a check
+decides whether the result is a causal flow, so by uniqueness it is the
+cover exactly when the check passes.  The check fits each new vertex into
+the parent's rank in O(|rule|); when that leaves a window empty, a search
+bounded by the rank window decides.  Each rule generates the splice as one
+straight-line function on its first use (`splice_kernel`), as the matcher
+generates its searches.  The metric phase values candidates with it
+without building them, and `rewrite.apply_match` carries the spliced cover
+to the diagram it builds (`carry_cover`), ranked by the parent's rank with
+each new vertex placed inside the window the check worked out, or searched
+when a window holds no integer.  When the splice fails, `stranded_after`
+resumes the parent's sweep at the first step that claims a matched vertex,
+on the neighbour sets the rule's generated `patch_kernel` patches: the
+sweep is confluent, so the claims before it stand.
 
 Three orders are worked out by one routine, `least_order`, the least
 topological order of a relation by Kahn's algorithm: a cover's least flow
@@ -45,7 +49,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import (TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional,
@@ -56,7 +60,7 @@ from .errors import CrossEdgeColourError, NotACircuit
 from .passes import is_simple
 
 if TYPE_CHECKING:
-    from .rewrite import Match, MatchDelta, Rule
+    from .rewrite import Match, Rule
 
 T = TypeVar("T")
 
@@ -75,12 +79,13 @@ class PathCover:
     need be the least order.  ``nbrs`` and ``inputs`` are the diagram's
     neighbour sets and inputs, which a splice and a resumed sweep read.  The
     rest is worked out on first use: ``pos`` maps each vertex to its (path,
-    position) (a carried cover patches its parent's), ``claim_order`` and
-    ``claim_step`` record the sweep (a search hands over its own claims),
-    and ``least_rank`` orders the vertices by the least order of F2-F3 in
-    vertex-id order (`least_order` on ``succ`` and ``nbrs``; a cover's flow
-    is verified, so that order is total).  A cover holds no reference to its
-    diagram, whose memo holds it, or to another cover."""
+    position) (a carried cover patches its parent's), ``claim_order``,
+    ``claim_step`` and ``path_claims`` record the sweep (a search hands over
+    its own claims), and ``least_rank`` orders the vertices by the least
+    order of F2-F3 in vertex-id order (`least_order` on ``succ`` and
+    ``nbrs``; a cover's flow is verified, so that order is total).  A cover
+    holds no reference to its diagram, whose memo holds it, or to another
+    cover."""
 
     paths: Tuple[Tuple[VertexId, ...], ...]
     succ: Dict[VertexId, VertexId]
@@ -104,6 +109,13 @@ class PathCover:
     @cached_property
     def claim_step(self) -> Dict[VertexId, int]:
         return {u: i for i, u in enumerate(self.claim_order)}
+
+    @cached_property
+    def path_claims(self) -> List[List[int]]:
+        """Per path, the claim steps of its non-output vertices from the
+        output end on, which rise: f(u) is processed before it claims u."""
+        step = self.claim_step
+        return [[step[v] for v in reversed(path[:-1])] for path in self.paths]
 
     @cached_property
     def least_rank(self) -> Dict[VertexId, int]:
@@ -264,9 +276,10 @@ class Splice:
     worked out to place the new vertices in the parent's rank: per new
     vertex the highest rank that must come before it and the lowest that
     must come after it, the new vertices that must come after it, and an
-    order of them that respects those.  ``terms``, when the kernel was given
-    the parent's metric terms, holds the candidate's Pauli sum and its
-    separation (`optimiser.metric_terms`)."""
+    order of them that respects those.  A window may be empty: the check is
+    exact, and the parent's rank need not leave room.  ``terms``, when the
+    kernel was given the parent's metric terms, holds the candidate's Pauli
+    sum and its separation (`optimiser.metric_terms`)."""
 
     __slots__ = ("parent", "segments", "succ", "window", "terms")
 
@@ -297,8 +310,7 @@ class Splice:
         of those placed before it; with k new vertices in the longest chain
         that must follow it, it takes the first of k + 1 equal steps across
         that window, leaving room for the chain.  None when some window holds
-        no integer: the splice's check allows any real placement, and the
-        caller searches instead."""
+        no integer, or none at all, and the caller searches instead."""
         lo, hi, later, order = self.window
         lo, hi = lo.copy(), hi.copy()
         chain: Dict[VertexId, int] = {}
@@ -396,22 +408,81 @@ def splice_kernel(rule: "Rule") -> Optional[Callable[..., Optional[Splice]]]:
     """The rule's splice and score kernel (`_splice_kernel`), generated on
     first use and memoised in ``rule.memo["kernel"]``; None when the rule has
     no splice plan."""
+    return _kernels(rule)[0]
+
+
+def patch_kernel(rule: "Rule") -> Callable[..., Tuple[FrozenSet[VertexId], Tuple[VertexId, ...],
+                                                      Dict[VertexId, Set[VertexId]]]]:
+    """The rule's patch kernel, generated with its splice kernel
+    (`_splice_kernel`): ``patch(m, target, nbrs)`` returns the matched
+    vertices, the fresh ids and the rewritten neighbour sets of the
+    attachments and fresh vertices, as `rewrite.match_delta` and
+    `MatchDelta.neighbours` would, given target's neighbour sets."""
+    return _kernels(rule)[1]
+
+
+def _kernels(rule: "Rule") -> Tuple[Optional[Callable[..., Optional[Splice]]], Callable]:
     memo = rule.memo
     if "kernel" not in memo:
-        plan = _splice_plan(rule)
-        memo["kernel"] = None if plan is None else _splice_kernel(rule, plan)
+        memo["kernel"] = _splice_kernel(rule, _splice_plan(rule))
     return memo["kernel"]
 
 
-def _splice_kernel(rule: "Rule", plan: Tuple) -> Callable[..., Optional[Splice]]:
-    """The cover splice of the rule's rewrites, as one generated function.
+def _orders_splice(pc: PathCover, changed: Dict[VertexId, VertexId], fresh: Sequence[VertexId],
+                   patched: Dict[VertexId, Set[VertexId]], bound: float) -> bool:
+    """Whether pc's flow with the successors ``changed`` laid over it, on
+    pc's neighbour sets with the ``patched`` ones laid over them, has an
+    acyclic F2-F3 relation: v before f(v) and every other neighbour of f(v).
 
-    It is called as ``kernel(m, target, pc, terms)``, with m one of the
-    matcher's embeddings of the rule's LHS into target, whose cover is pc.
-    It returns the `Splice` of the rewritten diagram's cover, worked out in
-    O(|rule|) from pc, or None when this cannot be shown locally; given the
-    parent's metric terms (`optimiser.metric_terms`) as ``terms``, it values
-    the candidate as well.
+    A depth-first search from the ``fresh`` vertices looks for a cycle.  A
+    cycle must pass through a fresh vertex, and every step between two old
+    vertices goes up in pc's rank (`_splice_kernel`), so each old vertex on
+    one ranks at most the highest rank of an old vertex that must come
+    before a fresh vertex; ``bound`` is that rank, and the search skips the
+    old vertices above it."""
+    succ, rank, nbrs = pc.succ, pc.rank, pc.nbrs
+
+    def after(v: VertexId) -> List[VertexId]:
+        fv = changed[v] if v in changed else succ.get(v)
+        if fv is None:
+            return []
+        return [u for u in (fv, *(patched[fv] if fv in patched else nbrs[fv]))
+                if u != v and rank.get(u, bound) <= bound]
+
+    state: Dict[VertexId, bool] = {}  # False while on the search path, then True
+    for root in fresh:
+        if root in state:
+            continue
+        state[root] = False
+        stack = [(root, iter(after(root)))]
+        while stack:
+            v, later = stack[-1]
+            for u in later:
+                done = state.get(u)
+                if done is False:
+                    return False
+                if done is None:
+                    state[u] = False
+                    stack.append((u, iter(after(u))))
+                    break
+            else:
+                state[v] = True
+                stack.pop()
+    return True
+
+
+def _splice_kernel(rule: "Rule", plan: Optional[Tuple]
+                   ) -> Tuple[Optional[Callable[..., Optional[Splice]]], Callable]:
+    """The cover splice of the rule's rewrites and the neighbour sets they
+    patch, as two functions generated from one source; the first is None
+    when the rule has no splice ``plan``.
+
+    The splice is called as ``kernel(m, target, pc, terms)``, with m one of
+    the matcher's embeddings of the rule's LHS into target, whose cover is
+    pc.  It returns the `Splice` of the rewritten diagram's cover, worked
+    out from pc, or None when the spliced successor is not a causal flow;
+    given the parent's metric terms (`optimiser.metric_terms`) as
+    ``terms``, it values the candidate as well.
 
     Each LHS cover path must map onto a contiguous segment of a distinct
     parent path, forwards or reversed: its images and attachments must
@@ -421,19 +492,23 @@ def _splice_kernel(rule: "Rule", plan: Tuple) -> Callable[..., Optional[Splice]]
     its own segment, and one new neighbour, on its own spliced path.  So
     which vertices are fresh, their neighbours and the changed successors
     are fixed by the rule and the orientations, and one straight-line body
-    per combination of orientations works them out.  Only the sources whose
-    order constraints changed are checked: the fresh vertices and the
-    upstream attachments (the predecessor of one is ranked below it, so
-    bounds nothing more).  Each fresh vertex must fit, in pc's rank, between
-    the old vertices that must precede and follow it; the later-than
+    per combination of orientations works them out.  The later-than
     relation among fresh vertices is fixed too, so its order is worked out
     once, here (`least_order`), and a cycle in it fails the splice
-    outright.  A constraint between two old vertices needs no check: it is
-    one of pc's, or it runs from a segment's upstream attachment or that
-    vertex's predecessor to the downstream attachment or one of its
-    neighbours, which pc already orders through the replaced segment.
-    Passing shows the spliced successor is a causal flow, so by uniqueness
-    it is the one `find_path_cover` finds.
+    outright.  A constraint between two old vertices is one of pc's, or it
+    runs from a segment's upstream attachment or that vertex's predecessor
+    to the downstream attachment or one of its neighbours, which pc already
+    orders through the replaced segment; either way it goes up in pc's rank,
+    so a cycle must pass through a fresh vertex.  In O(|rule|) the kernel
+    checks that each fresh vertex fits, in pc's rank, between the old
+    vertices that must precede and follow it (only the fresh vertices and
+    the upstream attachments bound them: the predecessor of one is ranked
+    below it).  That shows there is no cycle.  When some window is empty,
+    a search from the fresh vertices (`_orders_splice`), bounded by the
+    highest rank that must precede one, decides whether there is one.  So
+    the splice fails exactly when the spliced successor is not a causal
+    flow; when it passes it is one, so by uniqueness it is the one
+    `find_path_cover` finds.
 
     The value: the matched vertices' labels are the LHS's, so the Paulis a
     segment loses and gains sit at fixed offsets from its start, and only
@@ -442,9 +517,16 @@ def _splice_kernel(rule: "Rule", plan: Tuple) -> Callable[..., Optional[Splice]]
     paths that an LHS edge or a new edge joins, at fixed offsets, and every
     group of a resized path (`_respaced`).
 
+    The patch kernel (`patch_kernel`) is the rewrite's change to the
+    neighbour sets, for any match, spliced or not: each attachment loses its
+    matched neighbours, the fresh vertices start empty, and each new edge
+    joins its ends.  Attachments may coincide when no segment maps, so each
+    is patched once and a new edge between two attachments that coincide is
+    skipped, at run time.
+
     As for the matcher's kernels (`rewrite._kernel`), only integers taken
     from the rule enter the source, and the source is registered in
-    `linecache` while the kernel lives."""
+    `linecache` while either function lives."""
     from .rewrite import _compiled, _tuple
 
     lhs, rhs = rule.lhs, rule.rhs
@@ -461,6 +543,53 @@ def _splice_kernel(rule: "Rule", plan: Tuple) -> Callable[..., Optional[Splice]]
         if u != v:
             new_nbrs[name[u]].add(name[v])
             new_nbrs[name[v]].add(name[u])
+
+    lines: List[str] = []
+
+    def emit(depth: int, line: str) -> None:
+        lines.append(" " * depth + line)
+
+    interior, boundary = lhs.interior(), sorted(lhs.inputs + lhs.outputs)
+    fresh_ids = [name[x] for x in rhs.interior()]  # in the order `rewrite.match_delta` numbers them
+
+    def match() -> None:
+        emit(1, f"_, {_tuple([f'(_, t{v})' for v in interior])}, _, "
+                f"{_tuple([f'(_, (e{b}, s{b}))' for b in boundary])} = m")
+        emit(1, "edges = target._edges")
+        for b in boundary:
+            emit(1, f"a{b} = edges[e{b}][s{b}]")
+
+    def fresh() -> None:
+        for i, w in enumerate(fresh_ids):
+            emit(1, f"{w} = {fresh_ids[0]} + {i}" if i else f"{w} = target.max_vertex_id() + 1")
+
+    lines.append("def _patch(m, target, nbrs):")
+    match()
+    emit(1, f"removed = frozenset({_tuple([f't{v}' for v in interior])})")
+    fresh()
+    for w in fresh_ids:
+        emit(1, f"n{w} = set()")
+    emit(1, "patched = {" + ", ".join(f"{w}: n{w}" for w in fresh_ids) + "}")
+    for i, b in enumerate(boundary):
+        if i:
+            emit(1, f"na{b} = patched.get(a{b})")
+            emit(1, f"if na{b} is None:")
+        emit(2 if i else 1, f"na{b} = patched[a{b}] = nbrs[a{b}] - removed")
+    joined: Set[FrozenSet[str]] = set()
+    for u, v in new_edges:
+        if u == v or frozenset((u, v)) in joined:
+            continue
+        joined.add(frozenset((u, v)))
+        indent = 1
+        if u[0] == v[0] == "a":
+            emit(1, f"if {u} != {v}:")
+            indent = 2
+        emit(indent, f"n{u}.add({v})")
+        emit(indent, f"n{v}.add({u})")
+    emit(1, f"return removed, {_tuple(fresh_ids)}, patched")
+    if plan is None:
+        return None, _compiled("\n".join(lines) + "\n", "splice kernel", ("_patch",), {})[0]
+
     pauli = {name[x] for x in rhs.interior() if _is_pauli_kind(rhs._vertices[x])}
     pauli.update(f"t{v}" for v in lhs.interior() if _is_pauli_kind(lhs._vertices[v]))
     # the LHS path of every LHS vertex; an LHS edge between two paths ends a
@@ -469,17 +598,8 @@ def _splice_kernel(rule: "Rule", plan: Tuple) -> Callable[..., Optional[Splice]]
     lost = {tuple(sorted((on_path[u], on_path[v])))
             for u, v in map(lhs.edge_ends, lhs.edges()) if on_path[u] != on_path[v]}
 
-    lines: List[str] = []
-
-    def emit(depth: int, line: str) -> None:
-        lines.append(" " * depth + line)
-
-    interior, boundary = lhs.interior(), sorted(lhs.inputs + lhs.outputs)
-    emit(1, f"_, {_tuple([f'(_, t{v})' for v in interior])}, _, "
-            f"{_tuple([f'(_, (e{b}, s{b}))' for b in boundary])} = m")
-    emit(1, "edges = target._edges")
-    for b in boundary:
-        emit(1, f"a{b} = edges[e{b}][s{b}]")
+    lines.append("def _splice(m, target, pc, terms, _patch=_patch):")
+    match()
     emit(1, "succ, pos = pc.succ, pc.pos")
     emit(1, "sg = succ.get")
     for k, (s, inner, e, _) in enumerate(plan):
@@ -501,9 +621,7 @@ def _splice_kernel(rule: "Rule", plan: Tuple) -> Callable[..., Optional[Splice]]
     if pairs:
         emit(1, f"if {' or '.join(f'q{k} == q{j}' for k, j in pairs)}:")
         emit(2, "return None")
-    fresh_ids = [name[x] for x in rhs.interior()]  # in the order `rewrite.match_delta` numbers them
-    for i, w in enumerate(fresh_ids):
-        emit(1, f"{w} = {fresh_ids[0]} + {i}" if i else f"{w} = target.max_vertex_id() + 1")
+    fresh()
     emit(1, "rank, nbrs = pc.rank, pc.nbrs")
 
     def body(orientation: Sequence[bool], depth: int) -> None:
@@ -562,7 +680,11 @@ def _splice_kernel(rule: "Rule", plan: Tuple) -> Callable[..., Optional[Splice]]
                 emit(depth, f"if l{w} > l{u}:")
                 emit(depth + 1, f"l{u} = l{w}")
         if order:
-            emit(depth, f"if {' or '.join(f'l{w} >= h{w}' for w in order)}:")
+            # an empty window leaves the order to the bounded search
+            ls = ", ".join(f"l{w}" for w in order)
+            emit(depth, f"if ({' or '.join(f'l{w} >= h{w}' for w in order)}) and not ordered(")
+            emit(depth + 2, f"pc, changed, {_tuple(order)}, _patch(m, target, nbrs)[2], "
+                            f"{f'max({ls})' if len(order) > 1 else ls}):")
             emit(depth + 1, "return None")
         window = ["{" + ", ".join(f"{w}: {x}" for w, x in zip(order, xs)) + "}" for xs in (
             [f"l{w}" for w in order], [f"h{w}" for w in order],
@@ -626,10 +748,9 @@ def _splice_kernel(rule: "Rule", plan: Tuple) -> Callable[..., Optional[Splice]]
         branch([*orientation, False], depth + 1)
 
     branch([], 1)
-    lines.insert(0, "def _splice(m, target, pc, terms):")
-    return _compiled("\n".join(lines) + "\n", "splice kernel", "_splice", {
+    return _compiled("\n".join(lines) + "\n", "splice kernel", ("_splice", "_patch"), {
         "Splice": Splice, "inf": math.inf, "bisect_right": bisect_right,
-        "respaced": _respaced})
+        "respaced": _respaced, "ordered": _orders_splice})
 
 
 def carry_cover(parent: PathCover, rule: "Rule", m: "Match", target: Diagram,
@@ -639,8 +760,9 @@ def carry_cover(parent: PathCover, rule: "Rule", m: "Match", target: Diagram,
     the rule's LHS into target, rewrites target into, derived from parent,
     target's cover; ``removed`` holds the matched vertices and ``nbrs`` is
     the rewritten diagram's neighbour map.  None when the splice fails
-    (`splice_kernel`, the one the metric's scorer runs) or its new vertices
-    find no integer rank (`Splice.rank`).
+    (`splice_kernel`, the one the metric's scorer runs), which it does
+    exactly when the rewritten diagram has no cover with the spliced paths,
+    or when its new vertices find no integer rank (`Splice.rank`).
 
     The paths are the splice's, the flow the parent's without the removed
     vertices and with the splice's changed successors, and the rank the
@@ -671,11 +793,13 @@ def carry_cover(parent: PathCover, rule: "Rule", m: "Match", target: Diagram,
     return cover
 
 
-def stranded_after(parent: PathCover, delta: "MatchDelta",
+def stranded_after(parent: PathCover, removed: FrozenSet[VertexId], fresh: Iterable[VertexId],
                    nbrs: Dict[VertexId, Set[VertexId]]) -> Set[VertexId]:
-    """The vertices the flow sweep strands in the rewritten diagram, found by
-    resuming the parent's sweep; ``nbrs`` holds the rewritten neighbours of
-    the attachments and fresh vertices (`MatchDelta.neighbours`).
+    """The vertices the flow sweep strands in the diagram a rewrite makes
+    of parent's, found by resuming the parent's sweep; the rewrite removes
+    the vertices ``removed`` and adds the ``fresh`` ones, and ``nbrs`` holds
+    the rewritten neighbours of the attachments and fresh vertices (the
+    rule's `patch_kernel`).
 
     Let T be the first step of the parent's recorded sweep that claims a
     matched vertex.  The T claims before it are valid claims of the rewritten
@@ -691,16 +815,23 @@ def stranded_after(parent: PathCover, delta: "MatchDelta",
     claims from step T on, and the fresh ones.  A processed vertex that may
     still claim has a changed neighbour set or the same open neighbours as
     in the parent; either way it claims in the parent at step T or later, so
-    it is a claimant of one of those steps.  `_sweep_from` continues from
-    there on the parent's neighbour sets with the patched ones laid over
-    them, so the work is proportional to the steps from T on, not to the
-    diagram."""
-    t = min(map(parent.claim_step.__getitem__, delta.removed))
-    rest = parent.claim_order[t:]
-    unreached = set(rest)
-    ready = list(set(map(parent.succ.__getitem__, rest)) - unreached)
-    unreached -= delta.removed
-    unreached.update(delta.fresh.values())
+    it is a claimant of one of those steps: the first processed vertex of a
+    path whose input is unprocessed.  Claim steps fall strictly along each
+    path, so the processed vertices of a path are a suffix of it, found by
+    bisecting its claim steps (`PathCover.path_claims`).  `_sweep_from`
+    continues from there on the parent's neighbour sets with the patched
+    ones laid over them, so the work is proportional to the steps from T
+    on, not to the diagram."""
+    t = min(map(parent.claim_step.__getitem__, removed))
+    ready = []
+    for path, steps in zip(parent.paths, parent.path_claims):
+        # the first k vertices of the path are claimed at step t or later
+        k = len(steps) - bisect_left(steps, t)
+        if k:
+            ready.append(path[k])
+    unreached = set(parent.claim_order[t:])
+    unreached -= removed
+    unreached.update(fresh)
     _sweep_from(ready, unreached, parent.inputs, parent.nbrs, nbrs)
     return unreached
 

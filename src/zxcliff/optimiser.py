@@ -19,15 +19,17 @@ Phases:
    Pauli positions and cross-edge groups for both `CommutationMetric.value`
    and its scorer.  The scorer values each candidate from the current
    diagram's cover and terms without building it: the rule's generated
-   kernel splices its RHS cover in, checks it locally and carries the Pauli
-   sum and the separation per pair of paths (`flow.splice_kernel`), or the
-   current diagram's flow sweep, resumed where the rewrite first touches it
-   (`flow.stranded_after`), shows the cover is lost; only candidates neither
-   settles, and the one accepted, are built.  Neither the metric nor the
-   cover test reads edge ids or orientation, so matches that build the same
-   diagram up to those (automorphisms of a rule's LHS give them) get one
-   verdict, and the search hands the loop only the least match of each
-   such symmetry orbit.
+   kernel splices its RHS cover in, decides exactly whether the result is a
+   flow and carries the Pauli sum and the separation per pair of paths
+   (`flow.splice_kernel`), or the current diagram's flow sweep, resumed
+   where the rewrite first touches it on the neighbour sets the rule's
+   generated patch kernel gives (`flow.stranded_after`), shows the cover is
+   lost.  Only the candidates neither settles (their segments do not map,
+   yet they keep a cover) and the one accepted are built.  Neither the
+   metric nor the cover test reads edge ids or orientation, so matches that
+   build the same diagram up to those (automorphisms of a rule's LHS give
+   them) get one verdict, and the search hands the loop only the least
+   match of each such symmetry orbit.
 3. Final tidy: every single-qubit run is replaced by its CC1 representative
    (2x2 oracle lookup, each vertex's matrix taken from `interpret`); on
    two-qubit diagrams with the semantic fallback enabled the whole diagram
@@ -53,14 +55,14 @@ from .circuit import Circuit, circuit_size, translate
 from .diagram import B, H, X, Z, Diagram, DiagramBuilder, EdgeId, VertexId
 from .errors import NotACircuit, NotALineGraph, StaleMatchError
 from .flow import (PathCover, _is_pauli_kind, cover_or_none, extract_circuit, find_path_cover,
-                   has_path_cover, pair_separation, ranks_flow, search_path_cover, splice_kernel,
-                   stranded_after)
+                   has_path_cover, pair_separation, patch_kernel, ranks_flow, search_path_cover,
+                   splice_kernel, stranded_after)
 from .normal_forms import cc1_table, cc2_family, line_diagram
 from .passes import (fuse_spiders, h_euler_expand, hopf_reduce, pi_copy,
                      remove_identities, remove_self_loops, simple_form,
                      split_cross_leg, split_phase)
-from .rewrite import (Match, ProofTrace, Rule, Scored, match_delta, reduce, rewrite_first,
-                      rewrite_metric, SEMANTIC_REPLAYERS)
+from .rewrite import (Match, ProofTrace, Rule, Scored, reduce, rewrite_first, rewrite_metric,
+                      SEMANTIC_REPLAYERS)
 from .ruleset import RuleSet, audit_ruleset, load_ruleset
 from .semantics import interpret, scalar_free_equal
 
@@ -177,10 +179,14 @@ class CommutationMetric:
         (`flow.splice_kernel`, the one `flow.carry_cover` runs too), given
         d's terms.  A candidate whose cover splices is valued from d's Pauli
         sum and separation, with only the segments and the qubit-pair groups
-        it changes worked out again.  Otherwise d's flow sweep is resumed at
-        the first step that claims a matched vertex (`flow.stranded_after`):
-        a candidate it strands gets the off-path penalty, any other is left
-        open.  A d without a cover leaves every candidate open."""
+        it changes worked out again.  The splice is exact, so any other
+        candidate has no cover with the spliced paths.  For those the rule's
+        generated patch kernel (`flow.patch_kernel`) gives the matched
+        vertices, the fresh ids and the rewritten neighbour sets, and d's
+        flow sweep is resumed at the first step that claims a matched vertex
+        (`flow.stranded_after`): a candidate it strands gets the off-path
+        penalty, any other is left open.  A d without a cover leaves every
+        candidate open."""
         try:
             parent, terms = _cover_terms(d)
         except NotACircuit:
@@ -191,11 +197,11 @@ class CommutationMetric:
             kernel = splice_kernel(rule)
             splice = None if kernel is None else kernel(m, d, parent, terms)
             if splice is None:
-                delta = match_delta(d, rule, m)
-                stranded = stranded_after(parent, delta, delta.neighbours(parent.nbrs))
+                removed, fresh, patched = patch_kernel(rule)(m, d, parent.nbrs)
+                stranded = stranded_after(parent, removed, fresh, patched)
                 if not stranded:
                     return None
-                size = num_vertices - len(delta.removed) + len(delta.fresh)
+                size = num_vertices - len(removed) + len(fresh)
                 return Scored(self._penalty(size, len(stranded)), None)
             pauli, separation = splice.terms
             return Scored(pauli + self.separation_weight * separation, splice)

@@ -76,7 +76,7 @@ from operator import itemgetter
 from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .diagram import B, Diagram, EdgeId, VertexId
-from .errors import ReplayDivergence, RuleFormatError, StaleMatchError
+from .errors import ReplayDivergence, RuleFormatError, StaleMatchError, TraceFormatError
 from .flow import PathCover, Splice, carry_cover, cover_or_none, find_path_cover
 
 Metric = Callable[[Diagram], int]
@@ -90,9 +90,10 @@ class Rule:
     object and dropped with it: its search plans by anchor (``"plans"``), the
     plan rooted at its whole LHS interior that checks each match
     (``"pinned"``, `apply_match`), its RHS plan (``"rhs"``, `match_delta`)
-    and the splice and score kernel generated from its cover splice plan
-    (``"kernel"``, `flow.splice_kernel`).  It takes no part in equality,
-    hashing or the repr."""
+    and the splice and score kernel generated from its cover splice plan,
+    with its patch kernel (``"kernel"``, `flow.splice_kernel` and
+    `flow.patch_kernel`).  It takes no part in equality, hashing or the
+    repr."""
 
     name: str
     lhs: Diagram
@@ -442,26 +443,35 @@ def _kernel(plan: _Plan) -> Callable[..., bool]:
              f"edge_map=em, boundary_attach=ba)))")
         emit("if first: return True")
         lines.append(" return False")
-    return _compiled("\n".join(lines) + "\n", "matcher kernel", "_k0", {
-        "_sigs": sigs, "permutations": itertools.permutations, "product": itertools.product})
+    return _compiled("\n".join(lines) + "\n", "matcher kernel", ("_k0",), {
+        "_sigs": sigs, "permutations": itertools.permutations, "product": itertools.product})[0]
 
 
-def _compiled(source: str, label: str, entry: str, namespace: Dict[str, object]) -> Callable:
-    """The function ``entry`` that generated ``source`` defines, compiled with
-    ``namespace`` as its globals.  Every function the source defines is taken
-    out of the namespace again, so the functions and their globals form no
-    cycle: one function reaches another only through a default argument.
-    The source is registered in `linecache` for as long as the function
-    lives, under a file name that starts with ``<label``."""
+class _Lines:
+    """Held by a generated source's namespace, which every function it
+    defines holds as its globals: it dies with the last of them."""
+
+    __slots__ = ("__weakref__",)
+
+
+def _compiled(source: str, label: str, entries: Sequence[str],
+              namespace: Dict[str, object]) -> Tuple[Callable, ...]:
+    """The functions ``entries`` that generated ``source`` defines, compiled
+    with ``namespace`` as their globals.  Every function the source defines
+    is taken out of the namespace again, so the functions and their globals
+    form no cycle: one function reaches another only through a default
+    argument.  The source is registered in `linecache` for as long as any of
+    them lives, under a file name that starts with ``<label``."""
     filename = f"<{label} {next(_kernel_files)}>"
     given = set(namespace)
     exec(compile(source, filename, "exec"), namespace)
-    kernel = namespace[entry]
+    kernels = tuple(namespace[entry] for entry in entries)
     for name in [name for name in namespace if name not in given and name != "__builtins__"]:
         del namespace[name]
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    weakref.finalize(kernel, linecache.cache.pop, filename, None)
-    return kernel
+    namespace["_lines"] = lines = _Lines()
+    weakref.finalize(lines, linecache.cache.pop, filename, None)
+    return kernels
 
 
 def _symmetries(rule: Rule) -> List[Match]:
@@ -874,10 +884,18 @@ class ProofTrace:
 
     @staticmethod
     def from_json(text: str) -> "ProofTrace":
-        obj = json.loads(text)
-        t = ProofTrace(Diagram.from_json_obj(obj["initial"]))
-        t.steps = [ProofStep.from_json_obj(s) for s in obj["steps"]]
-        t.final = Diagram.from_json_obj(obj["final"])
+        """The trace `to_json` wrote; TraceFormatError when text is not such
+        a trace, DiagramInvariantError when one of its diagrams is malformed."""
+        try:
+            obj = json.loads(text)
+            initial, steps, final = obj["initial"], obj["steps"], obj["final"]
+            steps = [ProofStep.from_json_obj(s) for s in steps]
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise TraceFormatError(
+                f"malformed proof trace ({type(exc).__name__}: {exc})") from None
+        t = ProofTrace(Diagram.from_json_obj(initial))
+        t.steps = steps
+        t.final = Diagram.from_json_obj(final)
         return t
 
 

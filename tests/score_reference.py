@@ -1,46 +1,39 @@
 """The candidate scoring `zxcliff` interpreted before each rule generated its
 splice and score kernel (`zxcliff.flow.splice_kernel`).
 
-`splice_cover` walks the rule's splice plan and `spliced_separation`
-carries the separation per pair of paths, as `zxcliff.flow` and
-`zxcliff.optimiser` did; `score` is the body of
-`CommutationMetric.scorer`'s closure with its Pauli delta, taking the
-candidate's `match_delta`.  Tests compare the generated kernels with them.
+`splice_cover` walks the rule's splice plan (`segments`), and decides the
+order check by the least order of the whole candidate where the window
+check does not settle it; `spliced_separation` carries the separation per
+pair of paths, as `zxcliff.flow` and `zxcliff.optimiser` did; `score` is
+the body of `CommutationMetric.scorer`'s closure with its Pauli delta,
+taking the candidate's `match_delta`.  Tests compare the generated kernels
+with them.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from zxcliff.diagram import Diagram, VertexId
-from zxcliff.flow import (PathCover, Splice, _is_pauli_kind, _splice_plan, pair_separation,
-                          stranded_after)
+from zxcliff.flow import (PathCover, Splice, _is_pauli_kind, _splice_plan, least_order,
+                          pair_separation, stranded_after)
 from zxcliff.optimiser import CommutationMetric, MetricTerms, group_crosses
 from zxcliff.rewrite import Match, MatchDelta, Rule, Scored
 
 
-def splice_cover(parent: PathCover, rule: Rule, m: Match, delta: MatchDelta,
-                 nbrs: Dict[VertexId, Set[VertexId]]) -> Optional[Splice]:
-    """The cover of the rewritten diagram, spliced from its parent's in
-    O(|rule|) work, or None when this cannot be shown locally; ``nbrs`` holds
-    the rewritten neighbours of the attachments and fresh vertices, at least.
-
-    Each LHS cover path must map onto a contiguous segment of a distinct
-    parent path, forwards or reversed; the RHS cover path between the same
-    boundary positions replaces it in that orientation.  Then only the
-    sources whose order constraints changed are checked: the fresh vertices,
-    the attachments whose successor changed, and the predecessors of the
-    attachments and fresh vertices.  Each fresh vertex must fit, in the
-    parent's rank, between the old vertices that must precede and follow it."""
+def segments_of(parent: PathCover, rule: Rule, m: Match, delta: MatchDelta
+                ) -> Optional[Dict[int, Tuple[int, int, Tuple[VertexId, ...]]]]:
+    """The segments a splice replaces, as `Splice.segments`, or None when
+    some LHS cover path does not map onto a contiguous segment of a parent
+    path, forwards or reversed, that no other LHS cover path maps onto."""
     plan = _splice_plan(rule)
     if plan is None:
         return None
     vmap = m.vmap()
     pos = parent.pos
     segments: Dict[int, Tuple[int, int, Tuple[VertexId, ...]]] = {}
-    succ: Dict[VertexId, VertexId] = {}  # successors that change
     for start, interior, end, replacement in plan:
         seq = [delta.attach[start], *(vmap[v] for v in interior), delta.attach[end]]
         q, p0 = pos[seq[0]]
@@ -52,8 +45,31 @@ def splice_cover(parent: PathCover, rule: Rule, m: Match, delta: MatchDelta,
         first = p0 + 1 if step == 1 else p0 - len(interior)
         if step == -1:
             new = new[::-1]
-        last = first + len(interior) - 1
-        segments[q] = (first, last, new)
+        segments[q] = (first, first + len(interior) - 1, new)
+    return segments
+
+
+def splice_cover(parent: PathCover, rule: Rule, m: Match, delta: MatchDelta,
+                 nbrs: Dict[VertexId, Set[VertexId]]) -> Optional[Splice]:
+    """The cover of the rewritten diagram, spliced from its parent's, or
+    None when the spliced successor is not a causal flow; ``nbrs`` holds the
+    rewritten neighbours of the attachments and fresh vertices, at least.
+
+    Each LHS cover path must map onto a contiguous segment of a distinct
+    parent path, forwards or reversed; the RHS cover path between the same
+    boundary positions replaces it in that orientation.  Then only the
+    sources whose order constraints changed are checked: the fresh vertices,
+    the attachments whose successor changed, and the predecessors of the
+    attachments and fresh vertices.  When each fresh vertex fits, in the
+    parent's rank, between the old vertices that must precede and follow it,
+    the spliced successor is a flow; otherwise it is one exactly when the
+    least order of the candidate's whole F2-F3 relation (`ordered`) holds
+    every vertex."""
+    segments = segments_of(parent, rule, m, delta)
+    if segments is None:
+        return None
+    succ: Dict[VertexId, VertexId] = {}  # successors that change
+    for q, (first, last, new) in segments.items():
         path = parent.paths[q]
         chain = (path[first - 1], *new, path[last + 1])
         succ.update(zip(chain, chain[1:]))
@@ -91,8 +107,6 @@ def splice_cover(parent: PathCover, rule: Rule, m: Match, delta: MatchDelta,
     while ready:
         w = ready.pop()
         order.append(w)
-        if lo[w] >= hi[w]:
-            return None
         for u in later[w]:
             lo[u] = max(lo[u], lo[w])
             indeg[u] -= 1
@@ -100,7 +114,23 @@ def splice_cover(parent: PathCover, rule: Rule, m: Match, delta: MatchDelta,
                 ready.append(u)
     if len(order) != len(fresh):
         return None
+    if any(lo[w] >= hi[w] for w in fresh) and not ordered(parent, delta.removed, succ, nbrs):
+        return None
     return Splice(parent, segments, succ, (lo, hi, later, order))
+
+
+def ordered(parent: PathCover, removed: FrozenSet[VertexId], succ: Dict[VertexId, VertexId],
+            nbrs: Dict[VertexId, Set[VertexId]]) -> bool:
+    """Whether the parent's flow without the ``removed`` vertices and with
+    the successors ``succ`` laid over it is a causal flow of the candidate,
+    whose neighbour sets are the parent's with ``nbrs`` laid over them: the
+    least order of its F2-F3 relation (`least_order`) holds every vertex."""
+    new_nbrs = {v: ns for v, ns in parent.nbrs.items() if v not in removed}
+    new_nbrs.update(nbrs)
+    new_succ = {v: fv for v, fv in parent.succ.items() if v not in removed}
+    new_succ.update(succ)
+    after = {v: [fv, *(new_nbrs[fv] - {v})] for v, fv in new_succ.items()}
+    return len(least_order(new_nbrs, after)) == len(new_nbrs)
 
 
 def position(splice: Splice, v: VertexId) -> Tuple[int, int]:
@@ -162,7 +192,7 @@ def score(metric: CommutationMetric, d: Diagram, parent: PathCover, terms: Metri
     nbrs = delta.neighbours(parent.nbrs)
     splice = splice_cover(parent, rule, m, delta, nbrs)
     if splice is None:
-        stranded = stranded_after(parent, delta, nbrs)
+        stranded = stranded_after(parent, delta.removed, delta.fresh.values(), nbrs)
         if not stranded:
             return None
         size = len(d.vertices()) - len(delta.removed) + len(delta.fresh)

@@ -138,6 +138,16 @@ def test_cli_extract_refuses_malformed_diagram(tmp_path, capsys, text, found):
     assert err.startswith("error: ") and found in err
 
 
+@pytest.mark.parametrize("verb", [["optimize"], ["verify", "a.txt"], ["extract"], ["translate"]],
+                         ids=["optimize", "verify", "extract", "translate"])
+def test_cli_missing_input_file(tmp_path, capsys, verb):
+    # a path that does not exist ends in `error: ...` and exit 2, not a traceback
+    missing = tmp_path / "missing.txt"
+    assert main([verb[0], str(missing), *verb[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read ") and str(missing) in err
+
+
 @pytest.mark.parametrize("text,found", [
     ('{"name": "Bad", "rhs": {}}', "'lhs'"),
     ("not json", "JSONDecodeError"),

@@ -544,7 +544,7 @@ def test_resumed_sweep_agrees_with_sweep(ruleset):
         patched = delta.neighbours(parent.nbrs)
         nbrs = {v: ns for v, ns in parent.nbrs.items() if v not in delta.removed}
         nbrs.update(patched)
-        stranded = stranded_after(parent, delta, patched)
+        stranded = stranded_after(parent, delta.removed, delta.fresh.values(), patched)
         assert sorted(stranded) == sorted(_sweep(d, nbrs)[1]), rule.name
         starts.add(min(parent.claim_step[v] for v in delta.removed) > 0)
         outcomes.add(bool(stranded))

@@ -12,7 +12,7 @@ from match_reference import reference_matches
 import zxcliff.rewrite as rewrite
 from zxcliff.circuit import circuit, gate, random_clifford_circuit, translate
 from zxcliff.diagram import B, Diagram, X, Z, opposite_colour
-from zxcliff.errors import (ReplayDivergence, RuleFormatError, StaleMatchError)
+from zxcliff.errors import ReplayDivergence, RuleFormatError, StaleMatchError, TraceFormatError
 from zxcliff.normal_forms import line_diagram
 from zxcliff.optimiser import CommutationMetric, Optimiser, OptimiserConfig
 from zxcliff.passes import fuse_spiders, h_euler_expand, simple_form
@@ -731,6 +731,16 @@ def test_corrupted_trace_raises(rules_by_name):
     bad = ProofTrace.from_json(json.dumps(obj))
     with pytest.raises(ReplayDivergence):
         replay(bad, rules_by_name)
+
+
+@pytest.mark.parametrize("text,found", [
+    ("x", "JSONDecodeError"),
+    ("{}", "KeyError: 'initial'"),
+    ('{"initial": {}, "steps": [{"name": "hopf"}], "final": {}}', "KeyError: 'kind'"),
+], ids=["not-json", "empty", "step-without-kind"])
+def test_malformed_trace_raises_its_own_error(text, found):
+    with pytest.raises(TraceFormatError, match=found):
+        ProofTrace.from_json(text)
 
 
 @pytest.mark.parametrize("step,message", [

@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 import score_reference
 import zxcliff.flow as flow
 from zxcliff.circuit import random_clifford_circuit, translate
-from zxcliff.flow import find_path_cover, has_path_cover, splice_kernel
+from zxcliff.diagram import B, X, Z, DiagramBuilder
+from zxcliff.errors import NotACircuit
+from zxcliff.flow import (find_path_cover, has_path_cover, patch_kernel, search_path_cover,
+                          splice_kernel)
 from zxcliff.optimiser import CommutationMetric, Optimiser, metric_terms
 from zxcliff.passes import simple_form
 from zxcliff.rewrite import Rule, apply_match, find_matches, match_delta
@@ -88,6 +91,129 @@ def test_kernels_agree_with_reference(ruleset):
     split_forms_and_rewrites()
     assert len(rules) == 16
     assert spliced == failed == {rule.name for rule in rules}
+
+
+def _metric_rewrites(opt, check, examples):
+    # split forms at widths 2-6 and up to 3 random metric rewrites of each,
+    # every covered one handed to check
+    rules = opt._metric_rules
+
+    @settings(max_examples=examples, deadline=None, derandomize=True)
+    @given(width=st.integers(2, 6), depth=st.integers(4, 40), seed=st.integers(0, 10**6),
+           picks=st.lists(st.integers(0, 10**6), max_size=3))
+    def split_forms_and_rewrites(width, depth, seed, picks):
+        d = simple_form(translate(random_clifford_circuit(width, depth, seed)))
+        d = opt._split_leg_phases(opt._split_cross_legs(d))
+        check(d)
+        for pick in picks:
+            options = [(r, m) for r in rules for m in find_matches(r, d)]
+            if not options:
+                break
+            r, m = options[pick % len(options)]
+            d = apply_match(d, r, m)
+            if not has_path_cover(d):
+                break
+            check(d)
+
+    split_forms_and_rewrites()
+
+
+def test_splice_is_exact(ruleset):
+    # for every candidate of the 16 metric rules whose segments map onto
+    # distinct parent paths, the kernel splices exactly when the built
+    # candidate's searched cover has the spliced paths, whatever the parent's
+    # rank: also on the parent's least rank and on one 0, 1, 2, ...; the
+    # examples must splice with an empty window and fail the order check
+    opt = Optimiser(rules=ruleset)
+    seen = set()
+
+    def check(d):
+        searched = find_path_cover(d)
+        tight = {v: r // flow.RANK_STEP for v, r in searched.rank.items()}
+        parents = [searched] + [flow.PathCover(searched.paths, searched.succ, rank, searched.nbrs,
+                                               searched.inputs)
+                                for rank in (searched.least_rank, tight)]
+        for rule in opt._metric_rules:
+            kernel = splice_kernel(rule)
+            for m in find_matches(rule, d):
+                delta = match_delta(d, rule, m)
+                segments = score_reference.segments_of(searched, rule, m, delta)
+                if segments is None:
+                    continue
+                try:
+                    paths = search_path_cover(apply_match(d, rule, m)).paths
+                except NotACircuit:
+                    paths = None
+                covered = paths == flow.Splice(searched, segments, {}, None).paths()
+                for parent in parents:
+                    got = kernel(m, d, parent, None)
+                    assert (got is not None) == covered, rule.name
+                    if got is None:
+                        seen.add("fails")
+                    elif got.rank(delta.removed) is None:
+                        seen.add("empty window")
+
+    _metric_rewrites(opt, check, 60)
+    assert seen == {"fails", "empty window"}
+
+
+def test_patch_kernel_agrees_with_match_delta(ruleset):
+    # the generated failure path: for every candidate of every metric rule,
+    # the matched vertices, fresh ids and patched neighbour sets are the
+    # match delta's
+    opt = Optimiser(rules=ruleset)
+    candidates = 0
+
+    def check(d):
+        nonlocal candidates
+        nbrs = find_path_cover(d).nbrs
+        for rule in opt._metric_rules:
+            for m in find_matches(rule, d):
+                delta = match_delta(d, rule, m)
+                removed, fresh, patched = patch_kernel(rule)(m, d, nbrs)
+                assert removed == delta.removed and fresh == tuple(delta.fresh.values())
+                assert patched == delta.neighbours(nbrs), rule.name
+                candidates += 1
+
+    _metric_rewrites(opt, check, 30)
+    assert candidates
+
+
+def test_patch_kernel_patches_a_repeated_attachment_once():
+    # a degree-2 spider joined to one vertex by both its edges: the two
+    # attachments coincide, so the vertex is patched once, and a new edge
+    # between the two is a self-loop, which adds no neighbour
+    def spider(kind, middle):
+        b = DiagramBuilder()
+        ends = [b.add_vertex(B), b.add_vertex(B)]
+        inner = [b.add_vertex(kind, 0) for _ in range(middle)]
+        chain = [ends[0], *inner, ends[1]]
+        for u, v in zip(chain, chain[1:]):
+            b.add_edge(u, v)
+        b.set_boundaries([ends[0]], [ends[1]])
+        return b.build()
+
+    b = DiagramBuilder()
+    i, o = b.add_vertex(B), b.add_vertex(B)
+    x, y = b.add_vertex(X, 0), b.add_vertex(Z, 0)
+    for u, v in [(i, x), (x, o), (x, y), (x, y)]:
+        b.add_edge(u, v)
+    b.set_boundaries([i], [o])
+    target = b.build()
+    nbrs = target.neighbour_sets()
+    seen = []
+    for middle in (0, 1, 2):
+        rule = Rule(f"shrink{middle}", spider(Z, 1), spider(X, middle))
+        matches = find_matches(rule, target)
+        assert matches
+        for m in matches:
+            delta = match_delta(target, rule, m)
+            assert set(delta.attach.values()) == {x}
+            removed, fresh, patched = patch_kernel(rule)(m, target, nbrs)
+            assert (removed, fresh) == (delta.removed, tuple(delta.fresh.values()))
+            assert patched == delta.neighbours(nbrs)
+            seen.append(patched[x])
+    assert seen[0] == {i, o}
 
 
 def test_scoring_kernel_shows_its_generated_line(ruleset, monkeypatch):
