@@ -49,7 +49,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import (TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional,
@@ -79,13 +79,12 @@ class PathCover:
     need be the least order.  ``nbrs`` and ``inputs`` are the diagram's
     neighbour sets and inputs, which a splice and a resumed sweep read.  The
     rest is worked out on first use: ``pos`` maps each vertex to its (path,
-    position) (a carried cover patches its parent's), ``claim_order``,
-    ``claim_step`` and ``path_claims`` record the sweep (a search hands over
-    its own claims), and ``least_rank`` orders the vertices by the least
-    order of F2-F3 in vertex-id order (`least_order` on ``succ`` and
-    ``nbrs``; a cover's flow is verified, so that order is total).  A cover
-    holds no reference to its diagram, whose memo holds it, or to another
-    cover."""
+    position) (a carried cover patches its parent's), ``claim_order`` and
+    ``claim_step`` record the sweep (a search hands over its own claims),
+    and ``least_rank`` orders the vertices by the least order of F2-F3 in
+    vertex-id order (`least_order` on ``succ`` and ``nbrs``; a cover's flow
+    is verified, so that order is total).  A cover holds no reference to its
+    diagram, whose memo holds it, or to another cover."""
 
     paths: Tuple[Tuple[VertexId, ...], ...]
     succ: Dict[VertexId, VertexId]
@@ -109,13 +108,6 @@ class PathCover:
     @cached_property
     def claim_step(self) -> Dict[VertexId, int]:
         return {u: i for i, u in enumerate(self.claim_order)}
-
-    @cached_property
-    def path_claims(self) -> List[List[int]]:
-        """Per path, the claim steps of its non-output vertices from the
-        output end on, which rise: f(u) is processed before it claims u."""
-        step = self.claim_step
-        return [[step[v] for v in reversed(path[:-1])] for path in self.paths]
 
     @cached_property
     def least_rank(self) -> Dict[VertexId, int]:
@@ -415,9 +407,13 @@ def patch_kernel(rule: "Rule") -> Callable[..., Tuple[FrozenSet[VertexId], Tuple
                                                       Dict[VertexId, Set[VertexId]]]]:
     """The rule's patch kernel, generated with its splice kernel
     (`_splice_kernel`): ``patch(m, target, nbrs)`` returns the matched
-    vertices, the fresh ids and the rewritten neighbour sets of the
-    attachments and fresh vertices, as `rewrite.match_delta` and
-    `MatchDelta.neighbours` would, given target's neighbour sets."""
+    vertices, the fresh ids (as `rewrite.match_delta` numbers them) and the
+    distinct neighbours of every attachment and fresh vertex after the
+    rewrite, given target's neighbour sets (self-loops dropped).  No other
+    vertex's neighbours change: an edge into the match is matched, so its
+    far end is an attachment.  `rewrite.apply_match` patches the rewritten
+    diagram's neighbour map with it, and the metric's scorer a candidate
+    whose splice fails."""
     return _kernels(rule)[1]
 
 
@@ -815,21 +811,14 @@ def stranded_after(parent: PathCover, removed: FrozenSet[VertexId], fresh: Itera
     claims from step T on, and the fresh ones.  A processed vertex that may
     still claim has a changed neighbour set or the same open neighbours as
     in the parent; either way it claims in the parent at step T or later, so
-    it is a claimant of one of those steps: the first processed vertex of a
-    path whose input is unprocessed.  Claim steps fall strictly along each
-    path, so the processed vertices of a path are a suffix of it, found by
-    bisecting its claim steps (`PathCover.path_claims`).  `_sweep_from`
-    continues from there on the parent's neighbour sets with the patched
-    ones laid over them, so the work is proportional to the steps from T
-    on, not to the diagram."""
+    it is a claimant of one of those steps.  `_sweep_from` continues from
+    there on the parent's neighbour sets with the patched ones laid over
+    them, so the work is proportional to the steps from T on, not to the
+    diagram."""
     t = min(map(parent.claim_step.__getitem__, removed))
-    ready = []
-    for path, steps in zip(parent.paths, parent.path_claims):
-        # the first k vertices of the path are claimed at step t or later
-        k = len(steps) - bisect_left(steps, t)
-        if k:
-            ready.append(path[k])
-    unreached = set(parent.claim_order[t:])
+    rest = parent.claim_order[t:]
+    unreached = set(rest)
+    ready = list(set(map(parent.succ.__getitem__, rest)) - unreached)
     unreached -= removed
     unreached.update(fresh)
     _sweep_from(ready, unreached, parent.inputs, parent.nbrs, nbrs)

@@ -77,7 +77,7 @@ from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequen
 
 from .diagram import B, Diagram, EdgeId, VertexId
 from .errors import ReplayDivergence, RuleFormatError, StaleMatchError, TraceFormatError
-from .flow import PathCover, Splice, carry_cover, cover_or_none, find_path_cover
+from .flow import PathCover, Splice, carry_cover, cover_or_none, find_path_cover, patch_kernel
 
 Metric = Callable[[Diagram], int]
 
@@ -727,21 +727,6 @@ class MatchDelta(NamedTuple):
     fresh: Dict[VertexId, VertexId]  # RHS interior vertex -> its new id
     new_edges: Tuple[Tuple[VertexId, VertexId], ...]  # target ends of each RHS edge
 
-    def neighbours(self, nbrs: Dict[VertexId, Set[VertexId]]) -> Dict[VertexId, Set[VertexId]]:
-        """Distinct neighbours after the rewrite of every attachment and fresh
-        vertex, given the target's (self-loops dropped).  No other vertex's
-        neighbours change: an edge into the match is matched, so its far end
-        is an attachment."""
-        removed = self.removed
-        out = {a: nbrs[a] - removed for a in self.attach.values()}
-        for w in self.fresh.values():
-            out[w] = set()
-        for u, v in self.new_edges:
-            if u != v:
-                out[u].add(v)
-                out[v].add(u)
-        return out
-
 
 class _RhsPlan(NamedTuple):
     """What `match_delta` needs of a rule, whatever the match."""
@@ -786,7 +771,7 @@ def apply_match(target: Diagram, rule: Rule, m: Match) -> Diagram:
     """Replace the matched subgraph by the rule's RHS.
 
     What the target already has is carried to the result rather than built
-    again: its neighbour map, patched by `MatchDelta.neighbours`, its
+    again: its neighbour map, patched by the rule's `flow.patch_kernel`, its
     matcher index (`_derive_index`) and its memoised path cover, spliced
     with the rule's (`flow.carry_cover`) when the splice passes.  Raises
     StaleMatchError unless m is one of the matcher's embeddings of the
@@ -823,7 +808,7 @@ def _apply(target: Diagram, rule: Rule, m: Match) -> Tuple[Diagram, MatchDelta]:
         out._nbrs = nbrs.copy()
         for v in delta.removed:
             del out._nbrs[v]
-        out._nbrs.update(delta.neighbours(nbrs))
+        out._nbrs.update(patch_kernel(rule)(m, target, nbrs)[2])
     parent = target.memo.get("index")
     if parent is not None:
         out.memo["index"] = _derive_index(parent, out, delta)

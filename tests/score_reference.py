@@ -6,8 +6,9 @@ order check by the least order of the whole candidate where the window
 check does not settle it; `spliced_separation` carries the separation per
 pair of paths, as `zxcliff.flow` and `zxcliff.optimiser` did; `score` is
 the body of `CommutationMetric.scorer`'s closure with its Pauli delta,
-taking the candidate's `match_delta`.  Tests compare the generated kernels
-with them.
+taking the candidate's `match_delta`; `neighbours` patches neighbour sets
+from a `match_delta`, as the rule's patch kernel (`zxcliff.flow.patch_kernel`)
+does.  Tests compare the generated kernels with them.
 """
 
 from __future__ import annotations
@@ -21,6 +22,21 @@ from zxcliff.flow import (PathCover, Splice, _is_pauli_kind, _splice_plan, least
                           pair_separation, stranded_after)
 from zxcliff.optimiser import CommutationMetric, MetricTerms, group_crosses
 from zxcliff.rewrite import Match, MatchDelta, Rule, Scored
+
+
+def neighbours(delta: MatchDelta, nbrs: Dict[VertexId, Set[VertexId]]
+               ) -> Dict[VertexId, Set[VertexId]]:
+    """Distinct neighbours after the rewrite ``delta`` of every attachment
+    and fresh vertex, given the target's neighbour sets (self-loops
+    dropped)."""
+    out = {a: nbrs[a] - delta.removed for a in delta.attach.values()}
+    for w in delta.fresh.values():
+        out[w] = set()
+    for u, v in delta.new_edges:
+        if u != v:
+            out[u].add(v)
+            out[v].add(u)
+    return out
 
 
 def segments_of(parent: PathCover, rule: Rule, m: Match, delta: MatchDelta
@@ -189,7 +205,7 @@ def score(metric: CommutationMetric, d: Diagram, parent: PathCover, terms: Metri
     """The scorer's value of one candidate of d, whose cover is parent and
     whose metric terms are ``terms``; ``delta`` is the candidate's
     `match_delta`."""
-    nbrs = delta.neighbours(parent.nbrs)
+    nbrs = neighbours(delta, parent.nbrs)
     splice = splice_cover(parent, rule, m, delta, nbrs)
     if splice is None:
         stranded = stranded_after(parent, delta.removed, delta.fresh.values(), nbrs)

@@ -541,7 +541,7 @@ def test_resumed_sweep_agrees_with_sweep(ruleset):
 
     def check(d, parent, rule, m):
         delta = match_delta(d, rule, m)
-        patched = delta.neighbours(parent.nbrs)
+        patched = score_reference.neighbours(delta, parent.nbrs)
         nbrs = {v: ns for v, ns in parent.nbrs.items() if v not in delta.removed}
         nbrs.update(patched)
         stranded = stranded_after(parent, delta.removed, delta.fresh.values(), patched)
