@@ -26,7 +26,8 @@ from zxcliff.circuit import random_clifford_circuit, translate
 from zxcliff.flow import extract_circuit, find_path_cover, has_path_cover, search_path_cover
 from zxcliff.optimiser import Optimiser
 from zxcliff.passes import simple_form
-from zxcliff.rewrite import Match, ProofTrace, _apply, _index, apply_match, rewrite_first
+from zxcliff.rewrite import Match, _apply, _index, apply_match, rewrite_first
+from zxcliff.trace import ProofTrace
 
 OPT = Optimiser()
 RULES = OPT.rules.init

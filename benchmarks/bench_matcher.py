@@ -26,9 +26,9 @@ from zxcliff.circuit import random_clifford_circuit, translate
 from zxcliff.flow import has_path_cover
 from zxcliff.optimiser import Optimiser
 from zxcliff.passes import simple_form
-from zxcliff.rewrite import (Match, ProofTrace, _compile, _kernel, _plan, apply_match,
-                             find_matches, rewrite_first)
+from zxcliff.rewrite import Match, _compile, _kernel, _plan, apply_match, find_matches, rewrite_first
 from zxcliff.ruleset import load_ruleset
+from zxcliff.trace import ProofTrace
 
 OPT = Optimiser()
 RULES = OPT._loop_rules

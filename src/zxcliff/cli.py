@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .bench import bench, render_report
+from .bench import CSV_HEADER, bench, render_report
 from .circuit import (circuit_size, gate_matrix_product, parse_circuit,
                       serialize_circuit, translate)
 from .diagram import Diagram
@@ -57,6 +57,9 @@ def _cmd_optimize(args) -> int:
     except NotACircuit as exc:
         print(f"error: not a circuit: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:  # a check on a step failed; --verify adds the oracle's
+        print(f"error: verification failed: {exc}", file=sys.stderr)
+        return 3
     if c.width <= 10:
         ok = scalar_free_equal(gate_matrix_product(c),
                                gate_matrix_product(res.circuit))
@@ -97,7 +100,6 @@ def _cmd_bench(args) -> int:
     else:
         print(render_report(rows))
     if args.csv:
-        from .bench import CSV_HEADER
         _write(args.csv, "\n".join([CSV_HEADER] + [r.csv() for r in rows]) + "\n")
     if any(r.verified is False for r in rows):
         print("verification failures present", file=sys.stderr)

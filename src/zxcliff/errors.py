@@ -71,10 +71,6 @@ class NotACircuit(ZXError):
         super().__init__(message)
 
 
-class NotALineGraph(ZXError):
-    """Operation requires a one-input one-output chain of degree-2 vertices."""
-
-
 class CrossEdgeColourError(ZXError):
     """A cross edge joins two path vertices of the same colour."""
 

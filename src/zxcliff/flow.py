@@ -55,6 +55,7 @@ from functools import cached_property
 from typing import (TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional,
                     Sequence, Set, Tuple, TypeVar)
 
+from .circuit import Circuit, Gate
 from .diagram import H, X, Z, Diagram, VertexId
 from .errors import CrossEdgeColourError, NotACircuit
 from .passes import is_simple
@@ -851,7 +852,7 @@ _PHASE_GATES = {(Z, 0): (), (Z, 1): ("S",), (Z, 2): ("Z",), (Z, 3): ("Z", "S"),
                 (X, 0): (), (X, 1): ("V",), (X, 2): ("X",), (X, 3): ("X", "V"), (H, 0): ("H",)}
 
 
-def extract_circuit(d: Diagram, pc: PathCover) -> "Circuit":
+def extract_circuit(d: Diagram, pc: PathCover) -> Circuit:
     """Turn a covered diagram back into a gate list.
 
     Path vertices become 1-qubit gates (higher-degree vertices contribute
@@ -866,8 +867,6 @@ def extract_circuit(d: Diagram, pc: PathCover) -> "Circuit":
     realised by trailing CNOT triples (the gate set has no primitive swap in
     extracted output).
     """
-    from .circuit import Circuit, Gate
-
     pos = pc.pos
     width = len(pc.paths)
     on_path_edges = {d.edges_between(a, b)[0] for path in pc.paths for a, b in zip(path, path[1:])}

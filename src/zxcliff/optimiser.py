@@ -53,18 +53,16 @@ import numpy as np
 
 from .circuit import Circuit, circuit_size, translate
 from .diagram import B, H, X, Z, Diagram, DiagramBuilder, EdgeId, VertexId
-from .errors import NotACircuit, NotALineGraph, StaleMatchError
+from .errors import NotACircuit, StaleMatchError
 from .flow import (PathCover, _is_pauli_kind, cover_or_none, extract_circuit, find_path_cover,
                    has_path_cover, pair_separation, patch_kernel, ranks_flow, search_path_cover,
                    splice_kernel, stranded_after)
 from .normal_forms import cc1_table, cc2_family, line_diagram
-from .passes import (fuse_spiders, h_euler_expand, hopf_reduce, pi_copy,
-                     remove_identities, remove_self_loops, simple_form,
-                     split_cross_leg, split_phase)
-from .rewrite import (Match, ProofTrace, Rule, Scored, reduce, rewrite_first, rewrite_metric,
-                      SEMANTIC_REPLAYERS)
+from .passes import simple_form, split_cross_leg, split_phase
+from .rewrite import Match, Rule, Scored, reduce, rewrite_first, rewrite_metric
 from .ruleset import RuleSet, audit_ruleset, load_ruleset
 from .semantics import interpret, scalar_free_equal
+from .trace import SEMANTIC_REPLAYERS, ProofTrace
 
 _RULESET: Optional[RuleSet] = None
 
@@ -389,15 +387,6 @@ class Optimiser:
                 return out
         return None
 
-    def _cleanup_passes(self, d: Diagram) -> Diagram:
-        for name, fn in (("remove_self_loops", remove_self_loops),
-                         ("hopf_reduce", hopf_reduce),
-                         ("remove_identities", remove_identities)):
-            out = fn(d)
-            d = _record_pass(self._trace, name, {}, d, out)
-        self._after_step(d)
-        return d
-
     # -- final tidy --------------------------------------------------------------
 
     def _canonicalise(self, d: Diagram) -> Diagram:
@@ -450,7 +439,11 @@ class Optimiser:
             d = self._split_leg_phases(d)
             d = self._reduce_rules(self.rules.init, d)
             d = self._reduce_rules(self._loop_rules, d)
-            d = self._cleanup_passes(d)
+            # nothing here makes a self-loop, a parallel edge or an identity
+            # for the normalising passes to remove: the round started from
+            # simple form, the splits add none, a rewrite keeps each
+            # attachment's degree, and a bare RHS wire joins two vertices of
+            # one path that F3 forbids from already being adjacent
             d = self._reduce(self._move_pauli, d)
             d = self._reduce(lambda g, trace: rewrite_metric(
                 self._metric_rules, g, self._metric, trace, self.cfg.verify_each_step), d)
@@ -617,68 +610,3 @@ def _replay_cc2(d: Diagram, payload: dict) -> Diagram:
 
 SEMANTIC_REPLAYERS["cc1"] = _replay_cc1
 SEMANTIC_REPLAYERS["cc2"] = _replay_cc2
-
-
-# -- the line-graph Pauli-standard procedure ------------------------------------
-
-
-def _line_sequence(d: Diagram) -> List[VertexId]:
-    if d.num_inputs != 1 or d.num_outputs != 1:
-        raise NotALineGraph("need exactly one input and one output")
-    seq = []
-    prev = d.inputs[0]
-    cur_edges = d.incident_edges(prev)
-    v = d.other_end(cur_edges[0], prev)
-    while not d.is_boundary(v):
-        if d.degree(v) != 2:
-            raise NotALineGraph(f"vertex {v} has degree {d.degree(v)}")
-        seq.append(v)
-        nxt = [d.other_end(e, v) for e in d.incident_edges(v)
-               if d.other_end(e, v) != prev]
-        if len(nxt) != 1:
-            raise NotALineGraph(f"vertex {v} does not continue the line")
-        prev, v = v, nxt[0]
-    if v != d.outputs[0]:
-        raise NotALineGraph("line does not terminate at the output")
-    if len(seq) + 2 != len(d.vertices()):
-        raise NotALineGraph("disconnected vertices present")
-    return seq
-
-
-def line_to_pauli_standard(d: Diagram, trace: Optional[ProofTrace] = None) -> Diagram:
-    """Rewrite a line graph into Pauli-standard form: alternating colours,
-    no zero phases, and at most two Paulis sitting right after the input.
-
-    Driven by the sum of Pauli positions, which strictly decreases with each
-    commutation; fusion and identity removal run in between.
-    """
-    _line_sequence(d)  # validates the precondition
-    d = _record_pass(trace, "h_euler_expand", {}, d, h_euler_expand(d))
-    while True:
-        before = d
-        d = _record_pass(trace, "fuse_spiders", {}, d, fuse_spiders(d))
-        d = _record_pass(trace, "remove_identities", {}, d, remove_identities(d))
-        seq = _line_sequence(d)
-        moved = False
-        for p, v in enumerate(seq):
-            if d.phase(v) != 2 or p == 0:
-                continue
-            u = seq[p - 1]
-            if d.phase(u) == 2:
-                continue
-            if d.kind(u) == d.kind(v):
-                continue  # fusion clears same-colour pairs on the next sweep
-            out = pi_copy(d, v, u)
-            if trace is not None:
-                trace.record_pass("pi_copy", {"pauli_v": v, "spider_v": u}, d, out)
-            d = out
-            moved = True
-            break
-        if not moved and d is before:
-            break
-    seq = _line_sequence(d)
-    assert all(d.kind(a) != d.kind(b) for a, b in zip(seq, seq[1:]))
-    assert all(d.phase(v) != 0 for v in seq)
-    pauli_at = [p for p, v in enumerate(seq) if d.phase(v) == 2]
-    assert len(pauli_at) <= 2 and all(p == i for i, p in enumerate(pauli_at))
-    return d

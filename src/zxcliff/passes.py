@@ -1,19 +1,21 @@
 """Built-in structural passes for the variable-arity axioms.
 
 The generic matcher only handles fixed-arity rules, so spider fusion,
-identity/anti-loop/hopf reduction, H expansion, colour change and
-Pauli-copying are implemented here as parameterised passes.  Each pass is
-deterministic and preserves the interpretation up to a non-zero scalar.  The
-normalising passes return their input itself when they change nothing, so
-caches keyed on the diagram object stay valid and ``out is d`` tells whether
-a pass changed anything.
+identity/anti-loop/hopf reduction, H expansion and the splitting of a
+spider's phase or cross legs are implemented here as parameterised passes.
+Each pass is deterministic and preserves the interpretation up to a
+non-zero scalar.  The normalising passes return their input itself when
+they change nothing, so caches keyed on the diagram object stay valid and
+``out is d`` tells whether a pass changed anything.  A run records
+`simple_form`, `split_phase` and `split_cross_leg` in its proof trace, and
+replay finds them by name in `trace.PASSES`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
-from .diagram import H, X, Z, Diagram, EdgeId, VertexId, phase_add, phase_neg
+from .diagram import H, X, Z, Diagram, EdgeId, VertexId, phase_add
 from .errors import TargetKindError
 from .semantics import interpret
 
@@ -230,74 +232,6 @@ def simple_form(d: Diagram) -> Diagram:
     return d
 
 
-def colour_change_vertex(d: Diagram, v: VertexId) -> Diagram:
-    """Flip the colour of spider v, conjugating every leg by an H box.
-
-    New H boxes meeting an existing H box on the same edge cancel; self-loops
-    pick up two H boxes which likewise cancel, so they are left alone.
-    """
-    if not d.is_spider(v):
-        raise TargetKindError(f"vertex {v} is not a spider")
-    b = d.builder()
-    b.set_kind(v, X if d.kind(v) == Z else Z)
-    handled = set()
-    for e in sorted(d.incident_edges(v)):
-        if e in handled:
-            continue
-        u, w = d.edge_ends(e)
-        if u == w:
-            continue  # self-loop: the two H boxes cancel each other
-        other = w if u == v else u
-        if d.kind(other) == H:
-            # cancel with the existing H box: connect v straight through
-            far_edges = [e2 for e2 in b.incident(other) if e2 != e]
-            (e2,) = far_edges
-            far = b._other(e2, other)
-            handled.add(e2)
-            b.remove_vertex(other)
-            b.add_edge(v, far if far != other else v)
-        else:
-            hv = b.add_vertex(H)
-            b.remove_edge(e)
-            b.add_edge(v, hv)
-            b.add_edge(hv, other)
-    return b.build()
-
-
-def pi_copy(d: Diagram, pauli_v: VertexId, spider_v: VertexId) -> Diagram:
-    """Commute a degree-2 Pauli through an adjacent opposite-colour spider.
-
-    The spider's phase is negated and a copy of the Pauli appears on each of
-    its other legs (sound up to scalar).
-    """
-    if not (d.is_spider(pauli_v) and d.phase(pauli_v) == 2 and d.degree(pauli_v) == 2):
-        raise TargetKindError(f"vertex {pauli_v} is not a degree-2 Pauli")
-    if not d.is_spider(spider_v) or d.kind(spider_v) == d.kind(pauli_v):
-        raise TargetKindError(f"vertex {spider_v} is not an opposite-colour spider")
-    link = d.edges_between(pauli_v, spider_v)
-    if len(link) != 1:
-        raise TargetKindError("Pauli must meet the spider along a single edge")
-    pauli_kind = d.kind(pauli_v)
-    b = d.builder()
-    (e_prev,) = [e for e in d.incident_edges(pauli_v) if e != link[0]]
-    prev = b._other(e_prev, pauli_v)
-    # capture the spider's other legs before any mutation
-    other_edges = [e for e in sorted(d.incident_edges(spider_v)) if e != link[0]]
-    b.remove_vertex(pauli_v)
-    b.add_edge(prev, spider_v)
-    b.set_phase(spider_v, phase_neg(d.phase(spider_v)))
-    for e in other_edges:
-        u, w = d.edge_ends(e)
-        if u == w:
-            continue  # loop legs get two Pauli copies which cancel
-        other = w if u == spider_v else u
-        p = b.add_vertex(pauli_kind, 2)
-        b.remove_edge(e)
-        b.add_edge(spider_v, p)
-        b.add_edge(p, other)
-    return b.build()
-
-
 def split_cross_leg(d: Diagram, v: VertexId, prev_edge: EdgeId, next_edge: EdgeId,
                     order: List[EdgeId]) -> Diagram:
     """Decompose a spider with several cross edges into a same-colour chain,
@@ -340,19 +274,3 @@ def split_phase(d: Diagram, v: VertexId, edge: EdgeId) -> Diagram:
     b.add_edge(other, p)
     b.add_edge(p, v)
     return b.build()
-
-
-# registry used by trace replay
-PASSES: Dict[str, Callable] = {
-    "fuse_spiders": fuse_spiders,
-    "remove_self_loops": remove_self_loops,
-    "remove_identities": remove_identities,
-    "hopf_reduce": hopf_reduce,
-    "h_euler_expand": h_euler_expand,
-    "drop_scalar_components": drop_scalar_components,
-    "simple_form": simple_form,
-    "colour_change_vertex": colour_change_vertex,
-    "pi_copy": pi_copy,
-    "split_phase": split_phase,
-    "split_cross_leg": split_cross_leg,
-}

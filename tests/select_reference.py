@@ -18,8 +18,8 @@ from zxcliff.diagram import H, X, Z, Diagram, VertexId
 from zxcliff.errors import NotACircuit, RuleFormatError
 from zxcliff.flow import find_path_cover
 from zxcliff.optimiser import _is_pauli
-from zxcliff.rewrite import (Match, Metric, ProofTrace, Rule, Scored, apply_match,
-                             find_matches)
+from zxcliff.rewrite import Match, Metric, Rule, Scored, apply_match, find_matches
+from zxcliff.trace import ProofTrace
 
 
 def rewrite_first(rules: Sequence[Rule], d: Diagram,

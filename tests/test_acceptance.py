@@ -16,8 +16,9 @@ from zxcliff.normal_forms import canonical_key, cc2_contains
 from zxcliff.optimiser import CommutationMetric, PauliMetric
 from zxcliff.passes import (fuse_spiders, h_euler_expand, hopf_reduce,
                             remove_identities, remove_self_loops, simple_form)
-from zxcliff.rewrite import apply_match, find_matches, replay, rewrite_metric
+from zxcliff.rewrite import apply_match, find_matches, rewrite_metric
 from zxcliff.semantics import DEFAULT_TOL, interpret, scalar_free_equal
+from zxcliff.trace import replay
 
 TOL = DEFAULT_TOL
 

@@ -89,6 +89,15 @@ def test_cli_optimize_no_fallback(tmp_path):
     assert main(["optimize", str(src), "--out", str(out), "--no-fallback"]) == 0
 
 
+def test_cli_optimize_verify_failure_exits_3(tmp_path, capsys, monkeypatch):
+    src = tmp_path / "c.zxc"
+    src.write_text(CIRCUIT)
+    monkeypatch.setattr("zxcliff.optimiser.scalar_free_equal", lambda a, b: False)
+    assert main(["optimize", str(src), "--verify"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: verification failed: step changed the interpretation")
+
+
 def test_cli_verify(tmp_path, capsys):
     a = tmp_path / "a.zxc"
     b = tmp_path / "b.zxc"

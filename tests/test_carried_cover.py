@@ -16,7 +16,8 @@ from zxcliff.flow import (RANK_STEP, PathCover, carry_cover, find_path_cover, se
                           splice_kernel)
 from zxcliff.optimiser import CommutationMetric, Optimiser, OptimiserConfig
 from zxcliff.passes import simple_form
-from zxcliff.rewrite import ProofTrace, apply_match, find_matches, rewrite_metric
+from zxcliff.rewrite import apply_match, find_matches, rewrite_metric
+from zxcliff.trace import ProofTrace
 
 
 def _rebuilt(d):

@@ -10,21 +10,23 @@ from hypothesis import strategies as st
 import score_reference
 import select_reference
 from apply_reference import reference_apply_match
+from test_diagram import _Recording
 from zxcliff.circuit import (circuit, circuit_size, gate, gate_matrix_product,
                              random_clifford_circuit, translate)
 from zxcliff.diagram import B, Diagram, DiagramBuilder, X, Z
-from zxcliff.errors import NotALineGraph, ReplayDivergence, UnsoundRuleError
+from zxcliff.errors import ReplayDivergence, UnsoundRuleError
 from zxcliff.flow import (_sweep, find_path_cover, has_path_cover, is_circuit_like, splice_kernel,
                           stranded_after)
 from zxcliff.normal_forms import cc2_contains, line_diagram
 from zxcliff.optimiser import (CommutationMetric, Optimiser, OptimiserConfig, PauliMetric,
                                _replace_run, _replace_whole, canonicalise_blocks, group_crosses,
-                               line_to_pauli_standard, metric_terms, optimise, pair_separation)
-from zxcliff.passes import simple_form
-from zxcliff.rewrite import (ProofStep, ProofTrace, Rule, _result_key, apply_match, find_matches,
-                             match_delta, reduce, replay, rewrite_first, rewrite_metric)
+                               metric_terms, optimise, pair_separation)
+from zxcliff.passes import hopf_reduce, remove_identities, remove_self_loops, simple_form
+from zxcliff.rewrite import (Rule, _result_key, apply_match, find_matches, match_delta, reduce,
+                             rewrite_first, rewrite_metric)
 from zxcliff.ruleset import RuleSet
 from zxcliff.semantics import interpret, scalar_free_equal
+from zxcliff.trace import PASSES, ProofStep, ProofTrace, replay
 
 
 def preserved(res, c):
@@ -134,6 +136,31 @@ def test_trace_replays_to_final(optimiser, rules_by_name):
         res = optimiser.run(c)
         assert replay(res.trace, rules_by_name).iso_equal(res.trace.final)
         assert res.trace.final.iso_equal(res.diagram)
+
+
+def test_replay_registry_is_what_runs_record(optimiser, rules_by_name):
+    # replay finds each recorded pass by name, so the registry must hold
+    # exactly the passes a run records
+    recorded = set()
+    for width in range(1, 5):
+        for seed in range(3):
+            res = optimiser.run(random_clifford_circuit(width, 10 * width, seed))
+            recorded |= {s.payload["name"] for s in res.trace.steps if s.kind == "pass"}
+            assert replay(res.trace, rules_by_name).iso_equal(res.trace.final)
+    assert recorded == PASSES.keys()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(width=st.integers(1, 6), depth=st.integers(1, 30), seed=st.integers(0, 10**6))
+def test_steps_leave_nothing_for_the_normalising_passes(width, depth, seed):
+    # no anti-loop, hopf or identity pass runs between the loop's phases
+    # (`Optimiser.run`), so every diagram a step makes must be a fixpoint of each
+    opt = _Recording()
+    opt.run(random_clifford_circuit(width, depth, seed))
+    for d in opt.seen:
+        assert remove_self_loops(d) is d
+        assert hopf_reduce(d) is d
+        assert remove_identities(d) is d
 
 
 def test_optimise_and_replay_leave_no_cyclic_garbage(ruleset, rules_by_name, cyclic_garbage):
@@ -689,7 +716,6 @@ def test_canonicalise_replaces_h_run(cc1):
 
 def test_canonicalise_keeps_existing_member(cc1):
     from zxcliff.flow import find_path_cover
-    from zxcliff.rewrite import ProofTrace
 
     m = cc1.members[7]
     tr = ProofTrace(m)
@@ -745,61 +771,3 @@ def test_canonicalise_between_legs(optimiser):
     res = Optimiser(OptimiserConfig(semantic_fallback=False)).run(c)
     assert preserved(res, c)
     assert res.stats["output_size"] <= 4
-
-
-# -- line Pauli-standard form ------------------------------------------------------------
-
-def test_line_standard_example():
-    d = line_diagram([(Z, 2), (X, 1)])
-    out = line_to_pauli_standard(d)
-    assert scalar_free_equal(interpret(out), interpret(d))
-    seq = [out.kind(v) for v in _line_order(out)]
-    phases = [out.phase(v) for v in _line_order(out)]
-    paulis = [i for i, p in enumerate(phases) if p == 2]
-    assert all(i == j for j, i in enumerate(paulis)) and len(paulis) <= 2
-
-
-def _line_order(d):
-    from zxcliff.optimiser import _line_sequence
-
-    return _line_sequence(d)
-
-
-def test_line_standard_fixpoint():
-    d = line_diagram([(Z, 2), (X, 2), (Z, 1)])
-    out = line_to_pauli_standard(d)
-    assert scalar_free_equal(interpret(out), interpret(d))
-    again = line_to_pauli_standard(out)
-    assert again.iso_equal(out)
-
-
-def test_line_standard_six_vertices():
-    seq = [(Z, 1), (X, 1), (Z, 1), (X, 1), (Z, 1), (X, 1)]
-    d = line_diagram(seq)
-    out = line_to_pauli_standard(d)
-    assert scalar_free_equal(interpret(out), interpret(d))
-    order = _line_order(out)
-    non_pauli = [v for v in order if out.phase(v) != 2]
-    paulis = [v for v in order if out.phase(v) == 2]
-    assert len(paulis) <= 2
-    # alternating colours, nothing trivial
-    kinds = [out.kind(v) for v in order]
-    assert all(a != b for a, b in zip(kinds, kinds[1:]))
-    assert all(out.phase(v) != 0 for v in order)
-
-
-def test_line_standard_rejects_non_line():
-    with pytest.raises(NotALineGraph):
-        line_to_pauli_standard(translate(circuit(2, gate("CNOT", 0, 1))))
-
-
-def test_pauli_standard_via_random_words():
-    import random
-
-    rng = random.Random(9)
-    for _ in range(10):
-        seq = [(Z if rng.random() < 0.5 else X, rng.randint(1, 3))
-               for _ in range(rng.randint(1, 6))]
-        d = line_diagram(seq)
-        out = line_to_pauli_standard(d)
-        assert scalar_free_equal(interpret(out), interpret(d))

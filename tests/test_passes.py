@@ -8,11 +8,8 @@ from hypothesis import strategies as st
 from passes_reference import reference_fuse_spiders, reference_remove_identities
 from zxcliff.circuit import circuit, gate, random_clifford_circuit, translate
 from zxcliff.diagram import B, Diagram, DiagramBuilder, H, X, Z
-from zxcliff.errors import TargetKindError
-from zxcliff.normal_forms import line_diagram
-from zxcliff.passes import (colour_change_vertex, drop_scalar_components,
-                            fuse_spiders, h_euler_expand, hopf_reduce,
-                            is_simple, pi_copy, remove_identities,
+from zxcliff.passes import (drop_scalar_components, fuse_spiders, h_euler_expand,
+                            hopf_reduce, is_simple, remove_identities,
                             remove_self_loops, simple_form, split_cross_leg,
                             split_phase)
 from zxcliff.semantics import H_MAT, interpret, scalar_free_equal
@@ -225,66 +222,6 @@ def test_fixpoint_confluent_under_shuffling():
                 reference = d
             else:
                 assert d.iso_equal(reference)
-
-
-# -- colour change -----------------------------------------------------------------
-
-def test_colour_change_degree_two():
-    d = t(gate("V", 0))
-    (v,) = d.interior()
-    out = colour_change_vertex(d, v)
-    assert out.kind(v) == Z and out.phase(v) == 1
-    hs = [w for w in out.interior() if out.kind(w) == H]
-    assert len(hs) == 2
-    assert scalar_free_equal(interpret(out), interpret(d))
-
-
-def test_colour_change_involution():
-    d = t(gate("V", 0))
-    (v,) = d.interior()
-    out = colour_change_vertex(colour_change_vertex(d, v), v)
-    assert out.iso_equal(d)
-
-
-def test_colour_change_degree_zero():
-    d = Diagram({0: (X, 1)}, {}, (), ())
-    out = colour_change_vertex(d, 0)
-    assert out.kind(0) == Z and not out.edges()
-
-
-def test_colour_change_rejects_nonspider():
-    d = t(gate("H", 0))
-    (v,) = d.interior()
-    with pytest.raises(TargetKindError):
-        colour_change_vertex(d, v)
-
-
-# -- pi copy -----------------------------------------------------------------------
-
-def test_pi_copy_line():
-    d = line_diagram([(X, 2), (Z, 1)])
-    pauli, spider = d.interior()
-    out = pi_copy(d, pauli, spider)
-    assert scalar_free_equal(interpret(out), interpret(d))
-    seq = [(out.kind(v), out.phase(v)) for v in out.interior()]
-    assert (Z, 3) in seq and (X, 2) in seq
-
-
-def test_pi_copy_through_degree_three():
-    d = t(gate("Z", 1), gate("CNOT", 0, 1))
-    pauli = next(v for v in d.interior() if d.phase(v) == 2)
-    spider = next(v for v in d.interior() if d.kind(v) == X)
-    out = pi_copy(d, pauli, spider)
-    assert scalar_free_equal(interpret(out), interpret(d))
-    # one Pauli copy lands on each other leg of the spider
-    assert sum(1 for v in out.interior() if out.phase(v) == 2) == 2
-
-
-def test_pi_copy_rejects_non_pauli():
-    d = line_diagram([(X, 1), (Z, 1)])
-    a, b = d.interior()
-    with pytest.raises(TargetKindError):
-        pi_copy(d, a, b)
 
 
 # -- splitting passes ------------------------------------------------------------

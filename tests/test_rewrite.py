@@ -16,10 +16,11 @@ from zxcliff.errors import ReplayDivergence, RuleFormatError, StaleMatchError, T
 from zxcliff.normal_forms import line_diagram
 from zxcliff.optimiser import CommutationMetric, Optimiser, OptimiserConfig
 from zxcliff.passes import fuse_spiders, h_euler_expand, simple_form
-from zxcliff.rewrite import (Match, ProofStep, ProofTrace, Rule, _build_index, _Index, _index,
-                             _plan, _result_key, _search, apply_match, find_matches, match_delta,
-                             reduce, replay, rewrite_first, rewrite_metric)
+from zxcliff.rewrite import (Match, Rule, _build_index, _Index, _index, _plan, _result_key,
+                             _search, apply_match, find_matches, match_delta, reduce,
+                             rewrite_first, rewrite_metric)
 from zxcliff.semantics import interpret, scalar_free_equal
+from zxcliff.trace import ProofStep, ProofTrace, replay
 
 
 def t(*gates):
