@@ -24,9 +24,10 @@ import pytest
 
 from zxcliff.circuit import random_clifford_circuit, translate
 from zxcliff.flow import has_path_cover
+from zxcliff.kernels import _kernel
 from zxcliff.optimiser import Optimiser
 from zxcliff.passes import simple_form
-from zxcliff.rewrite import Match, _compile, _kernel, _plan, apply_match, find_matches, rewrite_first
+from zxcliff.rewrite import Match, _build_plan, _plan, apply_match, find_matches, rewrite_first
 from zxcliff.ruleset import load_ruleset
 from zxcliff.trace import ProofTrace
 
@@ -86,7 +87,7 @@ def _every_plan():
     for rule in load_ruleset().all_rules():
         plan = _plan(rule, None)
         plans += [plan, *(p for p in plan.roots if p is not None),
-                  _compile(rule.lhs, tuple(rule.lhs.interior()))]
+                  _build_plan(rule.lhs, tuple(rule.lhs.interior()))]
     return plans
 
 

@@ -2,7 +2,7 @@
 commutation metric, the closing step that finds nothing, the scoring of
 every one of a step's candidates and of only those whose splice fails, and
 the cover search under them.  Each rule generates its splice, score and
-patch kernels on its first score or carry, so an optimiser pays for that
+change kernels on its first score or carry, so an optimiser pays for that
 once per rule; the `kernels` case times generating the kernels of every
 metric rule of the default rule set.
 
@@ -22,7 +22,8 @@ Run with: PYTHONPATH=src python -m pytest benchmarks/bench_metric.py
 import pytest
 
 from zxcliff.circuit import random_clifford_circuit, translate
-from zxcliff.flow import _splice_kernel, _splice_plan, find_path_cover, splice_kernel
+from zxcliff.flow import find_path_cover
+from zxcliff.kernels import _splice_kernel, _splice_plan, splice_kernel
 from zxcliff.optimiser import CommutationMetric, Optimiser
 from zxcliff.passes import simple_form
 from zxcliff.rewrite import find_matches, reduce, rewrite_metric

@@ -3,7 +3,9 @@
 Verbs: optimize, verify, bench, rules check, extract, translate, nf dump.
 Exit codes for optimize: 0 success, 2 input is not a circuit, 3 verification
 failure.  Every verb exits 2 on a malformed argument, such as a count, size
-or job number that is not a positive integer.
+or job number that is not a positive integer, and on a file it cannot read
+or write, such as an ``--out``, ``--trace`` or ``--csv`` path in a missing
+directory.
 """
 
 from __future__ import annotations
@@ -41,8 +43,11 @@ def _write(path: str | None, text: str) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(path, "w") as f:
-            f.write(text)
+        try:
+            with open(path, "w") as f:
+                f.write(text)
+        except OSError as exc:
+            raise ZXError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _cmd_optimize(args) -> int:

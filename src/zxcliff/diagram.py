@@ -90,10 +90,12 @@ class Diagram:
     (``"cover"``, `flow.find_path_cover`), its matcher index (``"index"``,
     from `rewrite`) and its commutation-metric terms (``"terms"``, from
     `optimiser`).  A cover is searched on first use, or carried from the
-    diagram's parent by `rewrite.apply_match`, and then its rank need not be
-    the least order (`flow.PathCover`).  No memoised value may refer back to
-    the diagram or to another diagram's memo, so reference counting alone
-    frees a diagram and its memo together.
+    diagram's parent by `rewrite.carry_cover`, and then its rank need not be
+    the least order (`flow.PathCover`); an index is built on first use, or
+    derived from the parent's by `rewrite.apply_match` from the rewrite's
+    `kernels.MatchDelta`.  No memoised value may refer back to the diagram
+    or to another diagram's memo, so reference counting alone frees a
+    diagram and its memo together.
     """
 
     __slots__ = ("_vertices", "_edges", "_inputs", "_outputs", "_adj", "_nbrs", "_max_vertex",
@@ -290,9 +292,10 @@ class Diagram:
         """The distinct neighbours of every vertex, self-loops dropped.
 
         Built from the adjacency on first use, unless `rewrite.apply_match`
-        gave this diagram one carried from its parent's.  A carried map
-        shares the sets of every vertex the rewrite left alone with the
-        parent's, so callers must never mutate them."""
+        gave this diagram its parent's, patched with the rewrite's
+        `kernels.MatchDelta`.  A carried map shares the sets of every vertex
+        the rewrite left alone with the parent's, so callers must never
+        mutate them."""
         if self._nbrs is None:
             self._nbrs = {v: set() for v in self._vertices}
             for u, v in self._edges.values():

@@ -20,28 +20,21 @@ sets (`Diagram.neighbour_sets`), which a rewrite carries to its result.
 `find_path_cover` builds one `PathCover` per diagram, which holds everything
 later steps read of the cover: the paths, the flow and a rank ordering it,
 and, worked out on first use, positions, a record of the sweep and the least
-order of the flow.  A rewrite's cover is spliced from its parent's: the
-rule's RHS cover takes the place of the matched segments, and a check
-decides whether the result is a causal flow, so by uniqueness it is the
-cover exactly when the check passes.  The check fits each new vertex into
-the parent's rank in O(|rule|); when that leaves a window empty, a search
-bounded by the rank window decides.  Each rule generates the splice as one
-straight-line function on its first use (`splice_kernel`), as the matcher
-generates its searches.  The metric phase values candidates with it
-without building them, and `rewrite.apply_match` carries the spliced cover
-to the diagram it builds (`carry_cover`), ranked by the parent's rank with
-each new vertex placed inside the window the check worked out, or searched
-when a window holds no integer.  When the splice fails, `stranded_after`
-resumes the parent's sweep at the first step that claims a matched vertex,
-on the neighbour sets the rule's generated `patch_kernel` patches: the
-sweep is confluent, so the claims before it stand.
+order of the flow.  A rewrite's cover is spliced from its parent's by the
+rule's generated splice kernel (`kernels.splice_kernel`), which calls two
+helpers from here: `_orders_splice`, the bounded search that decides a
+splice whose rank windows are empty, and `_respaced`, the separation of a
+spliced candidate.  When the splice fails, `stranded_after` resumes the
+parent's sweep at the first step that claims a matched vertex, on the
+neighbour sets the rewrite patches: the sweep is confluent, so the claims
+before it stand.
 
 Three orders are worked out by one routine, `least_order`, the least
 topological order of a relation by Kahn's algorithm: a cover's least flow
 order (`PathCover.least_rank`), the events of an extracted circuit
-(`extract_circuit`) and the window of a splice's fresh vertices
-(`splice_kernel`).  One test, `ranks_flow`, checks that a rank orders a flow,
-for a search and for a memoised cover under ``verify_each_step``.
+(`extract_circuit`) and the window of a splice's fresh vertices.  One test,
+`ranks_flow`, checks that a rank orders a flow, for a search and for a
+memoised cover under ``verify_each_step``.
 """
 
 from __future__ import annotations
@@ -49,19 +42,14 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import (TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional,
-                    Sequence, Set, Tuple, TypeVar)
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, TypeVar
 
 from .circuit import Circuit, Gate
 from .diagram import H, X, Z, Diagram, VertexId
 from .errors import CrossEdgeColourError, NotACircuit
 from .passes import is_simple
-
-if TYPE_CHECKING:
-    from .rewrite import Match, Rule
 
 T = TypeVar("T")
 
@@ -75,9 +63,9 @@ class PathCover:
     order of F2-F3: an integer per vertex, lower at v than at f(v) and at
     every other neighbour of f(v).  A searched cover is ranked by its own
     sweep: its claims in reverse, then the outputs, spaced `RANK_STEP`
-    apart; a cover carried through a rewrite (`carry_cover`) keeps its
-    parent's ranks and places each new vertex between them.  Neither rank
-    need be the least order.  ``nbrs`` and ``inputs`` are the diagram's
+    apart; a cover carried through a rewrite (`rewrite.carry_cover`) keeps
+    its parent's ranks and places each new vertex between them.  Neither
+    rank need be the least order.  ``nbrs`` and ``inputs`` are the diagram's
     neighbour sets and inputs, which a splice and a resumed sweep read.  The
     rest is worked out on first use: ``pos`` maps each vertex to its (path,
     position) (a carried cover patches its parent's), ``claim_order`` and
@@ -121,7 +109,7 @@ class PathCover:
 
 
 # the gap between consecutive ranks of a searched cover, which leaves room
-# to place the vertices that later rewrites add (`Splice.rank`)
+# to place the vertices that later rewrites add (`kernels.Splice.rank`)
 RANK_STEP = 1 << 32
 
 
@@ -211,8 +199,8 @@ def find_path_cover(d: Diagram) -> PathCover:
     """The path cover satisfying F1-F3, or NotACircuit.
 
     A cover is memoised in ``d.memo["cover"]``, by a search here or by the
-    rewrite that built d (`carry_cover`); diagrams are immutable, so it never
-    goes stale.  Without one, d's cover is searched (`search_path_cover`)."""
+    rewrite that built d (`rewrite.carry_cover`); diagrams are immutable, so
+    it never goes stale.  Without one, d's cover is searched (`search_path_cover`)."""
     cached = d.memo.get("cover")
     if cached is not None:
         return cached
@@ -259,93 +247,6 @@ def search_path_cover(d: Diagram) -> PathCover:
     cover = PathCover(tuple(paths), succ, rank, nbrs, frozenset(d.inputs))
     vars(cover)["claim_order"] = list(succ)  # the sweep's own claims, in order
     return cover
-
-
-class Splice:
-    """A candidate's cover: its parent's, with one segment of each touched
-    path replaced.  ``segments`` maps a path index to (first, last, new): the
-    parent positions first..last give way to the vertices ``new``.  ``succ``
-    holds the successors that change, and ``window`` what the splice check
-    worked out to place the new vertices in the parent's rank: per new
-    vertex the highest rank that must come before it and the lowest that
-    must come after it, the new vertices that must come after it, and an
-    order of them that respects those.  A window may be empty: the check is
-    exact, and the parent's rank need not leave room.  ``terms``, when the
-    kernel was given the parent's metric terms, holds the candidate's Pauli
-    sum and its separation (`optimiser.metric_terms`)."""
-
-    __slots__ = ("parent", "segments", "succ", "window", "terms")
-
-    def __init__(self, parent: PathCover,
-                 segments: Dict[int, Tuple[int, int, Tuple[VertexId, ...]]],
-                 succ: Dict[VertexId, VertexId],
-                 window: Tuple[Dict[VertexId, int], Dict[VertexId, float],
-                               Dict[VertexId, List[VertexId]], List[VertexId]],
-                 terms: Optional[Tuple[int, int]] = None):
-        self.parent = parent
-        self.segments = segments
-        self.succ = succ
-        self.window = window
-        self.terms = terms
-
-    def paths(self) -> Tuple[Tuple[VertexId, ...], ...]:
-        paths = list(self.parent.paths)
-        for q, (first, last, new) in self.segments.items():
-            paths[q] = paths[q][:first] + new + paths[q][last + 1:]
-        return tuple(paths)
-
-    def rank(self, removed: FrozenSet[VertexId]) -> Optional[Dict[VertexId, int]]:
-        """A topological order of the candidate's F2-F3: the parent's rank
-        without the ``removed`` vertices, and each new vertex, in the
-        window's order, placed strictly between the ranks that must come
-        before and after it.  Its upper bound first falls to those of the
-        new vertices after it, and its lower bound has risen to the ranks
-        of those placed before it; with k new vertices in the longest chain
-        that must follow it, it takes the first of k + 1 equal steps across
-        that window, leaving room for the chain.  None when some window holds
-        no integer, or none at all, and the caller searches instead."""
-        lo, hi, later, order = self.window
-        lo, hi = lo.copy(), hi.copy()
-        chain: Dict[VertexId, int] = {}
-        for w in reversed(order):
-            chain[w] = 1
-            for u in later[w]:
-                if hi[u] < hi[w]:
-                    hi[w] = hi[u]
-                if chain[u] >= chain[w]:
-                    chain[w] = chain[u] + 1
-        rank = self.parent.rank.copy()
-        for v in removed:
-            del rank[v]
-        for w in order:
-            # every new vertex has a path successor ranked after it, so hi is finite
-            r = lo[w] + (hi[w] - lo[w]) // (chain[w] + 1)
-            if r <= lo[w]:
-                return None
-            rank[w] = r
-            for u in later[w]:
-                if lo[u] < r:
-                    lo[u] = r
-        return rank
-
-
-def _splice_plan(rule: "Rule") -> Optional[Tuple]:
-    """Each LHS cover path as (start boundary, interior, end boundary,
-    interior of the RHS cover path between the same boundary positions), or
-    None when a side has no cover or the two covers pair the boundary apart.
-    `splice_kernel` works it out once per rule."""
-    try:
-        lhs_paths = find_path_cover(rule.lhs).paths
-        rhs_paths = find_path_cover(rule.rhs).paths
-    except NotACircuit:
-        return None
-    lhs_b = rule.lhs.inputs + rule.lhs.outputs
-    rhs_b = rule.rhs.inputs + rule.rhs.outputs
-    rhs_between = {(rhs_b.index(p[0]), rhs_b.index(p[-1])): p[1:-1] for p in rhs_paths}
-    ends = [(lhs_b.index(p[0]), lhs_b.index(p[-1])) for p in lhs_paths]
-    if not all(e in rhs_between for e in ends):
-        return None
-    return tuple((p[0], p[1:-1], p[-1], rhs_between[e]) for p, e in zip(lhs_paths, ends))
 
 
 def _is_pauli_kind(kind_phase: Tuple[str, int]) -> bool:
@@ -397,34 +298,6 @@ def _respaced(terms, changed: Dict[Tuple[int, int], List[Tuple[int, int]]],
     return total
 
 
-def splice_kernel(rule: "Rule") -> Optional[Callable[..., Optional[Splice]]]:
-    """The rule's splice and score kernel (`_splice_kernel`), generated on
-    first use and memoised in ``rule.memo["kernel"]``; None when the rule has
-    no splice plan."""
-    return _kernels(rule)[0]
-
-
-def patch_kernel(rule: "Rule") -> Callable[..., Tuple[FrozenSet[VertexId], Tuple[VertexId, ...],
-                                                      Dict[VertexId, Set[VertexId]]]]:
-    """The rule's patch kernel, generated with its splice kernel
-    (`_splice_kernel`): ``patch(m, target, nbrs)`` returns the matched
-    vertices, the fresh ids (as `rewrite.match_delta` numbers them) and the
-    distinct neighbours of every attachment and fresh vertex after the
-    rewrite, given target's neighbour sets (self-loops dropped).  No other
-    vertex's neighbours change: an edge into the match is matched, so its
-    far end is an attachment.  `rewrite.apply_match` patches the rewritten
-    diagram's neighbour map with it, and the metric's scorer a candidate
-    whose splice fails."""
-    return _kernels(rule)[1]
-
-
-def _kernels(rule: "Rule") -> Tuple[Optional[Callable[..., Optional[Splice]]], Callable]:
-    memo = rule.memo
-    if "kernel" not in memo:
-        memo["kernel"] = _splice_kernel(rule, _splice_plan(rule))
-    return memo["kernel"]
-
-
 def _orders_splice(pc: PathCover, changed: Dict[VertexId, VertexId], fresh: Sequence[VertexId],
                    patched: Dict[VertexId, Set[VertexId]], bound: float) -> bool:
     """Whether pc's flow with the successors ``changed`` laid over it, on
@@ -433,10 +306,10 @@ def _orders_splice(pc: PathCover, changed: Dict[VertexId, VertexId], fresh: Sequ
 
     A depth-first search from the ``fresh`` vertices looks for a cycle.  A
     cycle must pass through a fresh vertex, and every step between two old
-    vertices goes up in pc's rank (`_splice_kernel`), so each old vertex on
-    one ranks at most the highest rank of an old vertex that must come
-    before a fresh vertex; ``bound`` is that rank, and the search skips the
-    old vertices above it."""
+    vertices goes up in pc's rank (`kernels._splice_kernel`), so each old
+    vertex on one ranks at most the highest rank of an old vertex that must
+    come before a fresh vertex; ``bound`` is that rank, and the search skips
+    the old vertices above it."""
     succ, rank, nbrs = pc.succ, pc.rank, pc.nbrs
 
     def after(v: VertexId) -> List[VertexId]:
@@ -468,335 +341,13 @@ def _orders_splice(pc: PathCover, changed: Dict[VertexId, VertexId], fresh: Sequ
     return True
 
 
-def _splice_kernel(rule: "Rule", plan: Optional[Tuple]
-                   ) -> Tuple[Optional[Callable[..., Optional[Splice]]], Callable]:
-    """The cover splice of the rule's rewrites and the neighbour sets they
-    patch, as two functions generated from one source; the first is None
-    when the rule has no splice ``plan``.
-
-    The splice is called as ``kernel(m, target, pc, terms)``, with m one of
-    the matcher's embeddings of the rule's LHS into target, whose cover is
-    pc.  It returns the `Splice` of the rewritten diagram's cover, worked
-    out from pc, or None when the spliced successor is not a causal flow;
-    given the parent's metric terms (`optimiser.metric_terms`) as
-    ``terms``, it values the candidate as well.
-
-    Each LHS cover path must map onto a contiguous segment of a distinct
-    parent path, forwards or reversed: its images and attachments must
-    follow one another under pc's successor.  The RHS cover path between
-    the same boundary positions replaces it in that orientation.  Then all
-    attachments are distinct, each has one matched neighbour, the end of
-    its own segment, and one new neighbour, on its own spliced path.  So
-    which vertices are fresh, their neighbours and the changed successors
-    are fixed by the rule and the orientations, and one straight-line body
-    per combination of orientations works them out.  The later-than
-    relation among fresh vertices is fixed too, so its order is worked out
-    once, here (`least_order`), and a cycle in it fails the splice
-    outright.  A constraint between two old vertices is one of pc's, or it
-    runs from a segment's upstream attachment or that vertex's predecessor
-    to the downstream attachment or one of its neighbours, which pc already
-    orders through the replaced segment; either way it goes up in pc's rank,
-    so a cycle must pass through a fresh vertex.  In O(|rule|) the kernel
-    checks that each fresh vertex fits, in pc's rank, between the old
-    vertices that must precede and follow it (only the fresh vertices and
-    the upstream attachments bound them: the predecessor of one is ranked
-    below it).  That shows there is no cycle.  When some window is empty,
-    a search from the fresh vertices (`_orders_splice`), bounded by the
-    highest rank that must precede one, decides whether there is one.  So
-    the splice fails exactly when the spliced successor is not a causal
-    flow; when it passes it is one, so by uniqueness it is the one
-    `find_path_cover` finds.
-
-    The value: the matched vertices' labels are the LHS's, so the Paulis a
-    segment loses and gains sit at fixed offsets from its start, and only
-    the Paulis after a resized segment are counted in pc's terms.  The
-    cross-edge groups a candidate changes are those between two spliced
-    paths that an LHS edge or a new edge joins, at fixed offsets, and every
-    group of a resized path (`_respaced`).
-
-    The patch kernel (`patch_kernel`) is the rewrite's change to the
-    neighbour sets, for any match, spliced or not: each attachment loses its
-    matched neighbours, the fresh vertices start empty, and each new edge
-    joins its ends.  Attachments may coincide when no segment maps, so each
-    is patched once and a new edge between two attachments that coincide is
-    skipped, at run time.
-
-    As for the matcher's kernels (`rewrite._kernel`), only integers taken
-    from the rule enter the source, and the source is registered in
-    `linecache` while either function lives."""
-    from .rewrite import _compiled, _tuple
-
-    lhs, rhs = rule.lhs, rule.rhs
-    # LHS interior vertex v is t{v}, LHS boundary vertex b attaches at a{b},
-    # RHS interior vertex x becomes w{x}; an RHS boundary vertex stands for
-    # the attachment of the LHS one at its position
-    name = {x: f"w{x}" for x in rhs.interior()}
-    name.update((rb, f"a{lb}") for rb, lb in zip(rhs.inputs + rhs.outputs,
-                                                lhs.inputs + lhs.outputs))
-    new_nbrs: Dict[str, Set[str]] = {v: set() for v in name.values()}
-    new_edges = []
-    for u, v in map(rhs.edge_ends, rhs.edges()):
-        new_edges.append((name[u], name[v]))
-        if u != v:
-            new_nbrs[name[u]].add(name[v])
-            new_nbrs[name[v]].add(name[u])
-
-    lines: List[str] = []
-
-    def emit(depth: int, line: str) -> None:
-        lines.append(" " * depth + line)
-
-    interior, boundary = lhs.interior(), sorted(lhs.inputs + lhs.outputs)
-    fresh_ids = [name[x] for x in rhs.interior()]  # in the order `rewrite.match_delta` numbers them
-
-    def match() -> None:
-        emit(1, f"_, {_tuple([f'(_, t{v})' for v in interior])}, _, "
-                f"{_tuple([f'(_, (e{b}, s{b}))' for b in boundary])} = m")
-        emit(1, "edges = target._edges")
-        for b in boundary:
-            emit(1, f"a{b} = edges[e{b}][s{b}]")
-
-    def fresh() -> None:
-        for i, w in enumerate(fresh_ids):
-            emit(1, f"{w} = {fresh_ids[0]} + {i}" if i else f"{w} = target.max_vertex_id() + 1")
-
-    lines.append("def _patch(m, target, nbrs):")
-    match()
-    emit(1, f"removed = frozenset({_tuple([f't{v}' for v in interior])})")
-    fresh()
-    for w in fresh_ids:
-        emit(1, f"n{w} = set()")
-    emit(1, "patched = {" + ", ".join(f"{w}: n{w}" for w in fresh_ids) + "}")
-    for i, b in enumerate(boundary):
-        if i:
-            emit(1, f"na{b} = patched.get(a{b})")
-            emit(1, f"if na{b} is None:")
-        emit(2 if i else 1, f"na{b} = patched[a{b}] = nbrs[a{b}] - removed")
-    joined: Set[FrozenSet[str]] = set()
-    for u, v in new_edges:
-        if u == v or frozenset((u, v)) in joined:
-            continue
-        joined.add(frozenset((u, v)))
-        indent = 1
-        if u[0] == v[0] == "a":
-            emit(1, f"if {u} != {v}:")
-            indent = 2
-        emit(indent, f"n{u}.add({v})")
-        emit(indent, f"n{v}.add({u})")
-    emit(1, f"return removed, {_tuple(fresh_ids)}, patched")
-    if plan is None:
-        return None, _compiled("\n".join(lines) + "\n", "splice kernel", ("_patch",), {})[0]
-
-    pauli = {name[x] for x in rhs.interior() if _is_pauli_kind(rhs._vertices[x])}
-    pauli.update(f"t{v}" for v in lhs.interior() if _is_pauli_kind(lhs._vertices[v]))
-    # the LHS path of every LHS vertex; an LHS edge between two paths ends a
-    # cross edge of the pair their images lie on
-    on_path = {v: k for k, (s, inner, e, _) in enumerate(plan) for v in (s, *inner, e)}
-    lost = {tuple(sorted((on_path[u], on_path[v])))
-            for u, v in map(lhs.edge_ends, lhs.edges()) if on_path[u] != on_path[v]}
-
-    lines.append("def _splice(m, target, pc, terms, _patch=_patch):")
-    match()
-    emit(1, "succ, pos = pc.succ, pc.pos")
-    emit(1, "sg = succ.get")
-    for k, (s, inner, e, _) in enumerate(plan):
-        ts = [f"t{v}" for v in inner]
-        # forwards each image is followed by the next and the last by a{e};
-        # reversed each by the one before and the first by a{s}
-        forward = zip(ts, [*ts[1:], f"a{e}"])
-        reverse = zip(ts, [f"a{s}", *ts[:-1]])
-        emit(1, f"x = succ[{ts[0]}]")
-        for word, pairs, up, last in (("if", forward, s, ts[0]), ("elif", reverse, e, ts[-1])):
-            tests = [f"x == {b}" if i == 0 else f"succ[{a}] == {b}"
-                     for i, (a, b) in enumerate(pairs)]
-            emit(1, f"{word} {' and '.join(tests)} and sg(a{up}) == {last}:")
-            emit(2, f"fw{k} = {word == 'if'}")
-            emit(2, f"q{k}, f{k} = pos[a{up}]")
-        emit(1, "else:")
-        emit(2, "return None")
-    pairs = [(k, j) for k in range(len(plan)) for j in range(k + 1, len(plan))]
-    if pairs:
-        emit(1, f"if {' or '.join(f'q{k} == q{j}' for k, j in pairs)}:")
-        emit(2, "return None")
-    fresh()
-    emit(1, "rank, nbrs = pc.rank, pc.nbrs")
-
-    def body(orientation: Sequence[bool], depth: int) -> None:
-        # per spliced path: upstream attachment, fresh vertices in path order,
-        # downstream attachment, images in path order
-        chains = []
-        for (s, inner, e, replacement), fw in zip(plan, orientation):
-            step = 1 if fw else -1
-            chains.append((f"a{s}" if fw else f"a{e}", [name[x] for x in replacement[::step]],
-                           f"a{e}" if fw else f"a{s}", [f"t{v}" for v in inner[::step]]))
-        emit(depth, "segments = {" + ", ".join(
-            f"q{k}: (f{k} + 1, f{k} + {len(inner)}, {_tuple(fresh)})"
-            for k, (_, fresh, _, inner) in enumerate(chains)) + "}")
-        emit(depth, "changed = {" + ", ".join(
-            f"{a}: {b}" for up, fresh, down, _ in chains
-            for a, b in zip([up, *fresh], [*fresh, down])) + "}")
-        # per fresh vertex: the ranks of the old vertices that must come
-        # before and after it, and the fresh vertices that must come after it
-        lo: Dict[str, List[str]] = {}
-        hi: Dict[str, List[str]] = {}
-        later: Dict[str, List[str]] = {}
-        beyond: Dict[str, Tuple[str, str]] = {}  # (downstream attachment, its matched neighbour)
-        for up, fresh, down, inner in chains:
-            for w in fresh:
-                lo[w], hi[w], later[w] = [], [], []
-        for up, fresh, down, inner in chains:
-            if fresh:
-                for u in sorted({fresh[0]} | new_nbrs[fresh[0]]):
-                    if u in lo:
-                        lo[u].append(f"rank[{up}]")
-            for w, fv in zip(fresh, [*fresh[1:], down]):
-                for u in sorted(({fv} | new_nbrs[fv]) - {w}):
-                    if u in later:
-                        later[w].append(u)
-                    else:
-                        hi[w].append(f"rank[{u}]")
-                if fv == down:
-                    # the old neighbours of the downstream attachment bound w too
-                    beyond[w] = (down, inner[-1])
-        order = least_order(later, later)
-        if len(order) < len(later):
-            emit(depth, "return None")
-            return
-        for w in order:
-            emit(depth, f"l{w} = " + (f"max({', '.join(lo[w])})" if len(lo[w]) > 1
-                                       else lo[w][0] if lo[w] else "-1"))
-            emit(depth, f"h{w} = " + (f"min({', '.join(hi[w])})" if len(hi[w]) > 1
-                                       else hi[w][0] if hi[w] else "inf"))
-            if w in beyond:
-                down, end = beyond[w]
-                emit(depth, f"for u in nbrs[{down}]:")
-                emit(depth + 1, f"if u != {end} and rank[u] < h{w}:")
-                emit(depth + 2, f"h{w} = rank[u]")
-        for w in order:
-            for u in later[w]:
-                emit(depth, f"if l{w} > l{u}:")
-                emit(depth + 1, f"l{u} = l{w}")
-        if order:
-            # an empty window leaves the order to the bounded search
-            ls = ", ".join(f"l{w}" for w in order)
-            emit(depth, f"if ({' or '.join(f'l{w} >= h{w}' for w in order)}) and not ordered(")
-            emit(depth + 2, f"pc, changed, {_tuple(order)}, _patch(m, target, nbrs)[2], "
-                            f"{f'max({ls})' if len(order) > 1 else ls}):")
-            emit(depth + 1, "return None")
-        window = ["{" + ", ".join(f"{w}: {x}" for w, x in zip(order, xs)) + "}" for xs in (
-            [f"l{w}" for w in order], [f"h{w}" for w in order],
-            [f"[{', '.join(later[w])}]" for w in order])]
-        emit(depth, f"splice = Splice(pc, segments, changed, "
-                    f"({', '.join(window)}, [{', '.join(order)}]))")
-        emit(depth, "if terms is None:")
-        emit(depth + 1, "return splice")
-        # the value: Paulis at offset i of a segment sit at position f + i
-        at: Dict[str, Tuple[int, str]] = {}
-        const, paulis = 0, ["terms.pauli_sum"]
-        for k, (up, fresh, down, inner) in enumerate(chains):
-            at[up] = (k, f"f{k}")
-            at[down] = (k, f"f{k} + {len(fresh) + 1}")
-            for i, w in enumerate(fresh, 1):
-                at[w] = (k, f"f{k} + {i}")
-            gain = [i for i, w in enumerate(fresh, 1) if w in pauli]
-            loss = [i for i, t in enumerate(inner, 1) if t in pauli]
-            const += sum(gain) - sum(loss)
-            if len(gain) != len(loss):
-                paulis.append(f"{len(gain) - len(loss)} * f{k}")
-            if len(fresh) != len(inner):
-                # the Paulis after a resized segment shift with it
-                emit(depth, f"r{k} = terms.paulis[q{k}]")
-                paulis.append(f"{len(fresh) - len(inner)} * "
-                              f"(len(r{k}) - bisect_right(r{k}, f{k} + {len(inner)}))")
-        if const:
-            paulis.append(str(const))
-        emit(depth, f"pauli = {' + '.join(paulis)}".replace("+ -", "- "))
-        gained: Dict[Tuple[int, int], List[Tuple[str, str]]] = {pair: [] for pair in lost}
-        for u, v in new_edges:
-            (ku, pu), (kv, pv) = at[u], at[v]
-            if ku != kv:
-                gained.setdefault((min(ku, kv), max(ku, kv)), []).append(
-                    (pu, pv) if ku < kv else (pv, pu))
-        emit(depth, "groups = {}")
-        for (k, j), ends in sorted(gained.items()):
-            emit(depth, f"if q{k} < q{j}:")
-            emit(depth + 1, f"groups[q{k}, q{j}] = [{', '.join(f'({a}, {b})' for a, b in ends)}]")
-            emit(depth, "else:")
-            emit(depth + 1, f"groups[q{j}, q{k}] = [{', '.join(f'({b}, {a})' for a, b in ends)}]")
-        resized = [f"q{k} in key" for k, (_, fresh, _, inner) in enumerate(chains)
-                   if len(fresh) != len(inner)]
-        if resized:
-            emit(depth, "for key in terms.groups:")
-            emit(depth + 1, f"if key not in groups and ({' or '.join(resized)}):")
-            emit(depth + 2, "groups[key] = []")
-        emit(depth, "splice.terms = pauli, respaced(terms, groups, {" + ", ".join(
-            f"q{k}: (f{k} + 1, f{k} + {len(inner)}, {len(fresh) - len(inner)})"
-            for k, (_, fresh, _, inner) in enumerate(chains)) + "})")
-        emit(depth, "return splice")
-
-    def branch(orientation: List[bool], depth: int) -> None:
-        k = len(orientation)
-        if k == len(plan):
-            body(orientation, depth)
-            return
-        emit(depth, f"if fw{k}:")
-        branch([*orientation, True], depth + 1)
-        emit(depth, "else:")
-        branch([*orientation, False], depth + 1)
-
-    branch([], 1)
-    return _compiled("\n".join(lines) + "\n", "splice kernel", ("_splice", "_patch"), {
-        "Splice": Splice, "inf": math.inf, "bisect_right": bisect_right,
-        "respaced": _respaced, "ordered": _orders_splice})
-
-
-def carry_cover(parent: PathCover, rule: "Rule", m: "Match", target: Diagram,
-                removed: FrozenSet[VertexId], nbrs: Dict[VertexId, Set[VertexId]]
-                ) -> Optional[PathCover]:
-    """The cover of the diagram that m, one of the matcher's embeddings of
-    the rule's LHS into target, rewrites target into, derived from parent,
-    target's cover; ``removed`` holds the matched vertices and ``nbrs`` is
-    the rewritten diagram's neighbour map.  None when the splice fails
-    (`splice_kernel`, the one the metric's scorer runs), which it does
-    exactly when the rewritten diagram has no cover with the spliced paths,
-    or when its new vertices find no integer rank (`Splice.rank`).
-
-    The paths are the splice's, the flow the parent's without the removed
-    vertices and with the splice's changed successors, and the rank the
-    splice's placement in the parent's.  By uniqueness the flow is the one
-    `search_path_cover` finds.  The positions are the parent's too, without
-    the removed vertices and numbered again only on the spliced paths, from
-    each segment on.  The result refers to no cover or diagram."""
-    kernel = splice_kernel(rule)
-    splice = None if kernel is None else kernel(m, target, parent, None)
-    if splice is None:
-        return None
-    rank = splice.rank(removed)
-    if rank is None:
-        return None
-    succ, pos = parent.succ.copy(), parent.pos.copy()
-    for v in removed:
-        # every matched vertex lies inside a segment, so it has a successor;
-        # those left on the path get new ones from the splice
-        del succ[v], pos[v]
-    succ.update(splice.succ)
-    paths = splice.paths()
-    for q, (first, _, _) in splice.segments.items():
-        path = paths[q]
-        for p in range(first, len(path)):
-            pos[path[p]] = (q, p)
-    cover = PathCover(paths, succ, rank, nbrs, parent.inputs)
-    vars(cover)["pos"] = pos
-    return cover
-
-
 def stranded_after(parent: PathCover, removed: FrozenSet[VertexId], fresh: Iterable[VertexId],
                    nbrs: Dict[VertexId, Set[VertexId]]) -> Set[VertexId]:
     """The vertices the flow sweep strands in the diagram a rewrite makes
     of parent's, found by resuming the parent's sweep; the rewrite removes
     the vertices ``removed`` and adds the ``fresh`` ones, and ``nbrs`` holds
-    the rewritten neighbours of the attachments and fresh vertices (the
-    rule's `patch_kernel`).
+    the rewritten neighbours of the attachments and fresh vertices
+    (`kernels.MatchDelta.patched`).
 
     Let T be the first step of the parent's recorded sweep that claims a
     matched vertex.  The T claims before it are valid claims of the rewritten

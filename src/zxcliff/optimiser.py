@@ -21,10 +21,10 @@ Phases:
    diagram's cover and terms without building it: the rule's generated
    kernel splices its RHS cover in, decides exactly whether the result is a
    flow and carries the Pauli sum and the separation per pair of paths
-   (`flow.splice_kernel`), or the current diagram's flow sweep, resumed
+   (`kernels.splice_kernel`), or the current diagram's flow sweep, resumed
    where the rewrite first touches it on the neighbour sets the rule's
-   generated patch kernel gives (`flow.stranded_after`), shows the cover is
-   lost.  Only the candidates neither settles (their segments do not map,
+   generated change kernel gives (`flow.stranded_after`), shows the cover
+   is lost.  Only the candidates neither settles (their segments do not map,
    yet they keep a cover) and the one accepted are built.  Neither the
    metric nor the cover test reads edge ids or orientation, so matches that
    build the same diagram up to those (automorphisms of a rule's LHS give
@@ -55,8 +55,8 @@ from .circuit import Circuit, circuit_size, translate
 from .diagram import B, H, X, Z, Diagram, DiagramBuilder, EdgeId, VertexId
 from .errors import NotACircuit, StaleMatchError
 from .flow import (PathCover, _is_pauli_kind, cover_or_none, extract_circuit, find_path_cover,
-                   has_path_cover, pair_separation, patch_kernel, ranks_flow, search_path_cover,
-                   splice_kernel, stranded_after)
+                   has_path_cover, pair_separation, ranks_flow, search_path_cover, stranded_after)
+from .kernels import change_kernel, splice_kernel
 from .normal_forms import cc1_table, cc2_family, line_diagram
 from .passes import simple_form, split_cross_leg, split_phase
 from .rewrite import Match, Rule, Scored, reduce, rewrite_first, rewrite_metric
@@ -174,12 +174,12 @@ class CommutationMetric:
         its terms (`metric_terms`, the very ones `value` uses on d).
 
         Each candidate runs its rule's generated splice and score kernel
-        (`flow.splice_kernel`, the one `flow.carry_cover` runs too), given
-        d's terms.  A candidate whose cover splices is valued from d's Pauli
-        sum and separation, with only the segments and the qubit-pair groups
-        it changes worked out again.  The splice is exact, so any other
+        (`kernels.splice_kernel`, the one `rewrite.carry_cover` runs too),
+        given d's terms.  A candidate whose cover splices is valued from d's
+        Pauli sum and separation, with only the segments and the qubit-pair
+        groups it changes worked out again.  The splice is exact, so any other
         candidate has no cover with the spliced paths.  For those the rule's
-        generated patch kernel (`flow.patch_kernel`) gives the matched
+        generated change kernel (`kernels.change_kernel`) gives the matched
         vertices, the fresh ids and the rewritten neighbour sets, and d's
         flow sweep is resumed at the first step that claims a matched vertex
         (`flow.stranded_after`): a candidate it strands gets the off-path
@@ -195,11 +195,12 @@ class CommutationMetric:
             kernel = splice_kernel(rule)
             splice = None if kernel is None else kernel(m, d, parent, terms)
             if splice is None:
-                removed, fresh, patched = patch_kernel(rule)(m, d, parent.nbrs)
-                stranded = stranded_after(parent, removed, fresh, patched)
+                delta = change_kernel(rule)(m, d, parent.nbrs)
+                stranded = stranded_after(parent, delta.removed, delta.fresh.values(),
+                                          delta.patched)
                 if not stranded:
                     return None
-                size = num_vertices - len(removed) + len(fresh)
+                size = num_vertices - len(delta.removed) + len(delta.fresh)
                 return Scored(self._penalty(size, len(stranded)), None)
             pauli, separation = splice.terms
             return Scored(pauli + self.separation_weight * separation, splice)

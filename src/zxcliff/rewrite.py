@@ -10,21 +10,19 @@ which the matcher uses for pruning.
 Each rule's LHS is compiled once into a search plan: a BFS order over its
 interior, each vertex's (kind, phase, degree, self-loop) signature, its
 earlier neighbours, the edges of each interior pair, and its boundary edges.
-On its first search a plan generates its kernel (`_kernel`): one Python
-function with a nested loop per plan position and every check written out
-inline, so that no search interprets the plan.  It checks adjacency as it
-places each vertex and the number of edges of each pair once all are placed,
-and writes each match's maps in an order fixed when the kernel is generated.
-Each target diagram's interior is indexed once, by signature; everything
-else the search reads, the diagram holds itself (`Diagram.neighbour_sets`
-and its adjacency and edge ends).  A search whose target pools hold fewer
-vertices of some LHS signature than the LHS has returns no match at once.
-Otherwise it is rooted at the first LHS vertex of the signature with the
-smallest target pool, using the plan compiled for that root; the root of
-each LHS component draws candidates from its signature pool and every later
-vertex from the neighbours of its parent's image.  A plan may be rooted at
-several LHS vertices at once, each pinned to one target vertex: an anchored
-search pins one.
+On its first search a plan generates its matcher kernel
+(`kernels._kernel`): one Python function with a nested loop per plan
+position and every check written out inline, so that no search interprets
+the plan.  Each target diagram's interior is indexed once, by signature;
+everything else the search reads, the diagram holds itself
+(`Diagram.neighbour_sets` and its adjacency and edge ends).  A search whose
+target pools hold fewer vertices of some LHS signature than the LHS has
+returns no match at once.  Otherwise it is rooted at the first LHS vertex
+of the signature with the smallest target pool, using the plan compiled for
+that root; the root of each LHS component draws candidates from its
+signature pool and every later vertex from the neighbours of its parent's
+image.  A plan may be rooted at several LHS vertices at once, each pinned
+to one target vertex: an anchored search pins one.
 
 The same search is the only definition of a match.  `apply_match` accepts a
 match only if the plan rooted at every LHS interior vertex, each pinned to
@@ -52,11 +50,14 @@ member: the first LHS edge the symmetry moves must go to a lower target edge
 than that edge's image does.  `find_matches` still returns every embedding.
 
 A rule memoises its plans (`Rule.memo`) and a diagram its index
-(`Diagram.memo`), so each is dropped with its object.  A rewrite carries the
-target's index, neighbour map and path cover to its result: only the matched
-vertices, the attachments and the fresh vertices change, and each carried
-value equals one built from scratch.  No search leaves a reference cycle, so
-reference counting frees its working set as soon as it returns.
+(`Diagram.memo`), so each is dropped with its object.  What a rewrite
+changes is worked out once, by the rule's generated change kernel
+(`kernels.change_kernel`), and the result is built from that `MatchDelta`.
+The rewrite carries the target's index, neighbour map and path cover to its
+result: only the matched vertices, the attachments and the fresh vertices
+change, and each carried value equals one built from scratch.  No search
+leaves a reference cycle, so reference counting frees its working set as
+soon as it returns.
 
 Matches are returned in a canonical order (lexicographic over the sorted
 image vertex ids, then edge and boundary assignments), so every operation in
@@ -66,8 +67,6 @@ this module is deterministic and proof traces are byte-stable.
 from __future__ import annotations
 
 import itertools
-import linecache
-import weakref
 from bisect import insort
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
@@ -78,7 +77,8 @@ from typing import (TYPE_CHECKING, Callable, Dict, FrozenSet, List, NamedTuple, 
 
 from .diagram import B, X, Z, Diagram, EdgeId, VertexId
 from .errors import RuleFormatError, StaleMatchError
-from .flow import PathCover, Splice, carry_cover, cover_or_none, find_path_cover, patch_kernel
+from .flow import PathCover, cover_or_none, find_path_cover
+from .kernels import MatchDelta, Splice, _kernel, change_kernel, splice_kernel
 
 if TYPE_CHECKING:
     from .trace import ProofTrace
@@ -93,10 +93,10 @@ class Rule:
     ``memo`` holds what other code compiles from the rule, once per rule
     object and dropped with it: its search plans by anchor (``"plans"``), the
     plan rooted at its whole LHS interior that checks each match
-    (``"pinned"``, `apply_match`), its RHS plan (``"rhs"``, `match_delta`)
-    and the splice and score kernel generated from its cover splice plan,
-    with its patch kernel (``"kernel"``, `flow.splice_kernel` and
-    `flow.patch_kernel`).  It takes no part in equality, hashing or the
+    (``"pinned"``, `apply_match`), its generated change kernel
+    (``"change"``, `kernels.change_kernel`) and the splice and score kernel
+    generated from its cover splice plan (``"splice"``,
+    `kernels.splice_kernel`).  It takes no part in equality, hashing or the
     repr."""
 
     name: str
@@ -183,7 +183,8 @@ class _Plan:
     search.  Position i is the i-th interior vertex in BFS order; each
     vertex after a component's root touches an earlier one, its parent.
     The first ``pins`` positions are roots whose images a search is given.
-    ``kernel``, the search as code (`_kernel`), is generated on first use."""
+    ``kernel``, the search as code (`kernels._kernel`), is generated on
+    first use."""
 
     order: Tuple[VertexId, ...]
     pins: int
@@ -214,8 +215,8 @@ class _Plan:
         return _kernel(self)
 
 
-def _compile(lhs: Diagram, roots: Sequence[VertexId],
-             symmetries: Sequence[Match] = (), pinned: bool = True) -> _Plan:
+def _build_plan(lhs: Diagram, roots: Sequence[VertexId],
+                symmetries: Sequence[Match] = (), pinned: bool = True) -> _Plan:
     """The plan for ``lhs``: one BFS from all the ``roots``, which take the
     first positions in their order and have no parent, then one from each
     interior vertex left unreached.  The roots are pinned unless ``pinned``
@@ -278,204 +279,6 @@ def _compile(lhs: Diagram, roots: Sequence[VertexId],
     )
 
 
-# CPython refuses a function that nests more than 20 loops (`SyntaxError: too
-# many statically nested blocks`).  A kernel function nests one loop per
-# unpinned position it places, and the last one a loop over the boundary
-# half-edges' permutations.
-_CHUNK = 16
-_kernel_files = itertools.count()
-
-
-def _tuple(items: Sequence[str]) -> str:
-    # the source of a tuple of the expressions ``items``
-    return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
-
-
-def _kernel(plan: _Plan) -> Callable[..., bool]:
-    """The search ``plan`` describes, as one generated Python function.
-
-    It is called as ``kernel(out, Match, name, nbrs, sg, pool, adj, ends,
-    distinct, first, pins)``, with the target's neighbour sets, its index's
-    signature lookup (``sig.get``) and pools, and its adjacency and edge
-    ends.  It appends to ``out``, as (`Match.key`, match), every embedding
-    `_embed` describes, in the order the search finds them, and returns True
-    when ``first`` stopped it.
-
-    The code is straight-line per plan position: a pinned position takes its
-    pin, a component root loops over its signature pool and every other
-    position over its parent image's neighbours of its signature, in id
-    order, listed once its parent is placed.  An image is compared only with
-    the earlier images of its signature, since images of two signatures
-    differ; a parent or linked image is a neighbour, so it differs too.
-    Once every position is placed, the edges of each interior pair are
-    collected and their number checked.  The gluing condition needs no scan:
-    a position without boundary edges has all its target edges matched by
-    degree, so an unmatched edge between two images joins two positions that
-    have boundary edges and no LHS edge, and those pairs are checked to be
-    non-adjacent as they are placed.  Each position with boundary edges
-    lists its unmatched half-edges, whose permutations give the attachments.
-    Every map of the match is written in its sorted order, and each symmetry
-    break is one comparison at the first place that knows both its edges.
-
-    A function nests at most `_CHUNK` position loops; a longer plan's
-    function calls the next one with the images found so far.  Only integers
-    taken from the plan enter the source; signatures are default arguments.
-    The source is registered in `linecache` for as long as the kernel lives,
-    so tracebacks and profiles show the generated lines."""
-    n, npins = len(plan.order), plan.pins
-    sigs, parents, bedges = plan.sigs, plan.parents, plan.bedges
-    adjacent = {(i, j) for i, j, _ in plan.pairs}
-    image: Dict[EdgeId, str] = {}  # LHS edge -> expression of its target edge
-    mapped: List[List[str]] = [[] for _ in range(n)]  # interior edge images at each position
-    for i, j, les in plan.pairs:
-        for e in les:
-            image[e] = f"f{e}"
-            mapped[i].append(image[e])
-            if j != i:
-                mapped[j].append(image[e])
-    attach: Dict[VertexId, str] = {}  # LHS boundary vertex -> expression of its half-edge
-    multi = [i for i in range(n) if len(bedges[i]) > 1]  # positions whose half-edges permute
-    for i, bs in enumerate(bedges):
-        for k, (e, b) in enumerate(bs):
-            attach[b] = f"h{i}" if len(bs) == 1 else f"p{i}[{k}]"
-            image[e] = attach[b] + "[0]"
-    bounds = [0, *range(npins + _CHUNK, n, _CHUNK), n]
-    # each break is checked once both its edges are known: before the loop
-    # over the boundary permutations, or inside it
-    permuted = {e for i in multi for e, _ in bedges[i]}
-    breaks: Tuple[List[str], List[str]] = ([], [])
-    for e, f in plan.breaks:
-        breaks[e in permuted or f in permuted].append(f"{image[e]} > {image[f]}")
-    # the candidates of each position after a root are listed once its parent
-    # is placed, or as its function starts; positions with one parent and
-    # signature share their list
-    listed: Dict[Tuple[int, Tuple], str] = {}
-    children: List[List[int]] = [[] for _ in range(n)]
-    for j in range(npins, n):
-        if parents[j] is not None:
-            children[parents[j]].append(j)
-
-    context = "out, Match, name, nbrs, sg, pool, adj, ends, distinct, first"
-    lines: List[str] = []
-    depth = 1
-
-    def emit(line: str) -> None:
-        lines.append(" " * depth + line)
-
-    def reject() -> str:
-        return "continue" if depth > 1 else "return False"
-
-    def candidates(js: Sequence[int]) -> None:
-        for j in js:
-            key = (parents[j], sigs[j])
-            if key not in listed:
-                listed[key] = f"c{j}"
-                emit(f"c{j} = [t for t in nbrs[t{parents[j]}] if sg(t) == s{j}]")
-                emit(f"if not c{j}: {reject()}")
-                emit(f"c{j}.sort()")
-
-    for c in reversed(range(len(bounds) - 1)):
-        lo, hi = bounds[c], bounds[c + 1]
-        params = [context, "pins"] if c == 0 else [context, *(f"t{i}" for i in range(lo))]
-        params += [f"s{j}=_sigs[{j}]" for j in range(lo, hi)]
-        if hi < n:
-            params.append(f"_k{c + 1}=_k{c + 1}")
-        lines.append(f"def _k{c}({', '.join(params)}):")
-        depth = 1
-        listed.clear()
-        if c == 0 and npins:
-            emit(f"{', '.join(f't{j}' for j in range(npins))}, = pins")
-        candidates([j for j in range(max(lo, npins), hi)
-                    if parents[j] is not None and parents[j] < lo])
-        for j in range(lo, hi):
-            p = parents[j]
-            if j < npins:
-                emit(f"if sg(t{j}) != s{j}: {reject()}")
-            elif p is None:
-                emit(f"for t{j} in pool.get(s{j}, ()):")
-                depth += 1
-            else:
-                emit(f"for t{j} in {listed[p, sigs[j]]}:")
-                depth += 1
-            links = plan.links[j]
-            same = [f"t{i}" for i in range(j) if sigs[i] == sigs[j] and i != p
-                    and i not in links]
-            if same:
-                emit(f"if t{j} == {same[0]}: {reject()}" if len(same) == 1
-                     else f"if t{j} in {_tuple(same)}: {reject()}")
-            apart = [i for i in range(j) if bedges[i] and bedges[j] and (i, j) not in adjacent]
-            if links or apart:
-                emit(f"n{j} = nbrs[t{j}]")
-                tests = [f"t{i} not in n{j}" for i in links] + [f"t{i} in n{j}" for i in apart]
-                emit(f"if {' or '.join(tests)}: {reject()}")
-            candidates([k for k in children[j] if k < hi])
-        if hi < n:
-            emit(f"if _k{c + 1}({context}, {', '.join(f't{i}' for i in range(hi))}): return True")
-            lines.append(" return False")
-            continue
-        for i, j, les in plan.pairs:
-            emit(f"q = (t{i}, t{j}) if t{i} < t{j} else (t{j}, t{i})" if i != j
-                 else f"q = (t{j}, t{j})")
-            emit(f"q = [e for e in adj[t{i}] if ends[e] == q]")
-            emit(f"if len(q) != {len(les)}: {reject()}")
-            emit(f"{', '.join(image[e] for e in les)}, = q")
-        for i, bs in enumerate(bedges):
-            if bs:
-                half = f"[(e, 1 if ends[e][0] == t{i} else 0) for e in adj[t{i}]"
-                if mapped[i]:
-                    half += f" if e not in {_tuple(mapped[i])}"
-                emit(f"h{i}, = {half}]" if len(bs) == 1 else f"r{i} = {half}]")
-        before, inside = breaks
-        if before:
-            emit(f"if distinct and ({' or '.join(before)}): {reject()}")
-        if multi:
-            perms = ", ".join(f"permutations(r{i})" for i in multi)
-            emit(f"for {''.join(f'p{i}, ' for i in multi)}in product({perms}):")
-            depth += 1
-        if inside:
-            emit(f"if distinct and ({' or '.join(inside)}): continue")
-        vertex_map = [f"({plan.order[i]}, t{i})"
-                      for i in sorted(range(n), key=plan.order.__getitem__)]
-        edge_map = [f"({e}, {image[e]})" for e in sorted(image)]
-        boundary = [f"({b}, {attach[b]})" for b in sorted(attach)]
-        emit(f"em = {_tuple(edge_map)}")
-        emit(f"ba = {_tuple(boundary)}")
-        emit(f"out.append(((sorted({_tuple([f't{i}' for i in range(n)])}), em, ba), "
-             f"Match(rule_name=name, vertex_map={_tuple(vertex_map)}, "
-             f"edge_map=em, boundary_attach=ba)))")
-        emit("if first: return True")
-        lines.append(" return False")
-    return _compiled("\n".join(lines) + "\n", "matcher kernel", ("_k0",), {
-        "_sigs": sigs, "permutations": itertools.permutations, "product": itertools.product})[0]
-
-
-class _Lines:
-    """Held by a generated source's namespace, which every function it
-    defines holds as its globals: it dies with the last of them."""
-
-    __slots__ = ("__weakref__",)
-
-
-def _compiled(source: str, label: str, entries: Sequence[str],
-              namespace: Dict[str, object]) -> Tuple[Callable, ...]:
-    """The functions ``entries`` that generated ``source`` defines, compiled
-    with ``namespace`` as their globals.  Every function the source defines
-    is taken out of the namespace again, so the functions and their globals
-    form no cycle: one function reaches another only through a default
-    argument.  The source is registered in `linecache` for as long as any of
-    them lives, under a file name that starts with ``<label``."""
-    filename = f"<{label} {next(_kernel_files)}>"
-    given = set(namespace)
-    exec(compile(source, filename, "exec"), namespace)
-    kernels = tuple(namespace[entry] for entry in entries)
-    for name in [name for name in namespace if name not in given and name != "__builtins__"]:
-        del namespace[name]
-    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    namespace["_lines"] = lines = _Lines()
-    weakref.finalize(lines, linecache.cache.pop, filename, None)
-    return kernels
-
-
 def _symmetries(rule: Rule) -> List[Match]:
     """The self-embeddings of ``rule.lhs``, other than the identity, whose
     rewrite of the LHS has the identity's `_result_key`.
@@ -486,8 +289,8 @@ def _symmetries(rule: Rule) -> List[Match]:
     boundary vertices in a way that keeps the multiset of new edges.  So of
     each orbit the rewrite loop needs only the least match."""
     lhs = rule.lhs
-    selfs = _embed(rule.name, _compile(lhs, ()), lhs, _index(lhs), (), False)
-    key = {a: _result_key(match_delta(lhs, rule, a)) for a in selfs}
+    selfs = _embed(rule.name, _build_plan(lhs, ()), lhs, _index(lhs), (), False)
+    key = {a: _result_key(change_kernel(rule)(a, lhs, lhs.neighbour_sets())) for a in selfs}
     identity = next(a for a in selfs if all(x == y for x, y in a.vertex_map + a.edge_map))
     return [a for a in selfs if a != identity and key[a] == key[identity]]
 
@@ -508,13 +311,13 @@ def _new_plan(rule: Rule, root: Optional[VertexId]) -> _Plan:
         raise RuleFormatError(f"anchor {root} is not interior to {rule.name}")
     if root is not None:
         # only the orbit members that keep the anchor are enumerated under it
-        return _compile(rule.lhs, (root,), [a for a in _plan(rule, None).symmetries
+        return _build_plan(rule.lhs, (root,), [a for a in _plan(rule, None).symmetries
                                             if a.vmap()[root] == root])
     symmetries = _symmetries(rule)
-    plan = _compile(rule.lhs, (), symmetries)
+    plan = _build_plan(rule.lhs, (), symmetries)
     firsts = [plan.sigs.index(s) for s, _ in plan.need]
     return replace(plan, roots=tuple(
-        None if i == 0 else _compile(rule.lhs, (plan.order[i],), symmetries, pinned=False)
+        None if i == 0 else _build_plan(rule.lhs, (plan.order[i],), symmetries, pinned=False)
         for i in firsts))
 
 
@@ -694,7 +497,7 @@ def _matched_whole(a: Diagram, b: Diagram) -> bool:
                 return False
         elif pins.setdefault(x, y) != y:
             return False
-    plan = _compile(a, tuple(pins))
+    plan = _build_plan(a, tuple(pins))
     idx = _index(b)
     # the interiors are of one size, so equal counts of a's signatures mean equal pools
     if any(len(idx.pool.get(s, ())) != k for s, k in plan.need):
@@ -707,7 +510,7 @@ def _check_embedding(target: Diagram, rule: Rule, m: Match) -> None:
     # of it, finds the embeddings with m's vertex map; m must be one of them
     plan = rule.memo.get("pinned")
     if plan is None:
-        plan = rule.memo["pinned"] = _compile(rule.lhs, tuple(rule.lhs.interior()))
+        plan = rule.memo["pinned"] = _build_plan(rule.lhs, tuple(rule.lhs.interior()))
     vmap = m.vmap()
     if vmap.keys() != set(plan.order):
         raise StaleMatchError(f"vertex map does not cover the interior of {rule.name}'s LHS")
@@ -716,68 +519,15 @@ def _check_embedding(target: Diagram, rule: Rule, m: Match) -> None:
         raise StaleMatchError(f"match is not an embedding of {rule.name}'s LHS")
 
 
-class MatchDelta(NamedTuple):
-    """What applying a match changes, worked out without building the result.
-
-    Fresh vertices take ids after the target's largest vertex id, in
-    ``rhs.interior()`` order; new edges take ids after its largest edge id,
-    in ``rhs.edges()`` order.  `apply_match` builds its output from this,
-    removing the match's edges."""
-
-    removed: FrozenSet[VertexId]  # the matched vertices
-    attach: Dict[VertexId, VertexId]  # LHS boundary vertex -> target vertex it stands for
-    fresh: Dict[VertexId, VertexId]  # RHS interior vertex -> its new id
-    new_edges: Tuple[Tuple[VertexId, VertexId], ...]  # target ends of each RHS edge
-
-
-class _RhsPlan(NamedTuple):
-    """What `match_delta` needs of a rule, whatever the match."""
-
-    interior: Tuple[VertexId, ...]  # RHS interior, in the order fresh ids are given
-    labels: Tuple[Tuple[str, int], ...]  # (kind, phase) of each interior vertex
-    edges: Tuple[Tuple[VertexId, VertexId], ...]  # RHS edge ends, in edge-id order
-    boundary: Tuple[Tuple[VertexId, VertexId], ...]  # (RHS, LHS) boundary vertex pairs
-
-
-def _rhs_plan(rule: Rule) -> _RhsPlan:
-    plan = rule.memo.get("rhs")
-    if plan is None:
-        rhs, lhs = rule.rhs, rule.lhs
-        plan = rule.memo["rhs"] = _RhsPlan(
-            interior=tuple(rhs.interior()),
-            labels=tuple(rhs._vertices[v] for v in rhs.interior()),
-            edges=tuple(map(rhs.edge_ends, rhs.edges())),
-            boundary=tuple(zip(rhs.inputs + rhs.outputs, lhs.inputs + lhs.outputs)))
-    return plan
-
-
-def match_delta(target: Diagram, rule: Rule, m: Match) -> MatchDelta:
-    """The change `apply_match(target, rule, m)` makes, for m one of the
-    matcher's embeddings; m is not checked."""
-    edges = target._edges
-    attach = {b: edges[te][side] for b, (te, side) in m.boundary_attach}
-    plan = _rhs_plan(rule)
-    fresh = dict(zip(plan.interior, itertools.count(target.max_vertex_id() + 1)))
-    ends = fresh.copy()
-    for rb, lb in plan.boundary:
-        ends[rb] = attach[lb]
-    return MatchDelta(
-        removed=frozenset([t for _, t in m.vertex_map]),
-        attach=attach,
-        fresh=fresh,
-        new_edges=tuple([(ends[u], ends[v]) for u, v in plan.edges]),
-    )
-
-
 def apply_match(target: Diagram, rule: Rule, m: Match) -> Diagram:
     """Replace the matched subgraph by the rule's RHS.
 
     What the target already has is carried to the result rather than built
-    again: its neighbour map, patched by the rule's `flow.patch_kernel`, its
-    matcher index (`_derive_index`) and its memoised path cover, spliced
-    with the rule's (`flow.carry_cover`) when the splice passes.  Raises
-    StaleMatchError unless m is one of the matcher's embeddings of the
-    rule's LHS into target."""
+    again: its neighbour map, patched by the rule's change kernel
+    (`kernels.change_kernel`), its matcher index (`_derive_index`) and its
+    memoised path cover, spliced with the rule's (`carry_cover`) when the
+    splice passes.  Raises StaleMatchError unless m is one of the matcher's
+    embeddings of the rule's LHS into target."""
     _check_embedding(target, rule, m)
     return _carried(target, rule, m)
 
@@ -786,31 +536,72 @@ def _carried(target: Diagram, rule: Rule, m: Match) -> Diagram:
     """`apply_match` without the check, for a match the matcher has just made."""
     out, delta = _apply(target, rule, m)
     parent = target.memo.get("cover")
-    if parent is not None and out._nbrs is not None:
+    if parent is not None:
         cover = carry_cover(parent, rule, m, target, delta.removed, out._nbrs)
         if cover is not None:
             out.memo["cover"] = cover
     return out
 
 
+def carry_cover(parent: PathCover, rule: Rule, m: Match, target: Diagram,
+                removed: FrozenSet[VertexId], nbrs: Dict[VertexId, Set[VertexId]]
+                ) -> Optional[PathCover]:
+    """The cover of the diagram that m, one of the matcher's embeddings of
+    the rule's LHS into target, rewrites target into, derived from parent,
+    target's cover; ``removed`` holds the matched vertices and ``nbrs`` is
+    the rewritten diagram's neighbour map.  None when the splice fails
+    (`kernels.splice_kernel`, the one the metric's scorer runs), which it
+    does exactly when the rewritten diagram has no cover with the spliced
+    paths, or when its new vertices find no integer rank (`Splice.rank`).
+
+    The paths are the splice's, the flow the parent's without the removed
+    vertices and with the splice's changed successors, and the rank the
+    splice's placement in the parent's.  By uniqueness the flow is the one
+    `flow.search_path_cover` finds.  The positions are the parent's too,
+    without the removed vertices and numbered again only on the spliced
+    paths, from each segment on.  The result refers to no cover or
+    diagram."""
+    kernel = splice_kernel(rule)
+    splice = None if kernel is None else kernel(m, target, parent, None)
+    if splice is None:
+        return None
+    rank = splice.rank(removed)
+    if rank is None:
+        return None
+    succ, pos = parent.succ.copy(), parent.pos.copy()
+    for v in removed:
+        # every matched vertex lies inside a segment, so it has a successor;
+        # those left on the path get new ones from the splice
+        del succ[v], pos[v]
+    succ.update(splice.succ)
+    paths = splice.paths()
+    for q, (first, _, _) in splice.segments.items():
+        path = paths[q]
+        for p in range(first, len(path)):
+            pos[path[p]] = (q, p)
+    cover = PathCover(paths, succ, rank, nbrs, parent.inputs)
+    vars(cover)["pos"] = pos
+    return cover
+
+
 def _apply(target: Diagram, rule: Rule, m: Match) -> Tuple[Diagram, MatchDelta]:
-    """`_carried` without the cover, and the match's delta."""
-    delta = match_delta(target, rule, m)
+    """`_carried` without the cover, and the match's delta, the one call of
+    the rule's change kernel."""
+    nbrs = target.neighbour_sets()
+    delta = change_kernel(rule)(m, target, nbrs)
     b = target.builder()
     # the gluing condition makes the matched edges exactly those at matched vertices
     for tv in delta.removed:
         b.remove_vertex(tv)
-    for v, (kind, phase) in zip(delta.fresh.values(), _rhs_plan(rule).labels):
-        b.add_vertex_with_id(v, kind, phase)
+    for x, v in delta.fresh.items():
+        b.add_vertex_with_id(v, *rule.rhs._vertices[x])
     for u, v in delta.new_edges:
         b.add_edge(u, v)
     out = b.build()
-    nbrs = target._nbrs
-    if nbrs is not None:
-        out._nbrs = nbrs.copy()
-        for v in delta.removed:
-            del out._nbrs[v]
-        out._nbrs.update(patch_kernel(rule)(m, target, nbrs)[2])
+    out._nbrs = carried = nbrs.copy()
+    for v in delta.removed:
+        del carried[v]
+    carried.update(delta.patched)
     parent = target.memo.get("index")
     if parent is not None:
         out.memo["index"] = _derive_index(parent, out, delta)

@@ -1,27 +1,54 @@
 """The candidate scoring `zxcliff` interpreted before each rule generated its
-splice and score kernel (`zxcliff.flow.splice_kernel`).
+splice and score kernel (`zxcliff.kernels.splice_kernel`), and the match
+delta it interpreted before each rule generated its change kernel
+(`zxcliff.kernels.change_kernel`).
+
+`match_delta` works out what a rewrite changes from the rule's RHS, and
+`neighbours` patches neighbour sets from a match delta, as the change
+kernel does.
 
 `splice_cover` walks the rule's splice plan (`segments`), and decides the
 order check by the least order of the whole candidate where the window
 check does not settle it; `spliced_separation` carries the separation per
 pair of paths, as `zxcliff.flow` and `zxcliff.optimiser` did; `score` is
 the body of `CommutationMetric.scorer`'s closure with its Pauli delta,
-taking the candidate's `match_delta`; `neighbours` patches neighbour sets
-from a `match_delta`, as the rule's patch kernel (`zxcliff.flow.patch_kernel`)
-does.  Tests compare the generated kernels with them.
+taking the candidate's `match_delta`.  Tests compare the generated kernels
+with them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_left, bisect_right
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from zxcliff.diagram import Diagram, VertexId
-from zxcliff.flow import (PathCover, Splice, _is_pauli_kind, _splice_plan, least_order,
-                          pair_separation, stranded_after)
+from zxcliff.flow import PathCover, _is_pauli_kind, least_order, pair_separation, stranded_after
+from zxcliff.kernels import MatchDelta, Splice, _splice_plan
 from zxcliff.optimiser import CommutationMetric, MetricTerms, group_crosses
-from zxcliff.rewrite import Match, MatchDelta, Rule, Scored
+from zxcliff.rewrite import Match, Rule, Scored
+
+
+def match_delta(target: Diagram, rule: Rule, m: Match) -> MatchDelta:
+    """The change `apply_match(target, rule, m)` makes, for m one of the
+    matcher's embeddings; m is not checked.  Fresh vertices are numbered
+    after target's largest vertex id in RHS interior order, and the new
+    edges listed in RHS edge order."""
+    edges = target._edges
+    attach = {b: edges[te][side] for b, (te, side) in m.boundary_attach}
+    lhs, rhs = rule.lhs, rule.rhs
+    fresh = dict(zip(rhs.interior(), itertools.count(target.max_vertex_id() + 1)))
+    ends = fresh.copy()
+    for rb, lb in zip(rhs.inputs + rhs.outputs, lhs.inputs + lhs.outputs):
+        ends[rb] = attach[lb]
+    delta = MatchDelta(
+        removed=frozenset([t for _, t in m.vertex_map]),
+        attach=attach,
+        fresh=fresh,
+        new_edges=tuple([(ends[u], ends[v]) for u, v in map(rhs.edge_ends, rhs.edges())]),
+        patched={})
+    return delta._replace(patched=neighbours(delta, target.neighbour_sets()))
 
 
 def neighbours(delta: MatchDelta, nbrs: Dict[VertexId, Set[VertexId]]

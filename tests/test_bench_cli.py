@@ -157,6 +157,24 @@ def test_cli_missing_input_file(tmp_path, capsys, verb):
     assert err.startswith("error: cannot read ") and str(missing) in err
 
 
+@pytest.mark.parametrize("verb", [
+    ["optimize", "{src}", "--out", "{missing}"],
+    ["optimize", "{src}", "--out", "{ok}", "--trace", "{missing}"],
+    ["nf", "dump", "--cc1-only", "--out", "{missing}"],
+], ids=["optimize-out", "optimize-trace", "nf-dump-out"])
+def test_cli_unwritable_output_file(tmp_path, capsys, verb):
+    # a path in a directory that does not exist ends in `error: ...` and
+    # exit 2, not a traceback
+    src = tmp_path / "c.zxc"
+    src.write_text(CIRCUIT)
+    missing = tmp_path / "absent" / "out"
+    paths = {"src": src, "ok": tmp_path / "ok.zxc", "missing": missing}
+    assert main([arg.format(**paths) for arg in verb]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and str(missing) in err
+    assert not missing.parent.exists()
+
+
 @pytest.mark.parametrize("text,found", [
     ('{"name": "Bad", "rhs": {}}', "'lhs'"),
     ("not json", "JSONDecodeError"),

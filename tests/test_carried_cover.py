@@ -1,4 +1,4 @@
-"""Path covers carried through rewrites (`flow.carry_cover`, memoised by
+"""Path covers carried through rewrites (`rewrite.carry_cover`, memoised by
 `rewrite.apply_match`) against covers searched from scratch."""
 
 import gc
@@ -8,15 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zxcliff.flow as flow
+import zxcliff.kernels as kernels
 import zxcliff.rewrite as rewrite
 from zxcliff.circuit import random_clifford_circuit, translate
 from zxcliff.diagram import Diagram
 from zxcliff.errors import NotACircuit
-from zxcliff.flow import (RANK_STEP, PathCover, carry_cover, find_path_cover, search_path_cover,
-                          splice_kernel)
+from zxcliff.flow import RANK_STEP, PathCover, find_path_cover, search_path_cover
+from zxcliff.kernels import splice_kernel
 from zxcliff.optimiser import CommutationMetric, Optimiser, OptimiserConfig
 from zxcliff.passes import simple_form
-from zxcliff.rewrite import apply_match, find_matches, rewrite_metric
+from zxcliff.rewrite import apply_match, carry_cover, find_matches, rewrite_metric
 from zxcliff.trace import ProofTrace
 
 
@@ -134,14 +135,14 @@ def test_splice_rank_refuses_a_window_without_an_integer():
     # left; between 4 and 6 it takes 5, and a chain of two needs a window of 3
     parent = PathCover(((0, 1, 2),), {0: 1, 1: 2}, {0: 0, 1: 4, 2: 5},
                        {0: {1}, 1: {0, 2}, 2: {1}}, frozenset({0}))
-    splice = flow.Splice(parent, {}, {}, ({9: 4}, {9: 5}, {9: []}, [9]))
+    splice = kernels.Splice(parent, {}, {}, ({9: 4}, {9: 5}, {9: []}, [9]))
     assert splice.rank(frozenset()) is None
-    wider = flow.Splice(parent, {}, {}, ({9: 4}, {9: 6}, {9: []}, [9]))
+    wider = kernels.Splice(parent, {}, {}, ({9: 4}, {9: 6}, {9: []}, [9]))
     assert wider.rank(frozenset({1}))[9] == 5
     chain = ({8: 4, 9: 4}, {8: 9, 9: 7}, {8: [9], 9: []}, [8, 9])
-    assert flow.Splice(parent, {}, {}, chain).rank(frozenset({1}))  # 5, 6
+    assert kernels.Splice(parent, {}, {}, chain).rank(frozenset({1}))  # 5, 6
     narrow = ({8: 4, 9: 4}, {8: 9, 9: 6}, {8: [9], 9: []}, [8, 9])
-    assert flow.Splice(parent, {}, {}, narrow).rank(frozenset({1})) is None
+    assert kernels.Splice(parent, {}, {}, narrow).rank(frozenset({1})) is None
 
 
 def test_split_cross_legs_orders_alike_on_carried_and_searched_covers(ruleset):

@@ -10,20 +10,21 @@ from hypothesis import strategies as st
 import score_reference
 import select_reference
 from apply_reference import reference_apply_match
+from score_reference import match_delta
 from test_diagram import _Recording
 from zxcliff.circuit import (circuit, circuit_size, gate, gate_matrix_product,
                              random_clifford_circuit, translate)
 from zxcliff.diagram import B, Diagram, DiagramBuilder, X, Z
 from zxcliff.errors import ReplayDivergence, UnsoundRuleError
-from zxcliff.flow import (_sweep, find_path_cover, has_path_cover, is_circuit_like, splice_kernel,
-                          stranded_after)
+from zxcliff.flow import _sweep, find_path_cover, has_path_cover, is_circuit_like, stranded_after
+from zxcliff.kernels import change_kernel, splice_kernel
 from zxcliff.normal_forms import cc2_contains, line_diagram
 from zxcliff.optimiser import (CommutationMetric, Optimiser, OptimiserConfig, PauliMetric,
                                _replace_run, _replace_whole, canonicalise_blocks, group_crosses,
                                metric_terms, optimise, pair_separation)
 from zxcliff.passes import hopf_reduce, remove_identities, remove_self_loops, simple_form
-from zxcliff.rewrite import (Rule, _result_key, apply_match, find_matches, match_delta, reduce,
-                             rewrite_first, rewrite_metric)
+from zxcliff.rewrite import (Rule, _result_key, apply_match, find_matches, reduce, rewrite_first,
+                             rewrite_metric)
 from zxcliff.ruleset import RuleSet
 from zxcliff.semantics import interpret, scalar_free_equal
 from zxcliff.trace import PASSES, ProofStep, ProofTrace, replay
@@ -532,9 +533,10 @@ def test_cover_and_scorer_leave_the_diagram_collectable(ruleset):
     # the diagram's memo holds its cover, so a cover, or anything the scorer
     # leaves behind, that held its diagram would make a cycle, which
     # reference counting alone, with no collection, never frees.  A rule's
-    # memo holds its splice and score kernel, which must hold neither the
-    # diagram nor its rule: each goes with reference counting, and takes its
-    # generated source out of `linecache` with it
+    # memo holds its matcher kernels (in its plans), its change kernel and
+    # its splice and score kernel, which must hold neither the diagram nor
+    # its rule: each goes with reference counting, and takes its generated
+    # source out of `linecache` with it
     opt = Optimiser(rules=ruleset)
     d = opt._split_leg_phases(opt._split_cross_legs(
         simple_form(translate(random_clifford_circuit(4, 40, 0)))))
@@ -546,9 +548,19 @@ def test_cover_and_scorer_leave_the_diagram_collectable(ruleset):
         score = CommutationMetric().scorer(d)
         scored = [score(rule, m) for rule in rules for m in find_matches(rule, d)]
         assert any(s is not None and s.splice is not None for s in scored)
-        kernels = [weakref.ref(splice_kernel(rule)) for rule in rules]
+        apply_match(d, rules[0], find_matches(rules[0], d)[0])
+        made = {"splice": [splice_kernel(rule) for rule in rules],
+                "change": [change_kernel(rule) for rule in rules],
+                "matcher": [p.kernel for rule in rules for plan in rule.memo["plans"].values()
+                            for p in (plan, *plan.roots) if p is not None and "kernel" in vars(p)]
+                + [rules[0].memo["pinned"].kernel]}
+        assert all(made.values())
+        kernels = [weakref.ref(kernel) for kind in made.values() for kernel in kind]
         files = {kernel().__code__.co_filename for kernel in kernels}
-        assert len(files) == len(rules) and files <= linecache.cache.keys()
+        for kind in made:
+            assert sum(f.startswith(f"<{kind} kernel") for f in files) >= len(rules)
+        assert files <= linecache.cache.keys()
+        del made
         ref = weakref.ref(d)
         del d, score
         assert ref() is None

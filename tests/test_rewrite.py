@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from match_reference import reference_matches
+from score_reference import match_delta
 import zxcliff.rewrite as rewrite
 from zxcliff.circuit import circuit, gate, random_clifford_circuit, translate
 from zxcliff.diagram import B, Diagram, X, Z, opposite_colour
@@ -17,8 +18,8 @@ from zxcliff.normal_forms import line_diagram
 from zxcliff.optimiser import CommutationMetric, Optimiser, OptimiserConfig
 from zxcliff.passes import fuse_spiders, h_euler_expand, simple_form
 from zxcliff.rewrite import (Match, Rule, _build_index, _Index, _index, _plan, _result_key,
-                             _search, apply_match, find_matches, match_delta, reduce,
-                             rewrite_first, rewrite_metric)
+                             _search, apply_match, find_matches, reduce, rewrite_first,
+                             rewrite_metric)
 from zxcliff.semantics import interpret, scalar_free_equal
 from zxcliff.trace import ProofStep, ProofTrace, replay
 

@@ -1,5 +1,6 @@
-"""The generated splice and score kernels (`zxcliff.flow.splice_kernel`)
-against the interpreted scoring they replaced (`score_reference`)."""
+"""The generated splice and score kernels (`zxcliff.kernels.splice_kernel`)
+and change kernels (`zxcliff.kernels.change_kernel`) against the
+interpreted scoring and match delta they replaced (`score_reference`)."""
 
 import traceback
 
@@ -9,14 +10,16 @@ from hypothesis import strategies as st
 
 import score_reference
 import zxcliff.flow as flow
+import zxcliff.kernels as kernels
 from zxcliff.circuit import random_clifford_circuit, translate
 from zxcliff.diagram import B, X, Z, DiagramBuilder
 from zxcliff.errors import NotACircuit
-from zxcliff.flow import (find_path_cover, has_path_cover, patch_kernel, search_path_cover,
-                          splice_kernel)
+from score_reference import match_delta
+from zxcliff.flow import find_path_cover, has_path_cover, search_path_cover
+from zxcliff.kernels import change_kernel, splice_kernel
 from zxcliff.optimiser import CommutationMetric, Optimiser, metric_terms
 from zxcliff.passes import simple_form
-from zxcliff.rewrite import Rule, apply_match, find_matches, match_delta
+from zxcliff.rewrite import Rule, apply_match, find_matches
 
 
 def _window(splice):
@@ -144,7 +147,7 @@ def test_splice_is_exact(ruleset):
                     paths = search_path_cover(apply_match(d, rule, m)).paths
                 except NotACircuit:
                     paths = None
-                covered = paths == flow.Splice(searched, segments, {}, None).paths()
+                covered = paths == kernels.Splice(searched, segments, {}, None).paths()
                 for parent in parents:
                     got = kernel(m, d, parent, None)
                     assert (got is not None) == covered, rule.name
@@ -158,25 +161,44 @@ def test_splice_is_exact(ruleset):
 
 
 def test_patch_kernel_agrees_with_match_delta(ruleset):
-    # the generated failure path: for every candidate of every metric rule,
-    # the matched vertices, fresh ids and patched neighbour sets are the
-    # match delta's
+    # the generated change kernel, which every rewrite and every failed
+    # splice reads, against the interpreted match delta: for every match of
+    # every rule group on simple forms at widths 1-6, their split forms and
+    # random rewrites of them, the whole delta is the oracle's, with the
+    # fresh ids in the same order and the new edges, which fix the result's
+    # edge ids, in the same order
     opt = Optimiser(rules=ruleset)
-    candidates = 0
+    groups = ["init", "always", "pauli_commute", "cnot_commute", "c2"]
+    rules = [(group, rule) for group in groups for rule in ruleset.group(group)]
+    seen = set()
 
     def check(d):
-        nonlocal candidates
-        nbrs = find_path_cover(d).nbrs
-        for rule in opt._metric_rules:
+        nbrs = d.neighbour_sets()
+        for group, rule in rules:
             for m in find_matches(rule, d):
-                delta = match_delta(d, rule, m)
-                removed, fresh, patched = patch_kernel(rule)(m, d, nbrs)
-                assert removed == delta.removed and fresh == tuple(delta.fresh.values())
-                assert patched == score_reference.neighbours(delta, nbrs), rule.name
-                candidates += 1
+                got, want = change_kernel(rule)(m, d, nbrs), match_delta(d, rule, m)
+                assert got == want, rule.name
+                assert list(got.fresh.items()) == list(want.fresh.items()), rule.name
+                seen.add(group)
 
-    _metric_rewrites(opt, check, 30)
-    assert candidates
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(width=st.integers(1, 6), depth=st.integers(1, 30), seed=st.integers(0, 10**6),
+           picks=st.lists(st.integers(0, 10**6), max_size=2))
+    def diagrams(width, depth, seed, picks):
+        d = simple_form(translate(random_clifford_circuit(width, depth, seed)))
+        check(d)
+        d = opt._split_leg_phases(opt._split_cross_legs(d))
+        for pick in [None, *picks]:
+            if pick is not None:
+                options = [(r, m) for _, r in rules for m in find_matches(r, d)]
+                if not options:
+                    break
+                r, m = options[pick % len(options)]
+                d = apply_match(d, r, m)
+            check(d)
+
+    diagrams()
+    assert seen == set(groups)
 
 
 def test_patch_kernel_patches_a_repeated_attachment_once():
@@ -207,12 +229,10 @@ def test_patch_kernel_patches_a_repeated_attachment_once():
         matches = find_matches(rule, target)
         assert matches
         for m in matches:
-            delta = match_delta(target, rule, m)
+            delta = change_kernel(rule)(m, target, nbrs)
             assert set(delta.attach.values()) == {x}
-            removed, fresh, patched = patch_kernel(rule)(m, target, nbrs)
-            assert (removed, fresh) == (delta.removed, tuple(delta.fresh.values()))
-            assert patched == score_reference.neighbours(delta, nbrs)
-            seen.append(patched[x])
+            assert delta == match_delta(target, rule, m)
+            seen.append(delta.patched[x])
     assert seen[0] == {i, o}
 
 
@@ -229,11 +249,11 @@ def test_scoring_kernel_shows_its_generated_line(ruleset, monkeypatch):
     def boom(*args):
         raise RuntimeError("splice interrupted")
 
-    monkeypatch.setattr(flow, "Splice", boom)
+    monkeypatch.setattr(kernels, "Splice", boom)
     # a copy with an empty memo generates its kernel with the patched name
     kernel = splice_kernel(Rule(rule.name, rule.lhs, rule.rhs))
     with pytest.raises(RuntimeError) as exc:
         kernel(m, d, parent, None)
     frames = [f for f in traceback.extract_tb(exc.value.__traceback__)
               if f.filename.startswith("<splice kernel")]
-    assert frames and frames[-1].line.startswith("splice = Splice(pc, segments, changed")
+    assert frames and frames[-1].line.startswith("return Splice(pc, segments, changed")

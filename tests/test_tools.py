@@ -52,3 +52,17 @@ def test_layer_share_times_named_functions():
     assert calls > 0 and 0 < self_us < incl
     applied = int(rows["rewrite._carried"][0])
     assert applied > 0 and int(rows["diagram.DiagramBuilder.build"][0]) >= applied
+
+
+def test_layer_share_sees_what_generated_kernels_call():
+    # the splice kernels bind `_respaced` and `_orders_splice` as they are
+    # generated, so the tool must generate them again around its wrappers
+    names = ["flow._respaced", "flow._orders_splice", "flow.stranded_after"]
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "layer_share.py"), "--width", "4", "--depth", "40",
+         "--count", "4", "--repeat", "1", *names],
+        capture_output=True, text=True, check=True).stdout
+    rows = {line.split()[0]: line.split()[1:] for line in out.splitlines()[3:]}
+    assert int(rows["flow._respaced"][0]) > 0
+    assert int(rows["flow._orders_splice"][0]) > 0
+    assert int(rows["flow.stranded_after"][0]) > 0

@@ -9,15 +9,18 @@ function is wrapped wherever a `zxcliff` module binds it, because
 ``from .rewrite import rewrite_first`` copies the binding; a method is
 wrapped on its class.
 
-One untimed pass over ``random_clifford_circuit(width, depth, seed)`` for
-seeds 0..count-1 loads the rules and compiles what is compiled once (the
-warm-up); then the same pass runs ``--repeat`` times with the wrappers in,
-and the fastest of them is reported.  Per name it prints the calls, the
-microseconds per call including everything under it ("incl") and excluding
-the time in other named functions called from it ("self"), and both as a
-share of the pass's wall time.  So naming ``rewrite.rewrite_first``
-together with ``rewrite._carried`` gives, as rewrite_first's self time, the
-part of a selection step that is not the rewrites it applies.
+The wrappers go in first.  The generated kernels (`zxcliff.kernels`) bind
+the functions they call as they are generated, so every rule's memo is then
+emptied, and one pass over ``random_clifford_circuit(width, depth, seed)``
+for seeds 0..count-1 generates them again, around the wrappers, and
+compiles whatever else is compiled once (the warm-up).  Then the counts are
+reset, the same pass runs ``--repeat`` times, and the fastest of them is
+reported.  Per name it prints the calls, the microseconds per call
+including everything under it ("incl") and excluding the time in other
+named functions called from it ("self"), and both as a share of the pass's
+wall time.  So naming ``rewrite.rewrite_first`` together with
+``rewrite._carried`` gives, as rewrite_first's self time, the part of a
+selection step that is not the rewrites it applies.
 
 ``--src DIR`` imports the package from another source tree, so that two
 checkouts are measured with one tool:
@@ -89,6 +92,11 @@ class Layers:
                         self._patches.append((mod, attr, value))
                         setattr(mod, attr, wrapper)
 
+    def reset(self) -> None:
+        for name in self.calls:
+            self.calls[name] = 0
+            self.incl[name] = self.self_s[name] = 0.0
+
     def uninstall(self) -> None:
         for owner, attr, original in reversed(self._patches):
             setattr(owner, attr, original)
@@ -114,31 +122,34 @@ def main(argv: List[str]) -> None:
 
     opt = Optimiser(rules=load_ruleset())
     circuits = [random_clifford_circuit(args.width, args.depth, s) for s in range(args.count)]
-    for c in circuits:
-        opt.run(c)
+    layers = Layers()
+    layers.install(args.names)
     best = None
-    for _ in range(args.repeat):
-        layers = Layers()
-        layers.install(args.names)
-        try:
+    try:
+        for rule in opt.rules.all_rules():
+            rule.memo.clear()
+        for c in circuits:
+            opt.run(c)
+        for _ in range(args.repeat):
+            layers.reset()
             start = time.perf_counter()
             for c in circuits:
                 opt.run(c)
             wall = time.perf_counter() - start
-        finally:
-            layers.uninstall()
-        if best is None or wall < best[0]:
-            best = (wall, layers)
-    wall, layers = best
+            if best is None or wall < best[0]:
+                best = (wall, dict(layers.calls), dict(layers.incl), dict(layers.self_s))
+    finally:
+        layers.uninstall()
+    wall, calls, incl, self_s = best
     print(f"source {args.src}")
     print(f"pass: {args.count} circuits, width {args.width}, depth {args.depth}: "
           f"{wall:.3f} s (fastest of {args.repeat})")
     print(f"{'name':40} {'calls':>8} {'incl us':>9} {'self us':>9} {'incl %':>7} {'self %':>7}")
     for name in args.names:
-        n = layers.calls[name]
+        n = calls[name]
         per = (lambda s: s / n * 1e6) if n else (lambda s: 0.0)
-        print(f"{name:40} {n:8} {per(layers.incl[name]):9.1f} {per(layers.self_s[name]):9.1f} "
-              f"{100 * layers.incl[name] / wall:7.2f} {100 * layers.self_s[name] / wall:7.2f}")
+        print(f"{name:40} {n:8} {per(incl[name]):9.1f} {per(self_s[name]):9.1f} "
+              f"{100 * incl[name] / wall:7.2f} {100 * self_s[name] / wall:7.2f}")
 
 
 if __name__ == "__main__":
