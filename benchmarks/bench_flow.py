@@ -17,6 +17,12 @@ as above, and the simple form of the seeded width-8, depth-160 circuit.
 `least_rank` works out the least order of a cover searched afresh for each
 round; `extract` reads the circuit off the diagram's cover.
 
+The `split_passes` case runs both split passes, cross legs then leg phases,
+as each round of the optimiser does, over the simple forms of the `wide-4q`
+corpus (width 4, depth 40, seeds 0-7), each a fresh copy with nothing
+memoised.  Only the first cover of each pass is searched; every split
+carries its cover to its result.
+
 Run with: PYTHONPATH=src python -m pytest benchmarks/bench_flow.py
 """
 
@@ -88,3 +94,14 @@ def test_extract(benchmark, name):
     d = ORDERED[name]
     out = benchmark.pedantic(extract_circuit, args=(d, find_path_cover(d)), rounds=50)
     assert out.width == d.num_inputs
+
+
+SIMPLE_FORMS = [simple_form(translate(random_clifford_circuit(4, 40, seed))) for seed in range(8)]
+SPLIT_FORMS = [_split(d).to_json() for d in SIMPLE_FORMS]
+
+
+def test_split_passes(benchmark):
+    out = benchmark.pedantic(lambda ds: [_split(d) for d in ds],
+                             setup=lambda: (([d.builder().build() for d in SIMPLE_FORMS],), {}),
+                             rounds=30)
+    assert [d.to_json() for d in out] == SPLIT_FORMS

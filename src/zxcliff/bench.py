@@ -13,10 +13,10 @@ from __future__ import annotations
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from .circuit import gate_matrix_product, random_clifford_circuit
-from .optimiser import Optimiser, OptimiserConfig
+from .optimiser import METRIC_OUTCOMES, Optimiser, OptimiserConfig
 from .semantics import scalar_free_equal
 
 # the dense oracle takes 0.26 s at width 8, depth 80, against seconds of
@@ -50,6 +50,8 @@ class BenchRow:
     ms_sigma: float
     verified: Optional[bool]
     failures: int
+    # the metric scorer's verdicts (`optimiser.METRIC_OUTCOMES`), summed over the runs
+    metric_candidates: Dict[str, int]
 
     def csv(self) -> str:
         return (f"{self.width},{self.depth},{self.count},{self.seed},"
@@ -66,7 +68,7 @@ class BenchRow:
     def to_json_obj(self) -> dict:
         return {k: getattr(self, k) for k in (
             "width", "depth", "count", "seed", "mean_in", "mean_out", "ratio",
-            "steps", "ms_mean", "ms_sigma", "verified", "failures")}
+            "steps", "ms_mean", "ms_sigma", "verified", "failures", "metric_candidates")}
 
 
 TABLE_HEADER = (f"{'width':>5} {'depth':>5} {'count':>5} {'mean_in':>8} "
@@ -92,6 +94,7 @@ def _one_run(args) -> dict:
         "output_size": res.stats["output_size"],
         "rewrite_steps": res.stats["rewrite_steps"],
         "wall_ms": res.stats["wall_ms"],
+        "metric_candidates": res.stats["metric_candidates"],
         "verified": verified,
     }
 
@@ -131,6 +134,8 @@ def bench(width: int, depth: int, count: int, seed: int = 0, jobs: int = 1,
         ms_sigma=statistics.pstdev(times) if len(times) > 1 else 0.0,
         verified=verified,
         failures=len(failures),
+        metric_candidates={key: sum(r["metric_candidates"][key] for r in good)
+                           for key in METRIC_OUTCOMES},
     )
 
 

@@ -90,8 +90,10 @@ class Diagram:
     (``"cover"``, `flow.find_path_cover`), its matcher index (``"index"``,
     from `rewrite`) and its commutation-metric terms (``"terms"``, from
     `optimiser`).  A cover is searched on first use, or carried from the
-    diagram's parent by `rewrite.carry_cover`, and then its rank need not be
-    the least order (`flow.PathCover`); an index is built on first use, or
+    diagram's parent by `rewrite.carry_cover` or by a split pass
+    (`optimiser._cross_leg_cover`, `optimiser._phase_cover`), and then its
+    rank need not be the least order (`flow.PathCover`); an index is built
+    on first use, or
     derived from the parent's by `rewrite.apply_match` from the rewrite's
     `kernels.MatchDelta`.  No memoised value may refer back to the diagram
     or to another diagram's memo, so reference counting alone frees a
@@ -122,7 +124,7 @@ class Diagram:
         except KeyError:
             raise DiagramInvariantError(f"edge {e} has undeclared endpoint") from None
         self._adj = adj
-        # built on first use, or carried from a rewritten parent (`neighbour_sets`)
+        # built on first use, or carried from a rewritten or split parent (`neighbour_sets`)
         self._nbrs: Optional[Dict[VertexId, Set[VertexId]]] = None
         self._max_vertex: Optional[VertexId] = None  # found on first use
         self._next_edge: Optional[EdgeId] = None  # a builder's first edge id, when known
@@ -293,9 +295,10 @@ class Diagram:
 
         Built from the adjacency on first use, unless `rewrite.apply_match`
         gave this diagram its parent's, patched with the rewrite's
-        `kernels.MatchDelta`.  A carried map shares the sets of every vertex
-        the rewrite left alone with the parent's, so callers must never
-        mutate them."""
+        `kernels.MatchDelta`, or a split pass its parent's, patched with the
+        split.  A carried map shares the sets of every vertex the rewrite or
+        split left alone with the parent's, so callers must never mutate
+        them."""
         if self._nbrs is None:
             self._nbrs = {v: set() for v in self._vertices}
             for u, v in self._edges.values():

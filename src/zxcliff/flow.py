@@ -24,10 +24,11 @@ order of the flow.  A rewrite's cover is spliced from its parent's by the
 rule's generated splice kernel (`kernels.splice_kernel`), which calls two
 helpers from here: `_orders_splice`, the bounded search that decides a
 splice whose rank windows are empty, and `_respaced`, the separation of a
-spliced candidate.  When the splice fails, `stranded_after` resumes the
-parent's sweep at the first step that claims a matched vertex, on the
-neighbour sets the rewrite patches: the sweep is confluent, so the claims
-before it stand.
+spliced candidate.  A failed splice whose kind the rule's certificate
+covers is known to lose the cover (`kernels.Stranded`); for the other
+failures only, `stranded_after` resumes the parent's sweep at the first
+step that claims a matched vertex, on the neighbour sets the rewrite
+patches: the sweep is confluent, so the claims before it stand.
 
 Three orders are worked out by one routine, `least_order`, the least
 topological order of a relation by Kahn's algorithm: a cover's least flow
@@ -63,9 +64,11 @@ class PathCover:
     order of F2-F3: an integer per vertex, lower at v than at f(v) and at
     every other neighbour of f(v).  A searched cover is ranked by its own
     sweep: its claims in reverse, then the outputs, spaced `RANK_STEP`
-    apart; a cover carried through a rewrite (`rewrite.carry_cover`) keeps
-    its parent's ranks and places each new vertex between them.  Neither
-    rank need be the least order.  ``nbrs`` and ``inputs`` are the diagram's
+    apart; a cover carried through a rewrite (`rewrite.carry_cover`) or a
+    phase split (`optimiser._phase_cover`) keeps its parent's ranks and
+    places each new vertex between them, and one carried through a cross-leg
+    split (`optimiser._cross_leg_cover`) is ranked by its least order.  A
+    rank need not be the least order.  ``nbrs`` and ``inputs`` are the diagram's
     neighbour sets and inputs, which a splice and a resumed sweep read.  The
     rest is worked out on first use: ``pos`` maps each vertex to its (path,
     position) (a carried cover patches its parent's), ``claim_order`` and
@@ -101,11 +104,8 @@ class PathCover:
     @cached_property
     def least_rank(self) -> Dict[VertexId, int]:
         """A rank whose order is the least topological order of F2-F3 in
-        vertex-id order (`least_order`): v before f(v) and before every
-        other neighbour of f(v), the i-th vertex ranked i * `RANK_STEP`."""
-        nbrs = self.nbrs
-        order = least_order(nbrs, {v: [fv, *(nbrs[fv] - {v})] for v, fv in self.succ.items()})
-        return {v: i * RANK_STEP for i, v in enumerate(order)}
+        vertex-id order: the module's `least_rank` of ``succ`` on ``nbrs``."""
+        return least_rank(self.succ, self.nbrs)
 
 
 # the gap between consecutive ranks of a searched cover, which leaves room
@@ -135,6 +135,17 @@ def least_order(nodes: Iterable[T], after: Mapping[T, Sequence[T]]) -> List[T]:
             if not indeg[u]:
                 heapq.heappush(ready, u)
     return order
+
+
+def least_rank(succ: Mapping[VertexId, VertexId], nbrs: Mapping[VertexId, Set[VertexId]]
+               ) -> Dict[VertexId, int]:
+    """The least topological order of the F2-F3 relation of ``succ`` on the
+    neighbour sets ``nbrs``, in vertex-id order (`least_order`): v before
+    f(v) and before every other neighbour of f(v), the i-th vertex ranked
+    i * `RANK_STEP`.  It ranks fewer vertices than ``nbrs`` holds exactly
+    when the relation has a cycle."""
+    order = least_order(nbrs, {v: [fv, *(nbrs[fv] - {v})] for v, fv in succ.items()})
+    return {v: i * RANK_STEP for i, v in enumerate(order)}
 
 
 def ranks_flow(succ: Mapping[VertexId, VertexId], rank: Mapping[VertexId, int],
@@ -347,7 +358,8 @@ def stranded_after(parent: PathCover, removed: FrozenSet[VertexId], fresh: Itera
     of parent's, found by resuming the parent's sweep; the rewrite removes
     the vertices ``removed`` and adds the ``fresh`` ones, and ``nbrs`` holds
     the rewritten neighbours of the attachments and fresh vertices
-    (`kernels.MatchDelta.patched`).
+    (`kernels.MatchDelta.patched`).  The metric's scorer calls it only for
+    the failed splices that no certificate settles (`kernels._certified`).
 
     Let T be the first step of the parent's recorded sweep that claims a
     matched vertex.  The T claims before it are valid claims of the rewritten

@@ -12,6 +12,11 @@ check written out inline, so that no run interprets a plan or a rule:
   reads a failed splice's neighbour sets from it;
 - the splice and score kernel of a rule with a cover splice plan
   (`splice_kernel`), which the metric's scorer and `rewrite.carry_cover` run.
+  It has three verdicts: the rewritten diagram's cover spliced from its
+  parent's (`Splice`); no cover at all (`Stranded`), for the kinds of failed
+  splice that the rule's certificate proves lose the cover (`_certified`,
+  decided from the rule's structure as the kernel is generated); and None,
+  for any other failed splice.
 
 Every kernel keeps three rules (`_compiled`).  Only integers taken from the
 plan or the rule enter its source; anything else it reads is an argument
@@ -397,7 +402,23 @@ class Splice(NamedTuple):
         return rank
 
 
-def splice_kernel(rule: Rule) -> Optional[Callable[..., Optional[Splice]]]:
+class Stranded(NamedTuple):
+    """A splice kernel's verdict that the rewritten diagram has no cover at
+    all, given without a sweep: the splice failed in a way that the rule's
+    certificate proves loses the cover (`_certified`).  ``kind`` names the
+    failure: ``"segment"``, an LHS cover path that does not map onto a
+    contiguous parent segment; ``"same_path"``, two that map onto one parent
+    path; ``"order"``, a spliced successor whose F2-F3 relation has a
+    cycle."""
+
+    kind: str
+
+
+# the verdict of each kind of failed splice that a certificate settles
+STRANDED = {kind: Stranded(kind) for kind in ("segment", "same_path", "order")}
+
+
+def splice_kernel(rule: Rule) -> Optional[Callable[..., object]]:
     """The rule's splice and score kernel (`_splice_kernel`), generated on
     first use and memoised in ``rule.memo["splice"]``; None when the rule has
     no splice plan."""
@@ -426,17 +447,251 @@ def _splice_plan(rule: Rule) -> Optional[Tuple]:
     return tuple((p[0], p[1:-1], p[-1], rhs_between[e]) for p, e in zip(lhs_paths, ends))
 
 
-def _splice_kernel(rule: Rule, plan: Optional[Tuple]
-                   ) -> Optional[Callable[..., Optional[Splice]]]:
+def _certified(rule: Rule, plan: Tuple) -> FrozenSet[str]:
+    """The kinds of failed splice (`Stranded`) after which the rule's
+    rewritten diagram has no cover, whatever the rest of the diagram: the
+    rule's certificate, decided from its LHS, RHS and splice ``plan`` alone.
+    Its splice kernel returns their `STRANDED` verdicts, and None for every
+    other failure, which the scorer settles by the resumed sweep
+    (`flow.stranded_after`).
+
+    Write D for the parent, with flow f and order <, and D' for the
+    rewritten diagram; "a ~ b" is adjacency.  A path cover is a family of
+    vertex-disjoint input-to-output paths through every vertex, consecutive
+    vertices adjacent.
+
+    Lemma U.  A diagram with a causal flow f has no path cover but f's (the
+    flow's uniqueness, de Beaudrap, arXiv:quant-ph/0611284).  Let f' be
+    another's successor.  g = f^-1 . f' maps the non-outputs one to one
+    onto themselves, and v ~ f'(v) = f(g(v)), so g(v) < v by F3 wherever
+    g(v) != v.  A permutation that only descends is the identity.
+
+    Kind "order", for every rule.  The splice puts each LHS path on a
+    contiguous segment of its own parent path and the RHS path between the
+    same boundary vertices in its place, so the spliced successor is a path
+    cover of D'.  The order check is exact (`_splice_kernel`): it fails when
+    the cover's F2-F3 relation has a cycle, so the cover is no flow, and by
+    Lemma U a flow of D' would be its only path cover.
+
+    Kind "same_path" (`_shared_paths_strand`).  Every LHS path maps onto a
+    contiguous parent segment, but two onto one parent path.  Replacing each
+    segment still gives a path cover f' of D' (the segments are disjoint;
+    two neighbours on a path may share an attachment), so by Lemma U D' has
+    a flow only if f' is one.  Every configuration (orientations, which
+    LHS paths share a parent path and their order along it, which
+    neighbouring segments share an attachment) gives two relations on named
+    vertices, each edge an order constraint that every diagram with that
+    configuration must meet: for D, F2 and F3 of f along the segments with
+    the LHS's adjacency; for D', F2 and F3 of f' with the RHS's; in both,
+    a segment's last attachment strictly before the next segment's first
+    on the same path (by F2) unless the two are one vertex.  A configuration
+    whose D relation has a cycle cannot occur, since D has a flow; if every
+    other one has a cycle in its D' relation, f' is never a flow.
+
+    Kind "segment", for a CNOT with a degree-2 vertex on one leg
+    (`_pauli_leg`).  The LHS interior is x, y and P, its edges x-y, x-P and
+    one from each of sA to x, P to eA, sB to y and eB to y, and its cover
+    paths sA x P eA and sB y eB.  Name an attachment by its boundary vertex.
+    The RHS (R1) joins no two boundary vertices; (R2) every way to run
+    vertex-disjoint paths between distinct boundary vertices through all its
+    interior vertices (a threading) pairs sA with eA and sB with eB, or is
+    one path from sA to sB or eB; (R3) the RHS neighbour nA of sA is
+    adjacent to no other boundary vertex.  Suppose D' has a flow f', order
+    <'.
+    (0) P has degree 2, so f runs eA, P, x; had it run x on to sA, both LHS
+    paths would be segments.  So f runs eA P x y k, k one of sB, eB and e
+    the other, forwards (i): eA < P < x < y < k, P < sA (F3 at f(P) = x) and
+    x < e (F3 at f(x) = y); or backwards (ii): k < y < x < P < eA, y < sA
+    (F3 at f(y) = x), and P < u for each other u ~ eA (F3 at f(P) = eA).
+    In (ii) k != sA, since k < y < sA.
+    (1) Each maximal run of fresh vertices on f' runs between two
+    attachments, so f' threads the RHS.  Had it paired sA with eA and sB
+    with eB, putting sA x P eA and sB y eB in their places, in f''s
+    directions, would give D a path cover other than f (f runs x-y), against
+    Lemma U.  So by (R2) f' runs every fresh vertex on one path between sA
+    and some z in {sB, eB}, and eA is not on it.
+    (2) Chains.  By (R1) D and D' have the same edges between old vertices.
+    For an old v with f'(v) != f(v), f'(v) old and its f-predecessor w old,
+    let g(v) = w: v ~ f(w) gives w < v (F3 of f), w ~ f'(v) gives v <' w
+    (F3 of f'), and f'(w) != f(w) = f'(v).  So each chain v, g(v), ...
+    falls in < and rises in <', and ends at a w with f'(w) fresh, so w is
+    the first attachment of the fresh path, or with f'(w) a D-exit, whose
+    f-predecessor is matched.
+    (3) Case (i).  f(eA) = P, so eA is no output; it precedes sA, k and e,
+    so it is none of them, and f'(eA) is old.  eA's chain ends at w <= eA.
+    If f'(w) is fresh, w is sA or z, which eA precedes.  Else f'(w) = k,
+    the one D-exit, and y < w (F3 at f(y) = k) with w <= eA < y.
+    (4) Case (ii), f' runs from sA.  Following chains back from sA, whose
+    f' is fresh, reaches a v0 <=' sA where f(v0) is matched, so v0 = k, the
+    one D-entry, or where f(v0) = z, whose f'-predecessor l is fresh.  v0 =
+    k != sA: if k = z, sA <' z by F2; else k attaches to a fresh vertex u !=
+    nA by (R1) and (R3), u = f'(p) for a fresh p with sA <' p, and p <' k
+    (F3).  f(v0) = z: v0 ~ z gives l <' v0 (F3 at f'(l) = z), and sA <' l.
+    Each is a cycle.
+    (5) Case (ii), f' runs to sA, ending nA, sA.  If sA = eA, eA's RHS
+    neighbour nE != nA (R3) comes before nA, but nE ~ sA = f'(nA) gives nA
+    <' nE.  Else sA has an old f-predecessor q (eA is the one D-exit), with
+    q < x (F3 at f(q) = sA ~ x) and nA <' q (F3 at f'(nA) = sA ~ q).  q's
+    chain ends at a w with q <=' w and w <= q: if f'(w) is fresh, w = z, and
+    z <' nA by F2; else f'(w) = eA and P < w (F3 at f(P) = eA), but q < x
+    < P.  Each is a cycle.
+    So D' has no flow, and the kernel's segment test fails only as in
+    (0)."""
+    kinds = {"order"}
+    if len(plan) > 1 and _shared_paths_strand(rule, plan):
+        kinds.add("same_path")
+    if _pauli_leg(rule, plan):
+        kinds.add("segment")
+    return frozenset(kinds)
+
+
+def _placements(n: int):
+    """Every way to lay paths 0..n-1 on parent paths with two or more on
+    one: per parent path, the paths on it in order along it."""
+    def place(k: int, groups: List[List[int]]):
+        if k == n:
+            if any(len(g) > 1 for g in groups):
+                yield [tuple(g) for g in groups]
+            return
+        for g in groups:
+            for i in range(len(g) + 1):
+                g.insert(i, k)
+                yield from place(k + 1, groups)
+                del g[i]
+        groups.append([k])
+        yield from place(k + 1, groups)
+        groups.pop()
+
+    return place(0, [])
+
+
+def _cyclic(walks: Sequence[Sequence[str]], edges: Sequence[Tuple[str, str]],
+            before: Sequence[Tuple[str, str]], one: Dict[str, str]) -> bool:
+    """Whether the F2-F3 relation of the successors along ``walks`` on the
+    adjacency ``edges``, with the pairs ``before`` added, has a cycle, each
+    vertex named in ``one`` read as the vertex it names there."""
+    nbrs: Dict[str, Set[str]] = {}
+    for u, v in edges:
+        u, v = one.get(u, u), one.get(v, v)
+        if u != v:
+            nbrs.setdefault(u, set()).add(v)
+            nbrs.setdefault(v, set()).add(u)
+    after: Dict[str, List[str]] = {}
+    for walk in walks:
+        walk = [one.get(v, v) for v in walk]
+        for v, fv in zip(walk, walk[1:]):
+            after.setdefault(v, []).extend([fv, *(nbrs.get(fv, set()) - {v})])
+    for v, u in before:
+        after.setdefault(one.get(v, v), []).append(one.get(u, u))
+    nodes = set(after).union(*after.values())
+    return len(least_order(sorted(nodes), after)) < len(nodes)
+
+
+def _shared_paths_strand(rule: Rule, plan: Tuple) -> bool:
+    """Whether every way for two of the rule's LHS paths to map onto one
+    parent path makes its rewrite lose the cover (`_certified`, kind
+    "same_path").  Vertices are named as in the splice kernel: LHS interior
+    vertex v is t{v}, RHS interior vertex x is w{x}, and the attachment of
+    LHS boundary vertex b is a{b}, which the RHS boundary vertex at its
+    position also names."""
+    lhs = rule.lhs
+    name, new_edges = _names(rule)
+    old = {v: f"t{v}" for v in lhs.interior()}
+    old.update((b, f"a{b}") for b in lhs.inputs + lhs.outputs)
+    old_edges = [(old[u], old[v]) for u, v in map(lhs.edge_ends, lhs.edges())]
+    for orientation in itertools.product((True, False), repeat=len(plan)):
+        # per LHS path, in the parent path's direction: its first attachment,
+        # its matched vertices, its fresh vertices and its last attachment
+        chains = [(f"a{s}", [f"t{v}" for v in inner], [name[x] for x in new], f"a{e}")
+                  if fw else (f"a{e}", [f"t{v}" for v in inner[::-1]],
+                              [name[x] for x in new[::-1]], f"a{s}")
+                  for (s, inner, e, new), fw in zip(plan, orientation)]
+        parent = [[up, *inner, down] for up, inner, _, down in chains]
+        rewritten = [[up, *new, down] for up, _, new, down in chains]
+        for groups in _placements(len(plan)):
+            gaps = [(chains[k][3], chains[j][0]) for g in groups for k, j in zip(g, g[1:])]
+            # each gap between neighbouring segments is one vertex or a
+            # stretch of path
+            for shared in itertools.product((False, True), repeat=len(gaps)):
+                one = {a: b for (a, b), same in zip(gaps, shared) if same}
+                before = [gap for gap, same in zip(gaps, shared) if not same]
+                if not (_cyclic(parent, old_edges, before, one)
+                        or _cyclic(rewritten, new_edges, before, one)):
+                    return False
+    return True
+
+
+def _threadings(d: Diagram) -> Set[FrozenSet[FrozenSet[VertexId]]]:
+    """Every way to run vertex-disjoint paths between distinct boundary
+    vertices of d through all its interior vertices, each path at least one
+    interior vertex long, as the set of each path's pair of ends."""
+    nbrs = d.neighbour_sets()
+    boundary = set(d.inputs + d.outputs)
+    found: Set[FrozenSet[FrozenSet[VertexId]]] = set()
+
+    def start(pairs: FrozenSet, used: Set[VertexId], left: Set[VertexId]) -> None:
+        if not left:
+            found.add(pairs)
+            return
+        for b in boundary - used:
+            walk(pairs, used | {b}, left, [b])
+
+    def walk(pairs: FrozenSet, used: Set[VertexId], left: Set[VertexId],
+             path: List[VertexId]) -> None:
+        for u in nbrs[path[-1]]:
+            if u in left:
+                walk(pairs, used, left - {u}, path + [u])
+            elif u in boundary and u not in used and len(path) > 1:
+                start(pairs | {frozenset((path[0], u))}, used | {u}, left)
+
+    start(frozenset(), set(), set(d.interior()))
+    return found
+
+
+def _pauli_leg(rule: Rule, plan: Tuple) -> bool:
+    """Whether the rule has the shape of `_certified`'s kind "segment": its
+    LHS a CNOT x-y with a degree-2 vertex P between x and a boundary vertex,
+    its RHS meeting (R1)-(R3)."""
+    if sorted(len(inner) for _, inner, _, _ in plan) != [1, 2] or len(rule.lhs.edges()) != 6:
+        return False
+    a, b = sorted(plan, key=lambda path: -len(path[1]))
+    (y,) = b[1]
+    lhs_nbrs = rule.lhs.neighbour_sets()
+    if y in lhs_nbrs[a[1][0]]:
+        s_a, e_a = a[0], a[2]
+    elif y in lhs_nbrs[a[1][1]]:
+        s_a, e_a = a[2], a[0]
+    else:
+        return False
+    # with the five edges of the two cover paths, the sixth is x-y
+    rhs = rule.rhs
+    twin = dict(zip(rule.lhs.inputs + rule.lhs.outputs, rhs.inputs + rhs.outputs))
+    ends = set(twin.values())
+    nbrs = rhs.neighbour_sets()
+    if any(rhs.degree(v) != 1 or nbrs[v] & ends for v in ends):
+        return False  # (R1)
+    s_a, e_a, s_b, e_b = twin[s_a], twin[e_a], twin[b[0]], twin[b[2]]
+    paired = {frozenset((s_a, e_a)), frozenset((s_b, e_b))}
+    if any(pairs != paired and pairs not in ({frozenset((s_a, s_b))}, {frozenset((s_a, e_b))})
+           for pairs in _threadings(rhs)):
+        return False  # (R2)
+    (n_a,) = nbrs[s_a]
+    return nbrs[n_a] & ends == {s_a}  # (R3)
+
+
+def _splice_kernel(rule: Rule, plan: Optional[Tuple]) -> Optional[Callable[..., object]]:
     """The cover splice of the rule's rewrites, as one generated function;
     None when the rule has no splice ``plan``.
 
     It is called as ``kernel(m, target, pc, terms)``, with m one of the
     matcher's embeddings of the rule's LHS into target, whose cover is pc.
-    It returns the `Splice` of the rewritten diagram's cover, worked out
-    from pc, or None when the spliced successor is not a causal flow; given
-    the parent's metric terms (`optimiser.metric_terms`) as ``terms``, it
-    values the candidate as well.
+    It has three verdicts: the `Splice` of the rewritten diagram's cover,
+    worked out from pc; when the splice fails, the `STRANDED` verdict of
+    the failure's kind, if the rule's certificate proves that kind loses
+    the cover (`_certified`); and None for any other failure, where the
+    rewritten diagram may still have a cover with other paths.  Given the
+    parent's metric terms (`optimiser.metric_terms`) as ``terms``, it values
+    a spliced candidate as well.
 
     Each LHS cover path must map onto a contiguous segment of a distinct
     parent path, forwards or reversed: its images and attachments must
@@ -509,11 +764,11 @@ def _splice_kernel(rule: Rule, plan: Optional[Tuple]
             emit(2, f"fw{k} = {word == 'if'}")
             emit(2, f"q{k}, f{k} = pos[a{up}]")
         emit(1, "else:")
-        emit(2, "return None")
+        emit(2, "return failed_segment")
     pairs = [(k, j) for k in range(len(plan)) for j in range(k + 1, len(plan))]
     if pairs:
         emit(1, f"if {' or '.join(f'q{k} == q{j}' for k, j in pairs)}:")
-        emit(2, "return None")
+        emit(2, "return failed_same_path")
     lines += _numbered([name[x] for x in rhs.interior()])
     emit(1, "rank, nbrs = pc.rank, pc.nbrs")
 
@@ -556,7 +811,7 @@ def _splice_kernel(rule: Rule, plan: Optional[Tuple]
                     beyond[w] = (down, inner[-1])
         order = least_order(later, later)
         if len(order) < len(later):
-            emit(depth, "return None")
+            emit(depth, "return failed_order")
             return
         for w in order:
             emit(depth, f"l{w} = " + (f"max({', '.join(lo[w])})" if len(lo[w]) > 1
@@ -578,7 +833,7 @@ def _splice_kernel(rule: Rule, plan: Optional[Tuple]
             emit(depth, f"if ({' or '.join(f'l{w} >= h{w}' for w in order)}) and not ordered(")
             emit(depth + 2, f"pc, changed, {_tuple(order)}, change(m, target, nbrs).patched, "
                             f"{f'max({ls})' if len(order) > 1 else ls}):")
-            emit(depth + 1, "return None")
+            emit(depth + 1, "return failed_order")
         window = ["{" + ", ".join(f"{w}: {x}" for w, x in zip(order, xs)) + "}" for xs in (
             [f"l{w}" for w in order], [f"h{w}" for w in order],
             [f"[{', '.join(later[w])}]" for w in order])]
@@ -640,6 +895,9 @@ def _splice_kernel(rule: Rule, plan: Optional[Tuple]
         branch([*orientation, False], depth + 1)
 
     branch([], 1)
+    certified = _certified(rule, plan)
     return _compiled("\n".join(lines) + "\n", "splice kernel", ("_splice",), {
         "Splice": Splice, "inf": math.inf, "bisect_right": bisect_right,
-        "respaced": _respaced, "ordered": _orders_splice, "change": change_kernel(rule)})[0]
+        "respaced": _respaced, "ordered": _orders_splice, "change": change_kernel(rule),
+        **{f"failed_{kind}": verdict if kind in certified else None
+           for kind, verdict in STRANDED.items()}})[0]

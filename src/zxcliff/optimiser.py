@@ -7,6 +7,9 @@ Phases:
 1. translate, normalise to simple form, split phases off CNOT legs, and
    remove 3pi/2 and H vertices with the init rules.  After this the diagram
    only carries pi/2 and pi phases on degree-2 vertices and phase-free legs.
+   Each round splits again; both split passes carry their input's cover
+   through every split, so a round searches a cover from scratch once as it
+   starts.
 2. Loop until nothing changes: strictly-reducing rules (first match whose
    result still has a causal-flow cover), targeted Pauli commutation toward
    the inputs (size-reducing rules anchored on each movable Pauli in turn,
@@ -21,11 +24,15 @@ Phases:
    diagram's cover and terms without building it: the rule's generated
    kernel splices its RHS cover in, decides exactly whether the result is a
    flow and carries the Pauli sum and the separation per pair of paths
-   (`kernels.splice_kernel`), or the current diagram's flow sweep, resumed
-   where the rewrite first touches it on the neighbour sets the rule's
-   generated change kernel gives (`flow.stranded_after`), shows the cover
-   is lost.  Only the candidates neither settles (their segments do not map,
-   yet they keep a cover) and the one accepted are built.  Neither the
+   (`kernels.splice_kernel`).  When the splice fails, the rule's
+   certificate, proved from its structure, says for most kinds of failure
+   that the cover is lost (`kernels.Stranded`); for the rest the current
+   diagram's flow sweep, resumed where the rewrite first touches it on the
+   neighbour sets the rule's generated change kernel gives
+   (`flow.stranded_after`), decides.  Only the candidates none of these
+   settles (their segments do not map, yet they keep a cover) and the one
+   accepted are built.  The scorer counts its verdicts, which a run reports
+   as ``stats["metric_candidates"]``.  Neither the
    metric nor the cover test reads edge ids or orientation, so matches that
    build the same diagram up to those (automorphisms of a rule's LHS give
    them) get one verdict, and the search hands the loop only the least
@@ -47,7 +54,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set,
+                    Tuple)
 
 import numpy as np
 
@@ -55,8 +63,9 @@ from .circuit import Circuit, circuit_size, translate
 from .diagram import B, H, X, Z, Diagram, DiagramBuilder, EdgeId, VertexId
 from .errors import NotACircuit, StaleMatchError
 from .flow import (PathCover, _is_pauli_kind, cover_or_none, extract_circuit, find_path_cover,
-                   has_path_cover, pair_separation, ranks_flow, search_path_cover, stranded_after)
-from .kernels import change_kernel, splice_kernel
+                   has_path_cover, least_rank, pair_separation, ranks_flow, search_path_cover,
+                   stranded_after)
+from .kernels import Splice, change_kernel, splice_kernel
 from .normal_forms import cc1_table, cc2_family, line_diagram
 from .passes import simple_form, split_cross_leg, split_phase
 from .rewrite import Match, Rule, Scored, reduce, rewrite_first, rewrite_metric
@@ -144,6 +153,13 @@ def _cover_terms(d: Diagram) -> Tuple[PathCover, MetricTerms]:
     return pc, terms
 
 
+# the verdicts `CommutationMetric.scorer` counts: a spliced cover, no cover
+# by the rule's certificate for each kind of failed splice
+# (`kernels.Stranded`), no cover by the resumed sweep, and left open
+METRIC_OUTCOMES = ("spliced", "certified_segment", "certified_same_path", "certified_order",
+                   "swept_stranded", "open")
+
+
 class CommutationMetric:
     """Metric for the CNOT commutation phase: Pauli positions plus a weighted
     same-pair CNOT separation term, so both moving Paulis off CNOTs and
@@ -151,22 +167,25 @@ class CommutationMetric:
 
     The weight trades Pauli-position regressions (duplications put copies on
     both wires) against clearing the gap between cancellable CNOT pairs; the
-    off-path penalty scales with it so broken diagrams always score worst."""
+    off-path penalty scales with it and with the diagram's size, so broken
+    diagrams always score worst."""
 
     separation_weight = 16
+
+    def __init__(self) -> None:
+        self.counts = dict.fromkeys(METRIC_OUTCOMES, 0)
 
     def __call__(self, d: Diagram) -> int:
         return self.value(d)
 
-    def _penalty(self, num_vertices: int, num_stranded: int) -> int:
-        big = (self.separation_weight + 1) * (num_vertices + 1) ** 2 + 1
-        return big * (num_stranded + 1)
+    def _penalty(self, num_vertices: int) -> int:
+        return (self.separation_weight + 1) * (num_vertices + 1) ** 2 + 1
 
     def value(self, d: Diagram) -> int:
         try:
             terms = _cover_terms(d)[1]
-        except NotACircuit as exc:
-            return self._penalty(len(d._vertices), len(exc.stranded))
+        except NotACircuit:
+            return self._penalty(len(d._vertices))
         return terms.pauli_sum + self.separation_weight * terms.total_separation
 
     def scorer(self, d: Diagram) -> Callable[[Rule, Match], Optional[Scored]]:
@@ -178,32 +197,42 @@ class CommutationMetric:
         given d's terms.  A candidate whose cover splices is valued from d's
         Pauli sum and separation, with only the segments and the qubit-pair
         groups it changes worked out again.  The splice is exact, so any other
-        candidate has no cover with the spliced paths.  For those the rule's
+        candidate has no cover with the spliced paths.  One whose failure the
+        rule's certificate covers (`kernels.Stranded`) has no cover at all
+        and gets the off-path penalty at once.  For the rest the rule's
         generated change kernel (`kernels.change_kernel`) gives the matched
         vertices, the fresh ids and the rewritten neighbour sets, and d's
         flow sweep is resumed at the first step that claims a matched vertex
-        (`flow.stranded_after`): a candidate it strands gets the off-path
-        penalty, any other is left open.  A d without a cover leaves every
-        candidate open."""
+        (`flow.stranded_after`): a candidate it strands gets the penalty too,
+        any other is left open.  A d without a cover leaves every candidate
+        open.  Each verdict is counted in ``counts`` by its
+        `METRIC_OUTCOMES` name."""
+        counts = self.counts
         try:
             parent, terms = _cover_terms(d)
         except NotACircuit:
-            return lambda rule, m: None
+            def unscored(rule: Rule, m: Match) -> None:
+                counts["open"] += 1
+            return unscored
         num_vertices = len(d._vertices)
 
         def score(rule: Rule, m: Match) -> Optional[Scored]:
             kernel = splice_kernel(rule)
             splice = None if kernel is None else kernel(m, d, parent, terms)
-            if splice is None:
+            if type(splice) is Splice:
+                counts["spliced"] += 1
+                pauli, separation = splice.terms
+                return Scored(pauli + self.separation_weight * separation, splice)
+            if splice is not None:
+                counts[f"certified_{splice.kind}"] += 1
+            else:
                 delta = change_kernel(rule)(m, d, parent.nbrs)
-                stranded = stranded_after(parent, delta.removed, delta.fresh.values(),
-                                          delta.patched)
-                if not stranded:
+                if not stranded_after(parent, delta.removed, delta.fresh.values(), delta.patched):
+                    counts["open"] += 1
                     return None
-                size = num_vertices - len(delta.removed) + len(delta.fresh)
-                return Scored(self._penalty(size, len(stranded)), None)
-            pauli, separation = splice.terms
-            return Scored(pauli + self.separation_weight * separation, splice)
+                counts["swept_stranded"] += 1
+            size = num_vertices - len(rule.lhs.interior()) + len(rule.rhs.interior())
+            return Scored(self._penalty(size), None)
 
         return score
 
@@ -312,13 +341,21 @@ class Optimiser:
     def _split_cross_legs(self, d: Diagram) -> Diagram:
         """Decompose every spider with more than one cross edge into a chain
         of degree-3 legs, ordered by the least flow order of the cross
-        partners so the result keeps its causal flow."""
+        partners so the result keeps its causal flow.  Only the first cover
+        is searched: each split's result gets its cover carried from its
+        parent's (`_cross_leg_cover`), ranked by the least order that the
+        next split reads.  A split changes no vertex's degree and puts
+        degree-3 links in v's place, so the scan for the next spider goes on
+        from v's position."""
+        start = (0, 0)
         while True:
             pc = find_path_cover(d)
             rank = pc.least_rank
             target = None
-            for path in pc.paths:
-                for p, v in enumerate(path):
+            for q in range(start[0], len(pc.paths)):
+                path = pc.paths[q]
+                for p in range(start[1] if q == start[0] else 0, len(path)):
+                    v = path[p]
                     if d.is_boundary(v) or not d.is_spider(v) or d.degree(v) < 4:
                         continue
                     e_prev = d.edges_between(path[p - 1], v)[0]
@@ -326,31 +363,45 @@ class Optimiser:
                     crosses = [e for e in d.incident_edges(v)
                                if e not in (e_prev, e_next)]
                     crosses.sort(key=lambda e: (rank[d.other_end(e, v)], e))
-                    target = (v, e_prev, e_next, crosses)
+                    target = (q, p, e_prev, e_next, crosses)
                     break
                 if target:
                     break
             if target is None:
                 return d
-            v, e_prev, e_next, crosses = target
+            q, p, e_prev, e_next, crosses = target
+            start = (q, p)
+            v = pc.paths[q][p]
+            out = split_cross_leg(d, v, e_prev, e_next, crosses)
+            out.memo["cover"] = _cross_leg_cover(
+                pc, out, q, p, d.max_vertex_id() + 1, [d.other_end(e, v) for e in crosses])
             d = _record_pass(self._trace, "split_cross_leg",
                              {"v": v, "prev_edge": e_prev, "next_edge": e_next,
-                              "order": crosses}, d, split_cross_leg(d, v, e_prev, e_next, crosses))
+                              "order": crosses}, d, out)
             self._after_step(d)
 
     def _split_leg_phases(self, d: Diagram) -> Diagram:
         """Pull the phase off every spider with degree at least 3 onto a fresh
         vertex before it on its path, in path order.  Each split only inserts
         a degree-2 vertex on a path edge, so the targets and predecessors read
-        off the first cover stay valid through all of them."""
+        off the first cover stay valid through all of them, and the last
+        result's cover is carried from that first one through every split at
+        once (`_phase_cover`) while its ranks leave room for the new
+        vertices.  No other result's cover is read."""
         pc = find_path_cover(d)
         targets = [(path[p - 1], v) for path in pc.paths for p, v in enumerate(path)
                    if not d.is_boundary(v) and d.is_spider(v)
                    and d.degree(v) >= 3 and d.phase(v) != 0]
+        fresh: List[VertexId] = []
         for prev, v in targets:
             edge = d.edges_between(prev, v)[0]
-            d = _record_pass(self._trace, "split_phase", {"v": v, "edge": edge}, d,
-                             split_phase(d, v, edge))
+            fresh.append(d.max_vertex_id() + 1)
+            out = split_phase(d, v, edge)
+            if len(fresh) == len(targets):
+                cover = _phase_cover(pc, out, targets, fresh)
+                if cover is not None:
+                    out.memo["cover"] = cover
+            d = _record_pass(self._trace, "split_phase", {"v": v, "edge": edge}, d, out)
             self._after_step(d)
         return d
 
@@ -423,6 +474,7 @@ class Optimiser:
         self._verify_ref = interpret(d0) if (
             self.cfg.verify_each_step and c.width <= 5) else None
         self._budget_ok = True
+        self._metric.counts = dict.fromkeys(METRIC_OUTCOMES, 0)
         input_size = circuit_size(d0)
 
         d = _record_pass(self._trace, "simple_form", {}, d0, simple_form(d0))
@@ -483,6 +535,7 @@ class Optimiser:
             "reached_fixpoint": reached_fixpoint,
             "budget_exhausted": not self._budget_ok,
             "rolled_back": rolled_back,
+            "metric_candidates": dict(self._metric.counts),
             "wall_ms": wall_ms,
         }
         return OptimiseResult(out_circuit, d, self._trace, stats)
@@ -490,6 +543,94 @@ class Optimiser:
 
 def optimise(c: Circuit, cfg: Optional[OptimiserConfig] = None) -> OptimiseResult:
     return Optimiser(cfg).run(c)
+
+
+# -- covers carried through the split passes -----------------------------------------
+
+
+def _cross_leg_cover(pc: PathCover, out: Diagram, q: int, p: int, first: VertexId,
+                     partners: Sequence[VertexId]) -> PathCover:
+    """The cover of ``out``, which `split_cross_leg` made by putting a chain
+    of links, numbered from ``first``, in the place of the p-th vertex v of
+    path q of pc's diagram, one link per cross partner in ``partners``'
+    order.  The chain takes v's place on its path: v's predecessor's
+    successor is the first link, each link's the next and the last's v's
+    successor; the partners keep theirs.  That is a path cover of out, so by
+    the uniqueness of the flow it is out's flow when its F2-F3 relation is
+    acyclic, and it is ranked by that relation's least order (`least_rank`),
+    which the next split reads.  The split orders the links so that the
+    order exists; a cycle raises AssertionError.  The positions are pc's,
+    numbered again on path q from v on, and the neighbour sets, which out
+    takes too, are pc's with the links patched in."""
+    path = pc.paths[q]
+    v = path[p]
+    links = list(range(first, first + len(partners)))
+    chain = [path[p - 1], *links, path[p + 1]]
+    nbrs = out._nbrs = pc.nbrs.copy()
+    del nbrs[v]
+    own: Dict[VertexId, Set[VertexId]] = {}  # the sets the split changes, copied once
+    for pair in [*zip(chain, chain[1:]), *zip(links, partners)]:
+        for a, b in (pair, pair[::-1]):
+            if a not in own:
+                own[a] = nbrs[a] - {v} if a in nbrs else set()
+            own[a].add(b)
+    nbrs.update(own)
+    succ = pc.succ.copy()
+    del succ[v]
+    succ.update(zip(chain, chain[1:]))
+    rank = least_rank(succ, nbrs)
+    if len(rank) < len(nbrs):
+        raise AssertionError("a split cross leg's carried successor is not a flow")
+    new_path = path[:p] + tuple(links) + path[p + 1:]
+    pos = pc.pos.copy()
+    del pos[v]
+    for i in range(p, len(new_path)):
+        pos[new_path[i]] = (q, i)
+    cover = PathCover(pc.paths[:q] + (new_path,) + pc.paths[q + 1:], succ, rank, nbrs, pc.inputs)
+    vars(cover).update(pos=pos, least_rank=rank)
+    return cover
+
+
+def _phase_cover(pc: PathCover, out: Diagram, targets: Sequence[Tuple[VertexId, VertexId]],
+                 fresh: Sequence[VertexId]) -> Optional[PathCover]:
+    """The cover of ``out``, which `split_phase` made from pc's diagram by
+    putting, for each (prev, v) of ``targets`` in turn, the vertex w of
+    ``fresh`` at the same index on the path edge from prev to v; None when
+    the ranks leave no integer for one of them.  Each w takes its place on
+    the path between prev and v, which gives a path cover of out; F2-F3 ask
+    only that prev come before w, and w before v and v's other neighbours,
+    which the rank already puts after prev, so each w in turn is ranked
+    halfway between.  pc's maps are copied once for all the splits.  The
+    positions are pc's, numbered again on the paths that changed, and the
+    neighbour sets, which out takes too, pc's with each w patched in (prev
+    and v stay adjacent when a second edge joins them)."""
+    nbrs, rank, succ = pc.nbrs.copy(), pc.rank.copy(), pc.succ.copy()
+    for (prev, v), w in zip(targets, fresh):
+        nbrs.update({prev: nbrs[prev] | {w}, w: {prev, v}, v: nbrs[v] | {w}})
+        if not out.edges_between(prev, v):
+            nbrs[prev].remove(v)
+            nbrs[v].remove(prev)
+        lo = rank[prev]
+        r = lo + (min(rank[u] for u in nbrs[v] | {v} if u != w) - lo) // 2
+        if r <= lo:
+            return None
+        rank[w] = r
+        succ[prev], succ[w] = w, v
+    out._nbrs = nbrs
+    before = dict(zip((v for _, v in targets), fresh))
+    pos = pc.pos.copy()
+    paths = list(pc.paths)
+    for q in {pos[v][0] for v in before}:
+        path = []
+        for u in paths[q]:
+            if u in before:
+                path.append(before[u])
+            path.append(u)
+        paths[q] = tuple(path)
+        pos.update({u: (q, i) for i, u in enumerate(path)})
+    cover = PathCover(tuple(paths), succ, rank, nbrs, pc.inputs)
+    vars(cover)["pos"] = pos
+    return cover
 
 
 # -- canonicalise_blocks and its replay helpers ------------------------------------

@@ -550,9 +550,10 @@ def carry_cover(parent: PathCover, rule: Rule, m: Match, target: Diagram,
     the rule's LHS into target, rewrites target into, derived from parent,
     target's cover; ``removed`` holds the matched vertices and ``nbrs`` is
     the rewritten diagram's neighbour map.  None when the splice fails
-    (`kernels.splice_kernel`, the one the metric's scorer runs), which it
-    does exactly when the rewritten diagram has no cover with the spliced
-    paths, or when its new vertices find no integer rank (`Splice.rank`).
+    (`kernels.splice_kernel`, the one the metric's scorer runs, whose
+    `kernels.Stranded` verdicts count as failures here), which it does
+    exactly when the rewritten diagram has no cover with the spliced paths,
+    or when its new vertices find no integer rank (`Splice.rank`).
 
     The paths are the splice's, the flow the parent's without the removed
     vertices and with the splice's changed successors, and the rank the
@@ -563,7 +564,7 @@ def carry_cover(parent: PathCover, rule: Rule, m: Match, target: Diagram,
     diagram."""
     kernel = splice_kernel(rule)
     splice = None if kernel is None else kernel(m, target, parent, None)
-    if splice is None:
+    if type(splice) is not Splice:
         return None
     rank = splice.rank(removed)
     if rank is None:

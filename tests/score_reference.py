@@ -239,7 +239,7 @@ def score(metric: CommutationMetric, d: Diagram, parent: PathCover, terms: Metri
         if not stranded:
             return None
         size = len(d.vertices()) - len(delta.removed) + len(delta.fresh)
-        return Scored(metric._penalty(size, len(stranded)), None)
+        return Scored(metric._penalty(size), None)
     fresh_kind = {v: rule.rhs._vertices[rv] for rv, v in delta.fresh.items()}
     total = terms.pauli_sum
     for q, (first, last, new) in splice.segments.items():

@@ -8,7 +8,8 @@ import pytest
 from zxcliff import bench as bench_module
 from zxcliff.bench import CSV_HEADER, VERIFY_WIDTH_BOUND, bench, render_report
 from zxcliff.cli import main
-from zxcliff.circuit import parse_circuit, gate_matrix_product
+from zxcliff.circuit import gate_matrix_product, parse_circuit, random_clifford_circuit
+from zxcliff.optimiser import METRIC_OUTCOMES, Optimiser
 from zxcliff.ruleset import shipped_ruleset_dir
 from zxcliff.semantics import scalar_free_equal
 
@@ -21,6 +22,23 @@ def test_bench_row_reproducible():
     assert r1.ratio == r2.ratio
     assert r1.steps == r2.steps
     assert r1.verified and r2.verified
+
+
+def test_bench_rows_sum_metric_candidates():
+    # a row's metric candidate counts are its runs' counts summed
+    row = bench(3, 20, 2, seed=5).to_json_obj()
+    runs = [Optimiser().run(random_clifford_circuit(3, 20, s)).stats["metric_candidates"]
+            for s in (5, 6)]
+    assert row["metric_candidates"] == {key: runs[0][key] + runs[1][key] for key in runs[0]}
+    assert sum(row["metric_candidates"].values())
+
+
+def test_optimize_json_reports_metric_candidates(tmp_path, capsys):
+    src = tmp_path / "c.zxc"
+    src.write_text("qubits 2\nCNOT 0 1\nS 1\nZ 0\nCNOT 0 1\n")
+    assert main(["--json", "optimize", str(src), "--out", str(tmp_path / "out.zxc")]) == 0
+    stats = json.loads(capsys.readouterr().err)
+    assert list(stats["metric_candidates"]) == sorted(METRIC_OUTCOMES)
 
 
 def test_bench_seed_changes_runs():
@@ -221,6 +239,17 @@ def test_cli_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "optimize" in proc.stdout
+
+
+def test_package_runs_as_a_module():
+    # `python -m zxcliff` is the same front end, with its exit codes
+    proc = subprocess.run([sys.executable, "-m", "zxcliff", "--help"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert "optimize" in proc.stdout
+    proc = subprocess.run([sys.executable, "-m", "zxcliff", "bench", "--width", "0",
+                           "--depth", "5"], capture_output=True, text=True)
+    assert proc.returncode == 2
 
 
 @pytest.mark.parametrize("args", [

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import zxcliff.flow as flow
 import zxcliff.kernels as kernels
+import zxcliff.optimiser as optimiser
 import zxcliff.rewrite as rewrite
 from zxcliff.circuit import random_clifford_circuit, translate
 from zxcliff.diagram import Diagram
@@ -109,14 +110,16 @@ def test_narrow_rank_window_falls_back_to_search(ruleset):
     fallbacks = placed = 0
     for seed in range(6):
         d = _split_form(3, 20, seed)
-        searched = find_path_cover(d)
+        # the split form's memoised cover was carried through the splits, so
+        # its ranks need not be multiples of RANK_STEP; a search's are
+        searched = search_path_cover(_rebuilt(d))
         tight = PathCover(searched.paths, searched.succ,
                           {v: r // RANK_STEP for v, r in searched.rank.items()},
                           searched.nbrs, searched.inputs)
         for rule in ruleset.pauli_commute + ruleset.cnot_commute + ruleset.always:
             kernel = splice_kernel(rule)
             for m in find_matches(rule, d):
-                if kernel is None or kernel(m, d, tight, None) is None:
+                if kernel is None or not isinstance(kernel(m, d, tight, None), kernels.Splice):
                     continue
                 d.memo["cover"] = tight
                 out = apply_match(d, rule, m)
@@ -128,6 +131,43 @@ def test_narrow_rank_window_falls_back_to_search(ruleset):
                     fallbacks += 1
                     assert find_path_cover(out).paths == expected.paths
     assert fallbacks and placed
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(width=st.integers(2, 6), depth=st.integers(1, 60), seed=st.integers(0, 10**6))
+def test_split_passes_carry_their_covers(ruleset, width, depth, seed):
+    # both split passes search only their input's cover: every split cross
+    # leg's result, and the last split phase's, memoises the cover carried
+    # from the pass's first one, which is the search on a memo-free rebuild,
+    # with its positions carried and a rank that orders F2-F3; a split cross
+    # leg's rank is its least order
+    opt = Optimiser(rules=ruleset)
+    d = simple_form(translate(random_clifford_circuit(width, depth, seed)))
+    splits, searches = [], []
+    record, search = optimiser._record_pass, flow.search_path_cover
+
+    def recording(trace, name, args, before, after):
+        splits.append((name, after))
+        return record(trace, name, args, before, after)
+
+    def counted(g):
+        searches.append(g)
+        return search(g)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimiser, "_record_pass", recording)
+        mp.setattr(flow, "search_path_cover", counted)
+        opt._split_leg_phases(opt._split_cross_legs(d))
+    assert searches == [d]
+    phases = [out for name, out in splits if name == "split_phase"]
+    for name, out in splits:
+        if name == "split_phase" and out is not phases[-1]:
+            assert "cover" not in out.memo
+            continue
+        expected = _searched(out)
+        assert _check_carried(out, expected), name
+        if name == "split_cross_leg":
+            assert out.memo["cover"].rank == expected.least_rank
 
 
 def test_splice_rank_refuses_a_window_without_an_integer():

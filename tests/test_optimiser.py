@@ -17,11 +17,11 @@ from zxcliff.circuit import (circuit, circuit_size, gate, gate_matrix_product,
 from zxcliff.diagram import B, Diagram, DiagramBuilder, X, Z
 from zxcliff.errors import ReplayDivergence, UnsoundRuleError
 from zxcliff.flow import _sweep, find_path_cover, has_path_cover, is_circuit_like, stranded_after
-from zxcliff.kernels import change_kernel, splice_kernel
+from zxcliff.kernels import Splice, change_kernel, splice_kernel
 from zxcliff.normal_forms import cc2_contains, line_diagram
-from zxcliff.optimiser import (CommutationMetric, Optimiser, OptimiserConfig, PauliMetric,
-                               _replace_run, _replace_whole, canonicalise_blocks, group_crosses,
-                               metric_terms, optimise, pair_separation)
+from zxcliff.optimiser import (METRIC_OUTCOMES, CommutationMetric, Optimiser, OptimiserConfig,
+                               PauliMetric, _replace_run, _replace_whole, canonicalise_blocks,
+                               group_crosses, metric_terms, optimise, pair_separation)
 from zxcliff.passes import hopf_reduce, remove_identities, remove_self_loops, simple_form
 from zxcliff.rewrite import (Rule, _result_key, apply_match, find_matches, reduce, rewrite_first,
                              rewrite_metric)
@@ -318,6 +318,31 @@ def test_uncovered_candidates_score_above_base(ruleset):
     for metric in (PauliMetric(), CommutationMetric()):
         base = metric.value(d)
         assert all(metric.value(out) > base for out in uncovered)
+
+
+def test_run_counts_metric_candidates(ruleset, monkeypatch):
+    # a run reports how its scorer settled every candidate it was asked
+    # about, each once; width 1 has no metric-rule candidate at all
+    calls = []
+    scorer = CommutationMetric.scorer
+
+    def counted(self, d):
+        score = scorer(self, d)
+
+        def each(rule, m):
+            calls.append(rule.name)
+            return score(rule, m)
+        return each
+
+    monkeypatch.setattr(CommutationMetric, "scorer", counted)
+    opt = Optimiser(rules=ruleset)
+    counts = opt.run(random_clifford_circuit(4, 40, 0)).stats["metric_candidates"]
+    assert list(counts) == list(METRIC_OUTCOMES)
+    assert sum(counts.values()) == len(calls)
+    assert counts["spliced"] and counts["certified_segment"]
+    calls.clear()
+    counts = opt.run(random_clifford_circuit(1, 40, 0)).stats["metric_candidates"]
+    assert counts == dict.fromkeys(METRIC_OUTCOMES, 0) and not calls
 
 
 def test_scorer_agrees_with_building(ruleset):
@@ -626,7 +651,7 @@ def test_carried_separation_agrees_with_full_pass(ruleset):
         delta = match_delta(d, rule, m)
         kernel = splice_kernel(rule)
         splice = None if kernel is None else kernel(m, d, parent, metric_terms(d, parent))
-        if splice is None:
+        if not isinstance(splice, Splice):
             return
         out = apply_match(d, rule, m)
         pos = find_path_cover(out).pos

@@ -34,12 +34,20 @@ def _window(splice):
     return lo, hi, {w: sorted(us) for w, us in later.items()}
 
 
+def _failed(verdict):
+    # a splice kernel's verdict is a failed splice unless it is a Splice;
+    # a Stranded one says the candidate has no cover at all
+    return not isinstance(verdict, kernels.Splice)
+
+
 def test_kernels_agree_with_reference(ruleset):
     # per candidate of every metric rule on random split forms at widths
     # 2-6 and random metric rewrites of them: the kernel splices exactly
     # when the interpreted splice does, to the same paths, changed
-    # successors, window and rank placement, and the scorer's value is the
-    # interpreted one and the metric of the built candidate
+    # successors, window and rank placement; a failure it certifies
+    # (Stranded) is one where the reference's resumed sweep strands
+    # something; and the scorer's value is the interpreted one and the
+    # metric of the built candidate
     opt = Optimiser(rules=ruleset)
     rules = opt._metric_rules
     metric = CommutationMetric()
@@ -56,12 +64,15 @@ def test_kernels_agree_with_reference(ruleset):
                 got = kernel(m, d, parent, terms)
                 expected = score_reference.splice_cover(
                     parent, rule, m, delta, score_reference.neighbours(delta, parent.nbrs))
-                assert (got is None) == (expected is None), rule.name
-                assert (kernel(m, d, parent, None) is None) == (got is None), rule.name
+                assert _failed(got) == (expected is None), rule.name
+                without = kernel(m, d, parent, None)
+                assert without == got if _failed(got) else not _failed(without), rule.name
                 scored = score(rule, m)
                 reference = score_reference.score(metric, d, parent, terms, rule, m, delta)
                 assert (scored and scored.value) == (reference and reference.value), rule.name
-                if got is None:
+                if isinstance(got, kernels.Stranded):
+                    assert reference is not None and reference.splice is None, rule.name
+                if _failed(got):
                     failed.add(rule.name)
                     continue
                 spliced.add(rule.name)
@@ -96,13 +107,13 @@ def test_kernels_agree_with_reference(ruleset):
     assert spliced == failed == {rule.name for rule in rules}
 
 
-def _metric_rewrites(opt, check, examples):
-    # split forms at widths 2-6 and up to 3 random metric rewrites of each,
-    # every covered one handed to check
+def _metric_rewrites(opt, check, examples, widths=st.integers(2, 6)):
+    # split forms at ``widths`` (2-6) and up to 3 random metric rewrites of
+    # each, every covered one handed to check
     rules = opt._metric_rules
 
     @settings(max_examples=examples, deadline=None, derandomize=True)
-    @given(width=st.integers(2, 6), depth=st.integers(4, 40), seed=st.integers(0, 10**6),
+    @given(width=widths, depth=st.integers(4, 40), seed=st.integers(0, 10**6),
            picks=st.lists(st.integers(0, 10**6), max_size=3))
     def split_forms_and_rewrites(width, depth, seed, picks):
         d = simple_form(translate(random_clifford_circuit(width, depth, seed)))
@@ -125,8 +136,10 @@ def test_splice_is_exact(ruleset):
     # for every candidate of the 16 metric rules whose segments map onto
     # distinct parent paths, the kernel splices exactly when the built
     # candidate's searched cover has the spliced paths, whatever the parent's
-    # rank: also on the parent's least rank and on one 0, 1, 2, ...; the
-    # examples must splice with an empty window and fail the order check
+    # rank: also on the parent's least rank and on one 0, 1, 2, ...; a
+    # failure it certifies (Stranded) is one whose built candidate has no
+    # cover at all; the examples must splice with an empty window and fail
+    # the order check
     opt = Optimiser(rules=ruleset)
     seen = set()
 
@@ -150,14 +163,66 @@ def test_splice_is_exact(ruleset):
                 covered = paths == kernels.Splice(searched, segments, {}, None).paths()
                 for parent in parents:
                     got = kernel(m, d, parent, None)
-                    assert (got is not None) == covered, rule.name
-                    if got is None:
+                    assert (not _failed(got)) == covered, rule.name
+                    if isinstance(got, kernels.Stranded):
+                        assert paths is None, rule.name
+                    if _failed(got):
                         seen.add("fails")
                     elif got.rank(delta.removed) is None:
                         seen.add("empty window")
 
     _metric_rewrites(opt, check, 60)
     assert seen == {"fails", "empty window"}
+
+
+def test_certified_failures_lose_the_cover(ruleset):
+    # every Stranded verdict of a metric rule's splice kernel, on split forms
+    # at widths 2-6 and some at width 8 and up to 3 random metric rewrites of
+    # them: the built candidate has no cover at all, so a search from
+    # scratch raises NotACircuit; the examples must reach every kind
+    opt = Optimiser(rules=ruleset)
+    kinds = set()
+
+    def check(d):
+        parent = find_path_cover(d)
+        for rule in opt._metric_rules:
+            kernel = splice_kernel(rule)
+            for m in find_matches(rule, d):
+                got = kernel(m, d, parent, None)
+                if isinstance(got, kernels.Stranded):
+                    with pytest.raises(NotACircuit):
+                        search_path_cover(apply_match(d, rule, m))
+                    kinds.add(got.kind)
+
+    _metric_rewrites(opt, check, 60, st.integers(2, 7).map(lambda w: 8 if w == 7 else w))
+    assert kinds == set(kernels.STRANDED)
+
+
+def _wires(paulis):
+    # two wires, each through one vertex: a Pauli where ``paulis`` says so,
+    # else a phase-1 spider, with no edge between them
+    b = DiagramBuilder()
+    i0, i1 = b.add_vertex(B), b.add_vertex(B)
+    inner = [b.add_vertex(Z, 2 if pauli else 1) for pauli in paulis]
+    o0, o1 = b.add_vertex(B), b.add_vertex(B)
+    for u, v in [(i0, inner[0]), (inner[0], o0), (i1, inner[1]), (inner[1], o1)]:
+        b.add_edge(u, v)
+    b.set_boundaries([i0, i1], [o0, o1])
+    return b.build()
+
+
+def test_certificates_follow_rule_structure(ruleset):
+    # a certificate is decided from the rule's sides and splice plan, not
+    # its name: a renamed copy of each metric rule gets its certificate, and
+    # two unlinked wires may lie on one parent path of a covered diagram,
+    # so a rule rewriting them keeps the sweep for that kind
+    opt = Optimiser(rules=ruleset)
+    for rule in opt._metric_rules:
+        copy = Rule("renamed", rule.lhs, rule.rhs)
+        assert kernels._certified(copy, kernels._splice_plan(copy)) == \
+            kernels._certified(rule, kernels._splice_plan(rule))
+    wires = Rule("wires", _wires([True, False]), _wires([False, True]))
+    assert kernels._certified(wires, kernels._splice_plan(wires)) == {"order"}
 
 
 def test_patch_kernel_agrees_with_match_delta(ruleset):
