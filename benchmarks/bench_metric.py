@@ -1,10 +1,11 @@
 """Micro-benchmark of the metric phase: one `rewrite_metric` step with the
 commutation metric, the closing step that finds nothing, the scoring of
-every one of a step's candidates and of only those whose splice fails, and
-the cover search under them.  Each rule generates its splice, score and
-change kernels on its first score or carry, so an optimiser pays for that
-once per rule; the `kernels` case times generating the kernels of every
-metric rule of the default rule set.
+every one of a step's candidates and of only those whose splice fails, the
+cover search under them, and what an accepted step adds: its cover and
+terms, carried from its splice or worked out from scratch.  Each rule
+generates its splice, score and change kernels on its first score or
+carry, so an optimiser pays for that once per rule; the `kernels` case
+times generating the kernels of every metric rule of the default rule set.
 
 They run on fixed diagrams: the simple forms of the seeded width-4,
 depth-40 and width-6, depth-60 circuits, with their cross legs and leg
@@ -14,7 +15,10 @@ it is where skipping repeats of a rejected result saves most.  The metric
 phase takes most of an optimiser run from width 4 on, and nearly all of it
 at width 6; the cover search runs on the width-4 diagram.  Each round takes a
 fresh copy of the diagram, because covers and match indexes are cached per
-diagram object and an optimiser step meets each diagram once.
+diagram object and an optimiser step meets each diagram once.  The
+accepted-step cases run on the results of every spliced metric step of the
+optimiser's runs over the wide-4q corpus (width 4, depth 40, seeds 0-7),
+copied fresh for each round.
 
 Run with: PYTHONPATH=src python -m pytest benchmarks/bench_metric.py
 """
@@ -24,9 +28,9 @@ import pytest
 from zxcliff.circuit import random_clifford_circuit, translate
 from zxcliff.flow import find_path_cover
 from zxcliff.kernels import Splice, _splice_kernel, _splice_plan, splice_kernel
-from zxcliff.optimiser import CommutationMetric, Optimiser
+from zxcliff.optimiser import CommutationMetric, Optimiser, _cover_terms
 from zxcliff.passes import simple_form
-from zxcliff.rewrite import find_matches, reduce, rewrite_metric
+from zxcliff.rewrite import _take_splice, find_matches, reduce, rewrite_metric
 
 OPT = Optimiser()
 DIAGRAMS = {f"w{width}": OPT._split_leg_phases(OPT._split_cross_legs(
@@ -103,3 +107,61 @@ def test_generate_scoring_kernels(benchmark):
     kernels = benchmark.pedantic(lambda: [_splice_kernel(rule, plan) for rule, plan in plans],
                                  rounds=5)
     assert len(kernels) == 16 and all(kernels)
+
+
+def _accepted_steps():
+    # (parent, result, splice, matched vertices) of every spliced metric step
+    # of the optimiser's runs over the wide-4q corpus (width 4, depth 40,
+    # seeds 0-7); each parent keeps the cover and terms the step scored with
+    steps = []
+    metric = CommutationMetric()
+
+    def accepted(d, out, splice, carried):
+        if splice is not None:
+            steps.append((d, out, splice, frozenset(d._vertices.keys() - out._vertices.keys())))
+
+    metric.accepted = accepted
+    opt = Optimiser()
+    opt._metric = metric
+    for seed in range(8):
+        opt.run(random_clifford_circuit(4, 40, seed))
+    return steps
+
+
+ACCEPTED = _accepted_steps()
+
+
+def _fresh_results():
+    # each step's result again, with its neighbour map and nothing memoised
+    outs = [out.builder().build() for _, out, _, _ in ACCEPTED]
+    for out in outs:
+        out.neighbour_sets()
+    return (outs,), {}
+
+
+def _carry(outs):
+    metric = CommutationMetric()
+    for (d, _, splice, removed), out in zip(ACCEPTED, outs):
+        metric.accepted(d, out, splice, _take_splice(out, removed, splice))
+    return metric.covers
+
+
+def _search(outs):
+    for out in outs:
+        _cover_terms(out)
+
+
+@pytest.mark.parametrize("how", ["carried", "searched"])
+def test_accept_metric_steps(benchmark, how):
+    # the accepted step's cover and terms over the corpus's spliced metric
+    # steps: carried from the splice (the cover checked by `flow.check_flow`)
+    # or searched and worked out from scratch (`_cover_terms`), as the next
+    # step's scorer would without them
+    step = _carry if how == "carried" else _search
+    benchmark.pedantic(step, setup=_fresh_results, rounds=30)
+    outs = _fresh_results()[0][0]
+    covers = _carry(outs)
+    assert ACCEPTED and covers["carried"] + covers["searched"] == len(ACCEPTED)
+    for (_, out, _, _), again in zip(ACCEPTED, outs):
+        assert again.memo["terms"] == out.memo["terms"]
+        assert again.memo["cover"].paths == out.memo["cover"].paths

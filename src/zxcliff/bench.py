@@ -52,6 +52,9 @@ class BenchRow:
     failures: int
     # the metric scorer's verdicts (`optimiser.METRIC_OUTCOMES`), summed over the runs
     metric_candidates: Dict[str, int]
+    # each phase's wall ms, steps and, for the metric phase, cover sources
+    # (`optimiser.PHASES`), summed over the runs
+    phases: Dict[str, Dict[str, float]]
 
     def csv(self) -> str:
         return (f"{self.width},{self.depth},{self.count},{self.seed},"
@@ -68,7 +71,8 @@ class BenchRow:
     def to_json_obj(self) -> dict:
         return {k: getattr(self, k) for k in (
             "width", "depth", "count", "seed", "mean_in", "mean_out", "ratio",
-            "steps", "ms_mean", "ms_sigma", "verified", "failures", "metric_candidates")}
+            "steps", "ms_mean", "ms_sigma", "verified", "failures", "metric_candidates",
+            "phases")}
 
 
 TABLE_HEADER = (f"{'width':>5} {'depth':>5} {'count':>5} {'mean_in':>8} "
@@ -95,6 +99,7 @@ def _one_run(args) -> dict:
         "rewrite_steps": res.stats["rewrite_steps"],
         "wall_ms": res.stats["wall_ms"],
         "metric_candidates": res.stats["metric_candidates"],
+        "phases": res.stats["phases"],
         "verified": verified,
     }
 
@@ -136,6 +141,8 @@ def bench(width: int, depth: int, count: int, seed: int = 0, jobs: int = 1,
         failures=len(failures),
         metric_candidates={key: sum(r["metric_candidates"][key] for r in good)
                            for key in METRIC_OUTCOMES},
+        phases={name: {key: sum(r["phases"][name][key] for r in good) for key in entry}
+                for name, entry in good[0]["phases"].items()},
     )
 
 

@@ -24,18 +24,21 @@ order of the flow.  A rewrite's cover is spliced from its parent's by the
 rule's generated splice kernel (`kernels.splice_kernel`), which calls two
 helpers from here: `_orders_splice`, the bounded search that decides a
 splice whose rank windows are empty, and `_respaced`, the separation of a
-spliced candidate.  A failed splice whose kind the rule's certificate
-covers is known to lose the cover (`kernels.Stranded`); for the other
-failures only, `stranded_after` resumes the parent's sweep at the first
-step that claims a matched vertex, on the neighbour sets the rewrite
-patches: the sweep is confluent, so the claims before it stand.
+spliced candidate, updated from the changed groups alone because each pair
+of paths' cross edges form a chain (`pair_separation`).  A failed
+splice whose kind the rule's certificate covers is known to lose the cover
+(`kernels.Stranded`); for the other failures only, `stranded_after` resumes
+the parent's sweep at the first step that claims a matched vertex, on the
+neighbour sets the rewrite patches: the sweep is confluent, so the claims
+before it stand.
 
 Three orders are worked out by one routine, `least_order`, the least
 topological order of a relation by Kahn's algorithm: a cover's least flow
 order (`PathCover.least_rank`), the events of an extracted circuit
 (`extract_circuit`) and the window of a splice's fresh vertices.  One test,
-`ranks_flow`, checks that a rank orders a flow, for a search and for a
-memoised cover under ``verify_each_step``.
+`ranks_flow`, checks that a rank orders a flow, for a search, for the cover
+an accepted metric step carries from its splice (`check_flow`, which also
+walks its paths), and for a memoised cover under ``verify_each_step``.
 """
 
 from __future__ import annotations
@@ -164,6 +167,34 @@ def ranks_flow(succ: Mapping[VertexId, VertexId], rank: Mapping[VertexId, int],
     return True
 
 
+def check_flow(pc: PathCover, d: Diagram) -> None:
+    """Raise AssertionError unless pc, a cover carried to d rather than
+    searched, is d's causal flow: the paths walked from d's inputs along
+    ``pc.succ`` visit every vertex of d exactly once and end at outputs, and
+    ``pc.rank`` orders F1-F3 on d's neighbour sets (`ranks_flow`).  A
+    successor with both is a causal flow, and the flow is unique (de
+    Beaudrap, arXiv:quant-ph/0611284), so pc is the cover `search_path_cover`
+    finds, in a pass over d's vertices and edges.  The positions, which the
+    next splice reads, must be each vertex's place on those paths."""
+    succ, paths, verts = pc.succ, pc.paths, d._vertices
+    walked: Dict[VertexId, VertexId] = {}
+    at: Dict[VertexId, Tuple[int, int]] = {}
+    for q, path in enumerate(paths):
+        walked.update(zip(path, path[1:]))
+        at.update(zip(path, zip(itertools.repeat(q), itertools.count())))
+    ends = {path[-1] for path in paths}
+    if walked != succ or tuple(path[0] for path in paths) != d.inputs \
+            or ends != set(d.outputs):
+        raise AssertionError("a carried cover's paths do not follow its successor")
+    if sum(map(len, paths)) != len(verts) or not verts.keys() == succ.keys() | ends \
+            == pc.rank.keys():
+        raise AssertionError("a carried cover's paths do not visit every vertex once")
+    if pc.pos != at:
+        raise AssertionError("a carried cover's positions are not its paths'")
+    if not ranks_flow(succ, pc.rank, d.neighbour_sets()):
+        raise AssertionError("a carried cover's successor fails F1-F3")
+
+
 def _sweep_from(ready: List[VertexId], unreached: Set[VertexId], inputs: Set[VertexId],
                 nbrs: Dict[VertexId, Set[VertexId]],
                 patched: Dict[VertexId, Set[VertexId]]) -> Dict[VertexId, VertexId]:
@@ -267,45 +298,84 @@ def _is_pauli_kind(kind_phase: Tuple[str, int]) -> bool:
 def pair_separation(ends: Sequence[Tuple[int, int]]) -> int:
     """Interior vertices between consecutive cross edges of one pair of paths.
 
-    ``ends`` holds each edge's positions on the lower and the higher path, in
-    any order: they are sorted on (max, min, position on the lower path), so
-    only equal ends tie.  On a covered diagram that last key decides nothing.
-    Two edges at (a, b) and (b, a) with a < b, between lower path L and
-    higher path H, would force a cycle in the flow order: L_a <= L_{b-1} by
-    F2, L_{b-1} < H_a by F3 since H_a ~ L_b = f(L_{b-1}), H_a <= H_{b-1} by
-    F2, and H_{b-1} < L_a by F3 since L_a ~ H_b = f(H_{b-1}).  Boundaries
-    only end paths, so between positions lo < hi of one path lie hi - lo - 1
-    interior vertices."""
-    ordered = sorted([(a, b, a, b) if a >= b else (b, a, a, b) for a, b in ends])
+    ``ends`` holds each edge's positions on the lower and the higher path,
+    sorted.  Boundaries only end paths, so between positions lo < hi of one
+    path lie hi - lo - 1 interior vertices.
+
+    On a covered diagram the ends form a chain: no two edges cross, so of
+    two ends neither lies before the other on one path and after it on the
+    other.  Edges at (a1, b1) and (a2, b2) between lower path L and higher
+    path H with a1 < a2 and b2 < b1 would force a cycle in the flow order:
+    L_a1 <= L_{a2-1} by F2, L_{a2-1} < H_b2 by F3 since H_b2 ~ L_a2 =
+    f(L_{a2-1}), H_b2 <= H_{b1-1} by F2, and H_{b1-1} < L_a1 by F3 since
+    L_a1 ~ H_b1 = f(H_{b1-1}).  So along the sorted ends both positions
+    rise, and consecutive ends are consecutive on either path."""
     total = 0
-    for (_, _, a1, b1), (_, _, a2, b2) in zip(ordered, ordered[1:]):
-        gap_a, gap_b = abs(a1 - a2) - 1, abs(b1 - b2) - 1
-        if gap_a > 0:
-            total += gap_a
-        if gap_b > 0:
-            total += gap_b
+    for (a1, b1), (a2, b2) in zip(ends, ends[1:]):
+        if a2 - a1 > 1:
+            total += a2 - a1 - 1
+        if b2 - b1 > 1:
+            total += b2 - b1 - 1
     return total
 
 
-_UNCUT = (math.inf, math.inf, 0)  # `_respaced`'s cut of a path without a segment
+_UNCUT = (math.inf, math.inf, 0)  # the cut of a path without a segment
 
 
-def _respaced(terms, changed: Dict[Tuple[int, int], List[Tuple[int, int]]],
+def spliced_group(ends: Sequence[Tuple[int, int]], cut_a: Tuple[int, int, int],
+                  cut_b: Tuple[int, int, int], new: Sequence[Tuple[int, int]]
+                  ) -> List[Tuple[int, int]]:
+    """A group's sorted ends after a splice, from the parent's sorted
+    ``ends``: each cut gives a path's replaced positions first..last and the
+    shift of the positions after them (`_UNCUT` for an unspliced path).  An
+    end inside a cut is dropped, one after it shifts, and the rewrite's
+    ``new`` ends are added.  The kept ends stay in order (`_respaced`), so
+    only the new ones need placing."""
+    fa, la, da = cut_a
+    fb, lb, db = cut_b
+    kept = [(a + da if a > la else a, b + db if b > lb else b) for a, b in ends
+            if not (fa <= a <= la or fb <= b <= lb)]
+    if new:
+        kept += new
+        kept.sort()
+    return kept
+
+
+def _respaced(terms, gained: Dict[Tuple[int, int], Optional[List[Tuple[int, int]]]],
               cut: Dict[int, Tuple[int, int, int]]) -> int:
-    """The separation of a spliced candidate, from its parent's metric terms:
-    each ``changed`` group is recomputed from the parent's ends and the new
-    cross edges it lists, every other keeps its total.  ``cut`` maps each
-    spliced path to its replaced positions first..last and the shift of the
-    positions after them: an end inside them is dropped, one after them
-    shifts.  The new edges come after the old ones, as their ids do."""
+    """The separation of a spliced candidate, from its parent's metric terms
+    (`optimiser.MetricTerms`), whose groups hold their ends sorted.  Every
+    group the splice changes is in ``gained``, with the ends of the cross
+    edges the rewrite adds to it, or None when the splice only shifts its
+    ends; every other group keeps its total.  ``cut`` maps each spliced
+    path to its replaced positions first..last and the shift of the
+    positions after them.
+
+    The parent and the candidate both have a cover, so each group is a
+    chain in both (`pair_separation`): along it both positions rise.  So the
+    ends before a cut on its path are a prefix of the group and those after
+    it a suffix, and a shift, which moves the suffix alone, keeps the order.
+    An end lies inside a cut only if its edge is matched, so a group that
+    gains or loses no edge has none there: only the one gap across each cut
+    that has ends on both sides changes, by that cut's shift, since it spans
+    the whole cut before and the whole replacement after.  That is worked
+    out from the group's first and last ends.  A group that loses or gains
+    edges is spliced whole (`spliced_group`): only its new ends need
+    placing."""
     total = terms.total_separation
-    for key, ends in changed.items():
-        fa, la, da = cut.get(key[0], _UNCUT)
-        fb, lb, db = cut.get(key[1], _UNCUT)
-        for pa, pb in terms.groups.get(key, ()):
-            if not (fa <= pa <= la or fb <= pb <= lb):
-                ends.append((pa + da if pa > la else pa, pb + db if pb > lb else pb))
-        total += pair_separation(ends) - terms.separation.get(key, 0)
+    groups, separation = terms.groups, terms.separation
+    for key, new in gained.items():
+        ends = groups.get(key, ())
+        cut_a, cut_b = cut.get(key[0], _UNCUT), cut.get(key[1], _UNCUT)
+        if new is None:
+            (a0, b0), (a1, b1) = ends[0], ends[-1]
+            if a0 < cut_a[0] and a1 > cut_a[1]:
+                total += cut_a[2]
+            if b0 < cut_b[0] and b1 > cut_b[1]:
+                total += cut_b[2]
+            continue
+        total += pair_separation(spliced_group(ends, cut_a, cut_b, new)) \
+            - separation.get(key, 0)
     return total
 
 

@@ -350,9 +350,17 @@ class Splice(NamedTuple):
     vertex the highest rank that must come before it and the lowest that
     must come after it, the new vertices that must come after it, and an
     order of them that respects those.  A window may be empty: the check is
-    exact, and the parent's rank need not leave room.  ``terms``, when the
-    kernel was given the parent's metric terms, holds the candidate's Pauli
-    sum and its separation (`optimiser.metric_terms`)."""
+    exact, and the parent's rank need not leave room.
+
+    When the kernel was given the parent's metric terms
+    (`optimiser.MetricTerms`), ``terms`` holds the candidate's Pauli sum and
+    its separation, and ``gained`` and ``cut`` what the separation was
+    worked out from, which the accepted candidate's terms are carried from
+    (`optimiser.spliced_terms`): ``gained`` maps every qubit-pair group the
+    splice changes to the ends of the cross edges the rewrite adds to it, or
+    to None when the splice only shifts its ends, and ``cut`` each spliced
+    path to its replaced positions first..last and the shift of the
+    positions after them (`flow.spliced_group`)."""
 
     parent: PathCover
     segments: Dict[int, Tuple[int, int, Tuple[VertexId, ...]]]
@@ -360,6 +368,8 @@ class Splice(NamedTuple):
     window: Tuple[Dict[VertexId, int], Dict[VertexId, float], Dict[VertexId, List[VertexId]],
                   List[VertexId]]
     terms: Optional[Tuple[int, int]] = None
+    gained: Optional[Dict[Tuple[int, int], Optional[List[Tuple[int, int]]]]] = None
+    cut: Optional[Dict[int, Tuple[int, int, int]]] = None
 
     def paths(self) -> Tuple[Tuple[VertexId, ...], ...]:
         paths = list(self.parent.paths)
@@ -725,7 +735,8 @@ def _splice_kernel(rule: Rule, plan: Optional[Tuple]) -> Optional[Callable[..., 
     the Paulis after a resized segment are counted in pc's terms.  The
     cross-edge groups a candidate changes are those between two spliced
     paths that an LHS edge or a new edge joins, at fixed offsets, and every
-    group of a resized path (`flow._respaced`)."""
+    group of a resized path; each is updated from the parent's terms alone
+    (`flow._respaced`)."""
     if plan is None:
         return None
     lhs, rhs = rule.lhs, rule.rhs
@@ -878,11 +889,12 @@ def _splice_kernel(rule: Rule, plan: Optional[Tuple]) -> Optional[Callable[..., 
         if resized:
             emit(depth, "for key in terms.groups:")
             emit(depth + 1, f"if key not in groups and ({' or '.join(resized)}):")
-            emit(depth + 2, "groups[key] = []")
+            emit(depth + 2, "groups[key] = None")
+        emit(depth, "cut = {" + ", ".join(
+            f"q{k}: (f{k} + 1, f{k} + {len(inner)}, {len(fresh) - len(inner)})"
+            for k, (_, fresh, _, inner) in enumerate(chains)) + "}")
         emit(depth, "return Splice(pc, segments, changed, window, "
-                    "(pauli, respaced(terms, groups, {" + ", ".join(
-                        f"q{k}: (f{k} + 1, f{k} + {len(inner)}, {len(fresh) - len(inner)})"
-                        for k, (_, fresh, _, inner) in enumerate(chains)) + "})))")
+                    "(pauli, respaced(terms, groups, cut)), groups, cut)")
 
     def branch(orientation: List[bool], depth: int) -> None:
         k = len(orientation)

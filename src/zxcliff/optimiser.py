@@ -31,12 +31,16 @@ Phases:
    neighbour sets the rule's generated change kernel gives
    (`flow.stranded_after`), decides.  Only the candidates none of these
    settles (their segments do not map, yet they keep a cover) and the one
-   accepted are built.  The scorer counts its verdicts, which a run reports
-   as ``stats["metric_candidates"]``.  Neither the
-   metric nor the cover test reads edge ids or orientation, so matches that
-   build the same diagram up to those (automorphisms of a rule's LHS give
-   them) get one verdict, and the search hands the loop only the least
-   match of each such symmetry orbit.
+   accepted are built.  The accepted one takes its cover from its splice,
+   checked in one pass to be its flow (`flow.check_flow`), and its terms
+   from the same splice (`spliced_terms`), so a metric step searches a
+   cover from scratch only when the splice's new vertices find no integer
+   rank.  The scorer counts its verdicts, which a run reports as
+   ``stats["metric_candidates"]``.  Neither the metric nor the cover test
+   reads edge ids or orientation, so matches that build the same diagram
+   up to those (automorphisms of a rule's LHS give them) get one verdict,
+   and the search hands the loop only the least match of each such
+   symmetry orbit.
 3. Final tidy: every single-qubit run is replaced by its CC1 representative
    (2x2 oracle lookup, each vertex's matrix taken from `interpret`); on
    two-qubit diagrams with the semantic fallback enabled the whole diagram
@@ -48,12 +52,18 @@ Phases:
    `_cc2_member` finds for the diagram's interpretation; any other step
    raises StaleMatchError.
 4. Extraction back to a gate list via the path cover.
+
+A run times each of these phases, the round's by name (`PHASES`), and
+reports their wall time and trace steps, summed over rounds, as
+``stats["phases"]``; the metric phase's entry also counts its steps by
+where their cover came from (`COVER_SOURCES`).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
+from functools import partial
+from time import perf_counter
 from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set,
                     Tuple)
 
@@ -62,9 +72,9 @@ import numpy as np
 from .circuit import Circuit, circuit_size, translate
 from .diagram import B, H, X, Z, Diagram, DiagramBuilder, EdgeId, VertexId
 from .errors import NotACircuit, StaleMatchError
-from .flow import (PathCover, _is_pauli_kind, cover_or_none, extract_circuit, find_path_cover,
-                   has_path_cover, least_rank, pair_separation, ranks_flow, search_path_cover,
-                   stranded_after)
+from .flow import (_UNCUT, PathCover, _is_pauli_kind, cover_or_none, extract_circuit,
+                   find_path_cover, has_path_cover, least_rank, pair_separation, ranks_flow,
+                   search_path_cover, spliced_group, stranded_after)
 from .kernels import Splice, change_kernel, splice_kernel
 from .normal_forms import cc1_table, cc2_family, line_diagram
 from .passes import simple_form, split_cross_leg, split_phase
@@ -120,32 +130,70 @@ def group_crosses(ends: Iterable[Tuple[Tuple[int, int], Tuple[int, int]]]
 
 
 class MetricTerms(NamedTuple):
-    """The commutation metric's terms on a covered diagram (`metric_terms`)."""
+    """The commutation metric's terms on a covered diagram (`metric_terms`).
+
+    Each group holds its ends sorted, which on a covered diagram is the
+    order of both positions (`flow.pair_separation`), so that a splice
+    shifts a group's ends without sorting them again (`flow._respaced`).
+    The lists are shared between the terms of a diagram and those carried to
+    its rewrites (`spliced_terms`), so no caller may mutate them."""
 
     paulis: List[List[int]]  # per path, the positions of its Paulis in order
     pauli_sum: int
-    groups: Dict[Tuple[int, int], List[Tuple[int, int]]]  # `group_crosses` of every edge
+    groups: Dict[Tuple[int, int], List[Tuple[int, int]]]  # `group_crosses` of every edge, sorted
     separation: Dict[Tuple[int, int], int]  # each group's `pair_separation`
     total_separation: int
 
 
 def metric_terms(d: Diagram, pc: PathCover) -> MetricTerms:
     """The Pauli positions along each path of d's cover, and the cross edges
-    grouped by pair of paths, in edge-id order, with their separations.  No
-    term depends on edge ids or orientation."""
+    grouped by pair of paths, each group sorted, with their separations.
+    No term depends on edge ids or orientation."""
     paulis = [[p for p, v in enumerate(path) if _is_pauli_kind(d._vertices[v])]
               for path in pc.paths]
     pos = pc.pos
     groups = group_crosses([(pos[u], pos[v]) for u, v in map(d.edge_ends, d.edges())])
+    for group in groups.values():
+        group.sort()
     separation = {key: pair_separation(group) for key, group in groups.items()}
     return MetricTerms(paulis, sum(map(sum, paulis)), groups, separation,
                        sum(separation.values()))
 
 
+def spliced_terms(terms: MetricTerms, splice: Splice, out: Diagram) -> MetricTerms:
+    """The metric terms of ``out``, the candidate built from the diagram
+    whose terms are ``terms`` by the rewrite whose cover ``splice`` gives,
+    carried from those terms: equal to `metric_terms` on out's cover.
+
+    Only the spliced paths' Pauli positions are read again, from out's
+    labels, and only the groups the splice changes (``splice.gained``) are
+    worked out again, from the parent's ends and the cuts
+    (`flow.spliced_group`); every other list is the parent's.  The Pauli sum
+    is the splice's."""
+    verts = out._vertices
+    paths = splice.paths()
+    paulis = terms.paulis.copy()
+    for q in splice.segments:
+        paulis[q] = [p for p, v in enumerate(paths[q]) if _is_pauli_kind(verts[v])]
+    groups, separation = terms.groups.copy(), terms.separation.copy()
+    total = terms.total_separation
+    cut = splice.cut
+    for key, new in splice.gained.items():
+        total -= separation.pop(key, 0)
+        ends = spliced_group(groups.pop(key, ()), cut.get(key[0], _UNCUT),
+                             cut.get(key[1], _UNCUT), new or ())
+        if ends:
+            groups[key] = ends
+            separation[key] = spread = pair_separation(ends)
+            total += spread
+    return MetricTerms(paulis, splice.terms[0], groups, separation, total)
+
+
 def _cover_terms(d: Diagram) -> Tuple[PathCover, MetricTerms]:
     """d's cover and its `metric_terms`, each worked out once per diagram
     and memoised on it, so a metric step's base value and its scorer share
-    one set of terms; NotACircuit when d has no cover."""
+    one set of terms; NotACircuit when d has no cover.  An accepted metric
+    step carries both to its result (`CommutationMetric.accepted`)."""
     pc = find_path_cover(d)
     terms = d.memo.get("terms")
     if terms is None:
@@ -158,6 +206,14 @@ def _cover_terms(d: Diagram) -> Tuple[PathCover, MetricTerms]:
 # (`kernels.Stranded`), no cover by the resumed sweep, and left open
 METRIC_OUTCOMES = ("spliced", "certified_segment", "certified_same_path", "certified_order",
                    "swept_stranded", "open")
+# where an accepted metric step's cover came from: its splice, or a search
+COVER_SOURCES = ("carried", "searched")
+
+# the phases `Optimiser.run` times, in ``stats["phases"]``: those of a round
+# in order (the first simple form pass, before the rounds, counts with the
+# rounds' own), then the final tidy and the extraction
+PHASES = ("split_cross_legs", "split_leg_phases", "init", "loop_rules", "targeted_pauli",
+          "metric", "loop_rules_after", "simple_form", "canonicalise", "extract")
 
 
 class CommutationMetric:
@@ -174,6 +230,8 @@ class CommutationMetric:
 
     def __init__(self) -> None:
         self.counts = dict.fromkeys(METRIC_OUTCOMES, 0)
+        # accepted steps by where their cover came from (`accepted`)
+        self.covers = dict.fromkeys(COVER_SOURCES, 0)
 
     def __call__(self, d: Diagram) -> int:
         return self.value(d)
@@ -206,7 +264,9 @@ class CommutationMetric:
         (`flow.stranded_after`): a candidate it strands gets the penalty too,
         any other is left open.  A d without a cover leaves every candidate
         open.  Each verdict is counted in ``counts`` by its
-        `METRIC_OUTCOMES` name."""
+        `METRIC_OUTCOMES` name.  The selection loop builds the candidate it
+        accepts with the cover its splice gives (`rewrite._take_splice`), and
+        `accepted` carries the terms from the same splice."""
         counts = self.counts
         try:
             parent, terms = _cover_terms(d)
@@ -235,6 +295,16 @@ class CommutationMetric:
             return Scored(self._penalty(size), None)
 
         return score
+
+    def accepted(self, d: Diagram, out: Diagram, splice: Optional[Splice], carried: bool) -> None:
+        """Count a metric step by where its result's cover came from:
+        ``carried`` from the candidate's ``splice``, or searched, when the
+        splice found no integer rank or the candidate was left open and
+        built.  A spliced result ``out`` of d memoises its terms carried from
+        d's (`spliced_terms`)."""
+        if splice is not None:
+            out.memo["terms"] = spliced_terms(d.memo["terms"], splice, out)
+        self.covers[COVER_SOURCES[not carried]] += 1
 
 
 class PauliMetric(CommutationMetric):
@@ -319,8 +389,9 @@ class Optimiser:
             if not scalar_free_equal(interpret(d), self._verify_ref):
                 raise AssertionError("step changed the interpretation")
         # the search runs on a copy with nothing carried or memoised
+        copy = Diagram(d._vertices, d._edges, d.inputs, d.outputs)
         try:
-            searched = search_path_cover(Diagram(d._vertices, d._edges, d.inputs, d.outputs))
+            searched = search_path_cover(copy)
         except NotACircuit:
             raise AssertionError("step produced a diagram without causal flow") from None
         if d.neighbour_sets() != searched.nbrs:
@@ -328,13 +399,17 @@ class Optimiser:
         # a memoised cover may have been carried through a rewrite: it must be
         # the searched one, with a rank that orders F1-F3 (`ranks_flow`)
         cover = d.memo.get("cover")
-        if cover is None:
-            return
-        if cover.paths != searched.paths or cover.succ != searched.succ:
-            raise AssertionError("a memoised cover differs from the searched one")
-        if cover.rank.keys() != searched.nbrs.keys() \
-                or not ranks_flow(cover.succ, cover.rank, searched.nbrs):
-            raise AssertionError("a memoised cover's rank breaks F2-F3")
+        if cover is not None:
+            if cover.paths != searched.paths or cover.succ != searched.succ:
+                raise AssertionError("a memoised cover differs from the searched one")
+            if cover.rank.keys() != searched.nbrs.keys() \
+                    or not ranks_flow(cover.succ, cover.rank, searched.nbrs):
+                raise AssertionError("a memoised cover's rank breaks F2-F3")
+        # metric terms carried from a splice (`spliced_terms`) must be those
+        # worked out afresh
+        terms = d.memo.get("terms")
+        if terms is not None and terms != metric_terms(copy, searched):
+            raise AssertionError("memoised metric terms differ from metric_terms")
 
     # -- phases ----------------------------------------------------------------
 
@@ -449,10 +524,12 @@ class Optimiser:
             d = canonicalise_blocks(d, find_path_cover(d), self._trace)
             self._after_step(d)
             # compact: refuse run remnants into legs, cancel freed structure
-            before = d
-            out = simple_form(d)
-            d = _record_pass(self._trace, "simple_form", {}, before, out)
-            self._after_step(d)
+            d = self._simple_form(d)
+        return d
+
+    def _simple_form(self, d: Diagram) -> Diagram:
+        d = _record_pass(self._trace, "simple_form", {}, d, simple_form(d))
+        self._after_step(d)
         return d
 
     def _cc2_fallback(self, d: Diagram) -> Diagram:
@@ -467,50 +544,64 @@ class Optimiser:
 
     # -- pipeline ----------------------------------------------------------------
 
+    def _timed(self, name: str, phase: Callable, d: Diagram):
+        """``phase(d)``, with its wall time and the trace steps it records
+        added to the run's entry for the phase ``name``."""
+        start, steps = perf_counter(), len(self._trace.steps)
+        out = phase(d)
+        entry = self._phases[name]
+        entry["ms"] += (perf_counter() - start) * 1e3
+        entry["steps"] += len(self._trace.steps) - steps
+        return out
+
     def run(self, c: Circuit) -> OptimiseResult:
-        t0 = time.perf_counter()
+        t0 = perf_counter()
         d0 = translate(c)
         self._trace = ProofTrace(d0)
         self._verify_ref = interpret(d0) if (
             self.cfg.verify_each_step and c.width <= 5) else None
         self._budget_ok = True
         self._metric.counts = dict.fromkeys(METRIC_OUTCOMES, 0)
+        self._metric.covers = dict.fromkeys(COVER_SOURCES, 0)
+        self._phases = {name: {"ms": 0.0, "steps": 0} for name in PHASES}
         input_size = circuit_size(d0)
 
-        d = _record_pass(self._trace, "simple_form", {}, d0, simple_form(d0))
-        self._after_step(d)
+        d = self._timed("simple_form", self._simple_form, d0)
         simplified_size = circuit_size(d)
         snapshot = d
         snapshot_steps = len(self._trace.steps)
 
-        iters = 0
-        reached_fixpoint = False
-        while iters < self.cfg.max_global_iters:
-            before = d
+        round_phases = (
             # unfuse into gate-shaped form so the fixed-arity rules can fire
-            d = self._split_cross_legs(d)
-            d = self._split_leg_phases(d)
-            d = self._reduce_rules(self.rules.init, d)
-            d = self._reduce_rules(self._loop_rules, d)
+            ("split_cross_legs", self._split_cross_legs),
+            ("split_leg_phases", self._split_leg_phases),
+            ("init", partial(self._reduce_rules, self.rules.init)),
+            ("loop_rules", partial(self._reduce_rules, self._loop_rules)),
             # nothing here makes a self-loop, a parallel edge or an identity
             # for the normalising passes to remove: the round started from
             # simple form, the splits add none, a rewrite keeps each
             # attachment's degree, and a bare RHS wire joins two vertices of
             # one path that F3 forbids from already being adjacent
-            d = self._reduce(self._move_pauli, d)
-            d = self._reduce(lambda g, trace: rewrite_metric(
-                self._metric_rules, g, self._metric, trace, self.cfg.verify_each_step), d)
-            d = self._reduce_rules(self._loop_rules, d)
+            ("targeted_pauli", partial(self._reduce, self._move_pauli)),
+            ("metric", partial(self._reduce, lambda g, trace: rewrite_metric(
+                self._metric_rules, g, self._metric, trace, self.cfg.verify_each_step))),
+            ("loop_rules_after", partial(self._reduce_rules, self._loop_rules)),
             # refuse: adjacent same-colour structure merges and freed CNOT
             # pairs cancel through the hopf rule
-            d = _record_pass(self._trace, "simple_form", {}, d, simple_form(d))
-            self._after_step(d)
+            ("simple_form", self._simple_form),
+        )
+        iters = 0
+        reached_fixpoint = False
+        while iters < self.cfg.max_global_iters:
+            before = d
+            for name, phase in round_phases:
+                d = self._timed(name, phase, d)
             iters += 1
             if d.iso_equal(before):
                 reached_fixpoint = True
                 break
 
-        d = self._canonicalise(d)
+        d = self._timed("canonicalise", self._canonicalise, d)
         # phase splitting can strand quarter-turns on wires where nothing
         # re-fuses them; if that left the diagram larger than the simplified
         # input, discard the loop's work and just tidy the simple form
@@ -519,11 +610,11 @@ class Optimiser:
         if rolled_back:
             self._trace.steps = self._trace.steps[:snapshot_steps]
             self._trace.final = snapshot
-            d = self._canonicalise(snapshot)
-        pc = find_path_cover(d)
-        out_circuit = extract_circuit(d, pc)
-        wall_ms = (time.perf_counter() - t0) * 1e3
+            d = self._timed("canonicalise", self._canonicalise, snapshot)
+        out_circuit = self._timed("extract", lambda g: extract_circuit(g, find_path_cover(g)), d)
+        wall_ms = (perf_counter() - t0) * 1e3
         rewrite_steps = sum(1 for s in self._trace.steps if s.kind == "rewrite")
+        self._phases["metric"].update(self._metric.covers)
         stats = {
             "width": c.width,
             "input_size": input_size,
@@ -536,6 +627,7 @@ class Optimiser:
             "budget_exhausted": not self._budget_ok,
             "rolled_back": rolled_back,
             "metric_candidates": dict(self._metric.counts),
+            "phases": self._phases,
             "wall_ms": wall_ms,
         }
         return OptimiseResult(out_circuit, d, self._trace, stats)

@@ -77,7 +77,7 @@ from typing import (TYPE_CHECKING, Callable, Dict, FrozenSet, List, NamedTuple, 
 
 from .diagram import B, X, Z, Diagram, EdgeId, VertexId
 from .errors import RuleFormatError, StaleMatchError
-from .flow import PathCover, cover_or_none, find_path_cover
+from .flow import PathCover, check_flow, cover_or_none, find_path_cover
 from .kernels import MatchDelta, Splice, _kernel, change_kernel, splice_kernel
 
 if TYPE_CHECKING:
@@ -279,9 +279,10 @@ def _build_plan(lhs: Diagram, roots: Sequence[VertexId],
     )
 
 
-def _symmetries(rule: Rule) -> List[Match]:
+def _symmetries(rule: Rule, bare: _Plan) -> List[Match]:
     """The self-embeddings of ``rule.lhs``, other than the identity, whose
-    rewrite of the LHS has the identity's `_result_key`.
+    rewrite of the LHS has the identity's `_result_key`, found by ``bare``,
+    the LHS's unpinned plan without symmetries.
 
     Composing a match m with such a symmetry a (LHS vertex v to m's image
     of a's image of v, and so for edges and attachments) gives a match with
@@ -289,7 +290,7 @@ def _symmetries(rule: Rule) -> List[Match]:
     boundary vertices in a way that keeps the multiset of new edges.  So of
     each orbit the rewrite loop needs only the least match."""
     lhs = rule.lhs
-    selfs = _embed(rule.name, _build_plan(lhs, ()), lhs, _index(lhs), (), False)
+    selfs = _embed(rule.name, bare, lhs, _index(lhs), (), False)
     key = {a: _result_key(change_kernel(rule)(a, lhs, lhs.neighbour_sets())) for a in selfs}
     identity = next(a for a in selfs if all(x == y for x, y in a.vertex_map + a.edge_map))
     return [a for a in selfs if a != identity and key[a] == key[identity]]
@@ -313,12 +314,17 @@ def _new_plan(rule: Rule, root: Optional[VertexId]) -> _Plan:
         # only the orbit members that keep the anchor are enumerated under it
         return _build_plan(rule.lhs, (root,), [a for a in _plan(rule, None).symmetries
                                             if a.vmap()[root] == root])
-    symmetries = _symmetries(rule)
-    plan = _build_plan(rule.lhs, (), symmetries)
+    bare = _build_plan(rule.lhs, ())
+    symmetries = _symmetries(rule, bare)
+    plan = _build_plan(rule.lhs, (), symmetries) if symmetries else bare
     firsts = [plan.sigs.index(s) for s, _ in plan.need]
-    return replace(plan, roots=tuple(
+    rooted = replace(plan, roots=tuple(
         None if i == 0 else _build_plan(rule.lhs, (plan.order[i],), symmetries, pinned=False)
         for i in firsts))
+    if not symmetries:
+        # the kernel reads no root plan, so the self-match's kernel is this one
+        vars(rooted)["kernel"] = bare.kernel
+    return rooted
 
 
 class _Index(NamedTuple):
@@ -553,22 +559,29 @@ def carry_cover(parent: PathCover, rule: Rule, m: Match, target: Diagram,
     (`kernels.splice_kernel`, the one the metric's scorer runs, whose
     `kernels.Stranded` verdicts count as failures here), which it does
     exactly when the rewritten diagram has no cover with the spliced paths,
-    or when its new vertices find no integer rank (`Splice.rank`).
-
-    The paths are the splice's, the flow the parent's without the removed
-    vertices and with the splice's changed successors, and the rank the
-    splice's placement in the parent's.  By uniqueness the flow is the one
-    `flow.search_path_cover` finds.  The positions are the parent's too,
-    without the removed vertices and numbered again only on the spliced
-    paths, from each segment on.  The result refers to no cover or
-    diagram."""
+    or when its new vertices find no integer rank (`Splice.rank`); else the
+    splice's cover (`spliced_cover`)."""
     kernel = splice_kernel(rule)
     splice = None if kernel is None else kernel(m, target, parent, None)
     if type(splice) is not Splice:
         return None
     rank = splice.rank(removed)
-    if rank is None:
-        return None
+    return None if rank is None else spliced_cover(splice, rank, removed, nbrs)
+
+
+def spliced_cover(splice: Splice, rank: Dict[VertexId, int], removed: FrozenSet[VertexId],
+                  nbrs: Dict[VertexId, Set[VertexId]]) -> PathCover:
+    """The cover a passed splice gives the rewritten diagram, ranked by
+    ``rank`` (`Splice.rank`), without the ``removed`` matched vertices and
+    on its neighbour map ``nbrs``.
+
+    The paths are the splice's, the flow the parent's without the removed
+    vertices and with the splice's changed successors.  By uniqueness the
+    flow is the one `flow.search_path_cover` finds.  The positions are the
+    parent's too, without the removed vertices and numbered again only on
+    the spliced paths, from each segment on.  The result refers to no cover
+    or diagram."""
+    parent = splice.parent
     succ, pos = parent.succ.copy(), parent.pos.copy()
     for v in removed:
         # every matched vertex lies inside a segment, so it has a successor;
@@ -659,8 +672,11 @@ def rewrite_first(rules: Sequence[Rule], d: Diagram,
     candidates it leaves open, and every candidate of a plain callable, are
     built and measured, so the choice is the one building every candidate
     would make.  A scored candidate is built only once its value passes;
-    when its cover was spliced, the cover search on it, which the next
-    step's base needs anyway, must return the same paths.
+    when its cover was spliced, the built result takes its cover from that
+    splice (`_take_splice`).  A metric may also offer ``accepted(d, out,
+    splice, carried)``, which is told of the result taken: the splice it was
+    scored with (None when it was left open and built) and whether its
+    cover came from that splice.
 
     Every match comes from the matcher's own search on d, so it is applied
     without `apply_match`'s check that it is one, unless ``check`` asks for
@@ -678,21 +694,44 @@ def rewrite_first(rules: Sequence[Rule], d: Diagram,
             if scored is None or scored.value < base:
                 if check:
                     _check_embedding(d, rule, m)
-                # a metric's candidates are built without the target's cover:
-                # the scorer has spliced every one it could, and the search
-                # on the accepted one checks the splice from scratch
-                out = _carried(d, rule, m) if metric is None else _apply(d, rule, m)[0]
-                if scored is not None and scored.splice is not None \
-                        and find_path_cover(out).paths != scored.splice.paths():
-                    raise AssertionError("a spliced cover differs from the searched one")
+                if metric is None:
+                    out = _carried(d, rule, m)
+                else:
+                    # a metric's candidates are built without the target's
+                    # cover: the scorer has spliced every one it could
+                    out, delta = _apply(d, rule, m)
+                    splice = None if scored is None else scored.splice
+                    carried = splice is not None and _take_splice(out, delta.removed, splice)
                 if (accept is not None and not accept(out)) \
                         or (metric is not None and scored is None and metric(out) >= base):
                     out = None
             if out is not None:
+                accepted = getattr(metric, "accepted", None)
+                if accepted is not None:
+                    accepted(d, out, splice, carried)
                 if trace is not None:
                     trace.record_rewrite(rule, m, out)
                 return out
     return None
+
+
+def _take_splice(out: Diagram, removed: FrozenSet[VertexId], splice: Splice) -> bool:
+    """Memoise on ``out``, an accepted candidate built without the matched
+    vertices ``removed``, the cover its scored ``splice`` gives it, and
+    return True; False when the splice's new vertices find no integer rank
+    (`Splice.rank`), and the cover is searched from scratch instead.
+
+    The carried cover is checked in one pass to be out's causal flow
+    (`flow.check_flow`), which raises AssertionError otherwise, and a
+    searched one to have the splice's paths."""
+    rank = splice.rank(removed)
+    if rank is None:
+        if find_path_cover(out).paths != splice.paths():
+            raise AssertionError("a spliced cover differs from the searched one")
+        return False
+    cover = out.memo["cover"] = spliced_cover(splice, rank, removed, out._nbrs)
+    check_flow(cover, out)
+    return True
 
 
 def rewrite_metric(rules: Sequence[Rule], d: Diagram, metric: Metric,

@@ -12,8 +12,10 @@ order check by the least order of the whole candidate where the window
 check does not settle it; `spliced_separation` carries the separation per
 pair of paths, as `zxcliff.flow` and `zxcliff.optimiser` did; `score` is
 the body of `CommutationMetric.scorer`'s closure with its Pauli delta,
-taking the candidate's `match_delta`.  Tests compare the generated kernels
-with them.
+taking the candidate's `match_delta`.  `separation` is one pair of paths'
+separation for ends in any order, as `zxcliff.flow.pair_separation` was
+before the metric kept each group sorted.  Tests compare the generated
+kernels with them.
 """
 
 from __future__ import annotations
@@ -24,10 +26,26 @@ from bisect import bisect_left, bisect_right
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from zxcliff.diagram import Diagram, VertexId
-from zxcliff.flow import PathCover, _is_pauli_kind, least_order, pair_separation, stranded_after
+from zxcliff.flow import PathCover, _is_pauli_kind, least_order, stranded_after
 from zxcliff.kernels import MatchDelta, Splice, _splice_plan
 from zxcliff.optimiser import CommutationMetric, MetricTerms, group_crosses
 from zxcliff.rewrite import Match, Rule, Scored
+
+
+def separation(ends) -> int:
+    """Interior vertices between consecutive cross edges of one pair of
+    paths, for each edge's positions on the lower and the higher path in any
+    order: they are sorted on (max, min, position on the lower path), so only
+    equal ends tie."""
+    ordered = sorted([(a, b, a, b) if a >= b else (b, a, a, b) for a, b in ends])
+    total = 0
+    for (_, _, a1, b1), (_, _, a2, b2) in zip(ordered, ordered[1:]):
+        gap_a, gap_b = abs(a1 - a2) - 1, abs(b1 - b2) - 1
+        if gap_a > 0:
+            total += gap_a
+        if gap_b > 0:
+            total += gap_b
+    return total
 
 
 def match_delta(target: Diagram, rule: Rule, m: Match) -> MatchDelta:
@@ -223,7 +241,7 @@ def spliced_separation(parent: PathCover, terms: MetricTerms, splice: Splice,
         ends = [(pa + da if pa > la else pa, pb + db if pb > lb else pb)
                 for pa, pb in terms.groups.get(key, ()) if not (fa <= pa <= la or fb <= pb <= lb)]
         ends.extend(gained.get(key, ()))
-        total += pair_separation(ends) - terms.separation.get(key, 0)
+        total += separation(ends) - terms.separation.get(key, 0)
     return total
 
 

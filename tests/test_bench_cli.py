@@ -9,7 +9,7 @@ from zxcliff import bench as bench_module
 from zxcliff.bench import CSV_HEADER, VERIFY_WIDTH_BOUND, bench, render_report
 from zxcliff.cli import main
 from zxcliff.circuit import gate_matrix_product, parse_circuit, random_clifford_circuit
-from zxcliff.optimiser import METRIC_OUTCOMES, Optimiser
+from zxcliff.optimiser import METRIC_OUTCOMES, PHASES, Optimiser
 from zxcliff.ruleset import shipped_ruleset_dir
 from zxcliff.semantics import scalar_free_equal
 
@@ -33,12 +33,27 @@ def test_bench_rows_sum_metric_candidates():
     assert sum(row["metric_candidates"].values())
 
 
+def test_bench_rows_sum_phases():
+    # a row's phase times, steps and cover sources are its runs' summed
+    row = bench(3, 20, 2, seed=5).to_json_obj()
+    runs = [Optimiser().run(random_clifford_circuit(3, 20, s)).stats["phases"] for s in (5, 6)]
+    assert list(row["phases"]) == list(PHASES)
+    for name, entry in row["phases"].items():
+        assert entry.keys() == runs[0][name].keys()
+        for key, value in entry.items():
+            if key != "ms":
+                assert value == runs[0][name][key] + runs[1][name][key], (name, key)
+    assert row["phases"]["metric"]["carried"] and all(e["ms"] > 0 for e in row["phases"].values())
+
+
 def test_optimize_json_reports_metric_candidates(tmp_path, capsys):
     src = tmp_path / "c.zxc"
     src.write_text("qubits 2\nCNOT 0 1\nS 1\nZ 0\nCNOT 0 1\n")
     assert main(["--json", "optimize", str(src), "--out", str(tmp_path / "out.zxc")]) == 0
     stats = json.loads(capsys.readouterr().err)
     assert list(stats["metric_candidates"]) == sorted(METRIC_OUTCOMES)
+    assert list(stats["phases"]) == sorted(PHASES)
+    assert stats["phases"]["metric"].keys() == {"ms", "steps", "carried", "searched"}
 
 
 def test_bench_seed_changes_runs():

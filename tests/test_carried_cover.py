@@ -213,27 +213,47 @@ def test_split_cross_legs_orders_alike_on_carried_and_searched_covers(ruleset):
     assert compared and reordered
 
 
-def test_metric_step_checks_its_splice_against_a_search(ruleset):
-    # the metric phase builds its accepted candidate without a carried cover,
-    # so the spliced-equals-searched check runs a search from scratch
+def test_metric_step_carries_its_splice(ruleset):
+    # the metric phase builds its accepted candidate without a carried cover
+    # and then memoises the one its splice gives, with no search from
+    # scratch: the cover equals a search on a memo-free rebuild, and so do
+    # the terms carried from the same splice
     opt = Optimiser(rules=ruleset)
     d = _split_form(4, 40, 0)
-    searched_on, searched = [], []
+    find_path_cover(d)
+    searched = []
 
     def recording(g):
-        searched_on.append(g)
-        searched.append(search_path_cover(g))
-        return searched[-1]
+        searched.append(g)
+        return search_path_cover(g)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(flow, "search_path_cover", recording)
-        find_path_cover(d)
-        out = rewrite_metric(opt._metric_rules, d, CommutationMetric())
-    assert out is not None and searched_on[-1] is out
-    # the memoised cover is the search's, whose rank need not be the least
-    # order; its least order is a fresh search's
-    assert out.memo["cover"] is searched[-1]
-    assert searched[-1].least_rank == search_path_cover(_rebuilt(out)).least_rank
+        metric = CommutationMetric()
+        out = rewrite_metric(opt._metric_rules, d, metric)
+    assert out is not None and not searched
+    assert metric.covers == {"carried": 1, "searched": 0}
+    assert _check_carried(out, _searched(out))
+    assert out.memo["terms"] == optimiser.metric_terms(out, _searched(out))
+
+
+def test_metric_step_refuses_a_wrong_carried_successor(ruleset):
+    # a carried cover whose successor is not the built candidate's flow
+    # stops an unverified run: the accepted step checks it in one pass
+    # (`flow.check_flow`)
+    spliced = rewrite.spliced_cover
+
+    def wrong(*args):
+        cover = spliced(*args)
+        (u, fu), (v, fv) = list(cover.succ.items())[:2]
+        return PathCover(cover.paths, {**cover.succ, u: fv, v: fu}, cover.rank, cover.nbrs,
+                         cover.inputs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rewrite, "spliced_cover", wrong)
+        with pytest.raises(AssertionError, match="carried cover"):
+            rewrite_metric(Optimiser(rules=ruleset)._metric_rules, _split_form(4, 40, 0),
+                           CommutationMetric())
 
 
 @pytest.mark.parametrize("corrupt,message", [
@@ -241,16 +261,25 @@ def test_metric_step_checks_its_splice_against_a_search(ruleset):
      "rank breaks F2-F3"),
     (lambda c: PathCover(c.paths, dict(list(c.succ.items())[1:]), c.rank, c.nbrs, c.inputs),
      "differs"),
+    (lambda t: t._replace(total_separation=t.total_separation + 1), "terms differ"),
 ])
 def test_verify_each_step_checks_carried_covers(ruleset, corrupt, message):
     # a carried cover that is not the searched one, or whose rank breaks an
-    # order constraint, stops a verified run
-    def corrupted(*args):
-        cover = carry_cover(*args)
-        return None if cover is None else corrupt(cover)
+    # order constraint, or metric terms carried from a splice that are not
+    # `metric_terms`, stop a verified run; covers are corrupted as the rule
+    # phases carry them, at width 1, and terms as a metric step carries them
+    def corrupted(carry):
+        def carried(*args):
+            out = carry(*args)
+            return None if out is None else corrupt(out)
+        return carried
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rewrite, "carry_cover", corrupted)
+        if message == "terms differ":
+            mp.setattr(optimiser, "spliced_terms", corrupted(optimiser.spliced_terms))
+            circuit = random_clifford_circuit(3, 20, 0)
+        else:
+            mp.setattr(rewrite, "carry_cover", corrupted(carry_cover))
+            circuit = random_clifford_circuit(1, 20, 0)
         with pytest.raises(AssertionError, match=message):
-            Optimiser(OptimiserConfig(verify_each_step=True), rules=ruleset).run(
-                random_clifford_circuit(1, 20, 0))
+            Optimiser(OptimiserConfig(verify_each_step=True), rules=ruleset).run(circuit)

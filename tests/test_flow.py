@@ -11,7 +11,8 @@ from zxcliff.circuit import (GATE_ARITY, Circuit, Gate, circuit, gate,
                              translate)
 from zxcliff.diagram import B, DiagramBuilder, X, Z
 from zxcliff.errors import CrossEdgeColourError, NotACircuit
-from zxcliff.flow import (RANK_STEP, PathCover, cover_or_none, extract_circuit, find_path_cover,
+from zxcliff.flow import (RANK_STEP, PathCover, check_flow, cover_or_none, extract_circuit,
+                          find_path_cover,
                           has_path_cover, is_circuit_like, least_order, ranks_flow,
                           search_path_cover)
 from zxcliff.optimiser import Optimiser
@@ -392,3 +393,28 @@ def test_extract_agrees_with_reference(ruleset, width, depth, seed, data):
                 extract_circuit(g, pc)
             continue
         assert extract_circuit(g, pc) == expected
+
+
+def test_check_flow_refuses_what_is_not_the_flow():
+    # a searched cover passes; a successor swapped between two paths, a
+    # path that skips a vertex, a rank that breaks F2-F3 and positions with
+    # two vertices of a path swapped each raise
+    d = simple_form(translate(random_clifford_circuit(3, 20, 1)))
+    pc = search_path_cover(d)
+    check_flow(pc, d)
+    (u, *_), (v, *_) = pc.paths[0][1:], pc.paths[1][1:]
+    swapped = {**pc.succ, u: pc.succ[v], v: pc.succ[u]}
+    path = pc.paths[0]
+    skipped = {w: fw for w, fw in pc.succ.items() if w != path[1]}
+    skipped[path[0]] = path[2]
+    rank = {w: -r for w, r in pc.rank.items()}
+    misplaced = PathCover(pc.paths, pc.succ, pc.rank, pc.nbrs, pc.inputs)
+    vars(misplaced)["pos"] = {**pc.pos, path[1]: pc.pos[path[2]], path[2]: pc.pos[path[1]]}
+    for cover, message in [
+            (PathCover(pc.paths, swapped, pc.rank, pc.nbrs, pc.inputs), "follow its successor"),
+            (PathCover(((path[0], *path[2:]), *pc.paths[1:]), skipped, pc.rank, pc.nbrs,
+                       pc.inputs), "every vertex once"),
+            (PathCover(pc.paths, pc.succ, rank, pc.nbrs, pc.inputs), "fails F1-F3"),
+            (misplaced, "positions are not its paths'")]:
+        with pytest.raises(AssertionError, match=message):
+            check_flow(cover, d)

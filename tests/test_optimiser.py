@@ -19,9 +19,9 @@ from zxcliff.errors import ReplayDivergence, UnsoundRuleError
 from zxcliff.flow import _sweep, find_path_cover, has_path_cover, is_circuit_like, stranded_after
 from zxcliff.kernels import Splice, change_kernel, splice_kernel
 from zxcliff.normal_forms import cc2_contains, line_diagram
-from zxcliff.optimiser import (METRIC_OUTCOMES, CommutationMetric, Optimiser, OptimiserConfig,
-                               PauliMetric, _replace_run, _replace_whole, canonicalise_blocks,
-                               group_crosses, metric_terms, optimise, pair_separation)
+from zxcliff.optimiser import (METRIC_OUTCOMES, PHASES, CommutationMetric, Optimiser,
+                               OptimiserConfig, PauliMetric, _replace_run, _replace_whole,
+                               canonicalise_blocks, group_crosses, metric_terms, optimise)
 from zxcliff.passes import hopf_reduce, remove_identities, remove_self_loops, simple_form
 from zxcliff.rewrite import (Rule, _result_key, apply_match, find_matches, reduce, rewrite_first,
                              rewrite_metric)
@@ -345,6 +345,27 @@ def test_run_counts_metric_candidates(ruleset, monkeypatch):
     assert counts == dict.fromkeys(METRIC_OUTCOMES, 0) and not calls
 
 
+def test_run_reports_phases(ruleset):
+    # a run times each named phase and counts the trace steps it records,
+    # summed over rounds: on a run not rolled back the steps add up to the
+    # trace's, the times to at most the run's, and the metric phase's
+    # accepted steps split by where their cover came from
+    opt = Optimiser(rules=ruleset)
+    for width, depth in [(4, 40), (1, 40)]:
+        stats = opt.run(random_clifford_circuit(width, depth, 0)).stats
+        assert not stats["rolled_back"]
+        phases = stats["phases"]
+        assert list(phases) == list(PHASES)
+        assert sum(entry["steps"] for entry in phases.values()) == stats["total_steps"]
+        assert all(entry["ms"] > 0 for entry in phases.values())
+        assert sum(entry["ms"] for entry in phases.values()) <= stats["wall_ms"]
+        metric = phases["metric"]
+        assert metric["carried"] + metric["searched"] == metric["steps"]
+        assert bool(metric["steps"]) == (width > 1)
+    assert phases["metric"] == {"ms": phases["metric"]["ms"], "steps": 0, "carried": 0,
+                                "searched": 0}
+
+
 def test_scorer_agrees_with_building(ruleset):
     # every value the scorer returns must equal the metric of the built
     # candidate, and a spliced cover the searched one; the examples must reach
@@ -642,7 +663,7 @@ def _hopf_rule_and_target():
 
 def test_carried_separation_agrees_with_full_pass(ruleset):
     # the separation carried per qubit pair from the parent must equal one
-    # pass of `pair_separation` over every edge of the built candidate at its
+    # pass of `score_reference.separation` over every edge of the built candidate at its
     # searched cover's positions; the examples must resize a segment, gain
     # cross edges, and lose them both with and without either of those
     seen = set()
@@ -655,7 +676,7 @@ def test_carried_separation_agrees_with_full_pass(ruleset):
             return
         out = apply_match(d, rule, m)
         pos = find_path_cover(out).pos
-        full = sum(map(pair_separation, group_crosses(
+        full = sum(map(score_reference.separation, group_crosses(
             (pos[u], pos[v]) for u, v in map(out.edge_ends, out.edges())).values()))
         assert splice.terms[1] == full, rule.name
         resized = {q for q, (first, last, new) in splice.segments.items()
@@ -681,8 +702,8 @@ def test_metric_reads_no_edge_ids_or_orientation(ruleset):
     # the metric step skips a candidate whose result equals a rejected one up
     # to the ids and orientation of its new edges, so neither the metric nor
     # its scorer may read them.  On a covered diagram no pair group holds
-    # edges at (a, b) and (b, a), a != b, the one tie `pair_separation` would
-    # break by input order; renumbering a built candidate's new edges keeps
+    # edges at (a, b) and (b, a), a != b, the one tie
+    # `score_reference.separation` would break by input order; renumbering a built candidate's new edges keeps
     # its value and cover verdict, and shuffling and reversing them in its
     # delta keeps the interpreted score (`score_reference.score`) at the
     # scorer's.  (A Diagram stores each edge's ends in order, so orientation

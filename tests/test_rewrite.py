@@ -271,6 +271,23 @@ def test_symmetry_group_sizes(rules_by_name):
     assert {name: 1 + len(_plan(rules_by_name[name], None).symmetries) for name in sizes} == sizes
 
 
+def test_plans_without_symmetries_reuse_the_self_match_kernel(ruleset, monkeypatch):
+    # a rule's symmetries are found by matching its LHS into itself with its
+    # unpinned plan without symmetries; a rule that keeps none searches with
+    # that plan's kernel rather than generating the same source again
+    generated = []
+    kernel = rewrite._kernel
+    monkeypatch.setattr(rewrite, "_kernel", lambda plan: generated.append(plan) or kernel(plan))
+    bare = 0
+    for rule in ruleset.all_rules():
+        plan = _plan(Rule(rule.name, rule.lhs, rule.rhs), None)  # a copy with an empty memo
+        made = len(generated)
+        assert plan.kernel
+        assert len(generated) == made + bool(plan.symmetries), rule.name
+        bare += not plan.symmetries
+    assert bare
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(width=st.integers(1, 6), depth=st.integers(4, 24), seed=st.integers(0, 10**6))
 def test_loop_search_gives_the_first_match_of_each_result(ruleset, width, depth, seed):

@@ -3,6 +3,7 @@ and change kernels (`zxcliff.kernels.change_kernel`) against the
 interpreted scoring and match delta they replaced (`score_reference`)."""
 
 import traceback
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -11,13 +12,14 @@ from hypothesis import strategies as st
 import score_reference
 import zxcliff.flow as flow
 import zxcliff.kernels as kernels
+import zxcliff.rewrite as rewrite
 from zxcliff.circuit import random_clifford_circuit, translate
-from zxcliff.diagram import B, X, Z, DiagramBuilder
+from zxcliff.diagram import B, X, Z, Diagram, DiagramBuilder
 from zxcliff.errors import NotACircuit
 from score_reference import match_delta
 from zxcliff.flow import find_path_cover, has_path_cover, search_path_cover
 from zxcliff.kernels import change_kernel, splice_kernel
-from zxcliff.optimiser import CommutationMetric, Optimiser, metric_terms
+from zxcliff.optimiser import CommutationMetric, Optimiser, group_crosses, metric_terms
 from zxcliff.passes import simple_form
 from zxcliff.rewrite import Rule, apply_match, find_matches
 
@@ -173,6 +175,59 @@ def test_splice_is_exact(ruleset):
 
     _metric_rewrites(opt, check, 60)
     assert seen == {"fails", "empty window"}
+
+
+def test_local_separation_and_carried_terms(ruleset):
+    # every spliced candidate of the 16 metric rules, on split forms at
+    # widths 2-6 and up to 3 random metric rewrites of them: the separation
+    # its kernel updates from the changed groups (`flow._respaced`) is
+    # `score_reference.separation` over the groups of the built candidate;
+    # and taken as the accepted one, the candidate's carried cover is the
+    # search on a memo-free rebuild, and its carried terms are
+    # `metric_terms`, groups compared as multisets; the examples must
+    # resize, gain and lose
+    opt = Optimiser(rules=ruleset)
+    metric = CommutationMetric()
+    seen = set()
+
+    def check(d):
+        parent = find_path_cover(d)
+        terms = d.memo["terms"] = metric_terms(d, parent)
+        for rule in opt._metric_rules:
+            kernel = splice_kernel(rule)
+            for m in find_matches(rule, d):
+                splice = kernel(m, d, parent, terms)
+                if _failed(splice):
+                    continue
+                out, delta = rewrite._apply(d, rule, m)
+                built = Diagram(out._vertices, out._edges, out.inputs, out.outputs)
+                searched = search_path_cover(built)
+                pos = searched.pos
+                groups = group_crosses((pos[u], pos[v]) for u, v in map(out.edge_ends, out.edges()))
+                assert splice.terms[1] == sum(map(score_reference.separation, groups.values())), \
+                    rule.name
+                carried = rewrite._take_splice(out, delta.removed, splice)
+                metric.accepted(d, out, splice, carried)
+                cover = find_path_cover(out)
+                assert cover.paths == searched.paths and cover.succ == searched.succ
+                got, want = out.memo["terms"], metric_terms(built, searched)
+                assert got.paulis == want.paulis and got.pauli_sum == want.pauli_sum, rule.name
+                assert {key: Counter(ends) for key, ends in got.groups.items()} == \
+                    {key: Counter(ends) for key, ends in groups.items()}, rule.name
+                assert got.separation == want.separation, rule.name
+                assert got.total_separation == want.total_separation, rule.name
+                before = sum(len(terms.groups.get(key, ())) + len(new or ())
+                             for key, new in splice.gained.items())
+                after = sum(len(got.groups.get(key, ())) for key in splice.gained)
+                seen.update(kind for kind, hit in (
+                    ("resized", any(len(new) != last - first + 1
+                                    for first, last, new in splice.segments.values())),
+                    ("gained", any(splice.gained.values())),
+                    ("lost", after < before)) if hit)
+
+    _metric_rewrites(opt, check, 40)
+    assert seen == {"resized", "gained", "lost"}
+    assert metric.covers["carried"] and metric.covers["searched"]
 
 
 def test_certified_failures_lose_the_cover(ruleset):
