@@ -6,7 +6,7 @@ cross legs and leg phases split as the optimiser does before its main loop.
 Each round takes a fresh copy of that diagram with its cover searched and
 its matcher index built, as the step before it leaves them.  The `carried`
 case applies the rewrite with `apply_match`, which splices the parent's
-cover into the result (`flow.carry_cover`), and then asks for the result's
+cover into the result (`rewrite.carry_cover`), and then asks for the result's
 cover, as the phase's `has_path_cover` does: a memo hit.  The `searched`
 case builds the same result without the carry and searches its cover from
 scratch, which is what each step did before covers were carried.

@@ -116,7 +116,7 @@ def _accepted_steps():
     steps = []
     metric = CommutationMetric()
 
-    def accepted(d, out, splice, carried):
+    def accepted(d, out, splice):
         if splice is not None:
             steps.append((d, out, splice, frozenset(d._vertices.keys() - out._vertices.keys())))
 
@@ -142,7 +142,8 @@ def _fresh_results():
 def _carry(outs):
     metric = CommutationMetric()
     for (d, _, splice, removed), out in zip(ACCEPTED, outs):
-        metric.accepted(d, out, splice, _take_splice(out, removed, splice))
+        _take_splice(out, removed, splice)
+        metric.accepted(d, out, splice)
     return metric.covers
 
 
@@ -161,7 +162,7 @@ def test_accept_metric_steps(benchmark, how):
     benchmark.pedantic(step, setup=_fresh_results, rounds=30)
     outs = _fresh_results()[0][0]
     covers = _carry(outs)
-    assert ACCEPTED and covers["carried"] + covers["searched"] == len(ACCEPTED)
+    assert ACCEPTED and covers == {"carried": len(ACCEPTED), "searched": 0}
     for (_, out, _, _), again in zip(ACCEPTED, outs):
         assert again.memo["terms"] == out.memo["terms"]
         assert again.memo["cover"].paths == out.memo["cover"].paths

@@ -91,9 +91,9 @@ class Diagram:
     from `rewrite`) and its commutation-metric terms (``"terms"``, from
     `optimiser`).  A cover is searched on first use, or carried from the
     diagram's parent by `rewrite.carry_cover` or by a split pass
-    (`optimiser._cross_leg_cover`, `optimiser._phase_cover`), and then its
-    rank need not be the least order (`flow.PathCover`); an index is built
-    on first use, or
+    (`optimiser._cross_leg_cover`, `optimiser._phase_cover`), all built by
+    `flow.carried_cover`, and then its rank need not be the least order
+    (`flow.PathCover`); an index is built on first use, or
     derived from the parent's by `rewrite.apply_match` from the rewrite's
     `kernels.MatchDelta`.  No memoised value may refer back to the diagram
     or to another diagram's memo, so reference counting alone frees a

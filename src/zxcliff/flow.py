@@ -20,8 +20,12 @@ sets (`Diagram.neighbour_sets`), which a rewrite carries to its result.
 `find_path_cover` builds one `PathCover` per diagram, which holds everything
 later steps read of the cover: the paths, the flow and a rank ordering it,
 and, worked out on first use, positions, a record of the sweep and the least
-order of the flow.  A rewrite's cover is spliced from its parent's by the
-rule's generated splice kernel (`kernels.splice_kernel`), which calls two
+order of the flow.  Two functions construct one: `search_path_cover`, from
+scratch, and `carried_cover`, from the cover of the diagram that a rewrite
+or a split pass derived the new one from; without a rank from its caller, a
+carried cover is ranked by its least order.  A rewrite's cover is spliced
+from its parent's by the rule's generated splice kernel
+(`kernels.splice_kernel`), which calls two
 helpers from here: `_orders_splice`, the bounded search that decides a
 splice whose rank windows are empty, and `_respaced`, the separation of a
 spliced candidate, updated from the changed groups alone because each pair
@@ -67,14 +71,16 @@ class PathCover:
     order of F2-F3: an integer per vertex, lower at v than at f(v) and at
     every other neighbour of f(v).  A searched cover is ranked by its own
     sweep: its claims in reverse, then the outputs, spaced `RANK_STEP`
-    apart; a cover carried through a rewrite (`rewrite.carry_cover`) or a
-    phase split (`optimiser._phase_cover`) keeps its parent's ranks and
-    places each new vertex between them, and one carried through a cross-leg
-    split (`optimiser._cross_leg_cover`) is ranked by its least order.  A
-    rank need not be the least order.  ``nbrs`` and ``inputs`` are the diagram's
-    neighbour sets and inputs, which a splice and a resumed sweep read.  The
-    rest is worked out on first use: ``pos`` maps each vertex to its (path,
-    position) (a carried cover patches its parent's), ``claim_order`` and
+    apart.  A cover carried through a rewrite (`rewrite.carry_cover`) or a
+    split pass (`optimiser._cross_leg_cover`, `optimiser._phase_cover`) is
+    built by `carried_cover`.  After a rewrite or a phase split it keeps its
+    parent's ranks and places each new vertex between them where they leave
+    room for an integer; otherwise, and always after a cross-leg split, it
+    is ranked by its least order.  A rank need not be the least order.
+    ``nbrs`` and ``inputs`` are the diagram's neighbour sets and inputs,
+    which a splice and a resumed sweep read.  The rest is worked out on
+    first use: ``pos`` maps each vertex to its (path, position) (a carried
+    cover patches its parent's), ``claim_order`` and
     ``claim_step`` record the sweep (a search hands over its own claims),
     and ``least_rank`` orders the vertices by the least order of F2-F3 in
     vertex-id order (`least_order` on ``succ`` and ``nbrs``; a cover's flow
@@ -288,6 +294,47 @@ def search_path_cover(d: Diagram) -> PathCover:
         paths.append(tuple(path))
     cover = PathCover(tuple(paths), succ, rank, nbrs, frozenset(d.inputs))
     vars(cover)["claim_order"] = list(succ)  # the sweep's own claims, in order
+    return cover
+
+
+def carried_cover(parent: PathCover, segments: Mapping[int, Tuple[int, int, Sequence[VertexId]]],
+                  succ: Mapping[VertexId, VertexId], removed: Iterable[VertexId],
+                  nbrs: Dict[VertexId, Set[VertexId]],
+                  rank: Optional[Dict[VertexId, int]]) -> PathCover:
+    """The cover of a diagram derived from parent's, by a rewrite or a split
+    pass, built from parent's instead of searched.
+
+    Per changed path q, ``segments[q]`` is (first, last, new): the parent
+    positions first..last give way to the vertices ``new``.  The flow is
+    parent's without the ``removed`` vertices, each of which lies inside a
+    segment, and with the changed successors ``succ`` laid over it; ``nbrs``
+    is the derived diagram's neighbour map.  The positions are parent's,
+    numbered again only on the changed paths, from each segment on.  The
+    caller ensures that the paths cover the derived diagram and that the
+    flow's F2-F3 relation is acyclic, so by the uniqueness of the flow it is
+    the one `search_path_cover` finds.  ``rank`` orders that relation, or is
+    None when the caller has none; then the cover is ranked by the
+    relation's least order (`least_rank`), which is also its ``least_rank``,
+    and a cycle raises AssertionError.  The result refers to no cover or
+    diagram."""
+    flow, pos = parent.succ.copy(), parent.pos.copy()
+    for v in removed:
+        del flow[v], pos[v]
+    flow.update(succ)
+    paths = list(parent.paths)
+    for q, (first, last, new) in segments.items():
+        path = paths[q] = paths[q][:first] + tuple(new) + paths[q][last + 1:]
+        for p in range(first, len(path)):
+            pos[path[p]] = (q, p)
+    least = rank is None
+    if least:
+        rank = least_rank(flow, nbrs)
+        if len(rank) < len(nbrs):
+            raise AssertionError("a carried successor's F2-F3 relation has a cycle")
+    cover = PathCover(tuple(paths), flow, rank, nbrs, parent.inputs)
+    vars(cover)["pos"] = pos
+    if least:
+        vars(cover)["least_rank"] = rank
     return cover
 
 

@@ -386,7 +386,8 @@ class Splice(NamedTuple):
         of those placed before it; with k new vertices in the longest chain
         that must follow it, it takes the first of k + 1 equal steps across
         that window, leaving room for the chain.  None when some window holds
-        no integer, or none at all, and the caller searches instead."""
+        no integer, or none at all; the cover is then ranked by its least
+        order (`flow.carried_cover`)."""
         lo, hi, later, order = self.window
         lo, hi = lo.copy(), hi.copy()
         chain: Dict[VertexId, int] = {}

@@ -8,8 +8,9 @@ Phases:
    remove 3pi/2 and H vertices with the init rules.  After this the diagram
    only carries pi/2 and pi phases on degree-2 vertices and phase-free legs.
    Each round splits again; both split passes carry their input's cover
-   through every split, so a round searches a cover from scratch once as it
-   starts.
+   through every split (`flow.carried_cover`, ranked by the least order
+   where the parent's ranks leave no room), so a round searches a cover
+   from scratch once as it starts.
 2. Loop until nothing changes: strictly-reducing rules (first match whose
    result still has a causal-flow cover), targeted Pauli commutation toward
    the inputs (size-reducing rules anchored on each movable Pauli in turn,
@@ -33,9 +34,10 @@ Phases:
    settles (their segments do not map, yet they keep a cover) and the one
    accepted are built.  The accepted one takes its cover from its splice,
    checked in one pass to be its flow (`flow.check_flow`), and its terms
-   from the same splice (`spliced_terms`), so a metric step searches a
-   cover from scratch only when the splice's new vertices find no integer
-   rank.  The scorer counts its verdicts, which a run reports as
+   from the same splice (`spliced_terms`), ranked by its least order when
+   the splice's new vertices find no integer rank, so a metric step
+   searches a cover from scratch only for a candidate left open.  The
+   scorer counts its verdicts, which a run reports as
    ``stats["metric_candidates"]``.  Neither the metric nor the cover test
    reads edge ids or orientation, so matches that build the same diagram
    up to those (automorphisms of a rule's LHS give them) get one verdict,
@@ -72,8 +74,8 @@ import numpy as np
 from .circuit import Circuit, circuit_size, translate
 from .diagram import B, H, X, Z, Diagram, DiagramBuilder, EdgeId, VertexId
 from .errors import NotACircuit, StaleMatchError
-from .flow import (_UNCUT, PathCover, _is_pauli_kind, cover_or_none, extract_circuit,
-                   find_path_cover, has_path_cover, least_rank, pair_separation, ranks_flow,
+from .flow import (_UNCUT, PathCover, _is_pauli_kind, carried_cover, cover_or_none,
+                   extract_circuit, find_path_cover, has_path_cover, pair_separation, ranks_flow,
                    search_path_cover, spliced_group, stranded_after)
 from .kernels import Splice, change_kernel, splice_kernel
 from .normal_forms import cc1_table, cc2_family, line_diagram
@@ -296,15 +298,14 @@ class CommutationMetric:
 
         return score
 
-    def accepted(self, d: Diagram, out: Diagram, splice: Optional[Splice], carried: bool) -> None:
+    def accepted(self, d: Diagram, out: Diagram, splice: Optional[Splice]) -> None:
         """Count a metric step by where its result's cover came from:
-        ``carried`` from the candidate's ``splice``, or searched, when the
-        splice found no integer rank or the candidate was left open and
-        built.  A spliced result ``out`` of d memoises its terms carried from
-        d's (`spliced_terms`)."""
+        carried from the candidate's ``splice``, or searched, when the
+        candidate was left open and built.  A spliced result ``out`` of d
+        memoises its terms carried from d's (`spliced_terms`)."""
         if splice is not None:
             out.memo["terms"] = spliced_terms(d.memo["terms"], splice, out)
-        self.covers[COVER_SOURCES[not carried]] += 1
+        self.covers[COVER_SOURCES[splice is None]] += 1
 
 
 class PauliMetric(CommutationMetric):
@@ -461,8 +462,7 @@ class Optimiser:
         a degree-2 vertex on a path edge, so the targets and predecessors read
         off the first cover stay valid through all of them, and the last
         result's cover is carried from that first one through every split at
-        once (`_phase_cover`) while its ranks leave room for the new
-        vertices.  No other result's cover is read."""
+        once (`_phase_cover`).  No other result's cover is read."""
         pc = find_path_cover(d)
         targets = [(path[p - 1], v) for path in pc.paths for p, v in enumerate(path)
                    if not d.is_boundary(v) and d.is_spider(v)
@@ -473,9 +473,7 @@ class Optimiser:
             fresh.append(d.max_vertex_id() + 1)
             out = split_phase(d, v, edge)
             if len(fresh) == len(targets):
-                cover = _phase_cover(pc, out, targets, fresh)
-                if cover is not None:
-                    out.memo["cover"] = cover
+                out.memo["cover"] = _phase_cover(pc, out, targets, fresh)
             d = _record_pass(self._trace, "split_phase", {"v": v, "edge": edge}, d, out)
             self._after_step(d)
         return d
@@ -649,14 +647,13 @@ def _cross_leg_cover(pc: PathCover, out: Diagram, q: int, p: int, first: VertexI
     successor is the first link, each link's the next and the last's v's
     successor; the partners keep theirs.  That is a path cover of out, so by
     the uniqueness of the flow it is out's flow when its F2-F3 relation is
-    acyclic, and it is ranked by that relation's least order (`least_rank`),
-    which the next split reads.  The split orders the links so that the
-    order exists; a cycle raises AssertionError.  The positions are pc's,
-    numbered again on path q from v on, and the neighbour sets, which out
-    takes too, are pc's with the links patched in."""
+    acyclic, and it is ranked by that relation's least order, which the next
+    split reads (`flow.carried_cover`).  The split orders the links so that
+    the order exists; a cycle raises AssertionError.  The neighbour sets,
+    which out takes too, are pc's with the links patched in."""
     path = pc.paths[q]
     v = path[p]
-    links = list(range(first, first + len(partners)))
+    links = tuple(range(first, first + len(partners)))
     chain = [path[p - 1], *links, path[p + 1]]
     nbrs = out._nbrs = pc.nbrs.copy()
     del nbrs[v]
@@ -667,62 +664,41 @@ def _cross_leg_cover(pc: PathCover, out: Diagram, q: int, p: int, first: VertexI
                 own[a] = nbrs[a] - {v} if a in nbrs else set()
             own[a].add(b)
     nbrs.update(own)
-    succ = pc.succ.copy()
-    del succ[v]
-    succ.update(zip(chain, chain[1:]))
-    rank = least_rank(succ, nbrs)
-    if len(rank) < len(nbrs):
-        raise AssertionError("a split cross leg's carried successor is not a flow")
-    new_path = path[:p] + tuple(links) + path[p + 1:]
-    pos = pc.pos.copy()
-    del pos[v]
-    for i in range(p, len(new_path)):
-        pos[new_path[i]] = (q, i)
-    cover = PathCover(pc.paths[:q] + (new_path,) + pc.paths[q + 1:], succ, rank, nbrs, pc.inputs)
-    vars(cover).update(pos=pos, least_rank=rank)
-    return cover
+    return carried_cover(pc, {q: (p, p, links)}, dict(zip(chain, chain[1:])), (v,), nbrs, None)
 
 
 def _phase_cover(pc: PathCover, out: Diagram, targets: Sequence[Tuple[VertexId, VertexId]],
-                 fresh: Sequence[VertexId]) -> Optional[PathCover]:
+                 fresh: Sequence[VertexId]) -> PathCover:
     """The cover of ``out``, which `split_phase` made from pc's diagram by
     putting, for each (prev, v) of ``targets`` in turn, the vertex w of
-    ``fresh`` at the same index on the path edge from prev to v; None when
-    the ranks leave no integer for one of them.  Each w takes its place on
-    the path between prev and v, which gives a path cover of out; F2-F3 ask
-    only that prev come before w, and w before v and v's other neighbours,
-    which the rank already puts after prev, so each w in turn is ranked
-    halfway between.  pc's maps are copied once for all the splits.  The
-    positions are pc's, numbered again on the paths that changed, and the
-    neighbour sets, which out takes too, pc's with each w patched in (prev
-    and v stay adjacent when a second edge joins them)."""
-    nbrs, rank, succ = pc.nbrs.copy(), pc.rank.copy(), pc.succ.copy()
+    ``fresh`` at the same index on the path edge from prev to v.  Each w
+    takes its place on the path between prev and v, which gives a path
+    cover of out; F2-F3 ask only that prev come before w, and w before v
+    and v's other neighbours, which the rank already puts after prev, so
+    each w in turn is ranked halfway between.  Once some midpoint holds no
+    integer, the cover is ranked by its least order instead
+    (`flow.carried_cover`).  pc's maps are copied once for all the splits,
+    and the neighbour sets, which out takes too, are pc's with each w
+    patched in (prev and v stay adjacent when a second edge joins them)."""
+    nbrs, rank = pc.nbrs.copy(), pc.rank.copy()
+    succ: Dict[VertexId, VertexId] = {}
     for (prev, v), w in zip(targets, fresh):
         nbrs.update({prev: nbrs[prev] | {w}, w: {prev, v}, v: nbrs[v] | {w}})
         if not out.edges_between(prev, v):
             nbrs[prev].remove(v)
             nbrs[v].remove(prev)
-        lo = rank[prev]
-        r = lo + (min(rank[u] for u in nbrs[v] | {v} if u != w) - lo) // 2
-        if r <= lo:
-            return None
-        rank[w] = r
         succ[prev], succ[w] = w, v
+        if rank is not None:
+            lo = rank[prev]
+            rank[w] = lo + (min(rank[u] for u in nbrs[v] | {v} if u != w) - lo) // 2
+            if rank[w] <= lo:
+                rank = None
     out._nbrs = nbrs
     before = dict(zip((v for _, v in targets), fresh))
-    pos = pc.pos.copy()
-    paths = list(pc.paths)
-    for q in {pos[v][0] for v in before}:
-        path = []
-        for u in paths[q]:
-            if u in before:
-                path.append(before[u])
-            path.append(u)
-        paths[q] = tuple(path)
-        pos.update({u: (q, i) for i, u in enumerate(path)})
-    cover = PathCover(tuple(paths), succ, rank, nbrs, pc.inputs)
-    vars(cover)["pos"] = pos
-    return cover
+    segments = {q: (0, len(path) - 1,
+                    [x for u in path for x in ((before[u], u) if u in before else (u,))])
+                for q, path in enumerate(pc.paths) if not before.keys().isdisjoint(path)}
+    return carried_cover(pc, segments, succ, (), nbrs, rank)
 
 
 # -- canonicalise_blocks and its replay helpers ------------------------------------

@@ -219,16 +219,26 @@ def is_simple(d: Diagram) -> bool:
 
 
 def simple_form(d: Diagram) -> Diagram:
-    """Fixpoint of H expansion, fusion, anti-loop, hopf and identity removal."""
-    passes = (h_euler_expand, fuse_spiders, remove_self_loops, hopf_reduce,
-              remove_identities, drop_scalar_components)
-    while True:
-        before = d
-        for p in passes:
-            d = p(d)
-        if d is before:
-            break
-    assert is_simple(d)
+    """Fixpoint of H expansion, fusion, anti-loop, hopf and identity removal.
+
+    The passes run in that order, then the scalar components are dropped,
+    until an iteration in which identity removal finds nothing: the next
+    iteration would change nothing.  After fusion no H box is left and no
+    two adjacent spiders share a colour; the anti-loop and hopf passes only
+    delete edges, so they make no fusable pair, and after them no spider
+    has a loop and no two vertices share two edges.  Hopf removal may leave
+    an identity, but when identity removal finds none, nothing after fusion
+    made a fusable pair, a loop, a parallel pair or an identity, and
+    dropping a boundary-free component touches no other vertex.  Raises
+    AssertionError if the result is not simple (`is_simple`)."""
+    settled = False
+    while not settled:
+        d = hopf_reduce(remove_self_loops(fuse_spiders(h_euler_expand(d))))
+        joined = remove_identities(d)
+        settled = joined is d
+        d = drop_scalar_components(joined)
+    if not is_simple(d):
+        raise AssertionError("simple_form left a diagram that is not simple")
     return d
 
 

@@ -77,7 +77,7 @@ from typing import (TYPE_CHECKING, Callable, Dict, FrozenSet, List, NamedTuple, 
 
 from .diagram import B, X, Z, Diagram, EdgeId, VertexId
 from .errors import RuleFormatError, StaleMatchError
-from .flow import PathCover, check_flow, cover_or_none, find_path_cover
+from .flow import PathCover, carried_cover, check_flow, cover_or_none
 from .kernels import MatchDelta, Splice, _kernel, change_kernel, splice_kernel
 
 if TYPE_CHECKING:
@@ -558,44 +558,25 @@ def carry_cover(parent: PathCover, rule: Rule, m: Match, target: Diagram,
     the rewritten diagram's neighbour map.  None when the splice fails
     (`kernels.splice_kernel`, the one the metric's scorer runs, whose
     `kernels.Stranded` verdicts count as failures here), which it does
-    exactly when the rewritten diagram has no cover with the spliced paths,
-    or when its new vertices find no integer rank (`Splice.rank`); else the
-    splice's cover (`spliced_cover`)."""
+    exactly when the rewritten diagram has no cover with the spliced paths;
+    else the splice's cover (`spliced_cover`)."""
     kernel = splice_kernel(rule)
     splice = None if kernel is None else kernel(m, target, parent, None)
     if type(splice) is not Splice:
         return None
-    rank = splice.rank(removed)
-    return None if rank is None else spliced_cover(splice, rank, removed, nbrs)
+    return spliced_cover(splice, removed, nbrs)
 
 
-def spliced_cover(splice: Splice, rank: Dict[VertexId, int], removed: FrozenSet[VertexId],
+def spliced_cover(splice: Splice, removed: FrozenSet[VertexId],
                   nbrs: Dict[VertexId, Set[VertexId]]) -> PathCover:
-    """The cover a passed splice gives the rewritten diagram, ranked by
-    ``rank`` (`Splice.rank`), without the ``removed`` matched vertices and
-    on its neighbour map ``nbrs``.
-
-    The paths are the splice's, the flow the parent's without the removed
-    vertices and with the splice's changed successors.  By uniqueness the
-    flow is the one `flow.search_path_cover` finds.  The positions are the
-    parent's too, without the removed vertices and numbered again only on
-    the spliced paths, from each segment on.  The result refers to no cover
-    or diagram."""
-    parent = splice.parent
-    succ, pos = parent.succ.copy(), parent.pos.copy()
-    for v in removed:
-        # every matched vertex lies inside a segment, so it has a successor;
-        # those left on the path get new ones from the splice
-        del succ[v], pos[v]
-    succ.update(splice.succ)
-    paths = splice.paths()
-    for q, (first, _, _) in splice.segments.items():
-        path = paths[q]
-        for p in range(first, len(path)):
-            pos[path[p]] = (q, p)
-    cover = PathCover(paths, succ, rank, nbrs, parent.inputs)
-    vars(cover)["pos"] = pos
-    return cover
+    """The cover a passed splice gives the rewritten diagram, without the
+    ``removed`` matched vertices and on its neighbour map ``nbrs``
+    (`flow.carried_cover`): the splice's paths and changed successors laid
+    over its parent's, ranked by the splice's placement of the new vertices
+    in the parent's rank (`Splice.rank`), or by the least order when that
+    finds no integer for one of them."""
+    return carried_cover(splice.parent, splice.segments, splice.succ, removed, nbrs,
+                         splice.rank(removed))
 
 
 def _apply(target: Diagram, rule: Rule, m: Match) -> Tuple[Diagram, MatchDelta]:
@@ -673,10 +654,10 @@ def rewrite_first(rules: Sequence[Rule], d: Diagram,
     built and measured, so the choice is the one building every candidate
     would make.  A scored candidate is built only once its value passes;
     when its cover was spliced, the built result takes its cover from that
-    splice (`_take_splice`).  A metric may also offer ``accepted(d, out,
-    splice, carried)``, which is told of the result taken: the splice it was
-    scored with (None when it was left open and built) and whether its
-    cover came from that splice.
+    splice (`_take_splice`), and no cover is searched for it.  A metric may
+    also offer ``accepted(d, out, splice)``, which is told of the result
+    taken and the splice it was scored with: None when it was left open and
+    built, whose cover is then searched on first use.
 
     Every match comes from the matcher's own search on d, so it is applied
     without `apply_match`'s check that it is one, unless ``check`` asks for
@@ -701,37 +682,28 @@ def rewrite_first(rules: Sequence[Rule], d: Diagram,
                     # cover: the scorer has spliced every one it could
                     out, delta = _apply(d, rule, m)
                     splice = None if scored is None else scored.splice
-                    carried = splice is not None and _take_splice(out, delta.removed, splice)
+                    if splice is not None:
+                        _take_splice(out, delta.removed, splice)
                 if (accept is not None and not accept(out)) \
                         or (metric is not None and scored is None and metric(out) >= base):
                     out = None
             if out is not None:
                 accepted = getattr(metric, "accepted", None)
                 if accepted is not None:
-                    accepted(d, out, splice, carried)
+                    accepted(d, out, splice)
                 if trace is not None:
                     trace.record_rewrite(rule, m, out)
                 return out
     return None
 
 
-def _take_splice(out: Diagram, removed: FrozenSet[VertexId], splice: Splice) -> bool:
+def _take_splice(out: Diagram, removed: FrozenSet[VertexId], splice: Splice) -> None:
     """Memoise on ``out``, an accepted candidate built without the matched
-    vertices ``removed``, the cover its scored ``splice`` gives it, and
-    return True; False when the splice's new vertices find no integer rank
-    (`Splice.rank`), and the cover is searched from scratch instead.
-
-    The carried cover is checked in one pass to be out's causal flow
-    (`flow.check_flow`), which raises AssertionError otherwise, and a
-    searched one to have the splice's paths."""
-    rank = splice.rank(removed)
-    if rank is None:
-        if find_path_cover(out).paths != splice.paths():
-            raise AssertionError("a spliced cover differs from the searched one")
-        return False
-    cover = out.memo["cover"] = spliced_cover(splice, rank, removed, out._nbrs)
+    vertices ``removed``, the cover its scored ``splice`` gives it
+    (`spliced_cover`), checked in one pass to be out's causal flow
+    (`flow.check_flow`), which raises AssertionError otherwise."""
+    cover = out.memo["cover"] = spliced_cover(splice, removed, out._nbrs)
     check_flow(cover, out)
-    return True
 
 
 def rewrite_metric(rules: Sequence[Rule], d: Diagram, metric: Metric,

@@ -103,34 +103,67 @@ def _split_form(width, depth, seed):
         simple_form(translate(random_clifford_circuit(width, depth, seed)))))
 
 
-def test_narrow_rank_window_falls_back_to_search(ruleset):
+def _tight(cover):
+    """cover again, ranked 0, 1, 2, ... in its own order: no integer is left
+    between two ranks."""
+    return PathCover(cover.paths, cover.succ, {v: r // RANK_STEP for v, r in cover.rank.items()},
+                     cover.nbrs, cover.inputs)
+
+
+def test_narrow_rank_window_reranks_by_least_order(ruleset):
     # a cover ranked 0, 1, 2, ... leaves no integer between neighbours, so a
     # rewrite that adds more vertices than it frees cannot place them: the
-    # splice still passes, nothing is memoised, and the search finds the cover
-    fallbacks = placed = 0
+    # splice still passes and its cover is still memoised, equal to the
+    # search and ranked by its least order
+    reranked = placed = fallbacks = 0
     for seed in range(6):
         d = _split_form(3, 20, seed)
         # the split form's memoised cover was carried through the splits, so
         # its ranks need not be multiples of RANK_STEP; a search's are
         searched = search_path_cover(_rebuilt(d))
-        tight = PathCover(searched.paths, searched.succ,
-                          {v: r // RANK_STEP for v, r in searched.rank.items()},
-                          searched.nbrs, searched.inputs)
+        tight = _tight(searched)
         for rule in ruleset.pauli_commute + ruleset.cnot_commute + ruleset.always:
             kernel = splice_kernel(rule)
             for m in find_matches(rule, d):
-                if kernel is None or not isinstance(kernel(m, d, tight, None), kernels.Splice):
+                splice = None if kernel is None else kernel(m, d, tight, None)
+                if not isinstance(splice, kernels.Splice):
                     continue
                 d.memo["cover"] = tight
                 out = apply_match(d, rule, m)
                 d.memo["cover"] = searched
                 expected = _searched(out)
-                if _check_carried(out, expected):
-                    placed += 1
-                else:
+                if not _check_carried(out, expected):
                     fallbacks += 1
-                    assert find_path_cover(out).paths == expected.paths
-    assert fallbacks and placed
+                    continue
+                removed = frozenset(d._vertices.keys() - out._vertices.keys())
+                if splice.rank(removed) is None:
+                    reranked += 1
+                    cover = out.memo["cover"]
+                    assert cover.rank == vars(cover)["least_rank"] == expected.least_rank
+                else:
+                    placed += 1
+    assert fallbacks == 0 and reranked and placed
+
+
+def test_phase_split_without_room_reranks_by_least_order(ruleset):
+    # leg phases split off a cover ranked 0, 1, 2, ... find no integer
+    # midpoint, so the last split's cover is ranked by its least order; it
+    # is still memoised, equal to the search on a memo-free rebuild
+    opt = Optimiser(rules=ruleset)
+    checked = 0
+    for seed in range(3):
+        d = opt._split_cross_legs(simple_form(translate(random_clifford_circuit(3, 20, seed))))
+        d.memo["cover"] = _tight(search_path_cover(_rebuilt(d)))
+        out = opt._split_leg_phases(d)
+        if out is d:
+            continue
+        expected = _searched(out)
+        assert _check_carried(out, expected)
+        cover = out.memo["cover"]
+        assert flow.ranks_flow(cover.succ, cover.rank, expected.nbrs)
+        assert cover.rank == expected.least_rank
+        checked += 1
+    assert checked
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

@@ -11,10 +11,9 @@ from zxcliff.circuit import (GATE_ARITY, Circuit, Gate, circuit, gate,
                              translate)
 from zxcliff.diagram import B, DiagramBuilder, X, Z
 from zxcliff.errors import CrossEdgeColourError, NotACircuit
-from zxcliff.flow import (RANK_STEP, PathCover, check_flow, cover_or_none, extract_circuit,
-                          find_path_cover,
-                          has_path_cover, is_circuit_like, least_order, ranks_flow,
-                          search_path_cover)
+from zxcliff.flow import (RANK_STEP, PathCover, carried_cover, check_flow, cover_or_none,
+                          extract_circuit, find_path_cover, has_path_cover, is_circuit_like,
+                          least_order, ranks_flow, search_path_cover)
 from zxcliff.optimiser import Optimiser
 from zxcliff.passes import simple_form
 from zxcliff.rewrite import apply_match, find_matches
@@ -151,6 +150,26 @@ def test_ranks_flow_checks_f1_to_f3():
     assert not ranks_flow(pc.succ, {**pc.rank, u: pc.rank[v]}, pc.nbrs)
     # F1: a successor that is not a neighbour
     assert not ranks_flow({i0: d.outputs[1]}, pc.rank, pc.nbrs)
+
+
+def test_carried_cover_ranks_by_least_order_or_refuses_a_cycle():
+    # one wire 0 - 1 - 2 whose middle vertex gives way to 7 and 8: without a
+    # rank the carried cover is ranked by its least order, which it also
+    # memoises, with its positions renumbered from the segment on; a carried
+    # successor whose F2-F3 relation has a cycle raises AssertionError
+    parent = PathCover(((0, 1, 2),), {0: 1, 1: 2}, {0: 0, 1: 1, 2: 2},
+                       {0: {1}, 1: {0, 2}, 2: {1}}, frozenset({0}))
+    nbrs = {0: {7}, 7: {0, 8}, 8: {7, 2}, 2: {8}}
+    cover = carried_cover(parent, {0: (1, 1, (7, 8))}, {0: 7, 7: 8, 8: 2}, (1,), nbrs, None)
+    assert cover.paths == ((0, 7, 8, 2),) and cover.succ == {0: 7, 7: 8, 8: 2}
+    assert vars(cover)["pos"] == {0: (0, 0), 7: (0, 1), 8: (0, 2), 2: (0, 3)}
+    assert cover.rank == vars(cover)["least_rank"] == \
+        {0: 0, 7: RANK_STEP, 8: 2 * RANK_STEP, 2: 3 * RANK_STEP}
+    given_rank = {0: 0, 7: 1, 8: 3, 2: 4}
+    kept = carried_cover(parent, {0: (1, 1, (7, 8))}, {0: 7, 7: 8, 8: 2}, (1,), nbrs, given_rank)
+    assert kept.rank is given_rank and "least_rank" not in vars(kept)
+    with pytest.raises(AssertionError, match="cycle"):
+        carried_cover(parent, {}, {2: 0}, (), {0: {1, 2}, 1: {0, 2}, 2: {0, 1}}, None)
 
 
 def test_is_circuit_like_on_pipeline_outputs(optimiser):

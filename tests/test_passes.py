@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,8 @@ from zxcliff.passes import (drop_scalar_components, fuse_spiders, h_euler_expand
                             remove_self_loops, simple_form, split_cross_leg,
                             split_phase)
 from zxcliff.semantics import H_MAT, interpret, scalar_free_equal
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def t(*gates):
@@ -191,6 +197,33 @@ def test_simple_form_postcondition_and_idempotence():
         assert is_simple(d)
         assert simple_form(d).iso_equal(d)
         assert scalar_free_equal(interpret(d), interpret(translate(c)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(width=st.integers(1, 5), depth=st.integers(1, 40), seed=st.integers(0, 10**6))
+def test_simple_form_stops_at_its_fixpoint(width, depth, seed):
+    # simple form stops after the first iteration whose identity removal
+    # finds nothing, without running a last iteration to see that nothing
+    # changes: every normalising pass must return its result unchanged
+    d = simple_form(translate(random_clifford_circuit(width, depth, seed)))
+    assert all(p(d) is d for p in _NORMALISING)
+
+
+def test_simple_form_checks_its_result_under_optimisation():
+    # the check that the result is simple raises AssertionError itself, so
+    # `python -O`, which strips assert statements, keeps it: with identity
+    # removal disabled, four S gates fuse into an identity that stays
+    script = ("import zxcliff.passes as passes\n"
+              "from zxcliff.circuit import circuit, gate, translate\n"
+              "passes.remove_identities = lambda d: d\n"
+              "passes.simple_form(translate(circuit(1, *[gate('S', 0)] * 4)))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode != 0
+    assert "AssertionError: simple_form left a diagram that is not simple" in proc.stderr
 
 
 def test_simple_form_cc1_members_fixed(cc1):

@@ -37,6 +37,25 @@ def test_src_size_totals_the_package():
     assert 0 < totals[1] < totals[0]
 
 
+def test_src_size_compares_two_trees(tmp_path):
+    # a file in both trees, one only in each: each row gives the code lines
+    # in A and in B and B - A, a missing file counting 0; a checkout root
+    # stands for its src/zxcliff
+    a, b = tmp_path / "a", tmp_path / "b" / "src" / "zxcliff"
+    a.mkdir()
+    b.mkdir(parents=True)
+    (a / "both.py").write_text(_SIZED)
+    (b / "both.py").write_text(_SIZED + "x = 1\n")
+    (a / "gone.py").write_text("y = 2\n")
+    (b / "new.py").write_text("z = [\n    3]\n")
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "src_size.py"), str(a), str(tmp_path / "b")],
+        capture_output=True, text=True, check=True).stdout
+    rows = {line.split()[0]: line.split()[1:] for line in out.splitlines()}
+    assert rows == {"both.py": ["4", "5", "+1"], "gone.py": ["1", "0", "-1"],
+                    "new.py": ["0", "2", "+2"], "total": ["5", "7", "+2"]}
+
+
 def test_layer_share_times_named_functions():
     # a function bound in several modules, a private one called from it, and
     # a method: each is counted, and rewrite_first's self time leaves out the
